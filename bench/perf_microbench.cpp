@@ -17,6 +17,9 @@
 #include "spacefts/core/kernel.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/datagen/otis_scenes.hpp"
+#include "spacefts/datagen/telemetry.hpp"
+#include "spacefts/downlink/chain.hpp"
+#include "spacefts/edac/crc32.hpp"
 #include "spacefts/edac/protected_memory.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
@@ -135,20 +138,103 @@ void BM_CrRejectIntegrate(benchmark::State& state) {
 }
 BENCHMARK(BM_CrRejectIntegrate);
 
-void BM_RiceCompress(benchmark::State& state) {
+/// NGST pixel series: smooth, so Rice codes them at low k (ratio > 2).
+std::vector<std::uint16_t> ngst_samples() {
   spacefts::datagen::NgstSimulator sim(0xBEEF5);
   std::vector<std::uint16_t> data;
   for (int s = 0; s < 64; ++s) {
     const auto seq = sim.sequence();
     data.insert(data.end(), seq.begin(), seq.end());
   }
+  return data;
+}
+
+/// A 256-channel x 1024-sample telemetry bank in product order (all
+/// channels at one sample, then the next): neighbours sit on unrelated base
+/// levels, so Rice codes it at high k with a ratio near 1.1, the way the
+/// downlink chain's telemetry product sees it.
+std::vector<std::uint16_t> telemetry_samples() {
+  spacefts::datagen::TelemetryParams params;
+  params.channels = 256;
+  params.samples = 1024;
+  const auto stack =
+      spacefts::datagen::TelemetrySimulator(0xBEEF9).stack(params);
+  std::vector<std::uint16_t> data;
+  data.reserve(params.channels * params.samples);
+  for (std::size_t t = 0; t < stack.frames(); ++t)
+    for (std::size_t x = 0; x < stack.width(); ++x)
+      data.push_back(stack(x, 0, t));
+  return data;
+}
+
+void BM_RiceCompress(benchmark::State& state,
+                     std::vector<std::uint16_t> (*make)()) {
+  const auto data = make();
   for (auto _ : state) {
     benchmark::DoNotOptimize(spacefts::rice::compress16(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size() * 2));
+  state.counters["ratio"] = spacefts::rice::compression_ratio16(data);
 }
-BENCHMARK(BM_RiceCompress);
+BENCHMARK_CAPTURE(BM_RiceCompress, ngst, ngst_samples);
+BENCHMARK_CAPTURE(BM_RiceCompress, telemetry, telemetry_samples);
+
+void BM_RiceDecompress(benchmark::State& state,
+                       std::vector<std::uint16_t> (*make)()) {
+  const auto data = make();
+  const auto stream = spacefts::rice::compress16(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::rice::decompress16(stream, data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size() * 2));
+}
+BENCHMARK_CAPTURE(BM_RiceDecompress, ngst, ngst_samples);
+BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry, telemetry_samples);
+
+void BM_Crc32(benchmark::State& state) {
+  spacefts::common::Rng rng(0xBEEFA);
+  std::vector<std::uint8_t> bytes(std::size_t{2} << 20);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::edac::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// Frames carry Rice streams; the telemetry bank's stream is ~490 KB.
+std::vector<std::uint8_t> telemetry_stream() {
+  return spacefts::rice::compress16(telemetry_samples());
+}
+
+void BM_ProtectFrame(benchmark::State& state) {
+  const auto payload = telemetry_stream();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::downlink::protect_frame(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_ProtectFrame);
+
+/// Arg 0: an intact frame (CRC fast path).  Arg 1: one flipped bit, so
+/// every word goes through SEC-DED decode.
+void BM_RecoverFrame(benchmark::State& state) {
+  const auto payload = telemetry_stream();
+  auto frame = spacefts::downlink::protect_frame(payload);
+  if (state.range(0) != 0) frame[frame.size() / 2] ^= 0x10;
+  for (auto _ : state) {
+    auto back = spacefts::downlink::recover_frame(frame);
+    if (!back) state.SkipWithError("frame lost");
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_RecoverFrame)->Arg(0)->Arg(1);
 
 void BM_FitsRoundtrip(benchmark::State& state) {
   spacefts::datagen::NgstSimulator sim(0xBEEF6);

@@ -104,6 +104,25 @@ std::uint64_t load_word(const std::uint8_t* bytes) noexcept {
   return word;
 }
 
+std::uint32_t load_le32(const std::uint8_t* bytes) noexcept {
+  return static_cast<std::uint32_t>(bytes[0]) |
+         static_cast<std::uint32_t>(bytes[1]) << 8 |
+         static_cast<std::uint32_t>(bytes[2]) << 16 |
+         static_cast<std::uint32_t>(bytes[3]) << 24;
+}
+
+/// The payload of a frame's verified data words: a little-endian length
+/// word, then that many bytes.  A length past the data words is corruption.
+std::optional<std::vector<std::uint8_t>> take_payload(
+    std::span<const std::uint8_t> data, std::size_t repairs,
+    std::size_t* words_corrected) {
+  const std::uint32_t length = load_le32(data.data());
+  if (length > data.size() - 4) return std::nullopt;
+  if (words_corrected != nullptr) *words_corrected = repairs;
+  const auto payload = data.subspan(4, length);
+  return std::vector<std::uint8_t>(payload.begin(), payload.end());
+}
+
 }  // namespace
 
 const char* to_string(ChainWorkload workload) noexcept {
@@ -138,44 +157,33 @@ std::optional<std::vector<std::uint8_t>> recover_frame(
   const std::size_t words = (frame.size() - 4) / 9;
   const std::size_t data_bytes = words * 8;
 
-  // Fast path: an undamaged frame needs no correction.
-  std::vector<std::uint8_t> corrected(frame.begin(),
-                                      frame.end() - 4);  // data + parity
-  std::size_t repairs = 0;
-  if (!edac::frame_verify(frame)) {
-    // SEC-DED pass: correct a single flipped bit per 72-bit word, wherever
-    // it landed (data or parity byte), then re-derive the parity bytes so
-    // the CRC recheck sees a self-consistent frame.
-    for (std::size_t w = 0; w < words; ++w) {
-      const auto result = edac::decode(load_word(corrected.data() + w * 8),
-                                       corrected[data_bytes + w]);
-      if (result.status == edac::DecodeStatus::kUncorrectable) {
-        return std::nullopt;
-      }
-      if (result.status == edac::DecodeStatus::kCorrected) ++repairs;
-      std::memcpy(corrected.data() + w * 8, &result.data, 8);
-      corrected[data_bytes + w] = edac::encode_parity(result.data);
-    }
-    // Final integrity gate: the stored trailer must match the corrected
-    // content.  A mismatch means multi-bit damage aliased past SEC-DED or
-    // hit the trailer itself — either way the frame is lost, not wrong.
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(frame[frame.size() - 4]) |
-        static_cast<std::uint32_t>(frame[frame.size() - 3]) << 8 |
-        static_cast<std::uint32_t>(frame[frame.size() - 2]) << 16 |
-        static_cast<std::uint32_t>(frame[frame.size() - 1]) << 24;
-    if (edac::crc32(corrected) != stored) return std::nullopt;
+  // Fast path: an undamaged frame needs no correction, so the payload comes
+  // straight out of it.
+  if (edac::frame_verify(frame)) {
+    return take_payload(frame.first(data_bytes), 0, words_corrected);
   }
 
-  const std::uint32_t length =
-      static_cast<std::uint32_t>(corrected[0]) |
-      static_cast<std::uint32_t>(corrected[1]) << 8 |
-      static_cast<std::uint32_t>(corrected[2]) << 16 |
-      static_cast<std::uint32_t>(corrected[3]) << 24;
-  if (length > data_bytes - 4) return std::nullopt;
-  if (words_corrected != nullptr) *words_corrected = repairs;
-  return std::vector<std::uint8_t>(corrected.begin() + 4,
-                                   corrected.begin() + 4 + length);
+  // SEC-DED pass: correct a single flipped bit per 72-bit word, wherever it
+  // landed (data or parity byte), then re-derive the parity bytes so the CRC
+  // recheck sees a self-consistent frame.
+  std::vector<std::uint8_t> corrected(frame.begin(), frame.end());
+  std::size_t repairs = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const auto result = edac::decode(load_word(corrected.data() + w * 8),
+                                     corrected[data_bytes + w]);
+    if (result.status == edac::DecodeStatus::kUncorrectable) {
+      return std::nullopt;
+    }
+    if (result.status == edac::DecodeStatus::kCorrected) ++repairs;
+    std::memcpy(corrected.data() + w * 8, &result.data, 8);
+    corrected[data_bytes + w] = edac::encode_parity(result.data);
+  }
+  // Final integrity gate: the stored trailer must match the corrected
+  // content.  A mismatch means multi-bit damage aliased past SEC-DED or hit
+  // the trailer itself — either way the frame is lost, not wrong.
+  if (!edac::frame_verify(corrected)) return std::nullopt;
+  return take_payload(std::span(corrected).first(data_bytes), repairs,
+                       words_corrected);
 }
 
 ChainReport run_chain(const ChainConfig& config) {

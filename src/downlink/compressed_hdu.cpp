@@ -15,9 +15,7 @@ fits::Hdu make_compressed_hdu(const common::Image<std::uint16_t>& image,
     // we can read back.
     throw fits::FitsError("make_compressed_hdu: empty image");
   }
-  std::vector<std::uint16_t> samples(image.pixels().begin(),
-                                     image.pixels().end());
-  auto stream = rice::compress16(samples);
+  auto stream = rice::compress16(image.pixels());
 
   fits::Hdu hdu;
   auto& h = hdu.header;

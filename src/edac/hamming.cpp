@@ -44,6 +44,29 @@ constexpr PositionTable kPositions{};
   return acc;
 }
 
+/// The 8 check bits of a data word, from the definition: the 7 Hamming bits
+/// of position_xor, and the overall parity of all 72 bits in bit 7.
+[[nodiscard]] constexpr std::uint8_t parity_of(std::uint64_t data) noexcept {
+  const std::uint32_t hamming = position_xor(data) & 0x7Fu;
+  const int ones = std::popcount(data) + std::popcount(hamming);
+  return static_cast<std::uint8_t>(hamming | (ones % 2 != 0 ? 0x80u : 0u));
+}
+
+/// Every check bit is an XOR of data bits, so the parity of a word is the
+/// XOR of the parities of its eight bytes in place: at[b][v] is the parity
+/// of byte value v at byte b.
+struct ByteParityTable {
+  std::uint8_t at[8][256];
+  constexpr ByteParityTable() : at{} {
+    for (int b = 0; b < 8; ++b) {
+      for (std::uint64_t v = 0; v < 256; ++v) {
+        at[b][v] = parity_of(v << (8 * b));
+      }
+    }
+  }
+};
+constexpr ByteParityTable kByteParity{};
+
 /// Index of the data bit stored at code-word position `pos`, or -1 if the
 /// position holds a parity bit / is out of range.
 [[nodiscard]] constexpr int data_index_of_position(int pos) noexcept {
@@ -58,11 +81,10 @@ constexpr PositionTable kPositions{};
 }  // namespace
 
 std::uint8_t encode_parity(std::uint64_t data) noexcept {
-  const std::uint32_t hamming = position_xor(data);  // 7 significant bits
-  std::uint8_t parity = static_cast<std::uint8_t>(hamming & 0x7F);
-  // Overall parity covers all 72 bits: data + the 7 Hamming bits.
-  const int ones = std::popcount(data) + std::popcount(hamming & 0x7Fu);
-  if (ones % 2 != 0) parity = static_cast<std::uint8_t>(parity | 0x80);
+  std::uint8_t parity = 0;
+  for (int b = 0; b < 8; ++b) {
+    parity ^= kByteParity.at[b][(data >> (8 * b)) & 0xFFu];
+  }
   return parity;
 }
 

@@ -17,7 +17,8 @@ class BitstreamError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends bits MSB-first into a growing byte buffer.
+/// Appends bits MSB-first into a growing byte buffer, a 32-bit
+/// big-endian word at a time.
 class BitWriter {
  public:
   /// Writes the low \p count bits of \p value (MSB of that slice first).
@@ -27,6 +28,10 @@ class BitWriter {
   /// Writes \p count consecutive one-bits followed by a zero (unary code).
   void write_unary(std::uint64_t count);
 
+  /// Reserves room for \p bytes of output, so a caller that knows a bound
+  /// on the stream length pays for no regrowth.
+  void reserve(std::size_t bytes);
+
   /// Pads to a byte boundary with zeros and returns the buffer.  The writer
   /// is reset to its initial state, so it can be reused for another stream.
   [[nodiscard]] std::vector<std::uint8_t> finish();
@@ -35,11 +40,17 @@ class BitWriter {
   [[nodiscard]] std::size_t bit_count() const noexcept { return bit_count_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  /// Appends the low \p count bits of \p value. \pre 0 < count <= 32 and
+  /// no bits of \p value above \p count.
+  void put(std::uint64_t value, unsigned count);
+
+  std::vector<std::uint8_t> bytes_;  ///< whole flushed words
+  std::uint64_t acc_ = 0;            ///< unflushed bits, in the low end
+  unsigned pending_ = 0;             ///< unflushed bit count, < 32
   std::size_t bit_count_ = 0;
 };
 
-/// Reads bits MSB-first from a byte buffer.
+/// Reads bits MSB-first from a byte buffer through a 64-bit window.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -63,7 +74,10 @@ class BitReader {
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size() * 8; }
 
  private:
-  [[nodiscard]] bool read_bit();
+  /// The 64 bits from position() on, MSB first; bits past the end of the
+  /// buffer read as zeros and at least 57 bits are real when available.
+  /// Never loads a byte past the buffer.  \pre position() < size().
+  [[nodiscard]] std::uint64_t window() const noexcept;
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;

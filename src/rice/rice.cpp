@@ -43,6 +43,11 @@ constexpr std::uint64_t kMaxMapped = 131070;
 
 std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
   BitWriter writer;
+  // A block never costs more than its verbatim form: 16 bits per sample
+  // plus the 5-bit header.
+  const std::size_t blocks =
+      (samples.size() + kBlockSamples - 1) / kBlockSamples;
+  writer.reserve(samples.size() * 2 + (blocks * 5 + 7) / 8);
   std::uint16_t previous = 0;
   std::vector<std::uint32_t> residuals;
   residuals.reserve(kBlockSamples);
@@ -57,15 +62,18 @@ std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
       residuals.push_back(zigzag(delta));
       previous = samples[i + j];
     }
-    // Pick the cheapest k; compare against the verbatim escape.
+    // Pick the cheapest k; compare against the verbatim escape.  The cost
+    // is convex in k (each step up saves sum(ceil((r >> k) / 2)) quotient
+    // bits, which never grows with k, and spends block_len remainder bits),
+    // so the first k whose successor costs no less is the first strict
+    // minimum over all k.
     unsigned best_k = 0;
     std::size_t best_cost = rice_cost(residuals, 0);
     for (unsigned k = 1; k <= kMaxK; ++k) {
       const std::size_t cost = rice_cost(residuals, k);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_k = k;
-      }
+      if (cost >= best_cost) break;
+      best_cost = cost;
+      best_k = k;
     }
     const std::size_t verbatim_cost = block_len * 16;
     if (verbatim_cost < best_cost) {
@@ -77,8 +85,16 @@ std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
     } else {
       writer.write_bits(best_k, 5);
       for (std::uint32_t r : residuals) {
-        writer.write_unary(r >> best_k);
-        if (best_k > 0) writer.write_bits(r & ((1u << best_k) - 1), best_k);
+        const std::uint32_t q = r >> best_k;
+        const std::uint32_t low = r & ((1u << best_k) - 1);
+        if (q + 1 + best_k <= 32) {
+          // ones(q), the terminating zero and the k-bit remainder in one put.
+          const std::uint64_t ones = (std::uint64_t{1} << q) - 1;
+          writer.write_bits((ones << (best_k + 1)) | low, q + 1 + best_k);
+        } else {
+          writer.write_unary(q);
+          writer.write_bits(low, best_k);
+        }
       }
     }
     i += block_len;
@@ -90,7 +106,9 @@ std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
                                         std::size_t count) {
   BitReader reader(stream);
   std::vector<std::uint16_t> out;
-  out.reserve(count);
+  // The count comes from outside; every sample costs at least one bit, so
+  // the stream bounds what a well-formed decode can produce.
+  out.reserve(std::min(count, stream.size() * 8));
   std::uint16_t previous = 0;
   while (out.size() < count) {
     const auto k = static_cast<unsigned>(reader.read_bits(5));

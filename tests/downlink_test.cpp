@@ -9,6 +9,7 @@
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/downlink/chain.hpp"
 #include "spacefts/downlink/compressed_hdu.hpp"
+#include "spacefts/edac/crc32.hpp"
 #include "spacefts/fits/fits.hpp"
 
 namespace dl = spacefts::downlink;
@@ -145,6 +146,42 @@ TEST(DownlinkFrame, TruncationAndGarbageReturnNullopt) {
   EXPECT_FALSE(dl::recover_frame(std::vector<std::uint8_t>{}).has_value());
   EXPECT_FALSE(
       dl::recover_frame(std::vector<std::uint8_t>(13, 0xFF)).has_value());
+}
+
+TEST(DownlinkFrame, FrameBytesArePinned) {
+  // Frame digests recorded from the byte-at-a-time CRC-32 and per-bit
+  // Hamming parity before the table-driven rewrite: the wire format (length
+  // word, zero padding, parity bytes, CRC trailer) must not drift.  The
+  // trailer is the CRC-32 of everything before it, so pinning it (and the
+  // frame length) pins every byte.  The lengths cover an empty payload,
+  // payloads that end on and off a word boundary after the 4-byte length
+  // word, and multi-word frames.
+  struct Pin {
+    std::size_t length;
+    std::size_t frame_bytes;
+    std::uint32_t trailer;
+  };
+  const Pin pins[] = {
+      {0, 13, 0xe60914aeu},     {1, 13, 0x1bda4f9bu},
+      {3, 13, 0x461c074au},     {4, 13, 0xf2cdaedbu},
+      {5, 22, 0x9e4fab5cu},     {12, 22, 0x5855f1a9u},
+      {100, 121, 0xc68e87ffu},  {1000, 1138, 0x006dbbf7u},
+      {4099, 4621, 0x063638a7u}};
+  spacefts::common::Rng rng(0xF4A3E);
+  for (const auto& pin : pins) {
+    std::vector<std::uint8_t> payload(pin.length);
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng());
+    const auto frame = dl::protect_frame(payload);
+    ASSERT_EQ(frame.size(), pin.frame_bytes) << "length " << pin.length;
+    const auto trailer = spacefts::edac::crc32(
+        std::span(frame).first(frame.size() - 4));
+    EXPECT_EQ(trailer, pin.trailer)
+        << "length " << pin.length << " 0x" << std::hex << trailer;
+    EXPECT_TRUE(spacefts::edac::frame_verify(frame)) << "length " << pin.length;
+    const auto back = dl::recover_frame(frame);
+    ASSERT_TRUE(back.has_value()) << "length " << pin.length;
+    EXPECT_EQ(*back, payload);
+  }
 }
 
 // ---- the end-to-end chain --------------------------------------------------

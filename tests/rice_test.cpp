@@ -1,10 +1,14 @@
 // Unit tests for spacefts::rice — bitstream I/O and the Rice codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "spacefts/common/random.hpp"
+#include "spacefts/edac/crc32.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/rice/bitstream.hpp"
 #include "spacefts/rice/rice.hpp"
@@ -57,6 +61,254 @@ TEST(Bitstream, BitCountTracksWrites) {
   w.write_bits(0, 5);
   w.write_bits(0, 9);
   EXPECT_EQ(w.bit_count(), 14u);
+}
+
+// ------------------------------------------------------ bitstream edges
+
+namespace {
+
+/// The message of the BitstreamError \p read throws, or "" if none.
+template <typename Read>
+std::string error_of(Read&& read) {
+  try {
+    read();
+  } catch (const sr::BitstreamError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kPastEnd = "BitReader: past end of stream";
+constexpr const char* kRunBound = "BitReader: unary run exceeds bound";
+
+}  // namespace
+
+TEST(Bitstream, WriteBitsEdgeCounts) {
+  sr::BitWriter w;
+  w.write_bits(~std::uint64_t{0}, 0);  // nothing
+  EXPECT_EQ(w.bit_count(), 0u);
+  w.write_bits(0xFFFFFFFFFFFFFF05u, 3);  // junk above count: only 101 lands
+  w.write_bits(0x0123456789ABCDEFu, 64);
+  EXPECT_EQ(w.bit_count(), 67u);
+  // 101, then the 64 value bits, then five zero bits of padding.
+  const std::vector<std::uint8_t> expected{0xA0, 0x24, 0x68, 0xAC, 0xF1,
+                                           0x35, 0x79, 0xBD, 0xE0};
+  EXPECT_EQ(w.finish(), expected);
+}
+
+TEST(Bitstream, Read64AtEveryBitOffset) {
+  const std::uint64_t value = 0xF0E1D2C3B4A59687u;
+  for (unsigned offset = 0; offset < 8; ++offset) {
+    for (unsigned trailer : {0u, 16u}) {  // ends in the tail window or not
+      sr::BitWriter w;
+      w.write_bits(0x55, offset);
+      w.write_bits(value, 64);
+      w.write_bits(0xBEEF, trailer);
+      const auto bytes = w.finish();
+      sr::BitReader r(bytes);
+      EXPECT_EQ(r.read_bits(offset), 0x55u & ((1u << offset) - 1));
+      EXPECT_EQ(r.position(), offset);
+      EXPECT_EQ(r.read_bits(64), value) << "offset " << offset;
+      EXPECT_EQ(r.position(), offset + 64);
+      EXPECT_EQ(r.read_bits(trailer), trailer ? 0xBEEFu : 0u);
+      EXPECT_EQ(r.position(), offset + 64 + trailer);
+    }
+  }
+}
+
+TEST(Bitstream, UnaryRunsCrossWindows) {
+  for (std::uint64_t run : {63u, 64u, 65u, 200u}) {
+    for (unsigned lead = 0; lead < 8; ++lead) {
+      sr::BitWriter w;
+      w.write_bits(0, lead);
+      w.write_unary(run);
+      w.write_bits(0x2A, 6);
+      const auto bytes = w.finish();
+      sr::BitReader r(bytes);
+      (void)r.read_bits(lead);
+      EXPECT_EQ(r.read_unary(), run) << "run " << run << " lead " << lead;
+      EXPECT_EQ(r.position(), lead + run + 1);
+      EXPECT_EQ(r.read_bits(6), 0x2Au);
+    }
+  }
+}
+
+TEST(Bitstream, PastEndAndRunBoundOnARaggedTail) {
+  // 13 bytes of ones: the stream ends mid-window, 104 bits in.
+  const std::vector<std::uint8_t> ones(13, 0xFF);
+  {
+    sr::BitReader r(ones);
+    EXPECT_EQ(error_of([&] { (void)r.read_unary(); }), kPastEnd);
+    EXPECT_EQ(r.position(), 104u);
+  }
+  {
+    sr::BitReader r(ones);  // the run reaches the end within its bound
+    EXPECT_EQ(error_of([&] { (void)r.read_unary(104); }), kPastEnd);
+    EXPECT_EQ(r.position(), 104u);
+  }
+  {
+    sr::BitReader r(ones);  // the run to the end is one over its bound
+    EXPECT_EQ(error_of([&] { (void)r.read_unary(103); }), kRunBound);
+    EXPECT_EQ(r.position(), 104u);
+  }
+  {
+    sr::BitReader r(ones);
+    EXPECT_EQ(error_of([&] { (void)r.read_unary(50); }), kRunBound);
+    EXPECT_EQ(r.position(), 51u);
+  }
+  {
+    sr::BitReader r(ones);
+    EXPECT_EQ(r.read_bits(64), ~std::uint64_t{0});
+    EXPECT_EQ(r.read_bits(36), 0xFFFFFFFFFu);
+    EXPECT_EQ(error_of([&] { (void)r.read_bits(5); }), kPastEnd);
+    EXPECT_EQ(r.position(), 104u);
+    EXPECT_EQ(r.read_bits(0), 0u);  // a zero-bit read never fails
+  }
+}
+
+TEST(Bitstream, PositionTracksEveryRead) {
+  const std::vector<std::uint8_t> bytes{0b10110010, 0b11100000, 0xFF, 0x00};
+  sr::BitReader r(bytes);
+  EXPECT_EQ(r.position(), 0u);
+  EXPECT_EQ(r.read_unary(), 1u);  // 10
+  EXPECT_EQ(r.position(), 2u);
+  EXPECT_EQ(r.read_bits(3), 0b110u);
+  EXPECT_EQ(r.position(), 5u);
+  EXPECT_EQ(r.read_unary(), 0u);  // 0
+  EXPECT_EQ(r.position(), 6u);
+  EXPECT_EQ(r.read_unary(), 1u);  // 10, ending on the byte boundary
+  EXPECT_EQ(r.position(), 8u);
+  EXPECT_EQ(r.read_unary(), 3u);  // 1110
+  EXPECT_EQ(r.position(), 12u);
+  EXPECT_EQ(r.read_bits(0), 0u);
+  EXPECT_EQ(r.position(), 12u);
+  EXPECT_EQ(r.read_bits(4), 0u);
+  EXPECT_EQ(r.position(), 16u);
+  EXPECT_EQ(r.read_unary(), 8u);  // 0xFF then a zero
+  EXPECT_EQ(r.position(), 25u);
+  EXPECT_EQ(r.read_bits(7), 0u);
+  EXPECT_EQ(r.position(), 32u);
+  EXPECT_EQ(error_of([&] { (void)r.read_unary(); }), kPastEnd);
+  EXPECT_EQ(r.position(), 32u);
+}
+
+TEST(Bitstream, FinishFlushesAPartialWordAndResets) {
+  sr::BitWriter w;
+  for (unsigned bits : {1u, 7u, 8u, 31u, 32u, 33u, 63u}) {
+    w.write_bits(~std::uint64_t{0}, bits);
+    const auto bytes = w.finish();
+    EXPECT_EQ(bytes.size(), (bits + 7) / 8) << bits;
+    EXPECT_EQ(w.bit_count(), 0u);
+    sr::BitReader r(bytes);
+    EXPECT_EQ(r.read_bits(bits), ~std::uint64_t{0} >> (64 - bits)) << bits;
+    EXPECT_EQ(error_of([&] { (void)r.read_bits(8); }), kPastEnd);
+  }
+  EXPECT_TRUE(w.finish().empty());
+}
+
+namespace {
+
+/// Bit-serial reference for the bitstream: one bit per step, the way the
+/// codec first shipped.  Lives only here, as the differential oracle.
+struct OracleWriter {
+  std::vector<std::uint8_t> bytes;
+  std::size_t bits = 0;
+  void put(std::uint64_t value, unsigned count) {
+    for (unsigned i = count; i-- > 0; ++bits) {
+      if (bits % 8 == 0) bytes.push_back(0);
+      if ((value >> i) & 1) {
+        bytes.back() |= static_cast<std::uint8_t>(0x80u >> (bits % 8));
+      }
+    }
+  }
+  void unary(std::uint64_t run) {
+    for (; run > 0; --run) put(1, 1);
+    put(0, 1);
+  }
+};
+
+struct OracleReader {
+  std::span<const std::uint8_t> bytes;
+  std::size_t pos = 0;
+  bool bit() {
+    if (pos >= bytes.size() * 8) throw sr::BitstreamError(kPastEnd);
+    const bool b = (bytes[pos / 8] >> (7 - pos % 8)) & 1;
+    ++pos;
+    return b;
+  }
+  std::uint64_t bits(unsigned count) {
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < count; ++i) v = (v << 1) | std::uint64_t{bit()};
+    return v;
+  }
+  std::uint64_t unary(std::uint64_t max_run) {
+    std::uint64_t run = 0;
+    while (bit()) {
+      if (++run > max_run) throw sr::BitstreamError(kRunBound);
+    }
+    return run;
+  }
+};
+
+/// A unary run length: mostly short, sometimes across one or more windows.
+std::uint64_t random_run(Rng& rng) {
+  return rng.below(4) == 0 ? 40 + rng.below(200) : rng.below(40);
+}
+
+}  // namespace
+
+TEST(Bitstream, MatchesABitSerialOracle) {
+  Rng rng(0xD1FF);
+  sr::BitWriter writer;  // reused across trials: finish() must reset it
+  for (int trial = 0; trial < 400; ++trial) {
+    OracleWriter oracle;
+    const auto ops = rng.below(64);
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      if (rng.below(3) == 0) {
+        const auto run = random_run(rng);
+        writer.write_unary(run);
+        oracle.unary(run);
+      } else {
+        const auto value = rng();  // junk above count must be ignored
+        const auto count = static_cast<unsigned>(rng.below(65));
+        writer.write_bits(value, count);
+        oracle.put(value, count);
+      }
+    }
+    ASSERT_EQ(writer.bit_count(), oracle.bits) << "trial " << trial;
+    auto bytes = writer.finish();
+    ASSERT_EQ(bytes, oracle.bytes) << "trial " << trial;
+
+    // Read arbitrary bits back: the written stream, cut to a ragged length
+    // or extended with runs of ones, so reads also end past the end or on
+    // the run bound.
+    bytes.resize(rng.below(bytes.size() + 1));
+    for (auto n = rng.below(12); n > 0; --n) {
+      bytes.push_back(rng.below(2) ? 0xFF : static_cast<std::uint8_t>(rng()));
+    }
+    sr::BitReader reader(bytes);
+    OracleReader expected{bytes};
+    for (;;) {
+      std::uint64_t got = 0;
+      std::uint64_t want = 0;
+      std::string got_error;
+      std::string want_error;
+      if (rng.below(2) == 0) {
+        const auto count = static_cast<unsigned>(rng.below(65));
+        got_error = error_of([&] { got = reader.read_bits(count); });
+        want_error = error_of([&] { want = expected.bits(count); });
+      } else {
+        const auto bound =
+            rng.below(4) == 0 ? ~std::uint64_t{0} : random_run(rng);
+        got_error = error_of([&] { got = reader.read_unary(bound); });
+        want_error = error_of([&] { want = expected.unary(bound); });
+      }
+      ASSERT_EQ(got_error, want_error) << "trial " << trial;
+      ASSERT_EQ(reader.position(), expected.pos) << "trial " << trial;
+      if (!got_error.empty()) break;
+      ASSERT_EQ(got, want) << "trial " << trial;
+    }
+  }
 }
 
 // ----------------------------------------------------------------------- Rice
@@ -233,6 +485,18 @@ TEST(Rice, OversizedUnaryQuotientIsRejected) {
   EXPECT_THROW((void)sr::decompress16(hostile, 1), sr::BitstreamError);
 }
 
+TEST(Rice, HostileCountThrowsBitstreamError) {
+  // The sample count comes from outside the stream.  A count no 3-byte
+  // stream could hold must fail as a short stream, not by asking the
+  // allocator for terabytes first.
+  const std::vector<std::uint8_t> stream{0x00, 0x00, 0x00};
+  for (const std::size_t count :
+       {std::size_t{1} << 62, std::size_t{1} << 40, std::size_t{25}}) {
+    EXPECT_THROW((void)sr::decompress16(stream, count), sr::BitstreamError)
+        << count;
+  }
+}
+
 TEST(Rice, TrailingGarbageDoesNotDisturbTheDecode) {
   Rng rng(102);
   std::vector<std::uint16_t> data(96);
@@ -268,4 +532,113 @@ TEST(Rice, RandomBitFlipsEitherDecodeOrThrow) {
       // The documented failure mode.
     }
   }
+}
+
+// ---------------------------------------------------------- wire-format pins
+
+namespace {
+
+/// One seeded, integer-only input per stream feature the format has.  The
+/// inputs avoid floating point so the bytes cannot drift with libm.
+struct PinnedStream {
+  const char* name;
+  std::vector<std::uint16_t> samples;
+  std::size_t bytes;    ///< compressed length
+  std::uint32_t crc;    ///< CRC-32 of the compressed stream
+};
+
+std::vector<PinnedStream> pinned_streams() {
+  std::vector<PinnedStream> cases;
+  // Flat: the first block codes the raw level as one residual at k = 10
+  // (a long unary quotient), then k = 0 blocks, and a partial last block
+  // (200 = 6 * 32 + 8).
+  cases.push_back(
+      {"flat", std::vector<std::uint16_t>(200, 27000), 76, 0x35f1a0b3u});
+  // Telemetry-shaped i.i.d. noise, +-4000 around a level: high k (>= 10) and
+  // a partial last block (1013 = 31 * 32 + 21).
+  {
+    Rng rng(0x5EED1);
+    std::vector<std::uint16_t> v(1013);
+    for (auto& s : v) s = static_cast<std::uint16_t>(26000 + rng.below(8001));
+    cases.push_back({"telemetry", std::move(v), 1770, 0xf6739f55u});
+  }
+  // Full-range noise: every block escapes (100 = 3 * 32 + 4).
+  {
+    Rng rng(0x5EED2);
+    std::vector<std::uint16_t> v(100);
+    for (auto& s : v) s = static_cast<std::uint16_t>(rng());
+    cases.push_back({"uniform", std::move(v), 203, 0xa24368a2u});
+  }
+  // A +-1 walk with one +1000 step per block: k = 5 codes the step with a
+  // quotient of ~62, so q + 1 + k > 32 takes the long-unary path.
+  {
+    Rng rng(0x5EED3);
+    std::vector<std::uint16_t> v(330);
+    std::uint16_t level = 20000;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const int step = static_cast<int>(rng.below(3)) - 1 +
+                       (i % 32 == 16 ? 1000 : 0);
+      level = static_cast<std::uint16_t>(level + step);
+      v[i] = level;
+    }
+    cases.push_back({"spike", std::move(v), 344, 0x00de278du});
+  }
+  return cases;
+}
+
+/// What one stream exercises, found by walking its block headers.
+struct StreamFeatures {
+  bool k0 = false;
+  bool high_k = false;
+  bool escape = false;
+  bool long_unary = false;
+};
+
+StreamFeatures walk_stream(const std::vector<std::uint8_t>& stream,
+                           std::size_t count) {
+  StreamFeatures seen;
+  sr::BitReader r(stream);
+  for (std::size_t done = 0; done < count;) {
+    const auto k = static_cast<unsigned>(r.read_bits(5));
+    const std::size_t len = std::min(sr::kBlockSamples, count - done);
+    done += len;
+    if (k == 31) {
+      seen.escape = true;
+      for (std::size_t j = 0; j < len; ++j) (void)r.read_bits(16);
+      continue;
+    }
+    seen.k0 = seen.k0 || k == 0;
+    seen.high_k = seen.high_k || k >= 10;
+    for (std::size_t j = 0; j < len; ++j) {
+      const auto q = r.read_unary();
+      (void)r.read_bits(k);
+      seen.long_unary = seen.long_unary || q + 1 + k > 32;
+    }
+  }
+  return seen;
+}
+
+}  // namespace
+
+TEST(Rice, StreamBytesArePinned) {
+  // The digests were recorded from the bit-serial codec (one push_back and
+  // one branch per bit) before the word-at-a-time rewrite; any drift in the
+  // stream format fails here even when decode(encode(x)) still round-trips.
+  StreamFeatures all;
+  for (const auto& c : pinned_streams()) {
+    const auto stream = sr::compress16(c.samples);
+    EXPECT_EQ(stream.size(), c.bytes) << c.name;
+    EXPECT_EQ(spacefts::edac::crc32(stream), c.crc)
+        << c.name << " 0x" << std::hex << spacefts::edac::crc32(stream);
+    EXPECT_EQ(sr::decompress16(stream, c.samples.size()), c.samples) << c.name;
+    const auto seen = walk_stream(stream, c.samples.size());
+    all.k0 = all.k0 || seen.k0;
+    all.high_k = all.high_k || seen.high_k;
+    all.escape = all.escape || seen.escape;
+    all.long_unary = all.long_unary || seen.long_unary;
+  }
+  EXPECT_TRUE(all.k0);
+  EXPECT_TRUE(all.high_k);
+  EXPECT_TRUE(all.escape);
+  EXPECT_TRUE(all.long_unary);
 }
