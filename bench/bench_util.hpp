@@ -15,6 +15,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "spacefts/common/random.hpp"
@@ -118,16 +119,19 @@ inline std::string json_field(std::string_view line, std::string_view key) {
   return spacefts::telemetry::jsonl::json_field(line, key);
 }
 
-/// The run-configuration identity of one stack_preprocess record.  Records
-/// written before the kernel field existed measured the scalar path, so a
-/// missing kernel reads as "scalar" and legacy duplicates collapse into
-/// the matching modern row.
+/// The run-configuration identity of one BENCH_preprocess.json record.
+/// Records written before the kernel field existed measured the scalar
+/// path, so a missing kernel reads as "scalar" and legacy duplicates
+/// collapse into the matching modern row.  The upsert applies this key to
+/// every line of the file, so it includes gate_median's `impl`: without it
+/// the insertion and network rows of one Υ read as duplicates and one of
+/// them was dropped.
 inline std::string preprocess_record_key(std::string_view line) {
   std::string kernel = json_field(line, "kernel");
   if (kernel.empty()) kernel = "scalar";
   return json_field(line, "bench") + "|" + json_field(line, "threads") + "|" +
          json_field(line, "upsilon") + "|" + json_field(line, "lambda") + "|" +
-         kernel;
+         kernel + "|" + json_field(line, "impl");
 }
 
 }  // namespace detail
@@ -161,18 +165,19 @@ inline void upsert_jsonl_record(
   (void)spacefts::telemetry::jsonl::upsert_jsonl(line, key_of, path);
 }
 
-/// Records one stack-preprocessing throughput measurement in \p path
-/// (default: BENCH_preprocess.json in the working directory):
+/// Records one stack-preprocessing throughput measurement, the best of
+/// \p reps timed runs, in \p path (default: BENCH_preprocess.json in the
+/// working directory):
 ///   {"bench": "stack_preprocess", "pixels_per_s": …, "threads": …,
-///    "upsilon": …, "lambda": …, "kernel": "…", "git_sha": "…",
-///    "iso_timestamp": "…"}
+///    "upsilon": …, "lambda": …, "kernel": "…", "host_cores": …,
+///    "reps": …, "git_sha": "…", "iso_timestamp": "…"}
 /// The file holds exactly one line per run configuration — (bench,
 /// threads, upsilon, lambda, kernel) — so re-running a bench replaces its
 /// row instead of accumulating duplicates.  The rewrite also collapses any
 /// duplicate rows already present.
 inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
                                      std::size_t upsilon, double lambda,
-                                     const char* kernel,
+                                     const char* kernel, std::size_t reps,
                                      const char* path = "BENCH_preprocess.json") {
   namespace jsonl = spacefts::telemetry::jsonl;
   std::string line = "{\"bench\": \"stack_preprocess\", \"pixels_per_s\": ";
@@ -182,6 +187,9 @@ inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
   line += ", \"lambda\": ";
   jsonl::append_fmt(line, "%g", lambda);
   line += ", \"kernel\": \"" + jsonl::escape(kernel) + "\"";
+  line += ", \"host_cores\": " +
+          std::to_string(std::thread::hardware_concurrency());
+  line += ", \"reps\": " + std::to_string(reps);
   line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
   line += ", \"iso_timestamp\": \"" + iso_timestamp_utc() + "\"}\n";
   upsert_jsonl_record(line, detail::preprocess_record_key, path);

@@ -248,6 +248,25 @@ void BM_FitsRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FitsRoundtrip);
 
+/// The ingest decode alone: one 256x256 BITPIX=16/BZERO=32768 readout
+/// decoded into a reused plane, as IngestGuard::ingest does per HDU.
+void BM_ReadImageU16(benchmark::State& state) {
+  spacefts::datagen::SceneParams scene;
+  scene.width = 256;
+  scene.height = 256;
+  const auto img = spacefts::datagen::NgstSimulator(0xBEEF6).base_scene(scene);
+  const auto hdu = spacefts::fits::make_image_hdu(img);
+  std::vector<std::uint16_t> plane(img.size());
+  for (auto _ : state) {
+    spacefts::fits::read_image_u16(hdu, plane);
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(img.size() * 2));
+}
+BENCHMARK(BM_ReadImageU16);
+
 void BM_SecDedScrub(benchmark::State& state) {
   std::vector<std::uint16_t> pixels(4096, 27000);
   std::vector<std::uint16_t> out;
@@ -338,11 +357,12 @@ void BM_MedianBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_MedianBaseline);
 
-/// Times one full 256x256x8 stack preprocess (best of 5) at the given lane
-/// count / kernel and records the result in BENCH_preprocess.json (one row
-/// per configuration; reruns replace their row).
+/// Times one full 256x256x8 stack preprocess (best of kReps) at the given
+/// lane count / kernel and records the result in BENCH_preprocess.json (one
+/// row per configuration; reruns replace their row).
 void record_stack_throughput(std::size_t threads,
                              spacefts::core::Kernel kernel) {
+  constexpr std::size_t kReps = 5;
   spacefts::core::AlgoNgstConfig config;
   config.lambda = 50.0;
   config.threads = threads;
@@ -350,7 +370,7 @@ void record_stack_throughput(std::size_t threads,
   const spacefts::core::AlgoNgst algo(config);
   const auto base = corrupted_stack(256, 8);
   double best = 1e100;
-  for (int r = 0; r < 5; ++r) {
+  for (std::size_t r = 0; r < kReps; ++r) {
     auto working = base;
     const auto t0 = std::chrono::steady_clock::now();
     (void)algo.preprocess(working);
@@ -359,7 +379,7 @@ void record_stack_throughput(std::size_t threads,
   }
   bench::append_preprocess_record(256.0 * 256.0 / best, threads,
                                   config.upsilon, config.lambda,
-                                  spacefts::core::kernel_name(kernel));
+                                  spacefts::core::kernel_name(kernel), kReps);
 }
 
 }  // namespace

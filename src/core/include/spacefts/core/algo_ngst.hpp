@@ -69,7 +69,9 @@ struct NgstScratch {
   VoterMatrix<std::uint16_t> matrix;
   std::vector<std::uint16_t> sort_buf;   ///< nth_element workspace
   std::vector<std::uint16_t> voters;     ///< surviving voters of one pixel
-  std::vector<std::uint16_t> partners;   ///< plausibility-gate neighbours
+  /// Plausibility-gate neighbours: one series' (scalar path), or whole
+  /// lane groups' partner rows (vector kernels).
+  std::vector<std::uint16_t> partners;
   std::vector<std::uint16_t> tile;       ///< coordinate-major gather buffer
   /// Structure-of-arrays buffers for the vector kernels (kSwar/kAvx2):
   /// frame-major tiles padded to a whole number of lane groups, 32-byte

@@ -1,8 +1,9 @@
 /// \file sort_median.hpp
 /// Branchless small-array sorting for the plausibility gate's median.
 ///
-/// The gate (algo_ngst.cpp / kernel_engine.hpp) needs the median of the up
-/// to Υ partner values it gathered for one correction candidate.  The
+/// The scalar gate (algo_ngst.cpp) needs the median of the up to Υ partner
+/// values it gathered for one correction candidate; the vector kernels
+/// (kernel_engine.hpp) run the same networks on whole lane groups.  The
 /// original insertion sort is data-dependent in both trip count and branch
 /// pattern; on the hot sparse-correction path that shows up as mispredicts.
 /// For the two production Υ values the partner count is almost always
@@ -50,38 +51,62 @@ inline void insertion_sort_u16(std::uint16_t* v, std::size_t count) noexcept {
   }
 }
 
-/// Optimal 4-element network (5 exchanges).
-inline void sort4_network(std::uint16_t* v) noexcept {
-  using detail::cswap;
-  cswap(v[0], v[1]);
-  cswap(v[2], v[3]);
-  cswap(v[0], v[2]);
-  cswap(v[1], v[3]);
-  cswap(v[1], v[2]);
+/// Optimal 4-element network (5 exchanges), as a sequence of
+/// compare-exchange calls cx(a, b) that leave element a <= element b.  The
+/// lane-parallel gate (kernel_engine.hpp) runs the same sequence on whole
+/// lane groups.
+template <class CompareExchange>
+inline void sort4_network(CompareExchange&& cx) {
+  cx(0, 1);
+  cx(2, 3);
+  cx(0, 2);
+  cx(1, 3);
+  cx(1, 2);
 }
 
 /// Batcher odd-even merge network for 8 elements (19 exchanges).
+template <class CompareExchange>
+inline void sort8_network(CompareExchange&& cx) {
+  cx(0, 1);
+  cx(2, 3);
+  cx(4, 5);
+  cx(6, 7);
+  cx(0, 2);
+  cx(1, 3);
+  cx(4, 6);
+  cx(5, 7);
+  cx(1, 2);
+  cx(5, 6);
+  cx(0, 4);
+  cx(1, 5);
+  cx(2, 6);
+  cx(3, 7);
+  cx(2, 4);
+  cx(3, 5);
+  cx(1, 2);
+  cx(3, 4);
+  cx(5, 6);
+}
+
+/// Data-oblivious ascending sort of \p count elements through \p cx: the
+/// fixed networks above for 4 and 8, otherwise the insertion network (the
+/// insertion sort with every adjacent exchange made unconditionally,
+/// count·(count−1)/2 exchanges).
+template <class CompareExchange>
+inline void sort_network(std::size_t count, CompareExchange&& cx) {
+  if (count == 4) return sort4_network(cx);
+  if (count == 8) return sort8_network(cx);
+  for (std::size_t a = 1; a < count; ++a) {
+    for (std::size_t b = a; b > 0; --b) cx(b - 1, b);
+  }
+}
+
+inline void sort4_network(std::uint16_t* v) noexcept {
+  sort4_network([v](int a, int b) { detail::cswap(v[a], v[b]); });
+}
+
 inline void sort8_network(std::uint16_t* v) noexcept {
-  using detail::cswap;
-  cswap(v[0], v[1]);
-  cswap(v[2], v[3]);
-  cswap(v[4], v[5]);
-  cswap(v[6], v[7]);
-  cswap(v[0], v[2]);
-  cswap(v[1], v[3]);
-  cswap(v[4], v[6]);
-  cswap(v[5], v[7]);
-  cswap(v[1], v[2]);
-  cswap(v[5], v[6]);
-  cswap(v[0], v[4]);
-  cswap(v[1], v[5]);
-  cswap(v[2], v[6]);
-  cswap(v[3], v[7]);
-  cswap(v[2], v[4]);
-  cswap(v[3], v[5]);
-  cswap(v[1], v[2]);
-  cswap(v[3], v[4]);
-  cswap(v[5], v[6]);
+  sort8_network([v](int a, int b) { detail::cswap(v[a], v[b]); });
 }
 
 /// Sorts \p v ascending: fixed networks for the production partner counts

@@ -15,11 +15,13 @@
 ///   `q = nth_element(xors, rank)` and `v_val = q == 0 ? 0 : ceil_pow2(q)`.
 ///   The composed map x -> (x == 0 ? 0 : ceil_pow2(x)) is monotone
 ///   non-decreasing, so it commutes with order statistics:
-///   v_val = value-class of the rank-th smallest element.  The engine
-///   therefore buckets each XOR by its value class
-///   (0, 1, 2, 4, ..., high-bit saturation — exactly the classes that map
-///   distinguishes) and walks the cumulative histogram to the rank.  Same
-///   v_val, no sort, O(n) per way per lane.
+///   v_val = value-class of the rank-th smallest element, where the classes
+///   are 0, 1, 2, 4, ..., high-bit saturation — exactly the values that map
+///   distinguishes.  Selection is the policy's `way_vplus1` primitive:
+///   AVX2 counts C_b = #{x <= class bound b} lane-parallel with one compare
+///   per class and row, and the class is the number of b with C_b <= rank;
+///   SWAR, whose compares cost ~12 word ops, buckets each lane's XORs into a
+///   histogram and walks it to the rank.  Same v_val, no sort, O(n).
 /// * **AND/GRT accumulation.**  With A_0 = ~0, B_0 = 0 and per voter v:
 ///   B' = (B & v) | A,  A' = A & v,  after m voters A is the AND of all and
 ///   B is the OR of leave-one-out ANDs (induction: the new leave-one-out
@@ -29,6 +31,16 @@
 /// * **Lane padding.**  NGST tiles are padded with all-zero series; every
 ///   XOR of a zero series is 0, so its unanimous AND is 0 and its
 ///   correction is always 0 — pad lanes can never touch data or counters.
+/// * **Plausibility gate.**  The apply stage evaluates the gate for a whole
+///   lane group per readout row: the in-range partners i±d of the *live*
+///   series (their count depends only on i), their median through a
+///   min/max sort network (any full sort gives the same median),
+///   dev = |self − med| as `subs(self, med) | subs(med, self)`, and the top
+///   corrected weight w by bit-smearing.  The scalar test 4·dev >= 3·w is
+///   dev >= ceil(3w/4) = w − (w >> 2) for every power of two w (w = 1, 2
+///   round up; w >= 4 divides exactly).  Rows run in readout order and a
+///   lane reads only its own series, so the sequencing matches the scalar
+///   reference lane by lane.
 ///
 /// The cross-kernel differential harness (src/check) and
 /// tests/kernel_test.cpp enforce the identity end to end.
@@ -38,8 +50,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "kernel_detail.hpp"
@@ -60,10 +70,14 @@ namespace spacefts::core::detail {
 /// including the saturation class at the type's high bit.
 template <typename Word>
 [[nodiscard]] inline std::size_t vval_bucket(Word x) noexcept {
-  if (x == 0) return 0;
   constexpr int kCap = static_cast<int>(sizeof(Word) * 8) - 1;
-  const int bw = std::bit_width(static_cast<Word>(x - 1));
-  return 1 + static_cast<std::size_t>(bw < kCap ? bw : kCap);
+  // bit_width(x - 1) from a bit scan of a never-zero argument, and selects
+  // for x == 0 and the cap: histogram inputs are unpredictable, so any
+  // branch here mispredicts.
+  const std::uint64_t below = static_cast<Word>(x - 1);
+  const int bw = std::bit_width((below << 1) | 1) - 1;
+  const std::size_t bucket = 1 + static_cast<std::size_t>(std::min(bw, kCap));
+  return x == 0 ? 0 : bucket;
 }
 
 template <typename Word>
@@ -97,29 +111,31 @@ template <typename Word>
   return static_cast<std::uint16_t>(~static_cast<std::uint16_t>(doubled - 1));
 }
 
-/// Carry-propagation plausibility gate on the frame-major SoA layout; the
-/// same arithmetic as correction_is_plausible in algo_ngst.cpp, reading
-/// lane k's *live* (partially corrected) series through the twp stride.
-[[nodiscard]] inline bool ngst_gate_soa(const std::uint16_t* soa,
-                                        std::size_t twp, std::size_t i,
-                                        std::size_t n, std::size_t k,
-                                        std::size_t way_count,
-                                        std::uint16_t corr,
-                                        std::vector<std::uint16_t>& partners) {
-  partners.clear();
+/// Lane-wise median of the in-range partners i±d of readout row \p i for
+/// the lane group at \p c0, read from the live tile: the \p count partners
+/// (a function of i alone) sort through \p spill, count lane groups of u16.
+template <class Ops>
+[[nodiscard]] typename Ops::V partner_median(const std::uint16_t* soa,
+                                             std::size_t twp, std::size_t i,
+                                             std::size_t n, std::size_t c0,
+                                             std::size_t way_count,
+                                             std::size_t count,
+                                             std::uint16_t* spill) {
+  using V = typename Ops::V;
+  constexpr std::size_t kL = Ops::kLanes16;
+  const std::uint16_t* const self = soa + i * twp + c0;
+  std::size_t j = 0;
   for (std::size_t d = 1; d <= way_count; ++d) {
-    if (i + d < n) partners.push_back(soa[(i + d) * twp + k]);
-    if (i >= d) partners.push_back(soa[(i - d) * twp + k]);
+    if (i + d < n) Ops::store(spill + kL * j++, Ops::load(self + d * twp));
+    if (i >= d) Ops::store(spill + kL * j++, Ops::load(self - d * twp));
   }
-  const std::size_t count = partners.size();
-  if (count == 0) return false;
-  sort_small_u16(partners.data(), count);
-  const std::int32_t med = partners[count / 2];
-  const std::int32_t dev =
-      std::abs(static_cast<std::int32_t>(soa[i * twp + k]) - med);
-  const std::int32_t top_weight = std::int32_t{1}
-                                  << common::msb_index(corr);
-  return 4 * dev >= 3 * top_weight;
+  sort_network(count, [spill](std::size_t a, std::size_t b) {
+    const V va = Ops::load(spill + a * kL);
+    const V vb = Ops::load(spill + b * kL);
+    Ops::store(spill + a * kL, Ops::minu16(va, vb));
+    Ops::store(spill + b * kL, Ops::maxu16(va, vb));
+  });
+  return Ops::load(spill + count / 2 * kL);
 }
 
 template <class Ops>
@@ -142,25 +158,13 @@ template <class Ops>
   s.lane_msb.resize(twp);
   s.corr.resize(n * twp);
 
-  // ---- Threshold stage: per-lane per-way V_val via the exact histogram
-  // selection.  Scalar across lanes (the selection is a data-dependent
-  // walk), but O(n) per lane instead of the reference's sort.
+  // ---- Threshold stage: per-lane per-way V_val through the policy's
+  // selection primitive (see file comment), stored as V_val+1 so the prune
+  // compare becomes unsigned x >= vp (no overflow: V_val saturates at
+  // 0x8000).
   for (std::size_t d = 1; d <= way_count; ++d) {
-    const std::size_t rank = prune_rank(n - d, cfg.lambda);
-    std::uint16_t* const vp_row = s.vplus1.data() + (d - 1) * twp;
-    for (std::size_t k = 0; k < twp; ++k) {
-      std::uint32_t counts[kVvalBuckets<std::uint16_t>] = {};
-      const std::uint16_t* const col = soa + k;
-      for (std::size_t i = 0; i + d < n; ++i) {
-        const auto x =
-            static_cast<std::uint16_t>(col[i * twp] ^ col[(i + d) * twp]);
-        ++counts[vval_bucket(x)];
-      }
-      const std::uint16_t vval = vval_from_hist<std::uint16_t>(counts, rank);
-      // Stored as V_val+1 so the prune compare becomes unsigned x >= vp
-      // (no overflow: V_val saturates at 0x8000).
-      vp_row[k] = static_cast<std::uint16_t>(vval + 1);
-    }
+    Ops::way_vplus1(soa, twp, d, n - d, prune_rank(n - d, cfg.lambda),
+                    s.vplus1.data() + (d - 1) * twp);
   }
 
   // ---- Mask stage: per-lane window delimiters from the per-way V_vals.
@@ -182,6 +186,16 @@ template <class Ops>
   report.lsb_mask = s.lane_lsb[tw - 1];
   report.msb_mask = s.lane_msb[tw - 1];
 
+  // In-range pairings of readout i: its voter count, and its partner
+  // count in the gate; uniform across lanes.
+  const auto pairings = [n, way_count](std::size_t i) {
+    std::size_t m = 0;
+    for (std::size_t d = 1; d <= way_count; ++d) {
+      m += (i + d < n ? 1u : 0u) + (i >= d ? 1u : 0u);
+    }
+    return m;
+  };
+
   // ---- Vote stage: per readout position, accumulate the unanimous AND (A)
   // and the leave-one-out GRT (B) across all in-range voters, vectorized
   // across lanes.  All loads read the pre-correction tile — the reference
@@ -190,10 +204,7 @@ template <class Ops>
   const bool prune = cfg.enable_pruning;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint16_t* const corr_row = s.corr.data() + i * twp;
-    std::size_t m = 0;  // in-range pairings; uniform across lanes
-    for (std::size_t d = 1; d <= way_count; ++d) {
-      m += (i + d < n ? 1u : 0u) + (i >= d ? 1u : 0u);
-    }
+    const std::size_t m = pairings(i);
     if (m < 2) {  // fewer than two voters never correct
       std::fill(corr_row, corr_row + twp, std::uint16_t{0});
       continue;
@@ -222,29 +233,39 @@ template <class Ops>
     }
   }
 
-  // ---- Apply stage: sparse scan over the correction plane.  Corrections
-  // only touch their own lane, and the gate only reads the lane's own live
-  // series, so readout-major application equals the reference's
-  // series-major order lane by lane.
+  // ---- Apply stage: the gate for a whole lane group per readout row (see
+  // file comment).  Lanes without a correction pass the gate (w = 0) and
+  // apply nothing, so the counters come from lane counts of corr and of the
+  // applied words.
+  const bool gate = cfg.enable_plausibility_gate;
+  if (gate) s.partners.resize(2 * way_count * Ops::kLanes16);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t* const corr_row = s.corr.data() + i * twp;
-    for (std::size_t c0 = 0; c0 < twp; c0 += 4) {
-      std::uint64_t group;
-      std::memcpy(&group, corr_row + c0, sizeof(group));
-      if (group == 0) continue;
-      for (std::size_t k = c0; k < c0 + 4; ++k) {
-        const std::uint16_t corr = corr_row[k];
-        if (corr == 0) continue;  // pad lanes always land here
-        if (cfg.enable_plausibility_gate &&
-            !ngst_gate_soa(soa, twp, i, n, k, way_count, corr, s.partners)) {
-          ++report.pixels_vetoed;
-        } else {
-          soa[i * twp + k] = static_cast<std::uint16_t>(soa[i * twp + k] ^ corr);
-          ++report.pixels_corrected;
-          report.bits_corrected +=
-              static_cast<std::size_t>(std::popcount(corr));
-        }
+    std::uint16_t* const self_row = soa + i * twp;
+    const std::size_t count = pairings(i);
+    for (std::size_t c0 = 0; c0 < twp; c0 += Ops::kLanes16) {
+      const V corr = Ops::load(corr_row + c0);
+      const std::size_t flagged = Ops::count_nonzero16(corr);
+      if (flagged == 0) continue;  // quiet groups, pad groups included
+      const V self = Ops::load(self_row + c0);
+      V applied = corr;
+      if (gate) {
+        const V med = partner_median<Ops>(soa, twp, i, n, c0, way_count,
+                                          count, s.partners.data());
+        const V dev = Ops::vor(Ops::subsu16(self, med), Ops::subsu16(med, self));
+        V top = Ops::vor(corr, Ops::template srl16<1>(corr));
+        top = Ops::vor(top, Ops::template srl16<2>(top));
+        top = Ops::vor(top, Ops::template srl16<4>(top));
+        top = Ops::vor(top, Ops::template srl16<8>(top));
+        top = Ops::vxor(top, Ops::template srl16<1>(top));
+        const V bar = Ops::sub16(top, Ops::template srl16<2>(top));
+        applied = Ops::vand(corr, Ops::geu16(dev, bar));
       }
+      const std::size_t accepted = Ops::count_nonzero16(applied);
+      report.pixels_corrected += accepted;
+      report.pixels_vetoed += flagged - accepted;
+      report.bits_corrected += Ops::popcount(applied);
+      Ops::store(self_row + c0, Ops::vxor(self, applied));
     }
   }
   return report;

@@ -3,6 +3,7 @@
 /// std::uint64_t.  No ISA requirements — this is the floor every build and
 /// host can run, and the fallback resolve_kernel() picks when AVX2 is
 /// requested but unavailable.
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -68,6 +69,68 @@ struct SwarOps {
     const std::uint64_t me = ((de >> 16) & kSel) * 0xFFFFull;
     const std::uint64_t mo = ((dd >> 16) & kSel) * 0xFFFFull;
     return me | (mo << 16);
+  }
+
+  static V minu16(V a, V b) noexcept {
+    const V ge = geu16(a, b);
+    return (b & ge) | (a & ~ge);
+  }
+  static V maxu16(V a, V b) noexcept {
+    const V ge = geu16(a, b);
+    return (a & ge) | (b & ~ge);
+  }
+  /// Per-u16-lane wrapping a - b: subtract with each lane's top bit forced
+  /// on in a and off in b, so no borrow crosses a lane, then fix the top
+  /// bits up.
+  static V sub16(V a, V b) noexcept {
+    constexpr std::uint64_t kTop = 0x8000800080008000ull;
+    return ((a | kTop) - (b & ~kTop)) ^ ((a ^ ~b) & kTop);
+  }
+  /// Per-u16-lane unsigned saturating max(a - b, 0).
+  static V subsu16(V a, V b) noexcept { return sub16(a, b) & geu16(a, b); }
+  template <int kShift>
+  static V srl16(V a) noexcept {
+    constexpr std::uint64_t kKeep = (0xFFFFull >> kShift) * 0x0001000100010001ull;
+    return (a >> kShift) & kKeep;
+  }
+  /// Number of non-zero u16 lanes: the low 15 bits plus 0x7FFF carry into
+  /// the top bit exactly when any of them is set; a multiply sums the four
+  /// top bits.
+  static std::size_t count_nonzero16(V a) noexcept {
+    constexpr std::uint64_t kLow = 0x7FFF7FFF7FFF7FFFull;
+    const std::uint64_t top = (((a & kLow) + kLow) | a) & ~kLow;
+    return static_cast<std::size_t>(((top >> 15) * 0x0001000100010001ull) >> 48);
+  }
+  /// Set bits of the word, by the classic in-register adder tree (no
+  /// libgcc call on targets without a popcount instruction).
+  static std::size_t popcount(V a) noexcept {
+    a -= (a >> 1) & 0x5555555555555555ull;
+    a = (a & 0x3333333333333333ull) + ((a >> 2) & 0x3333333333333333ull);
+    a = (a + (a >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<std::size_t>((a * 0x0101010101010101ull) >> 56);
+  }
+
+  /// Threshold stage of way d (see kernel_engine.hpp): each lane's XORs
+  /// bucketed into a value-class histogram, walked to the rank.  The
+  /// compare-count form AVX2 uses would cost 16 geu16s per row here.  The
+  /// four lanes of a word keep separate histograms, so their increments
+  /// never wait on each other.
+  static void way_vplus1(const std::uint16_t* soa, std::size_t twp,
+                         std::size_t d, std::size_t rows, std::size_t rank,
+                         std::uint16_t* vp_row) noexcept {
+    for (std::size_t c0 = 0; c0 < twp; c0 += kLanes16) {
+      std::uint32_t counts[kLanes16][kVvalBuckets<std::uint16_t>] = {};
+      for (std::size_t i = 0; i < rows; ++i) {
+        const V x = load(soa + i * twp + c0) ^ load(soa + (i + d) * twp + c0);
+        for (std::size_t l = 0; l < kLanes16; ++l) {
+          ++counts[l][vval_bucket(static_cast<std::uint16_t>(x >> (16 * l)))];
+        }
+      }
+      for (std::size_t l = 0; l < kLanes16; ++l) {
+        vp_row[c0 + l] = static_cast<std::uint16_t>(
+            vval_from_hist<std::uint16_t>(counts[l], rank) + 1);
+      }
+    }
   }
 
   /// Per-u32-lane x >= y -> 0xFFFFFFFF, else 0.

@@ -1,8 +1,11 @@
 #include "spacefts/downlink/chain.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "spacefts/common/random.hpp"
 #include "spacefts/core/algo_ngst.hpp"
@@ -75,16 +78,18 @@ common::Image<std::uint16_t> product_image(
     }
     return image;
   }
+  // Whole planes accumulate into u64 sums; sums of u16 readouts are exact
+  // there and in the double they convert to, so the mean is unchanged.
+  std::vector<std::uint64_t> sum(stack.width() * stack.height(), 0);
+  for (std::size_t t = 0; t < stack.frames(); ++t) {
+    const std::span<const std::uint16_t> plane = stack.cube().plane(t);
+    for (std::size_t p = 0; p < sum.size(); ++p) sum[p] += plane[p];
+  }
   common::Image<std::uint16_t> image(stack.width(), stack.height());
-  for (std::size_t y = 0; y < stack.height(); ++y) {
-    for (std::size_t x = 0; x < stack.width(); ++x) {
-      double sum = 0.0;
-      for (std::size_t t = 0; t < stack.frames(); ++t) {
-        sum += static_cast<double>(stack(x, y, t));
-      }
-      image(x, y) = datagen::clamp_pixel(
-          sum / static_cast<double>(stack.frames()));
-    }
+  const std::span<std::uint16_t> out = image.pixels();
+  for (std::size_t p = 0; p < sum.size(); ++p) {
+    out[p] = datagen::clamp_pixel(
+        static_cast<double>(sum[p]) / static_cast<double>(stack.frames()));
   }
   return image;
 }

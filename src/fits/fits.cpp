@@ -377,7 +377,20 @@ Hdu make_float_hdu(const common::Image<float>& image, bool primary) {
   return hdu;
 }
 
-common::Image<std::uint16_t> read_image_u16(const Hdu& hdu) {
+namespace {
+
+/// Geometry and offset of a decodable BITPIX=16 HDU.
+struct U16Layout {
+  std::size_t width = 0;
+  std::size_t height = 0;
+  std::int32_t bzero = 0;
+};
+
+/// Validates \p hdu for read_image_u16: a 16-bit image header, a payload of
+/// at least NAXIS1*NAXIS2*2 bytes, and a finite integral BZERO.  Past ±2^17
+/// every stored value clamps to the same end of [0, 65535], so BZERO
+/// saturates there and the per-pixel sum stays an exact int32.
+[[nodiscard]] U16Layout u16_layout(const Hdu& hdu) {
   const auto bitpix = hdu.header.get_int("BITPIX");
   const auto naxis1 = hdu.header.get_int("NAXIS1");
   const auto naxis2 = hdu.header.get_int("NAXIS2");
@@ -385,25 +398,47 @@ common::Image<std::uint16_t> read_image_u16(const Hdu& hdu) {
       *naxis2 <= 0) {
     throw FitsError("read_image_u16: header does not describe a 16-bit image");
   }
-  const auto w = static_cast<std::size_t>(*naxis1);
-  const auto h = static_cast<std::size_t>(*naxis2);
-  if (hdu.data.size() < w * h * 2) {
+  U16Layout layout;
+  layout.width = static_cast<std::size_t>(*naxis1);
+  layout.height = static_cast<std::size_t>(*naxis2);
+  // Divide rather than multiply: header axes can make w*h*2 wrap.
+  if (layout.height > hdu.data.size() / 2 / layout.width) {
     throw FitsError("read_image_u16: short data unit");
   }
   const double bzero = hdu.header.get_double("BZERO").value_or(0.0);
-  common::Image<std::uint16_t> img(w, h);
-  std::size_t o = 0;
-  for (auto& px : img.pixels()) {
-    const auto u = static_cast<std::uint16_t>(
-        (static_cast<std::uint16_t>(hdu.data[o]) << 8) | hdu.data[o + 1]);
-    o += 2;
-    const auto stored = static_cast<std::int16_t>(u);
-    const double physical = static_cast<double>(stored) + bzero;
-    px = physical <= 0 ? std::uint16_t{0}
-         : physical >= 65535.0
-             ? std::uint16_t{65535}
-             : static_cast<std::uint16_t>(std::lround(physical));
+  if (!std::isfinite(bzero) || bzero != std::trunc(bzero)) {
+    throw FitsError("read_image_u16: BZERO must be a finite integer");
   }
+  layout.bzero = static_cast<std::int32_t>(std::clamp(bzero, -131072.0, 131072.0));
+  return layout;
+}
+
+/// physical = clamp(stored + BZERO, 0, 65535) per big-endian stored value;
+/// the same value lround(stored + bzero) gave, since the sum is exact.
+void decode_u16(const std::uint8_t* data, std::int32_t bzero,
+                std::span<std::uint16_t> out) noexcept {
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto stored = static_cast<std::int16_t>(
+        static_cast<std::uint16_t>((data[2 * k] << 8) | data[2 * k + 1]));
+    out[k] = static_cast<std::uint16_t>(
+        std::clamp<std::int32_t>(stored + bzero, 0, 65535));
+  }
+}
+
+}  // namespace
+
+void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out) {
+  const U16Layout layout = u16_layout(hdu);
+  if (out.size() != layout.width * layout.height) {
+    throw FitsError("read_image_u16: destination size differs from the image");
+  }
+  decode_u16(hdu.data.data(), layout.bzero, out);
+}
+
+common::Image<std::uint16_t> read_image_u16(const Hdu& hdu) {
+  const U16Layout layout = u16_layout(hdu);
+  common::Image<std::uint16_t> img(layout.width, layout.height);
+  decode_u16(hdu.data.data(), layout.bzero, img.pixels());
   return img;
 }
 

@@ -122,10 +122,17 @@ class FitsFile {
 [[nodiscard]] Hdu make_float_hdu(const common::Image<float>& image,
                                  bool primary = true);
 
-/// Decodes a BITPIX=16/BZERO=32768 HDU back into an unsigned image.
-/// \throws FitsError if the header does not describe such an image or the
-/// data payload is shorter than NAXIS1*NAXIS2*2 bytes.
+/// Decodes a BITPIX=16/BZERO=32768 HDU back into an unsigned image:
+/// physical = clamp(stored + BZERO, 0, 65535), with BZERO absent = 0.
+/// \throws FitsError if the header does not describe a 16-bit image, the
+/// data payload is shorter than NAXIS1*NAXIS2*2 bytes, or BZERO is not a
+/// finite integer.
 [[nodiscard]] common::Image<std::uint16_t> read_image_u16(const Hdu& hdu);
+
+/// The same decode into caller storage (e.g. one plane of a stack), which
+/// must hold exactly NAXIS1*NAXIS2 pixels.
+/// \throws FitsError as above, or if \p out has a different size.
+void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out);
 
 /// Decodes a BITPIX=-32 HDU back into a float image.
 [[nodiscard]] common::Image<float> read_image_f32(const Hdu& hdu);

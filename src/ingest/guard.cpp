@@ -1,6 +1,7 @@
 #include "spacefts/ingest/guard.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "spacefts/fits/fits.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
@@ -70,32 +71,47 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
     return result;
   }
 
-  // 3. Decode into a stack, insisting on uniform geometry.
-  std::vector<common::Image<std::uint16_t>> frames;
-  frames.reserve(file.hdus().size());
+  // 3. Decode into a stack, insisting on uniform geometry.  The headers are
+  //    compared before the stack is sized: sanity has tied every payload to
+  //    its header, so once all readouts claim readout 0's geometry the
+  //    stack is in proportion to the input.  A readout that fails to decode
+  //    reports that before any geometry mismatch of its own, so on a
+  //    mismatch at readout k, readouts 0..k still decode (one at a time).
+  const auto& hdus = file.hdus();
+  const auto axes = [&hdus](std::size_t t) {
+    return std::pair{hdus[t].header.get_int("NAXIS1"),
+                     hdus[t].header.get_int("NAXIS2")};
+  };
+  std::size_t mismatch = 1;
+  while (mismatch < hdus.size() && axes(mismatch) == axes(0)) ++mismatch;
+  const bool uniform = mismatch == hdus.size();
+  common::TemporalStack<std::uint16_t> stack;
   {
     SPACEFTS_TSPAN("ingest.decode");
-    for (const auto& hdu : file.hdus()) {
-      try {
-        frames.push_back(fits::read_image_u16(hdu));
-      } catch (const fits::FitsError& e) {
-        result.error = std::string("readout decode failed: ") + e.what();
-        telemetry::counter("ingest.rejected").add();
-        return result;
+    try {
+      const auto first = fits::read_image_u16(hdus.front());
+      if (uniform) {
+        stack = common::TemporalStack<std::uint16_t>(
+            first.width(), first.height(), hdus.size());
+        stack.cube().set_plane(0, first);
+        for (std::size_t t = 1; t < hdus.size(); ++t) {
+          fits::read_image_u16(hdus[t], stack.cube().plane(t));
+        }
+      } else {
+        for (std::size_t t = 1; t <= mismatch; ++t) {
+          (void)fits::read_image_u16(hdus[t]);
+        }
       }
-      if (frames.size() > 1 &&
-          (frames.back().width() != frames.front().width() ||
-           frames.back().height() != frames.front().height())) {
-        result.error = "readout geometry differs across the baseline";
-        telemetry::counter("ingest.rejected").add();
-        return result;
-      }
+    } catch (const fits::FitsError& e) {
+      result.error = std::string("readout decode failed: ") + e.what();
+      telemetry::counter("ingest.rejected").add();
+      return result;
     }
-  }
-  common::TemporalStack<std::uint16_t> stack(
-      frames.front().width(), frames.front().height(), frames.size());
-  for (std::size_t t = 0; t < frames.size(); ++t) {
-    stack.cube().set_plane(t, frames[t]);
+    if (!uniform) {
+      result.error = "readout geometry differs across the baseline";
+      telemetry::counter("ingest.rejected").add();
+      return result;
+    }
   }
 
   // 4. Preprocess (a no-op at Λ = 0 by construction).

@@ -2,7 +2,10 @@
 // and the Λ=0 header sanity checker.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "spacefts/fits/fits.hpp"
 #include "spacefts/fits/sanity.hpp"
@@ -205,6 +208,59 @@ TEST(ImageHdu, ReadersValidatePayloadSize) {
   auto hdu = ff::make_image_hdu(img);
   hdu.data.resize(10);  // truncated
   EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError);
+  // Axes whose product wraps size_t must not pass the length check.
+  hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
+  hdu.header.set_int("NAXIS2", std::int64_t{1} << 31);
+  EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError);
+}
+
+namespace {
+
+/// The double/lround decode formula read_image_u16 used before its integer
+/// loop; the differential test below holds the integer loop to it.
+std::uint16_t double_formula(std::int16_t stored, double bzero) {
+  const double physical = static_cast<double>(stored) + bzero;
+  if (physical <= 0) return 0;
+  if (physical >= 65535.0) return 65535;
+  return static_cast<std::uint16_t>(std::lround(physical));
+}
+
+}  // namespace
+
+TEST(Fits, ReadImageU16MatchesDoubleFormula) {
+  // A 256x256 image whose stored words are every 16-bit pattern once.
+  auto hdu = ff::make_image_hdu(Image<std::uint16_t>(256, 256));
+  for (std::size_t k = 0; k < 65536; ++k) {
+    hdu.data[2 * k] = static_cast<std::uint8_t>(k >> 8);
+    hdu.data[2 * k + 1] = static_cast<std::uint8_t>(k & 0xFF);
+  }
+  for (const double bzero : {0.0, 32768.0, -7.0, 40000.0, 1e6, -1e6}) {
+    hdu.header.set_double("BZERO", bzero);
+    const auto image = ff::read_image_u16(hdu);
+    std::vector<std::uint16_t> plane(65536);
+    ff::read_image_u16(hdu, plane);
+    for (std::size_t k = 0; k < 65536; ++k) {
+      const auto stored = static_cast<std::int16_t>(static_cast<std::uint16_t>(k));
+      ASSERT_EQ(image.pixels()[k], double_formula(stored, bzero))
+          << "bzero " << bzero << " stored " << stored;
+      ASSERT_EQ(plane[k], image.pixels()[k]);
+    }
+  }
+  std::vector<std::uint16_t> wrong_size(65535);
+  EXPECT_THROW(ff::read_image_u16(hdu, wrong_size), ff::FitsError);
+}
+
+TEST(Fits, ReadImageU16RejectsNonFiniteOrFractionalBzero) {
+  auto hdu = ff::make_image_hdu(Image<std::uint16_t>(2, 2, 7));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bzero : {std::numeric_limits<double>::quiet_NaN(), inf,
+                             -inf, 32768.5}) {
+    hdu.header.set_double("BZERO", bzero);
+    ASSERT_TRUE(hdu.header.get_double("BZERO").has_value());
+    EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError) << bzero;
+    std::vector<std::uint16_t> plane(4);
+    EXPECT_THROW(ff::read_image_u16(hdu, plane), ff::FitsError) << bzero;
+  }
 }
 
 // ------------------------------------------------------------------- FitsFile

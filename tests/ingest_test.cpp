@@ -2,7 +2,12 @@
 // as one deployable unit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <utility>
 
 #include "spacefts/common/random.hpp"
 #include "spacefts/datagen/ngst.hpp"
@@ -10,6 +15,25 @@
 #include "spacefts/fits/fits.hpp"
 #include "spacefts/ingest/guard.hpp"
 #include "spacefts/metrics/error.hpp"
+
+namespace {
+// The largest single heap request since the last reset, so a test can bound
+// what ingest allocates against the size of its input.
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_alloc.compare_exchange_weak(seen, n)) {
+  }
+  if (void* p = std::malloc(std::max<std::size_t>(n, 1))) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs a new-expression with free().
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace si = spacefts::ingest;
 namespace sf = spacefts::fault;
@@ -146,6 +170,44 @@ TEST(IngestGuard, RejectsTruncatedContainer) {
     EXPECT_FALSE(result.error.empty()) << "keep " << keep;
     EXPECT_EQ(result.stack.cube().size(), 0u) << "keep " << keep;
   }
+}
+
+TEST(IngestGuard, RejectsMixedGeometry) {
+  // One readout of another shape — fewer pixels, or the same count laid out
+  // differently — decodes cleanly but cannot join the stack.
+  const auto stack = small_stack(10);
+  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{8, 4},
+                             std::pair<std::size_t, std::size_t>{16, 4}}) {
+    auto file = spacefts::fits::FitsFile::parse(si::IngestGuard::pack(stack));
+    file.hdus()[5] = spacefts::fits::make_image_hdu(
+        spacefts::common::Image<std::uint16_t>(w, h, 1000), /*primary=*/false);
+    const si::IngestGuard guard(si::IngestConfig{});
+    const auto result = guard.ingest(file.serialize());
+    EXPECT_FALSE(result.ok) << w << "x" << h;
+    EXPECT_EQ(result.error, "readout geometry differs across the baseline");
+    EXPECT_EQ(result.stack.cube().size(), 0u);
+  }
+}
+
+TEST(IngestGuard, MixedGeometryAllocatesInProportionToInput) {
+  // One large readout 0 and many minimal 1x1 readouts: sizing the stack
+  // from readout 0 before checking the others would allocate readout 0
+  // times the readout count, growing with the square of the input.
+  spacefts::fits::FitsFile file;
+  file.hdus().push_back(spacefts::fits::make_image_hdu(
+      spacefts::common::Image<std::uint16_t>(256, 256, 1000)));
+  for (int t = 0; t < 200; ++t) {
+    file.hdus().push_back(spacefts::fits::make_image_hdu(
+        spacefts::common::Image<std::uint16_t>(1, 1, 1000),
+        /*primary=*/false));
+  }
+  const auto bytes = file.serialize();
+  const si::IngestGuard guard(si::IngestConfig{});
+  g_largest_alloc = 0;
+  const auto result = guard.ingest(bytes);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "readout geometry differs across the baseline");
+  EXPECT_LT(g_largest_alloc.load(), bytes.size());
 }
 
 TEST(IngestGuard, EnforcesConfiguredMinReadouts) {

@@ -28,17 +28,18 @@ using spacefts::core::AlgoOtisConfig;
 using spacefts::core::AlgoOtisReport;
 using spacefts::core::Kernel;
 
-/// A stack of mostly smooth per-coordinate series with occasional injected
-/// single-bit upsets — enough corrections to exercise vote, gate, and apply.
+/// A stack of mostly smooth per-coordinate series with injected single-bit
+/// upsets, one word in \p upset_one_in on average — by default enough
+/// corrections to exercise vote, gate, and apply.
 TemporalStack<std::uint16_t> make_stack(std::size_t w, std::size_t h,
-                                        std::size_t frames,
-                                        std::uint32_t seed) {
+                                        std::size_t frames, std::uint32_t seed,
+                                        int upset_one_in = 200) {
   TemporalStack<std::uint16_t> stack(w, h, frames);
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> base(500, 40000);
   std::uniform_int_distribution<int> jitter(-12, 12);
   std::uniform_int_distribution<int> bit(8, 15);
-  std::uniform_int_distribution<int> upset(0, 199);
+  std::uniform_int_distribution<int> upset(0, upset_one_in - 1);
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
       const int level = base(rng);
@@ -70,8 +71,10 @@ void expect_ngst_reports_equal(const AlgoNgstReport& a, const AlgoNgstReport& b,
 /// counts and byte-compares everything against the scalar single-thread
 /// reference output.
 void check_ngst_parity(const AlgoNgstConfig& base, std::size_t w,
-                       std::size_t h, std::size_t frames, std::uint32_t seed) {
-  const TemporalStack<std::uint16_t> pristine = make_stack(w, h, frames, seed);
+                       std::size_t h, std::size_t frames, std::uint32_t seed,
+                       int upset_one_in = 200) {
+  const TemporalStack<std::uint16_t> pristine =
+      make_stack(w, h, frames, seed, upset_one_in);
 
   AlgoNgstConfig ref_cfg = base;
   ref_cfg.kernel = Kernel::kScalar;
@@ -176,6 +179,59 @@ TEST(KernelParity, NgstTinyAndDegenerateShapes) {
   AlgoNgstConfig off;
   off.lambda = 0.0;
   check_ngst_parity(off, 30, 4, 8, 13);
+}
+
+TEST(KernelParity, NgstDenseGateAtSeriesEdges) {
+  // Γ₀ = 0.05: one word in twenty is upset, so most lane groups carry a
+  // correction and the gate vetoes many.  16 readouts keep the rows
+  // i < Υ/2 and i >= n − Υ/2, where a series edge drops partners (odd
+  // counts among them), a large share of the stack.  Υ = 2 and 12 sort
+  // every row's partners through the spill path, Υ = 4 and 8 only the
+  // edge rows'.
+  constexpr std::size_t kFrames = 16;
+  for (const std::size_t upsilon : {std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}, std::size_t{12}}) {
+    for (const bool gate : {false, true}) {
+      AlgoNgstConfig cfg;
+      cfg.upsilon = upsilon;
+      cfg.lambda = 80.0;
+      cfg.enable_plausibility_gate = gate;
+      const auto seed = 200 + static_cast<std::uint32_t>(upsilon);
+      check_ngst_parity(cfg, 37, 6, kFrames, seed, /*upset_one_in=*/20);
+
+      // The edge rows are exercised: the reference corrects voxels there
+      // (at Υ = 2 an edge row has a single voter and never corrects), and
+      // with the gate on it also vetoes.
+      const TemporalStack<std::uint16_t> pristine =
+          make_stack(37, 6, kFrames, seed, 20);
+      TemporalStack<std::uint16_t> golden = pristine;
+      cfg.kernel = Kernel::kScalar;
+      const AlgoNgstReport report = AlgoNgst(cfg).preprocess(golden);
+      std::size_t edge_changes = 0;
+      for (std::size_t t = 0; t < kFrames; ++t) {
+        if (t >= upsilon / 2 && t < kFrames - upsilon / 2) continue;
+        for (std::size_t y = 0; y < 6; ++y) {
+          for (std::size_t x = 0; x < 37; ++x) {
+            edge_changes += golden(x, y, t) != pristine(x, y, t) ? 1u : 0u;
+          }
+        }
+      }
+      if (upsilon > 2) {
+        EXPECT_GT(edge_changes, 0u) << "upsilon=" << upsilon;
+      }
+      if (gate) {
+        EXPECT_GT(report.pixels_vetoed, 0u) << "upsilon=" << upsilon;
+      }
+    }
+  }
+}
+
+TEST(KernelParity, NgstThresholdCountsPastU16) {
+  // One 16-wide tile of 65,600 readouts: every way has more than 65,535
+  // XORs, past what a u16 count holds.  AVX2's per-row class counters (u8,
+  // widened into u32 every 255 rows) must stay exact across all of them.
+  AlgoNgstConfig cfg;
+  check_ngst_parity(cfg, 16, 1, 65600, 300);
 }
 
 /// A plane with a smooth gradient, a hot plateau (trend protection), some
