@@ -23,6 +23,7 @@
 #include "spacefts/edac/protected_memory.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
+#include "spacefts/ingest/guard.hpp"
 #include "spacefts/ngst/cr_reject.hpp"
 #include "spacefts/ngst/readout.hpp"
 #include "spacefts/rice/rice.hpp"
@@ -266,6 +267,65 @@ void BM_ReadImageU16(benchmark::State& state) {
                           static_cast<std::int64_t>(img.size() * 2));
 }
 BENCHMARK(BM_ReadImageU16);
+
+/// One readout header as the serve tier parses it per HDU: the 9 cards of
+/// an IMAGE extension plus END, in one block.
+void BM_FitsHeaderParse(benchmark::State& state) {
+  const auto bytes =
+      spacefts::fits::image_u16_header(32, 32, false).serialize();
+  for (auto _ : state) {
+    std::size_t offset = 0;
+    benchmark::DoNotOptimize(spacefts::fits::Header::parse(bytes, offset));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FitsHeaderParse);
+
+/// A width x height x frames stack of the serve/chain shapes: the serve
+/// telemetry bank (32x1x64), the serve NGST baseline (32x32x16), and the
+/// telemetry_chain bank (256x1x1024).
+spacefts::common::TemporalStack<std::uint16_t> ingest_stack(
+    const benchmark::State& state) {
+  spacefts::datagen::NgstSimulator sim(0xBEEF9);
+  spacefts::datagen::SceneParams scene;
+  scene.width = static_cast<std::size_t>(state.range(0));
+  scene.height = static_cast<std::size_t>(state.range(1));
+  return sim.stack(static_cast<std::size_t>(state.range(2)), scene);
+}
+
+void ingest_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({32, 1, 64})->Args({32, 32, 16})->Args({256, 1, 1024});
+}
+
+/// The transmit side: a stack packed into its FITS container.
+void BM_IngestGuardPack(benchmark::State& state) {
+  const auto stack = ingest_stack(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::ingest::IngestGuard::pack(stack));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stack.frames()));
+}
+BENCHMARK(BM_IngestGuardPack)->Apply(ingest_shapes);
+
+/// The container path of ingest: parse, Λ=0 sanity over every HDU, decode.
+/// Λ = 0 keeps the voter out, so this is the FITS cost alone.
+void BM_IngestGuardIngest(benchmark::State& state) {
+  const auto stack = ingest_stack(state);
+  const auto bytes = spacefts::ingest::IngestGuard::pack(stack);
+  spacefts::ingest::IngestConfig config;
+  config.expectation.bitpix = 16;
+  config.expectation.width = state.range(0);
+  config.expectation.height = state.range(1);
+  config.algo.lambda = 0.0;
+  const spacefts::ingest::IngestGuard guard(config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(guard.ingest(bytes));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stack.frames()));
+}
+BENCHMARK(BM_IngestGuardIngest)->Apply(ingest_shapes);
 
 void BM_SecDedScrub(benchmark::State& state) {
   std::vector<std::uint16_t> pixels(4096, 27000);

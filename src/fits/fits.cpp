@@ -14,16 +14,28 @@ namespace spacefts::fits {
 
 namespace {
 
-[[nodiscard]] std::string upper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return out;
+[[nodiscard]] char upper(char c) noexcept {
+  // Keywords are uppercase letters, digits, '-' and '_', which every
+  // locale maps to themselves; only other characters need the lookup.
+  if ((c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '-' ||
+      c == '_') {
+    return c;
+  }
+  return static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+}
+
+[[nodiscard]] bool is_space(char c) noexcept { return c == ' ' || c == '\t'; }
+
+/// The 8 characters at \p p as one word.
+[[nodiscard]] std::uint64_t word_at(const char* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof word);
+  return word;
 }
 
 [[nodiscard]] std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -31,55 +43,37 @@ namespace {
   return keyword == "COMMENT" || keyword == "HISTORY" || keyword.empty();
 }
 
-void pad_to_block(std::vector<std::uint8_t>& bytes, std::uint8_t fill) {
-  while (bytes.size() % kBlockSize != 0) bytes.push_back(fill);
+/// The keyword of a card image: its first 8 columns, trimmed.
+[[nodiscard]] std::string_view keyword_of(std::string_view image) {
+  return trim(image.substr(0, std::min<std::size_t>(8, image.size())));
 }
 
-}  // namespace
+/// The value field of a card image, and the text after it, where a
+/// "/ comment" starts.
+struct ValueField {
+  std::string_view value;
+  std::string_view after;
+};
 
-// ---------------------------------------------------------------------- Card
-
-std::string Card::encode() const {
-  std::string out;
-  out.reserve(kCardSize);
-  if (is_commentary(keyword)) {
-    out = keyword;
-    out.resize(8, ' ');
-    out += ' ';  // commentary cards have no value indicator
-    out += comment;
-  } else {
-    out = keyword.substr(0, 8);
-    out.resize(8, ' ');
-    out += "= ";
-    // Fixed format: right-justify non-string values to column 30.
-    std::string v = value;
-    if (!v.empty() && v.front() == '\'') {
-      out += v;
-    } else {
-      if (v.size() < 20) v.insert(0, 20 - v.size(), ' ');
-      out += v;
-    }
-    if (!comment.empty()) {
-      out += " / ";
-      out += comment;
-    }
-  }
-  if (out.size() > kCardSize) out.resize(kCardSize);
-  out.resize(kCardSize, ' ');
-  return out;
-}
-
-Card Card::decode(std::string_view raw) {
-  Card card;
-  if (raw.size() > kCardSize) raw = raw.substr(0, kCardSize);
-  const std::string_view key_field = raw.substr(0, std::min<std::size_t>(8, raw.size()));
-  card.keyword = std::string(trim(key_field));
-  if (is_commentary(card.keyword) || raw.size() < 10 || raw.substr(8, 2) != "= ") {
-    card.comment = std::string(trim(raw.size() > 8 ? raw.substr(8) : ""));
-    return card;
+/// Scans the value field of \p raw (at most kCardSize characters); nullopt
+/// for commentary cards and cards without the "= " value indicator.  The
+/// one parser of the value field: Card::decode and the Header getters both
+/// read through it.
+[[nodiscard]] std::optional<ValueField> scan_value(std::string_view raw) {
+  if (raw.size() < 10 || raw[8] != '=' || raw[9] != ' ' ||
+      is_commentary(keyword_of(raw))) {
+    return std::nullopt;
   }
   std::string_view rest = raw.substr(10);
-  if (!rest.empty() && trim(rest).size() > 0 && trim(rest).front() == '\'') {
+  // Skip the leading blanks (20 before a right-justified number) a word at
+  // a time, then any tabs and spaces after them.
+  std::size_t lead = 0;
+  while (lead + 8 <= rest.size() &&
+         word_at(rest.data() + lead) == 0x2020202020202020u) {
+    lead += 8;
+  }
+  while (lead < rest.size() && is_space(rest[lead])) ++lead;
+  if (lead < rest.size() && rest[lead] == '\'') {
     // String value: find the closing quote (doubled quotes escape).
     rest = trim(rest);
     std::size_t i = 1;
@@ -94,168 +88,286 @@ Card Card::decode(std::string_view raw) {
       ++i;
     }
     const std::size_t end = std::min(i + 1, rest.size());
-    card.value = std::string(rest.substr(0, end));
-    std::string_view tail = rest.substr(end);
-    const std::size_t slash = tail.find('/');
-    if (slash != std::string_view::npos) {
-      card.comment = std::string(trim(tail.substr(slash + 1)));
+    return ValueField{rest.substr(0, end), rest.substr(end)};
+  }
+  rest.remove_prefix(lead);
+  const std::size_t slash = rest.find('/');
+  return ValueField{trim(rest.substr(0, slash)),
+                    slash == std::string_view::npos ? std::string_view{}
+                                                    : rest.substr(slash)};
+}
+
+/// Writes the 80-column image of (keyword, value, comment) to \p out: the
+/// one encoder behind Card::encode and the Header setters.  Fixed format:
+/// keyword in columns 1-8, "= " and a string value from column 10 or any
+/// other value right-justified to column 30, then " / comment"; commentary
+/// cards carry their text from column 10.  Whatever passes column 80 is
+/// cut.  \p fold_case uppercases the keyword, as the setters do.
+void encode_image(char* out, std::string_view keyword, std::string_view value,
+                  std::string_view comment, bool fold_case) noexcept {
+  std::memset(out, ' ', kCardSize);
+  const std::size_t key_len = std::min<std::size_t>(keyword.size(), 8);
+  for (std::size_t i = 0; i < key_len; ++i) {
+    out[i] = fold_case ? upper(keyword[i]) : keyword[i];
+  }
+  std::size_t at = 8;
+  const auto put = [&](std::string_view s) {
+    const std::size_t room = kCardSize - std::min(at, kCardSize);
+    const std::size_t n = std::min(s.size(), room);
+    std::memcpy(out + at, s.data(), n);
+    at += n;
+  };
+  // Commentary keywords are at most 7 characters, all within the 8 copied.
+  if (keyword.size() <= 8 && is_commentary(std::string_view(out, key_len))) {
+    at = 9;  // commentary cards have no value indicator
+    put(comment);
+    return;
+  }
+  put("= ");
+  if (value.empty() || value.front() != '\'') {
+    at += 20 - std::min<std::size_t>(value.size(), 20);
+  }
+  put(value);
+  if (!comment.empty()) {
+    put(" / ");
+    put(comment);
+  }
+}
+
+/// True for a card of spaces and tabs only, which parse drops.
+[[nodiscard]] bool is_blank(std::string_view image) {
+  return std::all_of(image.begin(), image.end(), is_space);
+}
+
+/// True if any byte of \p word is a tab.
+[[nodiscard]] bool has_tab(std::uint64_t word) noexcept {
+  constexpr std::uint64_t kOnes = 0x0101010101010101u;
+  const std::uint64_t x = word ^ (kOnes * '\t');
+  return ((x - kOnes) & ~x & (kOnes << 7)) != 0;
+}
+
+/// Byte offset in \p images of the first card keyed \p keyword (compared
+/// case-folded, without allocating), or npos.
+[[nodiscard]] std::size_t find_card(std::string_view images,
+                                    std::string_view keyword) {
+  // A trimmed keyword field is at most 8 characters, none of them
+  // surrounding whitespace.
+  if (keyword.size() > 8 ||
+      (!keyword.empty() &&
+       (is_space(keyword.front()) || is_space(keyword.back())))) {
+    return std::string_view::npos;
+  }
+  // The key as the setters write it into columns 1-8.
+  char padded[8];
+  std::memset(padded, ' ', sizeof padded);
+  for (std::size_t i = 0; i < keyword.size(); ++i) {
+    padded[i] = upper(keyword[i]);
+  }
+  const std::string_view key(padded, keyword.size());
+  const std::uint64_t want = word_at(padded);
+  for (std::size_t at = 0; at < images.size(); at += kCardSize) {
+    const char* field = images.data() + at;
+    const std::uint64_t got = word_at(field);
+    if (got == want) return at;
+    // A field that starts with a non-blank and holds no tab trims to the
+    // key only when it equals the padded key, so the word compare decided
+    // it.  The rest (leading blanks, or tabs in the padding) get the trim.
+    if ((is_space(field[0]) || has_tab(got)) &&
+        keyword_of(images.substr(at, kCardSize)) == key) {
+      return at;
     }
-  } else {
-    const std::size_t slash = rest.find('/');
-    card.value = std::string(trim(rest.substr(0, slash)));
-    if (slash != std::string_view::npos) {
-      card.comment = std::string(trim(rest.substr(slash + 1)));
-    }
+  }
+  return std::string_view::npos;
+}
+
+/// The value field of the first card keyed \p keyword (empty when that
+/// card has none), or nullopt when there is no such card.
+[[nodiscard]] std::optional<std::string_view> value_of(
+    std::string_view images, std::string_view keyword) {
+  const std::size_t at = find_card(images, keyword);
+  if (at == std::string_view::npos) return std::nullopt;
+  // The scanned value has no surrounding whitespace.
+  const auto field = scan_value(images.substr(at, kCardSize));
+  return field ? field->value : std::string_view{};
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------- Card
+
+std::string Card::encode() const {
+  std::string out(kCardSize, ' ');
+  encode_image(out.data(), keyword, value, comment, /*fold_case=*/false);
+  return out;
+}
+
+Card Card::decode(std::string_view raw) {
+  if (raw.size() > kCardSize) raw = raw.substr(0, kCardSize);
+  Card card;
+  card.keyword = std::string(keyword_of(raw));
+  const auto field = scan_value(raw);
+  if (!field) {
+    card.comment = std::string(trim(raw.size() > 8 ? raw.substr(8) : ""));
+    return card;
+  }
+  card.value = std::string(field->value);
+  if (const std::size_t slash = field->after.find('/');
+      slash != std::string_view::npos) {
+    card.comment = std::string(trim(field->after.substr(slash + 1)));
   }
   return card;
 }
 
 // -------------------------------------------------------------------- Header
 
-void Header::set(Card card) {
-  card.keyword = upper(card.keyword);
-  if (!is_commentary(card.keyword)) {
-    for (auto& existing : cards_) {
-      if (existing.keyword == card.keyword) {
-        existing = std::move(card);
-        return;
-      }
+void Header::put(std::string_view keyword, std::string_view value,
+                 std::string_view comment) {
+  char image[kCardSize];
+  encode_image(image, keyword, value, comment, /*fold_case=*/true);
+  const std::string_view key = keyword_of(std::string_view(image, kCardSize));
+  if (!is_commentary(key)) {
+    if (const std::size_t at = find_card(images_, key);
+        at != std::string_view::npos) {
+      images_.replace(at, kCardSize, image, kCardSize);
+      return;
     }
   }
-  cards_.push_back(std::move(card));
+  images_.append(image, kCardSize);
+}
+
+void Header::set(const Card& card) {
+  put(card.keyword, card.value, card.comment);
 }
 
 void Header::set_logical(std::string_view keyword, bool value,
                          std::string_view comment) {
-  set(Card{std::string(keyword), value ? "T" : "F", std::string(comment)});
+  put(keyword, value ? "T" : "F", comment);
 }
 
 void Header::set_int(std::string_view keyword, std::int64_t value,
                      std::string_view comment) {
-  set(Card{std::string(keyword), std::to_string(value), std::string(comment)});
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  put(keyword, std::string_view(buf, static_cast<std::size_t>(end - buf)),
+      comment);
 }
 
 void Header::set_double(std::string_view keyword, double value,
                         std::string_view comment) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.10G", value);
-  set(Card{std::string(keyword), buf, std::string(comment)});
+  put(keyword, buf, comment);
 }
 
 void Header::set_string(std::string_view keyword, std::string_view value,
                         std::string_view comment) {
-  std::string quoted = "'";
+  // Only the first 70 characters of the quoted form fit on the card.
+  char quoted[kCardSize];
+  std::size_t n = 0;
+  const auto add = [&](char c) {
+    if (n < kCardSize) quoted[n++] = c;
+  };
+  add('\'');
   for (char c : value) {
-    quoted += c;
-    if (c == '\'') quoted += '\'';
+    add(c);
+    if (c == '\'') add('\'');
   }
   // FITS strings are padded to at least 8 characters inside the quotes.
-  while (quoted.size() < 9) quoted += ' ';
-  quoted += '\'';
-  set(Card{std::string(keyword), std::move(quoted), std::string(comment)});
+  while (n < 9) add(' ');
+  add('\'');
+  put(keyword, std::string_view(quoted, n), comment);
 }
-
-namespace {
-[[nodiscard]] const Card* find_card(std::span<const Card> cards,
-                                    std::string_view keyword) {
-  const std::string key = upper(keyword);
-  for (const auto& c : cards) {
-    if (c.keyword == key) return &c;
-  }
-  return nullptr;
-}
-}  // namespace
 
 std::optional<bool> Header::get_logical(std::string_view keyword) const {
-  const Card* c = find_card(cards_, keyword);
-  if (!c) return std::nullopt;
-  const std::string_view v = trim(c->value);
+  const auto v = value_of(images_, keyword);
   if (v == "T") return true;
   if (v == "F") return false;
   return std::nullopt;
 }
 
 std::optional<std::int64_t> Header::get_int(std::string_view keyword) const {
-  const Card* c = find_card(cards_, keyword);
-  if (!c) return std::nullopt;
-  const std::string_view v = trim(c->value);
+  const auto v = value_of(images_, keyword);
+  if (!v) return std::nullopt;
   std::int64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
+  const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
+  if (ec != std::errc{} || ptr != v->data() + v->size()) return std::nullopt;
   return out;
 }
 
 std::optional<double> Header::get_double(std::string_view keyword) const {
-  const Card* c = find_card(cards_, keyword);
-  if (!c) return std::nullopt;
-  const std::string v{trim(c->value)};
-  if (v.empty()) return std::nullopt;
+  const auto v = value_of(images_, keyword);
+  if (!v || v->empty()) return std::nullopt;
+  // strtod needs a terminator; a value field is at most 70 characters.
+  char buf[kCardSize + 1];
+  std::memcpy(buf, v->data(), v->size());
+  buf[v->size()] = '\0';
   char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size()) return std::nullopt;
+  const double out = std::strtod(buf, &end);
+  if (end != buf + v->size()) return std::nullopt;
   return out;
 }
 
 std::optional<std::string> Header::get_string(std::string_view keyword) const {
-  const Card* c = find_card(cards_, keyword);
-  if (!c) return std::nullopt;
-  std::string_view v = trim(c->value);
-  if (v.size() < 2 || v.front() != '\'' || v.back() != '\'') return std::nullopt;
-  v = v.substr(1, v.size() - 2);
+  auto v = value_of(images_, keyword);
+  if (!v || v->size() < 2 || v->front() != '\'' || v->back() != '\'') {
+    return std::nullopt;
+  }
+  const std::string_view inner = v->substr(1, v->size() - 2);
   std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out += v[i];
-    if (v[i] == '\'' && i + 1 < v.size() && v[i + 1] == '\'') ++i;
+  for (std::size_t i = 0; i < inner.size(); ++i) {
+    out += inner[i];
+    if (inner[i] == '\'' && i + 1 < inner.size() && inner[i + 1] == '\'') ++i;
   }
   while (!out.empty() && out.back() == ' ') out.pop_back();
   return out;
 }
 
 bool Header::contains(std::string_view keyword) const {
-  return find_card(cards_, keyword) != nullptr;
+  return find_card(images_, keyword) != std::string_view::npos;
 }
 
 void Header::erase(std::string_view keyword) {
-  const std::string key = upper(keyword);
-  std::erase_if(cards_, [&](const Card& c) { return c.keyword == key; });
+  std::size_t at;
+  while ((at = find_card(images_, keyword)) != std::string_view::npos) {
+    images_.erase(at, kCardSize);
+  }
+}
+
+void Header::serialize_to(std::vector<std::uint8_t>& out) const {
+  const std::size_t start = out.size();
+  out.insert(out.end(), images_.begin(), images_.end());
+  static constexpr std::string_view kEnd = "END";
+  out.insert(out.end(), kEnd.begin(), kEnd.end());
+  // The rest of the END card and of its block are spaces.
+  out.resize(start + block_padded(images_.size() + kCardSize), ' ');
 }
 
 std::vector<std::uint8_t> Header::serialize() const {
   std::vector<std::uint8_t> out;
-  out.reserve((cards_.size() + 1) * kCardSize);
-  for (const auto& card : cards_) {
-    const std::string enc = card.encode();
-    out.insert(out.end(), enc.begin(), enc.end());
-  }
-  static constexpr std::string_view kEnd = "END";
-  std::string end_card{kEnd};
-  end_card.resize(kCardSize, ' ');
-  out.insert(out.end(), end_card.begin(), end_card.end());
-  pad_to_block(out, ' ');
+  out.reserve(block_padded(images_.size() + kCardSize));
+  serialize_to(out);
   return out;
 }
 
 Header Header::parse(std::span<const std::uint8_t> data, std::size_t& offset) {
-  Header header;
-  bool found_end = false;
-  while (offset + kCardSize <= data.size()) {
-    const std::string_view raw(reinterpret_cast<const char*>(data.data() + offset),
-                               kCardSize);
-    offset += kCardSize;
-    const std::string_view key = trim(raw.substr(0, 8));
-    if (key == "END") {
-      found_end = true;
-      // Skip the rest of the current block.
-      if (offset % kBlockSize != 0) {
-        offset += kBlockSize - offset % kBlockSize;
-      }
-      break;
-    }
-    Card card = Card::decode(raw);
-    if (card.keyword.empty() && card.comment.empty()) continue;  // blank card
-    header.cards_.push_back(std::move(card));
+  const std::string_view bytes(reinterpret_cast<const char*>(data.data()),
+                               data.size());
+  std::size_t end = offset;
+  while (end + kCardSize <= bytes.size() &&
+         keyword_of(bytes.substr(end, kCardSize)) != "END") {
+    end += kCardSize;
   }
-  if (!found_end) throw FitsError("Header::parse: no END card");
+  if (end + kCardSize > bytes.size()) {
+    throw FitsError("Header::parse: no END card");
+  }
+  Header header;
+  header.images_.reserve(end - offset);
+  for (; offset < end; offset += kCardSize) {
+    const std::string_view image = bytes.substr(offset, kCardSize);
+    if (!is_blank(image)) header.images_.append(image);
+  }
+  // Skip the END card and the rest of its block.
+  offset = block_padded(end + kCardSize);
   return header;
 }
 
@@ -264,34 +376,40 @@ Header Header::parse(std::span<const std::uint8_t> data, std::size_t& offset) {
 namespace {
 
 /// Payload size in bytes implied by BITPIX/NAXISn, or nullopt if the header
-/// is too damaged to tell.
+/// is too damaged to tell (including axes whose product wraps).
 [[nodiscard]] std::optional<std::size_t> data_size_of(const Header& h) {
   const auto bitpix = h.get_int("BITPIX");
   const auto naxis = h.get_int("NAXIS");
   if (!bitpix || !naxis || *naxis < 0 || *naxis > 999) return std::nullopt;
-  std::size_t elements = *naxis == 0 ? 0 : 1;
-  for (std::int64_t i = 1; i <= *naxis; ++i) {
-    const auto n = h.get_int("NAXIS" + std::to_string(i));
+  const std::size_t bits = *bitpix < 0 ? 0 - static_cast<std::size_t>(*bitpix)
+                                       : static_cast<std::size_t>(*bitpix);
+  if (bits != 8 && bits != 16 && bits != 32 && bits != 64) return std::nullopt;
+  std::optional<std::size_t> bytes = *naxis == 0 ? 0 : bits / 8;
+  char key[8] = {'N', 'A', 'X', 'I', 'S'};  // NAXISn, n up to 999
+  for (std::int64_t i = 1; i <= *naxis && bytes; ++i) {
+    const char* end = std::to_chars(key + 5, key + sizeof key, i).ptr;
+    const auto n =
+        h.get_int(std::string_view(key, static_cast<std::size_t>(end - key)));
     if (!n || *n < 0) return std::nullopt;
-    elements *= static_cast<std::size_t>(*n);
+    bytes = checked_mul(*bytes, static_cast<std::size_t>(*n));
   }
-  const std::int64_t abs_bitpix = *bitpix < 0 ? -*bitpix : *bitpix;
-  if (abs_bitpix != 8 && abs_bitpix != 16 && abs_bitpix != 32 &&
-      abs_bitpix != 64) {
-    return std::nullopt;
-  }
-  return elements * static_cast<std::size_t>(abs_bitpix) / 8;
+  return bytes;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> FitsFile::serialize() const {
-  std::vector<std::uint8_t> out;
+  std::size_t total = 0;
   for (const auto& hdu : hdus_) {
-    const auto header_bytes = hdu.header.serialize();
-    out.insert(out.end(), header_bytes.begin(), header_bytes.end());
+    total += block_padded((hdu.header.size() + 1) * kCardSize) +
+             block_padded(hdu.data.size());
+  }
+  std::vector<std::uint8_t> out;
+  out.reserve(total);
+  for (const auto& hdu : hdus_) {
+    hdu.header.serialize_to(out);
     out.insert(out.end(), hdu.data.begin(), hdu.data.end());
-    pad_to_block(out, 0);
+    out.resize(block_padded(out.size()), 0);
   }
   return out;
 }
@@ -306,7 +424,8 @@ FitsFile FitsFile::parse(std::span<const std::uint8_t> bytes) {
     if (!size) {
       throw FitsError("FitsFile::parse: cannot size data unit (damaged header?)");
     }
-    if (offset + *size > bytes.size()) {
+    // The END card's block may run past a truncated input.
+    if (offset > bytes.size() || *size > bytes.size() - offset) {
       throw FitsError("FitsFile::parse: truncated data unit");
     }
     hdu.data.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -344,21 +463,30 @@ void common_image_keywords(Header& h, std::size_t width, std::size_t height,
 
 }  // namespace
 
+Header image_u16_header(std::size_t width, std::size_t height, bool primary) {
+  Header h;
+  common_image_keywords(h, width, height, primary, 16);
+  h.set_double("BZERO", 32768.0, "unsigned 16-bit offset");
+  h.set_double("BSCALE", 1.0, "default scaling");
+  return h;
+}
+
+void write_image_u16(std::span<const std::uint16_t> pixels,
+                     std::uint8_t* out) noexcept {
+  for (std::size_t k = 0; k < pixels.size(); ++k) {
+    // Stored value = physical - 32768 in 16-bit two's complement, which is
+    // the physical value with its top bit flipped; big-endian.
+    const auto u = static_cast<std::uint16_t>(pixels[k] ^ 0x8000u);
+    out[2 * k] = static_cast<std::uint8_t>(u >> 8);
+    out[2 * k + 1] = static_cast<std::uint8_t>(u & 0xFF);
+  }
+}
+
 Hdu make_image_hdu(const common::Image<std::uint16_t>& image, bool primary) {
   Hdu hdu;
-  common_image_keywords(hdu.header, image.width(), image.height(), primary, 16);
-  hdu.header.set_double("BZERO", 32768.0, "unsigned 16-bit offset");
-  hdu.header.set_double("BSCALE", 1.0, "default scaling");
+  hdu.header = image_u16_header(image.width(), image.height(), primary);
   hdu.data.resize(image.size() * 2);
-  std::size_t o = 0;
-  for (std::uint16_t px : image.pixels()) {
-    // Stored value = physical - BZERO, big-endian two's complement.
-    const auto stored = static_cast<std::int16_t>(
-        static_cast<std::int32_t>(px) - 32768);
-    const auto u = static_cast<std::uint16_t>(stored);
-    hdu.data[o++] = static_cast<std::uint8_t>(u >> 8);
-    hdu.data[o++] = static_cast<std::uint8_t>(u & 0xFF);
-  }
+  write_image_u16(image.pixels(), hdu.data.data());
   return hdu;
 }
 
@@ -452,7 +580,8 @@ common::Image<float> read_image_f32(const Hdu& hdu) {
   }
   const auto w = static_cast<std::size_t>(*naxis1);
   const auto h = static_cast<std::size_t>(*naxis2);
-  if (hdu.data.size() < w * h * 4) {
+  // Divide rather than multiply: header axes can make w*h*4 wrap.
+  if (h > hdu.data.size() / 4 / w) {
     throw FitsError("read_image_f32: short data unit");
   }
   common::Image<float> img(w, h);

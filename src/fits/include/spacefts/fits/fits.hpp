@@ -29,13 +29,28 @@ inline constexpr std::size_t kBlockSize = 2880;
 /// Every header card is exactly this long.
 inline constexpr std::size_t kCardSize = 80;
 
+/// \p n rounded up to whole 2880-byte blocks.
+[[nodiscard]] constexpr std::size_t block_padded(std::size_t n) noexcept {
+  return (n + kBlockSize - 1) / kBlockSize * kBlockSize;
+}
+
+/// a * b, or nullopt when the product wraps.  Header axes are untrusted
+/// input, so every size derived from them goes through this.
+[[nodiscard]] constexpr std::optional<std::size_t> checked_mul(
+    std::size_t a, std::size_t b) noexcept {
+  std::size_t out = 0;
+  if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
+  return out;
+}
+
 /// Error thrown on malformed input that cannot be interpreted at all.
 class FitsError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// One 80-character header card, kept in decoded form.
+/// One 80-character header card in decoded form: the codec between a card
+/// image and its keyword, value and comment fields.
 struct Card {
   std::string keyword;  ///< up to 8 chars, uppercase
   std::string value;    ///< FITS-encoded value field ("16", "T", "'FOO'")
@@ -49,11 +64,16 @@ struct Card {
   [[nodiscard]] static Card decode(std::string_view raw);
 };
 
-/// An ordered FITS header.
+/// An ordered FITS header, held as the 80-character card images it has on
+/// the wire: setters encode straight into an image, getters read the value
+/// field of the image in place, and parse/serialize copy images.
 class Header {
  public:
   /// Appends or replaces a card by keyword (COMMENT/HISTORY always append).
-  void set(Card card);
+  /// The keyword is uppercased; what the header reads back is exactly what
+  /// serialize() writes (a keyword past 8 characters or a field past
+  /// column 80 is cut there).
+  void set(const Card& card);
   void set_logical(std::string_view keyword, bool value,
                    std::string_view comment = "");
   void set_int(std::string_view keyword, std::int64_t value,
@@ -63,7 +83,8 @@ class Header {
   void set_string(std::string_view keyword, std::string_view value,
                   std::string_view comment = "");
 
-  /// Typed getters; nullopt when absent or not parseable as the type.
+  /// Typed getters over the first card whose keyword is \p keyword
+  /// (case-insensitive); nullopt when absent or not parseable as the type.
   [[nodiscard]] std::optional<bool> get_logical(std::string_view keyword) const;
   [[nodiscard]] std::optional<std::int64_t> get_int(
       std::string_view keyword) const;
@@ -74,11 +95,19 @@ class Header {
   [[nodiscard]] bool contains(std::string_view keyword) const;
   void erase(std::string_view keyword);
 
-  [[nodiscard]] std::span<const Card> cards() const noexcept { return cards_; }
-  [[nodiscard]] std::span<Card> cards() noexcept { return cards_; }
+  /// Number of cards (END and blank cards are not kept).
+  [[nodiscard]] std::size_t size() const noexcept {
+    return images_.size() / kCardSize;
+  }
+  /// The 80-character image of card \p i, in header order.
+  [[nodiscard]] std::string_view card(std::size_t i) const noexcept {
+    return std::string_view(images_).substr(i * kCardSize, kCardSize);
+  }
 
   /// Serializes to one or more 2880-byte blocks ending with END.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// The same blocks, appended to \p out.
+  void serialize_to(std::vector<std::uint8_t>& out) const;
 
   /// Parses a header starting at \p data[offset]; advances \p offset past
   /// the END card's block.  \throws FitsError if no END card is found.
@@ -86,7 +115,10 @@ class Header {
                                     std::size_t& offset);
 
  private:
-  std::vector<Card> cards_;
+  void put(std::string_view keyword, std::string_view value,
+           std::string_view comment);
+
+  std::string images_;  ///< size() card images of kCardSize characters each
 };
 
 /// One header+data unit.
@@ -117,6 +149,15 @@ class FitsFile {
 /// \param primary emit SIMPLE=T (primary HDU) instead of XTENSION='IMAGE'.
 [[nodiscard]] Hdu make_image_hdu(const common::Image<std::uint16_t>& image,
                                  bool primary = true);
+
+/// The header make_image_hdu writes for a \p width x \p height image.
+[[nodiscard]] Header image_u16_header(std::size_t width, std::size_t height,
+                                      bool primary = true);
+
+/// The payload make_image_hdu writes: each pixel as stored = physical -
+/// BZERO, big-endian, into \p out (two bytes per pixel).
+void write_image_u16(std::span<const std::uint16_t> pixels,
+                     std::uint8_t* out) noexcept;
 
 /// Builds an HDU holding a 32-bit float image (BITPIX=-32).
 [[nodiscard]] Hdu make_float_hdu(const common::Image<float>& image,

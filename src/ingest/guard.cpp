@@ -15,12 +15,27 @@ IngestGuard::IngestGuard(IngestConfig config) : config_(std::move(config)) {
 
 std::vector<std::uint8_t> IngestGuard::pack(
     const common::TemporalStack<std::uint16_t>& stack) {
-  fits::FitsFile file;
-  for (std::size_t t = 0; t < stack.frames(); ++t) {
-    file.hdus().push_back(fits::make_image_hdu(stack.cube().plane_image(t),
-                                               /*primary=*/t == 0));
+  std::vector<std::uint8_t> out;
+  const std::size_t frames = stack.frames();
+  if (frames == 0) return out;
+  // Readout 0 is the primary HDU, the rest IMAGE extensions; every readout
+  // of one geometry carries the same header, so each is encoded once.
+  const auto primary =
+      fits::image_u16_header(stack.width(), stack.height(), true).serialize();
+  const auto extension =
+      fits::image_u16_header(stack.width(), stack.height(), false).serialize();
+  const std::size_t data_bytes =
+      fits::block_padded(stack.width() * stack.height() * 2);
+  out.reserve(primary.size() + (frames - 1) * extension.size() +
+              frames * data_bytes);
+  for (std::size_t t = 0; t < frames; ++t) {
+    const auto& header = t == 0 ? primary : extension;
+    out.insert(out.end(), header.begin(), header.end());
+    const std::size_t at = out.size();
+    out.resize(at + data_bytes);  // zero fill pads the data unit
+    fits::write_image_u16(stack.cube().plane(t), out.data() + at);
   }
-  return file.serialize();
+  return out;
 }
 
 IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
@@ -82,8 +97,9 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
     return std::pair{hdus[t].header.get_int("NAXIS1"),
                      hdus[t].header.get_int("NAXIS2")};
   };
+  const auto first_axes = axes(0);
   std::size_t mismatch = 1;
-  while (mismatch < hdus.size() && axes(mismatch) == axes(0)) ++mismatch;
+  while (mismatch < hdus.size() && axes(mismatch) == first_axes) ++mismatch;
   const bool uniform = mismatch == hdus.size();
   common::TemporalStack<std::uint16_t> stack;
   {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -66,35 +67,35 @@ core::OperatingPoint resolve_point(const Request& request,
   return point;
 }
 
-RequestResult execute_ngst(const Request& request, bool corrupt_ingress,
-                           const ExecContext& ctx) {
-  const JobSpec& job = request.job;
-  RequestResult result;
-  result.id = request.id;
-  result.kind = job.kind;
+/// The transit leg: flips \p bytes (headers included — the sanity layer
+/// exists precisely to repair those) with the request's own replayable
+/// fault stream.
+void corrupt_in_transit(std::span<std::uint8_t> bytes, const Request& request,
+                        const ExecContext& ctx, RequestResult& result) {
+  const fault::MessageFaultModel link(ctx.ingress);
+  common::Rng fault_rng(
+      common::derive_stream_seed(ctx.ingress_seed, request.id, kStreamIngress));
+  result.ingress_bits_corrupted = link.corrupt(bytes, fault_rng);
+}
 
-  datagen::NgstSimulator sim(job.seed);
-  datagen::SceneParams scene;
-  scene.width = job.side;
-  scene.height = job.side;
-  auto stack = sim.stack(job.frames, scene);
+/// The temporal path NGST images and telemetry banks share: pack the
+/// synthesised \p stack, corrupt it in transit, and ingest it through the
+/// guard, which expects BITPIX 16 readouts of job.side x \p height and
+/// routes the voter through the compute backend when there is one.  Fills
+/// \p result's operating point and counters, and its checksum with the
+/// CRC-32 of the ingested voxels.  Returns the ingested stack, or nullopt
+/// once \p result records the failure.
+std::optional<common::TemporalStack<std::uint16_t>> run_temporal(
+    const Request& request, bool corrupt_ingress, const ExecContext& ctx,
+    const common::TemporalStack<std::uint16_t>& stack, std::size_t height,
+    RequestResult& result) {
   auto payload = ingest::IngestGuard::pack(stack);
-
-  if (corrupt_ingress) {
-    // The transit leg: flip payload bits (headers included — the sanity
-    // layer exists precisely to repair those) with the request's own
-    // replayable fault stream.
-    const fault::MessageFaultModel link(ctx.ingress);
-    common::Rng fault_rng(
-        common::derive_stream_seed(ctx.ingress_seed, request.id,
-                                   kStreamIngress));
-    result.ingress_bits_corrupted = link.corrupt(payload, fault_rng);
-  }
+  if (corrupt_ingress) corrupt_in_transit(payload, request, ctx, result);
 
   ingest::IngestConfig ic;
   ic.expectation.bitpix = 16;
-  ic.expectation.width = static_cast<std::int64_t>(job.side);
-  ic.expectation.height = static_cast<std::int64_t>(job.side);
+  ic.expectation.width = static_cast<std::int64_t>(request.job.side);
+  ic.expectation.height = static_cast<std::int64_t>(height);
   const core::OperatingPoint point =
       resolve_point(request, ctx, ic.algo.upsilon);
   ic.algo.lambda = point.lambda;
@@ -105,7 +106,7 @@ RequestResult execute_ngst(const Request& request, bool corrupt_ingress,
   result.upsilon_eff = point.upsilon;
   if (ctx.backend) {
     // Main serve compute runs as epoch 0 of the request's backend stream
-    // (pipeline fragments get epochs 1+i below) — fixed so fault plans and
+    // (pipeline fragments get epochs 1+i) — fixed so fault plans and
     // shadow samples replay identically on any shard or thread count.
     ic.executor = [&ctx, &request, &result](
                       common::TemporalStack<std::uint16_t>& stack,
@@ -122,126 +123,80 @@ RequestResult execute_ngst(const Request& request, bool corrupt_ingress,
   if (!ingested.ok) {
     result.status = ServeStatus::kFailed;
     result.error = "ingest: " + ingested.error;
-    return result;
-  }
-  result.pixels_corrected = ingested.preprocess.pixels_corrected;
-  result.bits_corrected = ingested.preprocess.bits_corrected;
-  result.pixels_vetoed = ingested.preprocess.pixels_vetoed;
-  std::uint32_t crc =
-      edac::crc32(byte_view(ingested.stack.cube().voxels()));
-
-  if (job.run_pipeline) {
-    dist::PipelineConfig pc;
-    pc.workers = ctx.pipeline_workers;
-    pc.fragment_side = ctx.fragment_side;
-    pc.gamma0 = job.gamma0;
-    pc.worker_crash_prob = 0.0;
-    pc.link.faults.drop_prob = job.link_loss;
-    pc.link.faults.corrupt_prob = job.link_loss;
-    pc.link.faults.duplicate_prob = job.link_loss / 2.0;
-    pc.link.faults.delay_prob = job.link_loss;
-    pc.algo.lambda = point.lambda;
-    pc.algo.upsilon = point.upsilon;
-    pc.algo.kernel = ctx.kernel;
-    pc.threads = ctx.algo_threads;
-    if (ctx.backend) {
-      pc.ngst_executor = [&ctx, &request, &result](
-                             common::TemporalStack<std::uint16_t>& tile,
-                             const core::AlgoNgstConfig& algo,
-                             std::size_t fragment) {
-        backend::ComputeOutcome outcome;
-        auto report = ctx.backend->preprocess(
-            tile, algo, backend::ComputeMeta{request.id, 1 + fragment},
-            &outcome);
-        result.backend_mismatch |= outcome.shadow_mismatch;
-        return report;
-      };
-    }
-    common::Rng pipeline_rng(
-        common::derive_stream_seed(job.seed, request.id, kStreamPipeline));
-    const auto pipeline = dist::run_pipeline(ingested.stack, pc, pipeline_rng);
-    result.coverage = pipeline.coverage;
-    result.pixels_corrected += pipeline.pixels_corrected;
-    crc = edac::crc32(byte_view(pipeline.flux.pixels()), crc);
-  }
-
-  result.checksum = crc;
-  result.status = ServeStatus::kOk;
-  return result;
-}
-
-/// The 1D workload: a telemetry channel bank is a 1-row temporal stack
-/// (width = channels, height = 1, frames = samples), so it rides the exact
-/// NGST path — pack, ingress link, ingest guard, temporal voter, optional
-/// compute backend — with only the dataset generator and the guard's
-/// expected geometry changing.
-RequestResult execute_telemetry(const Request& request, bool corrupt_ingress,
-                                const ExecContext& ctx) {
-  const JobSpec& job = request.job;
-  RequestResult result;
-  result.id = request.id;
-  result.kind = job.kind;
-
-  datagen::TelemetrySimulator sim(job.seed);
-  datagen::TelemetryParams params;
-  params.channels = job.side;
-  params.samples = job.frames;
-  auto stack = sim.stack(params);
-  auto payload = ingest::IngestGuard::pack(stack);
-
-  if (corrupt_ingress) {
-    const fault::MessageFaultModel link(ctx.ingress);
-    common::Rng fault_rng(
-        common::derive_stream_seed(ctx.ingress_seed, request.id,
-                                   kStreamIngress));
-    result.ingress_bits_corrupted = link.corrupt(payload, fault_rng);
-  }
-
-  ingest::IngestConfig ic;
-  ic.expectation.bitpix = 16;
-  ic.expectation.width = static_cast<std::int64_t>(job.side);
-  ic.expectation.height = 1;
-  const core::OperatingPoint point =
-      resolve_point(request, ctx, ic.algo.upsilon);
-  ic.algo.lambda = point.lambda;
-  ic.algo.upsilon = point.upsilon;
-  ic.algo.threads = ctx.algo_threads;
-  ic.algo.kernel = ctx.kernel;
-  result.lambda_eff = point.lambda;
-  result.upsilon_eff = point.upsilon;
-  if (ctx.backend) {
-    ic.executor = [&ctx, &request, &result](
-                      common::TemporalStack<std::uint16_t>& stack,
-                      const core::AlgoNgstConfig& algo) {
-      backend::ComputeOutcome outcome;
-      auto report = ctx.backend->preprocess(
-          stack, algo, backend::ComputeMeta{request.id, 0}, &outcome);
-      result.backend_mismatch |= outcome.shadow_mismatch;
-      return report;
-    };
-  }
-  const ingest::IngestGuard guard(ic);
-  auto ingested = guard.ingest(payload);
-  if (!ingested.ok) {
-    result.status = ServeStatus::kFailed;
-    result.error = "ingest: " + ingested.error;
-    return result;
+    return std::nullopt;
   }
   result.pixels_corrected = ingested.preprocess.pixels_corrected;
   result.bits_corrected = ingested.preprocess.bits_corrected;
   result.pixels_vetoed = ingested.preprocess.pixels_vetoed;
   result.checksum = edac::crc32(byte_view(ingested.stack.cube().voxels()));
   result.status = ServeStatus::kOk;
-  return result;
+  return std::move(ingested.stack);
 }
 
-RequestResult execute_otis(const Request& request, bool corrupt_ingress,
-                           const ExecContext& ctx) {
+void execute_ngst(const Request& request, bool corrupt_ingress,
+                  const ExecContext& ctx, RequestResult& result) {
   const JobSpec& job = request.job;
-  RequestResult result;
-  result.id = request.id;
-  result.kind = job.kind;
+  datagen::NgstSimulator sim(job.seed);
+  datagen::SceneParams scene;
+  scene.width = job.side;
+  scene.height = job.side;
+  const auto stack = run_temporal(request, corrupt_ingress, ctx,
+                                  sim.stack(job.frames, scene), job.side,
+                                  result);
+  if (!stack || !job.run_pipeline) return;
 
+  dist::PipelineConfig pc;
+  pc.workers = ctx.pipeline_workers;
+  pc.fragment_side = ctx.fragment_side;
+  pc.gamma0 = job.gamma0;
+  pc.worker_crash_prob = 0.0;
+  pc.link.faults.drop_prob = job.link_loss;
+  pc.link.faults.corrupt_prob = job.link_loss;
+  pc.link.faults.duplicate_prob = job.link_loss / 2.0;
+  pc.link.faults.delay_prob = job.link_loss;
+  pc.algo.lambda = result.lambda_eff;
+  pc.algo.upsilon = result.upsilon_eff;
+  pc.algo.kernel = ctx.kernel;
+  pc.threads = ctx.algo_threads;
+  if (ctx.backend) {
+    pc.ngst_executor = [&ctx, &request, &result](
+                           common::TemporalStack<std::uint16_t>& tile,
+                           const core::AlgoNgstConfig& algo,
+                           std::size_t fragment) {
+      backend::ComputeOutcome outcome;
+      auto report = ctx.backend->preprocess(
+          tile, algo, backend::ComputeMeta{request.id, 1 + fragment},
+          &outcome);
+      result.backend_mismatch |= outcome.shadow_mismatch;
+      return report;
+    };
+  }
+  common::Rng pipeline_rng(
+      common::derive_stream_seed(job.seed, request.id, kStreamPipeline));
+  const auto pipeline = dist::run_pipeline(*stack, pc, pipeline_rng);
+  result.coverage = pipeline.coverage;
+  result.pixels_corrected += pipeline.pixels_corrected;
+  result.checksum =
+      edac::crc32(byte_view(pipeline.flux.pixels()), result.checksum);
+}
+
+/// The 1D workload: a telemetry channel bank is a 1-row temporal stack
+/// (width = channels, height = 1, frames = samples), so it rides the exact
+/// NGST path with only the dataset generator and the expected height
+/// changing.
+void execute_telemetry(const Request& request, bool corrupt_ingress,
+                       const ExecContext& ctx, RequestResult& result) {
+  datagen::TelemetrySimulator sim(request.job.seed);
+  datagen::TelemetryParams params;
+  params.channels = request.job.side;
+  params.samples = request.job.frames;
+  (void)run_temporal(request, corrupt_ingress, ctx, sim.stack(params), 1,
+                     result);
+}
+
+void execute_otis(const Request& request, bool corrupt_ingress,
+                  const ExecContext& ctx, RequestResult& result) {
+  const JobSpec& job = request.job;
   datagen::OtisSceneGenerator gen(job.seed);
   datagen::OtisSceneParams params;
   params.width = job.side;
@@ -251,14 +206,9 @@ RequestResult execute_otis(const Request& request, bool corrupt_ingress,
   // paper's whole gamut (Blob / Stripe / Spots).
   const auto kind = static_cast<datagen::OtisSceneKind>(job.seed % 3);
   auto scene = gen.generate(kind, params);
-
   if (corrupt_ingress) {
-    const fault::MessageFaultModel link(ctx.ingress);
-    common::Rng fault_rng(
-        common::derive_stream_seed(ctx.ingress_seed, request.id,
-                                   kStreamIngress));
-    result.ingress_bits_corrupted =
-        link.corrupt(writable_byte_view(scene.radiance.voxels()), fault_rng);
+    corrupt_in_transit(writable_byte_view(scene.radiance.voxels()), request,
+                       ctx, result);
   }
 
   core::AlgoOtisConfig oc;
@@ -287,7 +237,6 @@ RequestResult execute_otis(const Request& request, bool corrupt_ingress,
   result.pixels_vetoed = report.trend_protected;
   result.checksum = edac::crc32(byte_view(scene.radiance.voxels()));
   result.status = ServeStatus::kOk;
-  return result;
 }
 
 }  // namespace
@@ -330,12 +279,16 @@ RequestResult execute_job(const Request& request, bool corrupt_ingress,
                  {"id", static_cast<double>(request.id)},
                  {"priority", static_cast<double>(request.priority)});
   try {
-    RequestResult result =
-        request.job.kind == JobKind::kNgst
-            ? execute_ngst(request, corrupt_ingress, ctx)
-            : request.job.kind == JobKind::kTelemetry
-                  ? execute_telemetry(request, corrupt_ingress, ctx)
-                  : execute_otis(request, corrupt_ingress, ctx);
+    RequestResult result;
+    result.id = request.id;
+    result.kind = request.job.kind;
+    if (request.job.kind == JobKind::kNgst) {
+      execute_ngst(request, corrupt_ingress, ctx, result);
+    } else if (request.job.kind == JobKind::kTelemetry) {
+      execute_telemetry(request, corrupt_ingress, ctx, result);
+    } else {
+      execute_otis(request, corrupt_ingress, ctx, result);
+    }
     result.kernel = core::resolve_kernel(ctx.kernel);
     result.backend = ctx.backend ? ctx.backend->name() : "cpu";
     return result;

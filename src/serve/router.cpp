@@ -456,17 +456,6 @@ void Router::control_step() {
   if (draining_) return;
   const double now = now_ms();
 
-  // Armed kills fire once the router has recorded enough results.
-  for (auto it = scheduled_kills_.begin(); it != scheduled_kills_.end();) {
-    if (results_recorded_ >= it->second) {
-      const std::uint32_t victim = it->first;
-      it = scheduled_kills_.erase(it);
-      eject_locked(victim, EjectReason::kKilled, now);
-    } else {
-      ++it;
-    }
-  }
-
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& slot = shards_[i];
     if (slot.state == ShardState::kEjected) {
@@ -526,6 +515,19 @@ void Router::control_step() {
       slot.state = ShardState::kHealthy;
       ++stats_.readmissions;
       telemetry::counter("serve.router.readmissions").add();
+    }
+  }
+
+  // Armed kills fire once the router has recorded enough results.  They
+  // are checked after this step's collection, so a run whose last results
+  // arrive in this step has seen its kill before wait_idle() returns.
+  for (auto it = scheduled_kills_.begin(); it != scheduled_kills_.end();) {
+    if (results_recorded_ >= it->second) {
+      const std::uint32_t victim = it->first;
+      it = scheduled_kills_.erase(it);
+      eject_locked(victim, EjectReason::kKilled, now);
+    } else {
+      ++it;
     }
   }
 

@@ -2,9 +2,17 @@
 // and the Λ=0 header sanity checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "spacefts/fits/fits.hpp"
@@ -75,7 +83,7 @@ TEST(Header, SetReplacesExistingKeyword) {
   h.set_int("NAXIS", 2);
   h.set_int("NAXIS", 3);
   EXPECT_EQ(h.get_int("NAXIS"), 3);
-  EXPECT_EQ(h.cards().size(), 1u);
+  EXPECT_EQ(h.size(), 1u);
 }
 
 TEST(Header, KeywordsAreCaseInsensitiveOnSet) {
@@ -149,7 +157,7 @@ TEST(Header, CommentaryCardsAccumulate) {
   ff::Header h;
   h.set(ff::Card{"COMMENT", "", "first"});
   h.set(ff::Card{"COMMENT", "", "second"});
-  EXPECT_EQ(h.cards().size(), 2u);  // commentary never replaces
+  EXPECT_EQ(h.size(), 2u);  // commentary never replaces
 }
 
 TEST(Header, NegativeIntegers) {
@@ -159,6 +167,298 @@ TEST(Header, NegativeIntegers) {
   const auto bytes = h.serialize();
   std::size_t offset = 0;
   EXPECT_EQ(ff::Header::parse(bytes, offset).get_int("BITPIX"), -32);
+}
+
+namespace ref {
+
+// The decoded-card header this library kept before headers became card
+// images: Card::decode plus the typed getters over decoded cards, copied
+// here only so the card store can be held to it.
+std::string_view trim(std::string_view s) {
+  const auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (!s.empty() && blank(s.front())) s.remove_prefix(1);
+  while (!s.empty() && blank(s.back())) s.remove_suffix(1);
+  return s;
+}
+
+std::string upper(std::string s) {
+  for (auto& c : s) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return s;
+}
+
+bool is_commentary(std::string_view k) {
+  return k == "COMMENT" || k == "HISTORY" || k.empty();
+}
+
+ff::Card decode(std::string_view raw) {
+  ff::Card card;
+  card.keyword = std::string(trim(raw.substr(0, 8)));
+  if (is_commentary(card.keyword) || raw.substr(8, 2) != "= ") {
+    card.comment = std::string(trim(raw.substr(8)));
+    return card;
+  }
+  std::string_view rest = raw.substr(10);
+  if (!trim(rest).empty() && trim(rest).front() == '\'') {
+    rest = trim(rest);
+    std::size_t i = 1;
+    while (i < rest.size()) {
+      if (rest[i] == '\'') {
+        if (i + 1 < rest.size() && rest[i + 1] == '\'') {
+          i += 2;
+          continue;
+        }
+        break;
+      }
+      ++i;
+    }
+    const std::size_t end = std::min(i + 1, rest.size());
+    card.value = std::string(rest.substr(0, end));
+    const std::string_view tail = rest.substr(end);
+    if (const auto slash = tail.find('/'); slash != std::string_view::npos) {
+      card.comment = std::string(trim(tail.substr(slash + 1)));
+    }
+  } else {
+    const std::size_t slash = rest.find('/');
+    card.value = std::string(trim(rest.substr(0, slash)));
+    if (slash != std::string_view::npos) {
+      card.comment = std::string(trim(rest.substr(slash + 1)));
+    }
+  }
+  return card;
+}
+
+struct Header {
+  std::vector<ff::Card> cards;
+
+  const ff::Card* find(std::string_view keyword) const {
+    const std::string key = upper(std::string(keyword));
+    for (const auto& c : cards) {
+      if (c.keyword == key) return &c;
+    }
+    return nullptr;
+  }
+  std::optional<bool> get_logical(std::string_view k) const {
+    const ff::Card* c = find(k);
+    if (!c) return std::nullopt;
+    if (trim(c->value) == "T") return true;
+    if (trim(c->value) == "F") return false;
+    return std::nullopt;
+  }
+  std::optional<std::int64_t> get_int(std::string_view k) const {
+    const ff::Card* c = find(k);
+    if (!c) return std::nullopt;
+    const std::string_view v = trim(c->value);
+    std::int64_t out = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
+    return out;
+  }
+  std::optional<double> get_double(std::string_view k) const {
+    const ff::Card* c = find(k);
+    if (!c) return std::nullopt;
+    const std::string v{trim(c->value)};
+    if (v.empty()) return std::nullopt;
+    char* end = nullptr;
+    const double out = std::strtod(v.c_str(), &end);
+    if (end != v.c_str() + v.size()) return std::nullopt;
+    return out;
+  }
+  std::optional<std::string> get_string(std::string_view k) const {
+    const ff::Card* c = find(k);
+    if (!c) return std::nullopt;
+    std::string_view v = trim(c->value);
+    if (v.size() < 2 || v.front() != '\'' || v.back() != '\'') {
+      return std::nullopt;
+    }
+    v = v.substr(1, v.size() - 2);
+    std::string out;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      out += v[i];
+      if (v[i] == '\'' && i + 1 < v.size() && v[i + 1] == '\'') ++i;
+    }
+    while (!out.empty() && out.back() == ' ') out.pop_back();
+    return out;
+  }
+};
+
+}  // namespace ref
+
+namespace {
+
+/// Expects every getter of \p store and \p reference to agree on \p key
+/// (NaN equal to NaN).
+void expect_same_reads(const ff::Header& store, const ref::Header& reference,
+                       const std::string& key) {
+  SCOPED_TRACE("keyword '" + key + "'");
+  EXPECT_EQ(store.contains(key), reference.find(key) != nullptr);
+  EXPECT_EQ(store.get_logical(key), reference.get_logical(key));
+  EXPECT_EQ(store.get_int(key), reference.get_int(key));
+  EXPECT_EQ(store.get_string(key), reference.get_string(key));
+  const auto a = store.get_double(key);
+  const auto b = reference.get_double(key);
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (a) {
+    EXPECT_TRUE(*a == *b || (std::isnan(*a) && std::isnan(*b)));
+  }
+}
+
+/// An 80-byte card image assembled from pieces that reach the corners of
+/// the card grammar: lowercase, padded and tabbed keywords, blank keywords
+/// with text, damaged value indicators, unterminated and doubled quotes,
+/// '/' inside strings, and raw garbage.
+std::string random_card(std::mt19937_64& rng) {
+  static const std::vector<std::string> keys = {
+      "BITPIX", "bitpix", "NAXIS1", " NAXIS1", "\tNAXIS\t", "BZERO", "",
+      "COMMENT", "HISTORY", "XTENSION", "SIMPLE", "NaXiS2", "A B", "ENDX"};
+  static const std::vector<std::string> indicators = {"= ", "= ", "= ", "=",
+                                                      " =", "=\t", "  "};
+  static const std::vector<std::string> values = {
+      "16", "                  16", "-32", "+5", "1e3", "3.5", "T", "F",
+      " T ", "\tT\t", "'IMAGE   '", "'O''Neill''s'", "'unterminated",
+      "'a/b' / c", "''", "'''", "' '", "4 / axis", "NAN", "inf", "0x10",
+      "\t42\t", "1.5E-07", "32768", "9223372036854775808", "'x' junk",
+      "/ only a comment", "T / flag", "  'padded'  / c / d", "\t'tab/bed' / c",
+      std::string("1\0002", 3)};
+  std::uniform_int_distribution<int> byte(0, 255);
+  const auto pick = [&](const std::vector<std::string>& pool) {
+    return pool[rng() % pool.size()];
+  };
+  std::string card;
+  if (rng() % 8 == 0) {
+    for (int i = 0; i < 80; ++i) card += static_cast<char>(byte(rng));
+  } else {
+    std::string key = pick(keys);
+    key.resize(8, ' ');
+    card = key + pick(indicators) + pick(values);
+    while (card.size() < 80) {
+      card += rng() % 6 == 0 ? static_cast<char>(byte(rng)) : ' ';
+    }
+    card.resize(80);
+  }
+  // END would end the header; Header.EndIsFoundInATrimmedField covers it.
+  if (ref::trim(std::string_view(card).substr(0, 8)) == "END") card[0] = 'X';
+  return card;
+}
+
+}  // namespace
+
+TEST(Header, CardStoreMatchesDecodeThenGet) {
+  std::mt19937_64 rng(2003);
+  const std::vector<std::string> fixed_keys = {
+      "BITPIX", "bitpix", "NAXIS1", "NAXIS", "naxis2", "NAXIS2", "BZERO",
+      "", "COMMENT", "HISTORY", "XTENSION", "SIMPLE", "A B", "ENDX",
+      "TOOLONGKEYWORD"};
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string bytes;
+    const int cards = 1 + static_cast<int>(rng() % 6);
+    for (int c = 0; c < cards; ++c) {
+      // Now and then an all-blank card (spaces and a tab), which parse drops.
+      bytes += rng() % 10 == 0 ? std::string(79, ' ') + "\t" : random_card(rng);
+    }
+    bytes += std::string("END").append(77, ' ');
+    std::vector<std::uint8_t> data(bytes.begin(), bytes.end());
+    data.resize(ff::block_padded(data.size()), ' ');
+    std::size_t offset = 0;
+    const auto store = ff::Header::parse(data, offset);
+    EXPECT_EQ(offset, data.size());
+
+    ref::Header reference;
+    for (std::size_t at = 0; at + 80 < bytes.size(); at += 80) {
+      auto card = ref::decode(std::string_view(bytes).substr(at, 80));
+      if (card.keyword.empty() && card.comment.empty()) continue;
+      reference.cards.push_back(std::move(card));
+    }
+    ASSERT_EQ(store.size(), reference.cards.size());
+    std::vector<std::string> keys = fixed_keys;
+    for (std::size_t i = 0; i < store.size(); ++i) {
+      const auto decoded = ff::Card::decode(store.card(i));
+      EXPECT_EQ(decoded.keyword, reference.cards[i].keyword);
+      EXPECT_EQ(decoded.value, reference.cards[i].value);
+      EXPECT_EQ(decoded.comment, reference.cards[i].comment);
+      std::string lower = decoded.keyword;
+      for (auto& ch : lower) {
+        ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+      }
+      keys.push_back(decoded.keyword);
+      keys.push_back(lower);
+    }
+    for (const auto& key : keys) expect_same_reads(store, reference, key);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trial " << trial << ": header bytes '" << bytes << "'";
+    }
+  }
+}
+
+TEST(Header, SettersReadBackAsDecodedCards) {
+  // For keywords of at most 8 characters and values that fit the card, the
+  // setters read back what the decoded-card header kept for the same call.
+  ff::Header store;
+  ref::Header reference;
+  const auto kept = [&](const std::string& key, const std::string& value,
+                        const std::string& comment) {
+    reference.cards.push_back(ff::Card{ref::upper(key), value, comment});
+  };
+  store.set_logical("simple", true, "conforms");
+  kept("simple", "T", "conforms");
+  store.set_int("BITPIX", -32, "bits / value");
+  kept("BITPIX", "-32", "bits / value");
+  store.set_int("NAXIS1", std::numeric_limits<std::int64_t>::min());
+  kept("NAXIS1", "-9223372036854775808", "");
+  store.set_double("BZERO", 32768.0, "offset");
+  kept("BZERO", "32768", "offset");
+  store.set_double("EXPTIME", 1.5e-7);
+  kept("EXPTIME", "1.5E-07", "");
+  store.set_double("BAD", std::numeric_limits<double>::quiet_NaN());
+  kept("BAD", "NAN", "");
+  store.set_string("OBSERVER", "O'Neill/a", "who");
+  kept("OBSERVER", "'O''Neill/a'", "who");
+  store.set_string("XTENSION", "IMAGE");
+  kept("XTENSION", "'IMAGE   '", "");
+  store.set(ff::Card{"COMMENT", "", "free text"});
+  kept("COMMENT", "", "free text");
+  ASSERT_EQ(store.size(), reference.cards.size());
+  for (const auto& card : reference.cards) {
+    expect_same_reads(store, reference, card.keyword);
+  }
+}
+
+TEST(Header, SerializeAtBlockEdges) {
+  // 35 cards + END fill one block exactly; with 36 END opens the second
+  // block, with 37 it is that block's second card.  The bytes are each
+  // card's encoding, END, and spaces to the block edge.
+  for (const std::size_t n : {35u, 36u, 37u}) {
+    ff::Header h;
+    std::string expected;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string key = "KEY" + std::to_string(i);
+      h.set_int(key, static_cast<std::int64_t>(i), "card");
+      expected += ff::Card{key, std::to_string(i), "card"}.encode();
+    }
+    expected += std::string("END").append(77, ' ');
+    expected.resize(ff::block_padded(expected.size()), ' ');
+    const auto bytes = h.serialize();
+    ASSERT_EQ(bytes.size(), n == 35 ? ff::kBlockSize : 2 * ff::kBlockSize);
+    EXPECT_EQ(std::string(bytes.begin(), bytes.end()), expected) << n;
+    std::size_t offset = 0;
+    const auto parsed = ff::Header::parse(bytes, offset);
+    EXPECT_EQ(offset, bytes.size());
+    ASSERT_EQ(parsed.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(parsed.card(i), h.card(i));
+  }
+}
+
+TEST(Header, EndIsFoundInATrimmedField) {
+  for (const std::string field : {"END     ", "  END   ", "\tEND\t   "}) {
+    ff::Header h;
+    h.set_int("NAXIS", 0);
+    auto bytes = h.serialize();
+    std::copy(field.begin(), field.end(), bytes.begin() + 80);
+    std::size_t offset = 0;
+    EXPECT_EQ(ff::Header::parse(bytes, offset).size(), 1u);
+    EXPECT_EQ(offset, ff::kBlockSize);
+  }
 }
 
 // ----------------------------------------------------------------- image HDUs
@@ -212,6 +512,10 @@ TEST(ImageHdu, ReadersValidatePayloadSize) {
   hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
   hdu.header.set_int("NAXIS2", std::int64_t{1} << 31);
   EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError);
+  auto float_hdu = ff::make_float_hdu(Image<float>(4, 4, 1.0f));
+  float_hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
+  float_hdu.header.set_int("NAXIS2", std::int64_t{1} << 30);
+  EXPECT_THROW((void)ff::read_image_f32(float_hdu), ff::FitsError);
 }
 
 namespace {
@@ -291,6 +595,19 @@ TEST(FitsFile, ParseTruncatedDataThrows) {
   auto bytes = file.serialize();
   bytes.resize(ff::kBlockSize + 100);  // header block + partial data
   EXPECT_THROW((void)ff::FitsFile::parse(bytes), ff::FitsError);
+}
+
+TEST(FitsFile, ParseRejectsWrappingDataSize) {
+  // BITPIX=16 with NAXIS1 = NAXIS2 = 2^32: the byte count 2^65 wraps to 0,
+  // which must not pass for an empty data unit followed by the next HDU.
+  ff::FitsFile file;
+  file.hdus().push_back(ff::make_image_hdu(Image<std::uint16_t>(2, 2, 7)));
+  file.hdus().push_back(
+      ff::make_image_hdu(Image<std::uint16_t>(2, 2, 7), /*primary=*/false));
+  file.hdus()[0].header.set_int("NAXIS1", std::int64_t{1} << 32);
+  file.hdus()[0].header.set_int("NAXIS2", std::int64_t{1} << 32);
+  file.hdus()[0].data.clear();
+  EXPECT_THROW((void)ff::FitsFile::parse(file.serialize()), ff::FitsError);
 }
 
 // --------------------------------------------------------------------- sanity
@@ -388,6 +705,26 @@ TEST(Sanity, ReportsUnrepairableGeometry) {
   hdu.header.set_int("NAXIS2", 100);
   const auto report = ff::check_and_repair(hdu);
   EXPECT_FALSE(report.clean());
+}
+
+TEST(Sanity, WrappingGeometryIsInconsistent) {
+  // 2^32 x 2^32 16-bit pixels: the byte count wraps to the size of an
+  // empty payload, which must not make the header consistent with it.
+  auto hdu = clean_hdu();
+  hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
+  hdu.header.set_int("NAXIS2", std::int64_t{1} << 32);
+  hdu.data.clear();
+  EXPECT_FALSE(ff::check_and_repair(hdu).fully_repaired());
+
+  // A 2^61-pixel row of 64-bit pixels is 2^64 bytes, which wraps to 0:
+  // it cannot tile the payload (nor divide it), so the other axis repairs.
+  auto row = clean_hdu();
+  row.header.set_int("BITPIX", 64);
+  row.header.set_int("NAXIS1", std::int64_t{1} << 61);
+  row.header.set_int("NAXIS2", 1);
+  row.data.resize(8);
+  EXPECT_TRUE(ff::check_and_repair(row).fully_repaired());
+  EXPECT_EQ(row.header.get_int("NAXIS1"), 1);
 }
 
 TEST(Sanity, RepairedFileParsesAgain) {

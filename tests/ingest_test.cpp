@@ -11,6 +11,8 @@
 
 #include "spacefts/common/random.hpp"
 #include "spacefts/datagen/ngst.hpp"
+#include "spacefts/datagen/telemetry.hpp"
+#include "spacefts/edac/crc32.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
 #include "spacefts/ingest/guard.hpp"
@@ -80,6 +82,23 @@ TEST(IngestGuard, PackIngestRoundtripOnCleanData) {
   for (const auto& report : result.sanity) EXPECT_TRUE(report.clean());
   // Clean, quiet data: the preprocessing should barely touch anything.
   EXPECT_LT(result.preprocess.bits_corrected, 32u);
+}
+
+TEST(IngestGuard, PackBytesArePinned) {
+  // pack's bytes are the container on the wire: CRC-32 digests of the
+  // serve tier's NGST (32x32, 16 readouts) and telemetry (32 channels, 64
+  // samples) shapes.  A change that moves them changed the format.
+  spacefts::datagen::SceneParams scene;
+  scene.width = 32;
+  scene.height = 32;
+  const auto image = si::IngestGuard::pack(
+      spacefts::datagen::NgstSimulator(7).stack(16, scene));
+  const auto bank = si::IngestGuard::pack(
+      spacefts::datagen::TelemetrySimulator(7).stack({}));
+  EXPECT_EQ(image.size(), 16u * 2u * spacefts::fits::kBlockSize);
+  EXPECT_EQ(bank.size(), 64u * 2u * spacefts::fits::kBlockSize);
+  EXPECT_EQ(spacefts::edac::crc32(image), 0x1d8c1032u);
+  EXPECT_EQ(spacefts::edac::crc32(bank), 0xd0681273u);
 }
 
 TEST(IngestGuard, RepairsHeaderDamageInTransit) {
