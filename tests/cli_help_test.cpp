@@ -1,16 +1,21 @@
-// The CLI's help surface is part of its scriptable contract: `help` must
-// list every verb (version included), and every verb that executes
-// preprocessing compute must document its --kernel and --backend flags the
-// same way.  These tests drive the real binary (path injected by CMake) so
-// the assertion covers what users actually see.
+// The CLI's help surface and exit codes are part of its scriptable
+// contract: `help` must list every verb (version included), every verb that
+// executes preprocessing compute must document its --kernel and --backend
+// flags the same way, every flag a verb's help documents must be one the
+// verb accepts, and each bad invocation must exit with its documented code.
+// These tests drive the real binary (path injected by CMake) so the
+// assertion covers what users actually see.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <array>
+#include <cctype>
 #include <cstdio>
-#include <cstdlib>
+#include <ostream>
+#include <set>
 #include <string>
+#include <vector>
 
 #ifndef SPACEFTS_CLI_PATH
 #error "SPACEFTS_CLI_PATH must point at the spacefts_cli binary"
@@ -18,25 +23,35 @@
 
 namespace {
 
-/// Runs `spacefts_cli <args>` and captures stdout (help goes to stdout on
-/// the explicit `help` verb).
-std::string cli_stdout(const std::string& args) {
-  const std::string command = std::string(SPACEFTS_CLI_PATH) + " " + args;
+struct CliRun {
+  int code = -1;     ///< exit status, -1 when the CLI did not exit normally
+  std::string text;  ///< the captured stream
+};
+
+/// Runs `spacefts_cli <args>` and captures its stdout, or its stderr (with
+/// stdout discarded) when \p capture_stderr.
+CliRun run_cli(const std::string& args, bool capture_stderr = false) {
+  const std::string command =
+      std::string(SPACEFTS_CLI_PATH) + " " + args +
+      (capture_stderr ? " 2>&1 >/dev/null" : " 2>/dev/null");
+  CliRun run;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << command;
-  if (pipe == nullptr) return {};
-  std::string out;
+  if (pipe == nullptr) return run;
   std::array<char, 4096> chunk{};
   std::size_t n = 0;
   while ((n = fread(chunk.data(), 1, chunk.size(), pipe)) > 0) {
-    out.append(chunk.data(), n);
+    run.text.append(chunk.data(), n);
   }
-  pclose(pipe);
-  return out;
+  const int status = pclose(pipe);
+  run.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run;
 }
 
+std::string cli_stdout(const std::string& args) { return run_cli(args).text; }
+
 /// Every verb the CLI dispatches.  A new verb must appear here and in the
-/// help table — this list is the test's single point of maintenance.
+/// CLI's verb table — this list is the test's single point of maintenance.
 constexpr const char* kVerbs[] = {"gen",      "corrupt", "ingest", "info",
                                   "psi",      "pipeline", "campaign", "downlink",
                                   "serve",    "check",   "version", "help"};
@@ -60,15 +75,14 @@ TEST(CliHelp, PerVerbHelpIsConsistentForComputeFlags) {
   }
   // ...and the ones that can run on a pluggable substrate document the
   // backend family the same way.
-  for (const char* verb : {"pipeline", "serve"}) {
+  for (const char* verb : {"pipeline", "serve", "downlink"}) {
     const std::string help = cli_stdout(std::string("help ") + verb);
-    EXPECT_NE(help.find("--backend cpu|unreliable|shadowed"),
-              std::string::npos)
-        << "'" << verb << "' help does not document --backend";
-    EXPECT_NE(help.find("--compute-fault-rate"), std::string::npos)
-        << "'" << verb << "' help does not document --compute-fault-rate";
-    EXPECT_NE(help.find("--shadow-rate"), std::string::npos)
-        << "'" << verb << "' help does not document --shadow-rate";
+    for (const char* flag :
+         {"--backend cpu|unreliable|shadowed", "--compute-fault-rate",
+          "--shadow-rate", "--backend-log"}) {
+      EXPECT_NE(help.find(flag), std::string::npos)
+          << "'" << verb << "' help does not document " << flag;
+    }
   }
   // The campaign's compute sweep rides the same subsystem.
   const std::string campaign = cli_stdout("help campaign");
@@ -82,34 +96,6 @@ TEST(CliHelp, PerVerbHelpIsConsistentForComputeFlags) {
   EXPECT_NE(downlink.find("--workload"), std::string::npos);
 }
 
-/// Runs the CLI with stdout/stderr silenced and returns its exit status.
-int cli_exit_code(const std::string& args) {
-  const std::string command =
-      std::string(SPACEFTS_CLI_PATH) + " " + args + " >/dev/null 2>&1";
-  const int status = std::system(command.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-TEST(CliFlags, NonFiniteDoubleValuesExitThree) {
-  // inf/nan parse as doubles but are never meaningful flag values; each
-  // double-valued flag must refuse them with the bad-flag exit code.
-  const char* kDoubleFlags[][2] = {
-      {"downlink", "--gamma0"},
-      {"downlink", "--link-loss"},
-      {"downlink", "--lambda"},
-      {"serve --requests 1", "--otis-frac"},
-      {"serve --requests 1", "--ingress-corrupt"},
-      {"pipeline", "--lambda"},
-  };
-  for (const auto& [verb, flag] : kDoubleFlags) {
-    for (const char* value : {"inf", "-inf", "nan"}) {
-      const std::string args =
-          std::string(verb) + " " + flag + " " + value;
-      EXPECT_EQ(cli_exit_code(args), 3) << args;
-    }
-  }
-}
-
 TEST(CliHelp, EveryVerbHasPerVerbHelp) {
   for (const char* verb : kVerbs) {
     const std::string help = cli_stdout(std::string("help ") + verb);
@@ -117,5 +103,143 @@ TEST(CliHelp, EveryVerbHasPerVerbHelp) {
         << "no per-verb help for '" << verb << "'";
   }
 }
+
+TEST(CliHelp, EveryDocumentedFlagIsAccepted) {
+  // `<verb> <flag> --zz-unknown` never runs the verb: a value flag reports
+  // its value missing, a switch is accepted and the bogus flag after it is
+  // not.  Either way the documented flag itself must not be unknown.
+  const auto flag_char = [](unsigned char c) {
+    return std::islower(c) || std::isdigit(c) || c == '-';
+  };
+  std::size_t checked = 0;
+  for (const char* verb : kVerbs) {
+    const std::string help = cli_stdout(std::string("help ") + verb);
+    std::set<std::string> flags;
+    for (std::size_t at = help.find("--"); at != std::string::npos;
+         at = help.find("--", at)) {
+      std::size_t end = at + 2;
+      while (end < help.size() && flag_char(help[end])) ++end;
+      if (end > at + 2) flags.insert(help.substr(at, end - at));
+      at = end;
+    }
+    for (const std::string& flag : flags) {
+      const std::string args =
+          std::string(verb) + " " + flag + " --zz-unknown";
+      const CliRun run = run_cli(args, /*capture_stderr=*/true);
+      ++checked;
+      EXPECT_EQ(run.code, 3) << args;
+      EXPECT_EQ(run.text.find(flag + ": unknown flag"), std::string::npos)
+          << "'" << verb << "' documents " << flag << " but rejects it";
+    }
+  }
+  EXPECT_GT(checked, 100u) << "help documents suspiciously few flags";
+}
+
+/// One row of the exit-code contract: 2 usage error, 3 bad flag.
+struct ExitCase {
+  std::string name;        ///< the case's ctest suffix
+  std::string args;
+  int code;
+  std::string stderr_has;  ///< required stderr substring; empty = any
+};
+
+std::vector<ExitCase> exit_cases() {
+  std::vector<ExitCase> cases = {
+      {"usage", "no-such-verb", 2, "unknown verb"},
+      {"usage_help", "help no-such-verb", 2, "unknown verb"},
+      {"bad_flag_gen", "gen out.fits --bogus", 3, "--bogus: unknown flag"},
+      {"bad_flag_serve", "serve --bogus", 3, "--bogus: unknown flag"},
+      {"bad_flag_pipeline", "pipeline --bogus", 3, "--bogus: unknown flag"},
+      {"bad_flag_check", "check --bogus", 3, "--bogus: unknown flag"},
+      {"no_retries_removed", "campaign --no-retries", 3,
+       "--no-retries: unknown flag"},
+      // Output paths are probed before the run: a typo'd directory is a
+      // bad flag value, not a failure discovered after the compute.
+      {"bad_path_serve_trace",
+       "serve --requests 1 --trace-out /nonexistent-dir/trace.json", 3,
+       "--trace-out"},
+      {"bad_path_serve_metrics",
+       "serve --requests 1 --metrics-out /nonexistent-dir/metrics.jsonl", 3,
+       "--metrics-out"},
+      {"bad_path_serve_control",
+       "serve --requests 1 --control --control-out "
+       "/nonexistent-dir/control.jsonl",
+       3, "--control-out"},
+      // Cross-flag rules.
+      {"control_out_requires_control",
+       "serve --requests 1 --control-out decisions.jsonl", 3,
+       "--control-out"},
+      {"bad_backend_name", "serve --requests 1 --backend gpu", 3,
+       "--backend"},
+      {"shadow_rate_requires_shadowed",
+       "serve --requests 1 --backend cpu --shadow-rate 0.5", 3,
+       "--shadow-rate"},
+      {"fault_rate_requires_unreliable", "pipeline --compute-fault-rate 0.5",
+       3, "--compute-fault-rate"},
+      // Chaos knobs point at the offending flag.
+      {"shards_zero", "serve --shards 0", 3, "--shards"},
+      {"shard_kill_malformed", "serve --shards 4 --shard-kill banana", 3,
+       "SHARD@RESULT_COUNT"},
+      {"shard_kill_out_of_range", "serve --shards 4 --shard-kill 7@10", 3,
+       "out of range"},
+      // Values outside the range the library accepts name their flag.
+      {"campaign_trials_zero", "campaign --trials 0", 3, "--trials"},
+      {"campaign_gamma0_above_one", "campaign --gamma0 2", 3, "--gamma0"},
+      {"campaign_control_lambda_above_100", "campaign --control --lambda 200",
+       3, "--lambda"},
+      {"pipeline_gamma0_above_one", "pipeline --gamma0 2", 3, "--gamma0"},
+      {"pipeline_crash_negative", "pipeline --crash -1", 3, "--crash"},
+      {"pipeline_side_zero", "pipeline --side 0", 3, "--side"},
+      {"serve_rate_negative", "serve --rate -5", 3, "--rate"},
+      {"serve_otis_frac_above_one", "serve --otis-frac 3", 3, "--otis-frac"},
+      {"serve_batch_zero", "serve --batch 0", 3, "--batch"},
+      {"serve_capacity_zero", "serve --capacity 0", 3, "--capacity"},
+      {"serve_linger_negative", "serve --linger-ms -1", 3, "--linger-ms"},
+      {"serve_ingress_drop_above_one", "serve --ingress-drop 2", 3,
+       "--ingress-drop"},
+      {"serve_priorities_past_int", "serve --priorities 4294967297", 3,
+       "--priorities"},
+      {"gen_frames_zero", "gen out.fits 0", 3, "frames"},
+      // A value that looks like a flag is a missing value, not a file name.
+      {"value_starting_with_dashes",
+       "serve --requests 2 --workload-out w.jsonl --results-out --gen-only",
+       3, "--results-out: missing value"},
+  };
+  // inf/nan parse as doubles but are never meaningful flag values.
+  const char* kDoubleFlags[][3] = {
+      {"downlink", "--gamma0", "downlink_gamma0"},
+      {"downlink", "--link-loss", "downlink_link_loss"},
+      {"downlink", "--lambda", "downlink_lambda"},
+      {"serve --requests 1", "--otis-frac", "serve_otis_frac"},
+      {"serve --requests 1", "--ingress-corrupt", "serve_ingress_corrupt"},
+      {"pipeline", "--lambda", "pipeline_lambda"},
+  };
+  for (const auto& [verb, flag, name] : kDoubleFlags) {
+    for (const auto& [value, suffix] :
+         {std::pair{"inf", "inf"}, std::pair{"-inf", "neg_inf"},
+          std::pair{"nan", "nan"}}) {
+      cases.push_back({std::string("nonfinite_") + name + "_" + suffix,
+                       std::string(verb) + " " + flag + " " + value, 3, flag});
+    }
+  }
+  return cases;
+}
+
+/// Failure messages show the command line, not the struct's bytes.
+void PrintTo(const ExitCase& c, std::ostream* os) { *os << c.args; }
+
+class ExitCode : public ::testing::TestWithParam<ExitCase> {};
+
+TEST_P(ExitCode, Matches) {
+  const ExitCase& c = GetParam();
+  const CliRun run = run_cli(c.args, /*capture_stderr=*/true);
+  EXPECT_EQ(run.code, c.code) << c.args << "\n" << run.text;
+  EXPECT_NE(run.text.find(c.stderr_has), std::string::npos)
+      << c.args << ": stderr lacks '" << c.stderr_has << "':\n"
+      << run.text;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cli, ExitCode, ::testing::ValuesIn(exit_cases()),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace

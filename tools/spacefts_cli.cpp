@@ -1,99 +1,31 @@
 /// \file spacefts_cli.cpp
-/// Command-line front end for the preprocessing layer.
-///
-///   spacefts_cli gen <out.fits> [frames] [side] [seed]
-///       synthesise a baseline (NGST Gaussian model) as a multi-HDU FITS
-///   spacefts_cli corrupt <in.fits> <out.fits> <gamma0> [seed] [--header]
-///       flip bits of the data units with probability gamma0 per bit;
-///       --header additionally damages one structural keyword
-///   spacefts_cli ingest <in.fits> <out.fits> [lambda] [upsilon] [--threads N]
-///                       [--kernel auto|scalar|swar|avx2]
-///       run the full ingest layer (sanity + Algo_NGST) and write the
-///       repaired baseline; --threads selects the preprocessing worker
-///       lanes (0 = all hardware threads) and --kernel the voter kernel
-///       (auto = widest the host supports; output is identical either way)
-///   spacefts_cli info <in.fits>
-///       print HDU headers and geometry
-///   spacefts_cli psi <a.fits> <b.fits>
-///       the paper's average relative error between two baselines
-///   spacefts_cli pipeline [--side N] [--frames N] [--workers N]
-///                         [--fragment-side N] [--gamma0 X] [--crash X]
-///                         [--link-loss X] [--lambda X] [--retries N]
-///                         [--seed S] [--threads N] [--kernel K]
-///       generate one baseline, ingest it, and run the distributed
-///       scatter/compute/gather pipeline once under the configured fault
-///       model — the single-run counterpart of `campaign`, and the
-///       simplest way to produce a full execution trace
-///   spacefts_cli campaign [--gamma0 a,b] [--crash a,b] [--link-loss a,b]
-///                         [--lambda a,b] [--trials N] [--seed S]
-///                         [--threads N] [--retries N] [--no-retries]
-///                         [--out path] [--enforce]
-///       sweep a seeded fault-injection grid over the distributed pipeline,
-///       append one JSON line per grid cell to --out (default
-///       BENCH_campaign.json), and with --enforce exit non-zero on any
-///       survival or clean-memory-coverage regression; --compute switches
-///       to the untrusted-compute sweep (--fault-rates x --shadow-rates,
-///       detected-vs-escaped accounting per cell); --downlink switches to
-///       the end-to-end downlink fidelity sweep (preprocessing on vs off
-///       over the gamma0 x link-loss x lambda grid, with the dominance
-///       gate under --enforce)
-///   spacefts_cli downlink [--workload ngst|telemetry] [chain flags]
-///       fly the full flight chain once — synthesise, optionally
-///       preprocess, rice-compress, CRC/Hamming-frame, cross a faulty
-///       link, deframe, decompress — and report end-to-end fidelity vs
-///       the clean-chain golden; --out/--golden-out write the received
-///       and reference science products as Rice-compressed FITS
-///   spacefts_cli serve [--replay <workload.jsonl> | synthetic-workload
-///                      flags] [server flags]
-///       run the preprocessing service over a workload: either replay a
-///       committed JSONL workload file or generate a seeded open-loop
-///       Poisson workload in-process; write the deterministic per-request
-///       results with --results-out, the workload with --workload-out
-///       (--gen-only stops after generating)
-///   spacefts_cli check [--seed S] [--cases N] [--threads a,b,c]
-///                      [--kernel K] [--corpus-out file] [--replay file]
-///       differential/metamorphic correctness harness: fuzz N seeded cases
-///       cross-checking the optimized preprocessing paths against the naive
-///       golden oracles at every requested (kernel, thread count) pair —
-///       all available kernels by default, one forced via --kernel — or
-///       --replay a committed failure corpus; failing cases are shrunk and
-///       written to --corpus-out; exits 1 on any divergence
-///   spacefts_cli version | --version
-///       print the tool version
-///   spacefts_cli help [verb]
-///       print the global usage, or one verb's usage
-///
-/// `ingest`, `pipeline`, `campaign`, and `serve` additionally accept
-///   --trace-out <file>    write a Chrome trace_event JSON of the run
-///                         (open in chrome://tracing or Perfetto)
-///   --metrics-out <file>  write the telemetry counters/histograms as JSONL
-///
-/// `pipeline` and `serve` additionally accept the compute-backend flags
-///   --backend cpu|unreliable|shadowed   which compute substrate runs the
-///                         preprocessing (default: the inline CPU path)
-///   --compute-fault-rate X / --compute-fault-seed S   the unreliable
-///                         substrate's silent-corruption model
-///   --shadow-rate X       fraction of requests the shadowed backend
-///                         re-executes on the trusted CPU and byte-compares
-///                         (default 1.0: every mismatch caught + repaired)
-///   --backend-log <file>  (serve/pipeline, shadowed only) write the
-///                         guard's per-request decision log as JSONL
+/// Command-line front end for the preprocessing layer.  Run
+/// `spacefts_cli help` for the verbs and `spacefts_cli help <verb>` for one
+/// verb's flags; both are generated from the flag tables below.
 ///
 /// Exit codes: 0 success, 1 operation failed, 2 usage error (unknown verb,
 /// missing positionals), 3 bad flag (unknown flag or malformed value).
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "spacefts/backend/backend.hpp"
@@ -128,210 +60,386 @@
 
 namespace {
 
+using spacefts::core::Kernel;
+using spacefts::downlink::ChainWorkload;
+
 constexpr int kExitFailure = 1;  ///< the operation itself failed
 constexpr int kExitUsage = 2;    ///< unknown verb / missing positionals
 constexpr int kExitBadFlag = 3;  ///< unknown flag or malformed flag value
 
-/// One entry per verb: the usage synopsis doubles as `help <verb>` output.
-struct VerbHelp {
-  const char* verb;
-  const char* synopsis;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Lower bound of a strictly positive value, as a closed interval.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+int usage();
+
+/// Which compute substrate runs the preprocessing.  kInline (no --backend
+/// at all) keeps the legacy inline-CPU path with no backend object.
+enum class BackendKind { kInline, kCpu, kUnreliable, kShadowed };
+constexpr const char* kBackendNames[] = {"", "cpu", "unreliable", "shadowed"};
+
+using ShardKills = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
+/// Where a flag's value lands.  The pointee type is the flag's kind:
+/// switch, unsigned (sizes and seeds), int, double, grid (comma list),
+/// path, enum, or shard kill (`I@C`, repeatable).
+using Target =
+    std::variant<bool*, std::size_t*, int*, double*, std::string*,
+                 std::vector<double>*, std::vector<std::size_t>*, Kernel*,
+                 ChainWorkload*, std::vector<ChainWorkload>*, BackendKind*,
+                 ShardKills*>;
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "size and seed flags share one unsigned target kind");
+
+/// One flag (or positional) of one verb: the single declaration that the
+/// parser, its bounds check, and `help <verb>` all read.
+struct Flag {
+  const char* name;  ///< "--side"; "<in>" / "[seed]" is a positional
+  Target target;
+  const char* meta;  ///< metavar, or "a|b|c" for an enum
+  const char* help;
+  double lo = -kInf;  ///< closed bounds on a numeric value (each list item)
+  double hi = kInf;
 };
 
-constexpr VerbHelp kVerbHelp[] = {
-    {"gen", "  spacefts_cli gen <out.fits> [frames=64] [side=32] [seed=1]\n"},
-    {"corrupt",
-     "  spacefts_cli corrupt <in> <out> <gamma0> [seed=2] [--header]\n"},
-    {"ingest",
-     "  spacefts_cli ingest <in> <out> [lambda=80] [upsilon=4]"
-     " [--threads N]\n"
-     "                [--kernel auto|scalar|swar|avx2]\n"},
-    {"info", "  spacefts_cli info <in>\n"},
-    {"psi", "  spacefts_cli psi <a> <b>\n"},
-    {"pipeline",
-     "  spacefts_cli pipeline [--side N] [--frames N] [--workers N]"
-     " [--fragment-side N]\n"
-     "                [--gamma0 X] [--crash X] [--link-loss X] [--lambda X]\n"
-     "                [--retries N] [--seed S] [--threads N]"
-     " [--kernel auto|scalar|swar|avx2]\n"
-     "                [--backend cpu|unreliable|shadowed]"
-     " [--compute-fault-rate X]\n"
-     "                [--compute-fault-seed S] [--shadow-rate X]\n"
-     "                [--control-budget-ms X]\n"},
-    {"campaign",
-     "  spacefts_cli campaign [--gamma0 a,b] [--crash a,b]"
-     " [--link-loss a,b] [--lambda a,b]\n"
-     "                [--trials N] [--seed S] [--threads N] [--retries N]"
-     " [--no-retries]\n"
-     "                [--out path] [--enforce]\n"
-     "                [--control [--phase-len N] [--shards N]"
-     " [--shard-kill I@C]\n"
-     "                [--control-budget-ms X]] (drifting-gamma0 controller"
-     " sweep)\n"
-     "                [--compute [--fault-rates a,b] [--shadow-rates a,b]\n"
-     "                [--requests N]] (compute-fault x shadow-rate"
-     " detected-vs-escaped sweep)\n"
-     "                [--downlink [--workloads ngst,telemetry] [--side N]"
-     " [--frames N]\n"
-     "                [--tile-rows N]] (end-to-end fidelity sweep,"
-     " preprocessing on vs off)\n"},
-    {"downlink",
-     "  spacefts_cli downlink [--workload ngst|telemetry] [--side N]"
-     " [--frames N]\n"
-     "                [--tile-rows N] [--lambda X] [--upsilon N]"
-     " [--gamma0 X]\n"
-     "                [--link-loss X] [--no-preprocess] [--seed S]"
-     " [--threads N]\n"
-     "                [--kernel auto|scalar|swar|avx2] [--out file]"
-     " [--golden-out file]\n"
-     "                [--backend cpu|unreliable|shadowed]"
-     " [--compute-fault-rate X]\n"
-     "                [--compute-fault-seed S] [--shadow-rate X]"
-     " [--backend-log file]\n"},
-    {"serve",
-     "  spacefts_cli serve [--replay file | --requests N --rate X"
-     " [--otis-frac X]\n"
-     "                [--pipeline-frac X] [--deadline-ms X] [--priorities N]"
-     " [--seed S]\n"
-     "                [--streams N]]\n"
-     "                [--capacity N] [--threads N] [--batch N]"
-     " [--linger-ms X]\n"
-     "                [--admit-wait-ms X] [--pace] [--ingress-drop X]"
-     " [--ingress-corrupt X]\n"
-     "                [--shards N] [--shard-kill I@C]"
-     " [--shard-crash X] [--shard-stall X]\n"
-     "                [--shard-slow X] [--results-out file]"
-     " [--workload-out file] [--gen-only]\n"
-     "                [--kernel auto|scalar|swar|avx2]\n"
-     "                [--backend cpu|unreliable|shadowed]"
-     " [--compute-fault-rate X]\n"
-     "                [--compute-fault-seed S] [--shadow-rate X]"
-     " [--backend-log file]\n"
-     "                [--control] [--control-out file]"
-     " [--control-budget-ms X]\n"
-     "                [--control-window N] [--control-lag N]\n"},
-    {"check",
-     "  spacefts_cli check [--seed S] [--cases N] [--threads a,b,c]\n"
-     "                [--kernel auto|scalar|swar|avx2]"
-     " [--corpus-out file] [--replay file]\n"},
-    {"version", "  spacefts_cli version | --version\n"},
-    {"help", "  spacefts_cli help [verb]\n"},
-};
-
-void print_usage(std::FILE* stream) {
-  std::fputs("usage:\n", stream);
-  for (const auto& entry : kVerbHelp) std::fputs(entry.synopsis, stream);
-  std::fputs(
-      "  ingest/pipeline/campaign/serve also accept --trace-out <file>"
-      " and --metrics-out <file>\n",
-      stream);
+[[nodiscard]] bool is_flag(const char* arg) {
+  return std::strncmp(arg, "--", 2) == 0;
 }
 
-int usage() {
-  print_usage(stderr);
-  return kExitUsage;
-}
-
-int cmd_help(int argc, char** argv) {
-  if (argc < 3) {
-    print_usage(stdout);
-    return 0;
-  }
-  const std::string verb = argv[2];
-  for (const auto& entry : kVerbHelp) {
-    if (verb == entry.verb) {
-      std::fputs("usage:\n", stdout);
-      std::fputs(entry.synopsis, stdout);
-      return 0;
-    }
-  }
-  std::fprintf(stderr, "spacefts_cli: help: unknown verb '%s'\n", verb.c_str());
-  return usage();
-}
-
-int bad_flag(const std::string& flag, const char* detail) {
-  std::fprintf(stderr, "spacefts_cli: %s: %s\n", flag.c_str(), detail);
-  return kExitBadFlag;
-}
-
-/// Strict numeric parsers: the whole token must be consumed, so "8x" or ""
+/// Strict value parsers: the whole token must be consumed, so "8x" or ""
 /// is a reportable mistake instead of a silent 8 (or 0).
 
-[[nodiscard]] bool parse_double(const char* text, double& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtod(text, &end);
-  // strtod happily parses "inf" and "nan" with errno == 0, but every
-  // double-valued flag is validated with open-ended comparisons downstream
-  // (budgets, rates, pacing) where an infinity silently passes.  No flag
-  // has a meaningful non-finite value, so reject them here.
-  return errno == 0 && *end == '\0' && std::isfinite(out);
-}
-
-[[nodiscard]] bool parse_size(const char* text, std::size_t& out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = static_cast<std::size_t>(std::strtoull(text, &end, 10));
-  return errno == 0 && *end == '\0';
-}
-
-[[nodiscard]] bool parse_u64(const char* text, std::uint64_t& out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
+[[nodiscard]] bool parse_value(const char* text, std::size_t& out) {
+  if (*text == '\0' || *text == '-') return false;
   char* end = nullptr;
   errno = 0;
   out = std::strtoull(text, &end, 10);
   return errno == 0 && *end == '\0';
 }
 
-/// Parses a --kernel value (auto|scalar|swar|avx2).  An explicit variant
-/// the host cannot run is honoured via resolve_kernel's documented
-/// fallback, so it is not a usage error here.
-[[nodiscard]] bool parse_kernel_flag(const char* text,
-                                     spacefts::core::Kernel& out) {
-  return text != nullptr && spacefts::core::parse_kernel(text, out);
+[[nodiscard]] bool parse_value(const char* text, int& out) {
+  if (*text == '\0') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
+  out = static_cast<int>(v);
+  return true;
 }
 
-/// Shared --backend/--shadow-rate/--compute-fault-* handling across the
-/// verbs that execute preprocessing compute (serve, pipeline).
+[[nodiscard]] bool parse_value(const char* text, double& out) {
+  if (*text == '\0') return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(text, &end);
+  // strtod happily parses "inf" and "nan" with errno == 0, but no flag has
+  // a meaningful non-finite value, and an infinity would pass an open
+  // upper bound.  Reject them here.
+  return errno == 0 && *end == '\0' && std::isfinite(out);
+}
+
+[[nodiscard]] bool parse_value(const char* text, std::string& out) {
+  out = text;
+  return true;
+}
+
+/// An explicit kernel the host cannot run is honoured via resolve_kernel's
+/// documented fallback, so it is not a usage error here.
+[[nodiscard]] bool parse_value(const char* text, Kernel& out) {
+  return spacefts::core::parse_kernel(text, out);
+}
+
+[[nodiscard]] bool parse_value(const char* text, ChainWorkload& out) {
+  for (const auto w : {ChainWorkload::kNgstImage, ChainWorkload::kTelemetry}) {
+    if (std::strcmp(text, spacefts::downlink::to_string(w)) == 0) {
+      out = w;
+      return true;
+    }
+  }
+  return false;
+}
+
+[[nodiscard]] bool parse_value(const char* text, BackendKind& out) {
+  for (std::size_t k = 1; k < std::size(kBackendNames); ++k) {
+    if (std::strcmp(text, kBackendNames[k]) == 0) {
+      out = static_cast<BackendKind>(k);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// "I@C": kill shard I once the router has recorded C results.
+[[nodiscard]] bool parse_value(const char* text,
+                               std::pair<std::size_t, std::uint64_t>& out) {
+  const char* at = std::strchr(text, '@');
+  if (at == nullptr) return false;
+  const std::string shard(text, at);
+  return parse_value(shard.c_str(), out.first) &&
+         parse_value(at + 1, out.second);
+}
+
+/// A comma list; empty items are skipped, but the list must not be empty.
+template <typename T>
+[[nodiscard]] bool parse_value(const char* text, std::vector<T>& out) {
+  out.clear();
+  std::stringstream list(text);
+  std::string item;
+  while (std::getline(list, item, ',')) {
+    if (item.empty()) continue;
+    if (!parse_value(item.c_str(), out.emplace_back())) return false;
+  }
+  return !out.empty();
+}
+
+template <typename T>
+[[nodiscard]] bool within(const T& value, const Flag& flag) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return static_cast<double>(value) >= flag.lo &&
+           static_cast<double>(value) <= flag.hi;
+  } else if constexpr (requires { value.begin(); } &&
+                       !std::is_same_v<T, std::string>) {
+    for (const auto& item : value) {
+      if (!within(item, flag)) return false;
+    }
+    return true;
+  } else {
+    return true;
+  }
+}
+
+std::string format_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+std::string range_text(const Flag& flag) {
+  if (flag.lo == -kInf && flag.hi == kInf) return {};
+  if (flag.hi < kInf) {
+    return std::string("in [") + format_double(flag.lo) + ", " +
+           format_double(flag.hi) + "]";
+  }
+  return flag.lo == kPositive ? std::string("> 0")
+                              : std::string(">= ") + format_double(flag.lo);
+}
+
+std::string expected(const Flag& flag) {
+  if (*flag.meta == '\0') return {};
+  return std::string(" (expected ") + flag.meta + ")";
+}
+
+/// Parses \p text into the flag's target (a switch takes none); nullopt on
+/// success, else the complaint.
+[[nodiscard]] std::optional<std::string> assign(const Flag& flag,
+                                                const char* text) {
+  return std::visit(
+      [&](auto* target) -> std::optional<std::string> {
+        using T = std::remove_pointer_t<decltype(target)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          *target = true;
+        } else {
+          std::conditional_t<std::is_same_v<T, ShardKills>,
+                             ShardKills::value_type, T>
+              value{};
+          if (!parse_value(text, value)) {
+            return std::string("bad value '") + text + "'" + expected(flag);
+          }
+          if (!within(value, flag)) {
+            return std::string("'") + text + "' is out of range (must be " +
+                   range_text(flag) + ")";
+          }
+          if constexpr (std::is_same_v<T, ShardKills>) {
+            target->push_back(value);  // repeatable: each one adds a kill
+          } else {
+            *target = std::move(value);
+          }
+        }
+        return std::nullopt;
+      },
+      flag.target);
+}
+
+[[nodiscard]] const void* address(const Target& target) {
+  return std::visit([](auto* p) -> const void* { return p; }, target);
+}
+
+/// Registry entry of one verb.
+class Cli;
+struct Verb {
+  const char* name;
+  int (*run)(Cli&);
+  const char* summary;
+};
+
+/// One verb's command line, read against that verb's flag tables.  Outside
+/// kRun, parse() prints the tables (as `help <verb>`, or as the verb's line
+/// of the global usage) and tells the verb to return at once.
+class Cli {
+ public:
+  enum class Mode { kRun, kHelp, kSynopsis };
+
+  Cli(const Verb& verb, int argc, char** argv, Mode mode = Mode::kRun,
+      std::FILE* out = stdout)
+      : verb_(verb), argc_(argc), argv_(argv), mode_(mode), out_(out) {}
+
+  /// Reads argv against \p tables.  nullopt: run the verb.  Otherwise the
+  /// verb returns the given exit code without running.
+  [[nodiscard]] std::optional<int> parse(
+      std::initializer_list<std::span<const Flag>> tables) {
+    std::vector<const Flag*> flags, positionals;
+    for (const auto& table : tables) {
+      for (const Flag& flag : table) {
+        (is_flag(flag.name) ? flags : positionals).push_back(&flag);
+        names_.emplace_back(address(flag.target), flag.name);
+      }
+    }
+    if (mode_ != Mode::kRun) {
+      print(tables, positionals, !flags.empty());
+      return 0;
+    }
+    std::size_t next = 0;
+    for (int i = 2; i < argc_; ++i) {
+      const char* text = argv_[i];
+      const Flag* flag = nullptr;
+      if (is_flag(text)) {
+        for (const Flag* f : flags) {
+          if (std::strcmp(f->name, text) == 0) flag = f;
+        }
+        if (flag == nullptr) return complain(text, "unknown flag");
+        if (!std::holds_alternative<bool*>(flag->target)) {
+          if (i + 1 == argc_ || is_flag(argv_[i + 1])) {
+            return complain(flag->name,
+                            std::string("missing value") + expected(*flag));
+          }
+          text = argv_[++i];
+        }
+      } else if (next < positionals.size()) {
+        flag = positionals[next++];
+      } else {
+        return usage();
+      }
+      if (const auto why = assign(*flag, text)) {
+        return complain(flag->name, *why);
+      }
+      seen_.push_back(address(flag->target));
+    }
+    if (next < positionals.size() && positionals[next]->name[0] == '<') {
+      return usage();
+    }
+    return std::nullopt;
+  }
+
+  /// The first of \p targets that the command line set, or nullptr.  For
+  /// cross-flag rules, which stay in each verb as code.
+  [[nodiscard]] const void* seen(
+      std::initializer_list<const void*> targets) const {
+    for (const void* target : targets) {
+      for (const void* s : seen_) {
+        if (s == target) return target;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Reports \p detail against the flag that writes \p target; exit 3.
+  int fail(const void* target, const std::string& detail) const {
+    for (const auto& [t, name] : names_) {
+      if (t == target) return complain(name, detail);
+    }
+    return complain(verb_.name, detail);
+  }
+
+ private:
+  static int complain(const char* what, const std::string& detail) {
+    std::fprintf(stderr, "spacefts_cli: %s: %s\n", what, detail.c_str());
+    return kExitBadFlag;
+  }
+
+  void print(std::initializer_list<std::span<const Flag>> tables,
+             const std::vector<const Flag*>& positionals,
+             bool has_flags) const {
+    std::string synopsis = std::string("spacefts_cli ") + verb_.name;
+    for (const Flag* p : positionals) synopsis += std::string(" ") + p->name;
+    if (has_flags) synopsis += " [flags]";
+    if (mode_ == Mode::kSynopsis) {
+      std::fprintf(out_, "  %s\n", synopsis.c_str());
+      return;
+    }
+    std::fprintf(out_, "usage: %s\n  %s\n", synopsis.c_str(), verb_.summary);
+    for (const auto& table : tables) {
+      for (const Flag& flag : table) {
+        std::string head = flag.name;
+        if (*flag.meta != '\0') head += std::string(" ") + flag.meta;
+        // A long head puts its help text on the next line, aligned.
+        if (head.size() >= 30) head.append("\n").append(32, ' ');
+        std::string help = flag.help;
+        if (const std::string range = range_text(flag); !range.empty()) {
+          help.append(" (").append(range).append(")");
+        }
+        std::fprintf(out_, "  %-30s %s\n", head.c_str(), help.c_str());
+      }
+    }
+  }
+
+  const Verb& verb_;
+  int argc_;
+  char** argv_;
+  Mode mode_;
+  std::FILE* out_;
+  std::vector<std::pair<const void*, const char*>> names_;
+  std::vector<const void*> seen_;
+};
+
+std::vector<Flag> kernel_flags(Kernel& kernel) {
+  return {{"--kernel", &kernel, "auto|scalar|swar|avx2",
+           "voter kernel (output is identical for every kernel)"}};
+}
+
+/// Shared --backend family across the verbs that execute preprocessing
+/// compute (serve, pipeline, downlink).
 struct BackendOptions {
-  std::string kind = "cpu";  ///< cpu | unreliable | shadowed
-  bool kind_set = false;     ///< --backend appeared explicitly
+  BackendKind kind = BackendKind::kInline;
   /// Guard sample fraction under --backend shadowed.  The CLI default is
   /// 1.0 — check everything — so the shadowed path is payload-safe out of
   /// the box; production-style sampling opts down via --shadow-rate.
   double shadow_rate = 1.0;
-  bool shadow_rate_set = false;
-  double fault_rate = 0.0;  ///< --compute-fault-rate
-  bool fault_rate_set = false;
+  double fault_rate = 0.0;
   std::uint64_t fault_seed = spacefts::fault::ComputeFaultConfig{}.seed;
-  bool fault_seed_set = false;
-  std::string log_out;  ///< --backend-log (shadowed only)
+  std::string log_out;
 
-  /// Post-parse consistency: flag combinations that cannot mean anything.
-  /// Returns nullptr when consistent, else the complaint for bad_flag().
-  [[nodiscard]] const char* validate() const {
-    if (kind != "cpu" && kind != "unreliable" && kind != "shadowed") {
-      return "--backend must be cpu, unreliable, or shadowed";
+  std::vector<Flag> flags() {
+    return {
+        {"--backend", &kind, "cpu|unreliable|shadowed",
+         "compute substrate for the preprocessing (default: the inline CPU "
+         "path)"},
+        {"--compute-fault-rate", &fault_rate, "X",
+         "silent-corruption rate of the unreliable substrate", 0, 1},
+        {"--compute-fault-seed", &fault_seed, "S",
+         "seed of the unreliable substrate's fault model"},
+        {"--shadow-rate", &shadow_rate, "X",
+         "fraction of requests the shadowed backend re-executes on the "
+         "trusted CPU and byte-compares",
+         0, 1},
+        {"--backend-log", &log_out, "FILE",
+         "write the shadow guard's per-request decision log as JSONL"},
+    };
+  }
+
+  /// Flag combinations that cannot mean anything; 0 when consistent.
+  [[nodiscard]] int validate(const Cli& cli) const {
+    if (cli.seen({&shadow_rate}) && kind != BackendKind::kShadowed) {
+      return cli.fail(&shadow_rate, "requires --backend shadowed");
     }
-    if (shadow_rate_set && kind != "shadowed") {
-      return "--shadow-rate requires --backend shadowed";
+    if (const void* t = cli.seen({&fault_rate, &fault_seed});
+        t != nullptr && (kind == BackendKind::kInline ||
+                         kind == BackendKind::kCpu)) {
+      return cli.fail(t, "requires --backend unreliable or shadowed");
     }
-    if ((fault_rate_set || fault_seed_set) && kind == "cpu") {
-      return "--compute-fault-rate/--compute-fault-seed require --backend "
-             "unreliable or shadowed";
+    if (!log_out.empty() && kind != BackendKind::kShadowed) {
+      return cli.fail(&log_out, "requires --backend shadowed");
     }
-    if (!log_out.empty() && kind != "shadowed") {
-      return "--backend-log requires --backend shadowed";
-    }
-    if (!(shadow_rate >= 0.0 && shadow_rate <= 1.0)) {
-      return "--shadow-rate outside [0, 1]";
-    }
-    if (!(fault_rate >= 0.0 && fault_rate <= 1.0)) {
-      return "--compute-fault-rate outside [0, 1]";
-    }
-    return nullptr;
+    return 0;
   }
 
   /// Builds the configured backend stack; null when the flags ask for the
@@ -341,14 +449,14 @@ struct BackendOptions {
   [[nodiscard]] std::shared_ptr<spacefts::backend::Backend> build(
       std::shared_ptr<spacefts::backend::ShadowBackend>* shadow) const {
     namespace be = spacefts::backend;
-    if (!kind_set) return nullptr;
+    if (kind == BackendKind::kInline) return nullptr;
     auto cpu = std::make_shared<be::CpuBackend>();
-    if (kind == "cpu") return cpu;
+    if (kind == BackendKind::kCpu) return cpu;
     spacefts::fault::ComputeFaultConfig faults;
     faults.fault_rate = fault_rate;
     faults.seed = fault_seed;
     auto unreliable = std::make_shared<be::UnreliableBackend>(cpu, faults);
-    if (kind == "unreliable") return unreliable;
+    if (kind == BackendKind::kUnreliable) return unreliable;
     be::ShadowConfig sc;
     sc.shadow_rate = shadow_rate;
     auto shadowed = std::make_shared<be::ShadowBackend>(unreliable, cpu, sc);
@@ -356,49 +464,6 @@ struct BackendOptions {
     return shadowed;
   }
 };
-
-/// Folds one backend flag into \p opts.  Returns 1 when consumed, 0 when
-/// \p arg is not a backend flag, and a negative exit code (-kExitBadFlag)
-/// on a malformed value.
-template <typename ValueFn>
-int parse_backend_flag(const std::string& arg, ValueFn&& value,
-                       BackendOptions& opts) {
-  if (arg == "--backend") {
-    const char* v = value();
-    if (v == nullptr) return -bad_flag(arg, "missing backend name");
-    opts.kind = v;
-    opts.kind_set = true;
-    return 1;
-  }
-  if (arg == "--shadow-rate") {
-    if (!parse_double(value(), opts.shadow_rate)) {
-      return -bad_flag(arg, "bad value");
-    }
-    opts.shadow_rate_set = true;
-    return 1;
-  }
-  if (arg == "--compute-fault-rate") {
-    if (!parse_double(value(), opts.fault_rate)) {
-      return -bad_flag(arg, "bad value");
-    }
-    opts.fault_rate_set = true;
-    return 1;
-  }
-  if (arg == "--compute-fault-seed") {
-    if (!parse_u64(value(), opts.fault_seed)) {
-      return -bad_flag(arg, "bad value");
-    }
-    opts.fault_seed_set = true;
-    return 1;
-  }
-  if (arg == "--backend-log") {
-    const char* v = value();
-    if (v == nullptr) return -bad_flag(arg, "missing file argument");
-    opts.log_out = v;
-    return 1;
-  }
-  return 0;
-}
 
 /// Exports a shadow guard's canonical decision log (sorted, deduplicated)
 /// as JSON-lines, replacing any previous run's log.
@@ -427,6 +492,16 @@ int parse_backend_flag(const std::string& arg, ValueFn&& value,
 struct TelemetryOptions {
   std::string trace_out;
   std::string metrics_out;
+
+  std::vector<Flag> flags() {
+    return {
+        {"--trace-out", &trace_out, "FILE",
+         "write a Chrome trace_event JSON of the run (chrome://tracing or "
+         "Perfetto)"},
+        {"--metrics-out", &metrics_out, "FILE",
+         "write the telemetry counters and histograms as JSONL"},
+    };
+  }
 
   [[nodiscard]] bool requested() const {
     return !trace_out.empty() || !metrics_out.empty();
@@ -505,26 +580,17 @@ spacefts::common::TemporalStack<std::uint16_t> load_stack(
   return std::move(result.stack);
 }
 
-int cmd_gen(int argc, char** argv) {
-  std::vector<const char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) return bad_flag(arg, "unknown flag");
-    positional.push_back(argv[i]);
-  }
-  if (positional.empty() || positional.size() > 4) return usage();
-  const std::string out = positional[0];
+int cmd_gen(Cli& cli) {
+  std::string out;
   std::size_t frames = 64, side = 32;
   std::uint64_t seed = 1;
-  if (positional.size() > 1 && !parse_size(positional[1], frames)) {
-    return bad_flag(positional[1], "bad frames value");
-  }
-  if (positional.size() > 2 && !parse_size(positional[2], side)) {
-    return bad_flag(positional[2], "bad side value");
-  }
-  if (positional.size() > 3 && !parse_u64(positional[3], seed)) {
-    return bad_flag(positional[3], "bad seed value");
-  }
+  const Flag flags[] = {
+      {"<out.fits>", &out, "", "output FITS path"},
+      {"[frames]", &frames, "", "readouts", 1},
+      {"[side]", &side, "", "image side in pixels"},
+      {"[seed]", &seed, "", "scene seed"},
+  };
+  if (const auto rc = cli.parse({flags})) return *rc;
 
   spacefts::datagen::NgstSimulator sim(seed);
   spacefts::datagen::SceneParams scene;
@@ -537,30 +603,20 @@ int cmd_gen(int argc, char** argv) {
   return 0;
 }
 
-int cmd_corrupt(int argc, char** argv) {
-  std::vector<const char*> positional;
-  bool hit_header = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--header") {
-      hit_header = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 3 || positional.size() > 4) return usage();
-  const std::string in = positional[0];
-  const std::string out = positional[1];
+int cmd_corrupt(Cli& cli) {
+  std::string in, out;
   double gamma0 = 0.0;
   std::uint64_t seed = 2;
-  if (!parse_double(positional[2], gamma0)) {
-    return bad_flag(positional[2], "bad gamma0 value");
-  }
-  if (positional.size() > 3 && !parse_u64(positional[3], seed)) {
-    return bad_flag(positional[3], "bad seed value");
-  }
+  bool hit_header = false;
+  const Flag flags[] = {
+      {"<in>", &in, "", "input FITS path"},
+      {"<out>", &out, "", "output FITS path"},
+      {"<gamma0>", &gamma0, "", "bit-flip probability per data bit", 0, 1},
+      {"[seed]", &seed, "", "fault seed"},
+      {"--header", &hit_header, "",
+       "also damage one structural keyword (NAXIS1 of the middle HDU)"},
+  };
+  if (const auto rc = cli.parse({flags})) return *rc;
 
   auto file = spacefts::fits::read_file(in);
   spacefts::common::Rng rng(seed);
@@ -590,56 +646,25 @@ int cmd_corrupt(int argc, char** argv) {
   return 0;
 }
 
-int cmd_ingest(int argc, char** argv) {
-  // Positional <in> <out> [lambda] [upsilon]; flags may appear anywhere.
-  std::vector<const char*> positional;
-  std::size_t threads = 1;
-  spacefts::core::Kernel kernel = spacefts::core::Kernel::kAuto;
+int cmd_ingest(Cli& cli) {
+  std::string in, out;
+  spacefts::ingest::IngestConfig config;
   TelemetryOptions telem;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--threads") {
-      const char* v = value();
-      if (!parse_size(v, threads)) return bad_flag(arg, "bad thread count");
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 2 || positional.size() > 4) return usage();
-  const std::string in = positional[0];
-  const std::string out = positional[1];
-  double lambda = 80.0;
-  std::size_t upsilon = 4;
-  if (positional.size() > 2 && !parse_double(positional[2], lambda)) {
-    return bad_flag(positional[2], "bad lambda value");
-  }
-  if (positional.size() > 3 && !parse_size(positional[3], upsilon)) {
-    return bad_flag(positional[3], "bad upsilon value");
+  const Flag flags[] = {
+      {"<in>", &in, "", "input FITS path"},
+      {"<out>", &out, "", "repaired baseline output path"},
+      {"[lambda]", &config.algo.lambda, "", "voter sensitivity", 0, 100},
+      {"[upsilon]", &config.algo.upsilon, "",
+       "temporal neighbours consulted (even)", 2},
+      {"--threads", &config.algo.threads, "N",
+       "preprocessing worker lanes (0 = all hardware threads)"},
+  };
+  if (const auto rc = cli.parse(
+          {flags, kernel_flags(config.algo.kernel), telem.flags()})) {
+    return *rc;
   }
 
   const auto bytes = spacefts::fits::read_bytes(in);
-  spacefts::ingest::IngestConfig config;
-  config.algo.lambda = lambda;
-  config.algo.upsilon = upsilon;
-  config.algo.threads = threads;
-  config.algo.kernel = kernel;
   config.expectation = probe_expectation(bytes);
 
   telem.arm();
@@ -665,12 +690,11 @@ int cmd_ingest(int argc, char** argv) {
   return telem.finish();
 }
 
-int cmd_info(int argc, char** argv) {
-  if (argc != 3) return usage();
-  if (std::string(argv[2]).rfind("--", 0) == 0) {
-    return bad_flag(argv[2], "unknown flag");
-  }
-  const auto file = spacefts::fits::read_file(argv[2]);
+int cmd_info(Cli& cli) {
+  std::string in;
+  const Flag flags[] = {{"<in>", &in, "", "FITS path"}};
+  if (const auto rc = cli.parse({flags})) return *rc;
+  const auto file = spacefts::fits::read_file(in);
   std::printf("%zu HDU(s)\n", file.hdus().size());
   for (std::size_t i = 0; i < file.hdus().size(); ++i) {
     const auto& hdu = file.hdus()[i];
@@ -684,15 +708,13 @@ int cmd_info(int argc, char** argv) {
   return 0;
 }
 
-int cmd_psi(int argc, char** argv) {
-  if (argc != 4) return usage();
-  for (int i = 2; i < 4; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) == 0) {
-      return bad_flag(argv[i], "unknown flag");
-    }
-  }
-  const auto a = load_stack(argv[2]);
-  const auto b = load_stack(argv[3]);
+int cmd_psi(Cli& cli) {
+  std::string path_a, path_b;
+  const Flag flags[] = {{"<a>", &path_a, "", "first baseline"},
+                        {"<b>", &path_b, "", "second baseline"}};
+  if (const auto rc = cli.parse({flags})) return *rc;
+  const auto a = load_stack(path_a);
+  const auto b = load_stack(path_b);
   if (a.cube().size() != b.cube().size()) {
     std::fprintf(stderr, "baseline sizes differ\n");
     return kExitFailure;
@@ -703,94 +725,46 @@ int cmd_psi(int argc, char** argv) {
   return 0;
 }
 
-[[nodiscard]] bool parse_grid(const char* text, std::vector<double>& values) {
-  values.clear();
-  if (text == nullptr) return false;
-  const std::string s = text;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string item =
-        s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                 : comma - pos);
-    if (!item.empty()) {
-      double v = 0.0;
-      if (!parse_double(item.c_str(), v)) return false;
-      values.push_back(v);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !values.empty();
-}
-
-int cmd_pipeline(int argc, char** argv) {
+int cmd_pipeline(Cli& cli) {
   // One end-to-end run under a deliberately lively default fault model, so
   // a default invocation's trace shows the full protocol (retries, CRC
   // rejects, degraded completions) rather than a straight-line success.
-  std::size_t side = 32, frames = 16, workers = 4, fragment_side = 16,
-              retries = 3, threads = 1;
-  double gamma0 = 0.002, crash_prob = 0.1, link_loss = 0.3, lambda = 80.0;
+  std::size_t side = 32, frames = 16;
+  double link_loss = 0.3;
   double control_budget_ms = 0.0;  ///< > 0: fit lambda/upsilon to budget
   std::uint64_t seed = 42;
-  spacefts::core::Kernel kernel = spacefts::core::Kernel::kAuto;
+  spacefts::dist::PipelineConfig pc;
+  pc.workers = 4;
+  pc.fragment_side = 16;
+  pc.gamma0 = 0.002;
+  pc.worker_crash_prob = 0.1;
   TelemetryOptions telem;
   BackendOptions bopts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (const int brc = parse_backend_flag(arg, value, bopts)) {
-      if (brc < 0) return -brc;
-      continue;
-    }
-    if (arg == "--side") {
-      if (!parse_size(value(), side)) return bad_flag(arg, "bad value");
-    } else if (arg == "--frames") {
-      if (!parse_size(value(), frames)) return bad_flag(arg, "bad value");
-    } else if (arg == "--workers") {
-      if (!parse_size(value(), workers)) return bad_flag(arg, "bad value");
-    } else if (arg == "--fragment-side") {
-      if (!parse_size(value(), fragment_side)) return bad_flag(arg, "bad value");
-    } else if (arg == "--gamma0") {
-      if (!parse_double(value(), gamma0)) return bad_flag(arg, "bad value");
-    } else if (arg == "--crash") {
-      if (!parse_double(value(), crash_prob)) return bad_flag(arg, "bad value");
-    } else if (arg == "--link-loss") {
-      if (!parse_double(value(), link_loss)) return bad_flag(arg, "bad value");
-    } else if (arg == "--lambda") {
-      if (!parse_double(value(), lambda)) return bad_flag(arg, "bad value");
-    } else if (arg == "--control-budget-ms") {
-      if (!parse_double(value(), control_budget_ms) ||
-          control_budget_ms <= 0.0) {
-        return bad_flag(arg, "budget must be > 0 ms");
-      }
-    } else if (arg == "--retries") {
-      if (!parse_size(value(), retries)) return bad_flag(arg, "bad value");
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), threads)) return bad_flag(arg, "bad value");
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
+  const Flag flags[] = {
+      {"--side", &side, "N", "image side in pixels", 1},
+      {"--frames", &frames, "N", "readouts", 3},
+      {"--workers", &pc.workers, "N", "simulated workers", 1},
+      {"--fragment-side", &pc.fragment_side, "N",
+       "fragment tile side (must divide --side)", 1},
+      {"--gamma0", &pc.gamma0, "X", "memory bit-flip probability", 0, 1},
+      {"--crash", &pc.worker_crash_prob, "X", "worker crash probability", 0,
+       1},
+      {"--link-loss", &link_loss, "X",
+       "link drop/corrupt/delay probability (half as many duplicates)", 0, 1},
+      {"--lambda", &pc.algo.lambda, "X", "voter sensitivity", 0, 100},
+      {"--control-budget-ms", &control_budget_ms, "X",
+       "fit lambda and upsilon to this virtual-cost budget (overrides "
+       "--lambda)",
+       kPositive},
+      {"--retries", &pc.max_link_retries, "N", "link retry budget per tile"},
+      {"--seed", &seed, "S", "scene and fault seed"},
+      {"--threads", &pc.threads, "N", "preprocessing worker lanes"},
+  };
+  if (const auto rc = cli.parse({flags, kernel_flags(pc.algo.kernel),
+                                 bopts.flags(), telem.flags()})) {
+    return *rc;
   }
-  if (const char* err = bopts.validate()) return bad_flag("--backend", err);
+  if (const int rc = bopts.validate(cli)) return rc;
 
   telem.arm();
   spacefts::datagen::NgstSimulator gen(seed);
@@ -806,7 +780,7 @@ int cmd_pipeline(int argc, char** argv) {
   ic.expectation.width = static_cast<std::int64_t>(side);
   ic.expectation.height = static_cast<std::int64_t>(side);
   ic.algo.lambda = 0.0;
-  ic.algo.kernel = kernel;
+  ic.algo.kernel = pc.algo.kernel;
   const spacefts::ingest::IngestGuard guard(ic);
   auto ingested = guard.ingest(spacefts::ingest::IngestGuard::pack(readouts));
   if (!ingested.ok) {
@@ -816,19 +790,10 @@ int cmd_pipeline(int argc, char** argv) {
   }
   readouts = std::move(ingested.stack);
 
-  spacefts::dist::PipelineConfig pc;
-  pc.workers = workers;
-  pc.fragment_side = fragment_side;
-  pc.gamma0 = gamma0;
-  pc.worker_crash_prob = crash_prob;
   pc.link.faults.drop_prob = link_loss;
   pc.link.faults.corrupt_prob = link_loss;
   pc.link.faults.duplicate_prob = link_loss / 2.0;
   pc.link.faults.delay_prob = link_loss;
-  pc.algo.lambda = lambda;
-  pc.algo.kernel = kernel;
-  pc.threads = threads;
-  pc.max_link_retries = retries;
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
   if (const auto backend = bopts.build(&shadow)) {
     // Fragment i computes as epoch 1 + i so fault plans and shadow samples
@@ -895,97 +860,50 @@ int cmd_pipeline(int argc, char** argv) {
 /// deframe → science product) and report fidelity vs the clean-chain
 /// golden.  --out writes the received product as a Rice-compressed FITS —
 /// deterministic bytes, so CI `cmp`s runs across thread counts.
-int cmd_downlink(int argc, char** argv) {
+int cmd_downlink(Cli& cli) {
   spacefts::downlink::ChainConfig config;
   std::string out_path, golden_path;
+  double link_loss = 0.0;
+  bool no_preprocess = false;
   BackendOptions backend;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const int backend_taken = parse_backend_flag(arg, value, backend);
-    if (backend_taken < 0) return -backend_taken;
-    if (backend_taken > 0) continue;
-    if (arg == "--workload") {
-      const char* v = value();
-      if (v != nullptr && std::string(v) == "ngst") {
-        config.workload = spacefts::downlink::ChainWorkload::kNgstImage;
-      } else if (v != nullptr && std::string(v) == "telemetry") {
-        config.workload = spacefts::downlink::ChainWorkload::kTelemetry;
-      } else {
-        return bad_flag(arg, "must be ngst or telemetry");
-      }
-    } else if (arg == "--side") {
-      if (!parse_size(value(), config.side) || config.side == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--frames") {
-      if (!parse_size(value(), config.frames) || config.frames < 3) {
-        return bad_flag(arg, "need >= 3 frames");
-      }
-    } else if (arg == "--tile-rows") {
-      if (!parse_size(value(), config.tile_rows) || config.tile_rows == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--lambda") {
-      if (!parse_double(value(), config.lambda) || config.lambda < 0.0 ||
-          config.lambda > 100.0) {
-        return bad_flag(arg, "lambda must be in [0, 100]");
-      }
-    } else if (arg == "--upsilon") {
-      if (!parse_size(value(), config.upsilon) || config.upsilon == 0 ||
-          config.upsilon % 2 != 0) {
-        return bad_flag(arg, "upsilon must be a positive even count");
-      }
-    } else if (arg == "--gamma0") {
-      if (!parse_double(value(), config.gamma0) || config.gamma0 < 0.0 ||
-          config.gamma0 > 1.0) {
-        return bad_flag(arg, "gamma0 must be in [0, 1]");
-      }
-    } else if (arg == "--link-loss") {
-      double loss = 0.0;
-      if (!parse_double(value(), loss) || loss < 0.0 || loss > 1.0) {
-        return bad_flag(arg, "link-loss must be in [0, 1]");
-      }
-      config.link.drop_prob = loss;
-      config.link.corrupt_prob = loss;
-      config.link.duplicate_prob = loss / 2.0;
-      config.link.delay_prob = loss;
-    } else if (arg == "--no-preprocess") {
-      config.preprocess = false;
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), config.seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), config.threads)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), config.kernel)) {
-        return bad_flag(arg, "must be auto, scalar, swar, or avx2");
-      }
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      out_path = v;
-    } else if (arg == "--golden-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      golden_path = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
+  const Flag flags[] = {
+      {"--workload", &config.workload, "ngst|telemetry",
+       "image stack or 1D telemetry channel bank"},
+      {"--side", &config.side, "N", "image side / telemetry channels", 1},
+      {"--frames", &config.frames, "N", "readouts / samples per channel", 3},
+      {"--tile-rows", &config.tile_rows, "N", "product rows per downlink frame",
+       1},
+      {"--lambda", &config.lambda, "X", "voter sensitivity", 0, 100},
+      {"--upsilon", &config.upsilon, "N", "temporal neighbours (even)", 2},
+      {"--gamma0", &config.gamma0, "X", "on-board memory bit-flip probability",
+       0, 1},
+      {"--link-loss", &link_loss, "X",
+       "link drop/corrupt/delay probability (half as many duplicates)", 0, 1},
+      {"--no-preprocess", &no_preprocess, "",
+       "skip the voter (the paper's control arm)"},
+      {"--seed", &config.seed, "S", "flight seed"},
+      {"--threads", &config.threads, "N", "preprocessing worker lanes"},
+      {"--out", &out_path, "FILE",
+       "write the received product as Rice-compressed FITS"},
+      {"--golden-out", &golden_path, "FILE",
+       "write the clean-chain golden product the same way"},
+  };
+  if (const auto rc = cli.parse(
+          {flags, kernel_flags(config.kernel), backend.flags()})) {
+    return *rc;
   }
-  if (const char* complaint = backend.validate()) {
-    return bad_flag("--backend", complaint);
-  }
+  if (config.upsilon % 2 != 0) return cli.fail(&config.upsilon, "must be even");
+  if (const int rc = backend.validate(cli)) return rc;
   for (const std::string* path : {&out_path, &golden_path}) {
     if (!path->empty() && !probe_writable(*path)) {
-      return bad_flag("--out/--golden-out", "path is not writable");
+      return cli.fail(path, "path is not writable");
     }
   }
+  config.link.drop_prob = link_loss;
+  config.link.corrupt_prob = link_loss;
+  config.link.duplicate_prob = link_loss / 2.0;
+  config.link.delay_prob = link_loss;
+  config.preprocess = !no_preprocess;
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
   config.backend = backend.build(&shadow);
 
@@ -1044,218 +962,144 @@ int cmd_downlink(int argc, char** argv) {
   return 0;
 }
 
-/// Parses a --shard-kill operand of the form "I@C": kill shard I once the
-/// router has recorded C results.
-bool parse_shard_kill(const char* text, std::size_t& shard,
-                      std::uint64_t& after) {
-  if (text == nullptr) return false;
-  const std::string token(text);
-  const auto at = token.find('@');
-  if (at == std::string::npos || at == 0 || at + 1 == token.size()) {
-    return false;
+/// The tail every campaign mode shares: report where the rows went, flush
+/// the telemetry, then apply the mode's regression gate under --enforce.
+/// \p gate returns the violation count and fills its diagnostics.
+int finish_campaign(bool written, const std::string& path,
+                    const std::string& summary, const TelemetryOptions& telem,
+                    bool enforce,
+                    const std::function<std::size_t(std::string&)>& gate) {
+  if (!written) {
+    std::fprintf(stderr, "campaign: cannot write %s\n", path.c_str());
+    return kExitFailure;
   }
-  return parse_size(token.substr(0, at).c_str(), shard) &&
-         parse_u64(token.substr(at + 1).c_str(), after);
+  std::printf("campaign: %s %s\n", summary.c_str(), path.c_str());
+  const int telem_rc = telem.finish();
+  if (enforce) {
+    std::string diagnostics;
+    const std::size_t violations = gate(diagnostics);
+    if (violations > 0) {
+      std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
+                   violations, diagnostics.c_str());
+      return kExitFailure;
+    }
+    std::printf("campaign enforce: pass\n");
+  }
+  return telem_rc;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  spacefts::campaign::CampaignConfig config;
+int cmd_campaign(Cli& cli) {
+  namespace campaign = spacefts::campaign;
+  campaign::CampaignConfig config;
   std::string out_path = "BENCH_campaign.json";
   bool enforce = false;
   // Drifting-gamma0 controller sweep (--control): reuses --gamma0 as the
   // phase schedule and --lambda as the fixed-baseline grid.
-  bool control_mode = false, gamma_set = false, lambda_set = false,
-       link_set = false, out_set = false;
+  bool control_mode = false;
   std::size_t phase_len = 96, drift_shards = 0;
-  std::vector<std::pair<std::size_t, std::uint64_t>> drift_kills;
+  ShardKills drift_kills;
   double control_budget_ms = 0.0;
   // Compute-fault x shadow-rate sweep (--compute): detected-vs-escaped
   // curve for the backend subsystem's untrusted-accelerator axis.
   bool compute_mode = false;
-  spacefts::campaign::ComputeSweepConfig compute_cfg;
-  bool fault_rates_set = false, shadow_rates_set = false, requests_set = false;
+  campaign::ComputeSweepConfig compute_cfg;
   // End-to-end downlink fidelity sweep (--downlink): reuses the --gamma0/
   // --link-loss/--lambda grids as chain axes.
   bool downlink_mode = false;
-  spacefts::campaign::DownlinkSweepConfig downlink_cfg;
-  bool downlink_shape_set = false;
+  campaign::DownlinkSweepConfig downlink_cfg;
   TelemetryOptions telem;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--gamma0") {
-      if (!parse_grid(value(), config.gamma0_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      gamma_set = true;
-    } else if (arg == "--crash") {
-      if (!parse_grid(value(), config.crash_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-    } else if (arg == "--link-loss") {
-      if (!parse_grid(value(), config.link_loss_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      link_set = true;
-    } else if (arg == "--lambda") {
-      if (!parse_grid(value(), config.lambda_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      lambda_set = true;
-    } else if (arg == "--control") {
-      control_mode = true;
-    } else if (arg == "--compute") {
-      compute_mode = true;
-    } else if (arg == "--downlink") {
-      downlink_mode = true;
-    } else if (arg == "--workloads") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing list");
-      downlink_cfg.workload_grid.clear();
-      std::stringstream list(v);
-      std::string token;
-      while (std::getline(list, token, ',')) {
-        if (token == "ngst") {
-          downlink_cfg.workload_grid.push_back(
-              spacefts::downlink::ChainWorkload::kNgstImage);
-        } else if (token == "telemetry") {
-          downlink_cfg.workload_grid.push_back(
-              spacefts::downlink::ChainWorkload::kTelemetry);
-        } else {
-          return bad_flag(arg, "workloads are ngst and telemetry");
-        }
-      }
-      if (downlink_cfg.workload_grid.empty()) {
-        return bad_flag(arg, "missing list");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--side") {
-      if (!parse_size(value(), downlink_cfg.side) || downlink_cfg.side == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--frames") {
-      if (!parse_size(value(), downlink_cfg.frames) ||
-          downlink_cfg.frames < 3) {
-        return bad_flag(arg, "need >= 3 frames");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--tile-rows") {
-      if (!parse_size(value(), downlink_cfg.tile_rows) ||
-          downlink_cfg.tile_rows == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--fault-rates") {
-      if (!parse_grid(value(), compute_cfg.fault_rate_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      fault_rates_set = true;
-    } else if (arg == "--shadow-rates") {
-      if (!parse_grid(value(), compute_cfg.shadow_rate_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      shadow_rates_set = true;
-    } else if (arg == "--requests") {
-      if (!parse_size(value(), compute_cfg.requests) ||
-          compute_cfg.requests == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      requests_set = true;
-    } else if (arg == "--phase-len") {
-      if (!parse_size(value(), phase_len) || phase_len == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--shards") {
-      if (!parse_size(value(), drift_shards) || drift_shards == 0) {
-        return bad_flag(arg, "must be a positive shard count");
-      }
-    } else if (arg == "--shard-kill") {
-      std::size_t victim = 0;
-      std::uint64_t after = 0;
-      if (!parse_shard_kill(value(), victim, after)) {
-        return bad_flag(arg, "expected SHARD@RESULT_COUNT (e.g. 1@50)");
-      }
-      drift_kills.emplace_back(victim, after);
-    } else if (arg == "--control-budget-ms") {
-      if (!parse_double(value(), control_budget_ms) ||
-          control_budget_ms <= 0.0) {
-        return bad_flag(arg, "budget must be > 0 ms");
-      }
-    } else if (arg == "--trials") {
-      if (!parse_size(value(), config.trials)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), config.seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), config.threads)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--retries") {
-      if (!parse_size(value(), config.max_link_retries)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--no-retries") {
-      config.max_link_retries = 0;
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      out_path = v;
-      out_set = true;
-    } else if (arg == "--enforce") {
-      enforce = true;
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
-  }
+  const Flag flags[] = {
+      {"--gamma0", &config.gamma0_grid, "a,b", "memory bit-flip grid", 0, 1},
+      {"--crash", &config.crash_grid, "a,b", "worker crash grid", 0, 1},
+      {"--link-loss", &config.link_loss_grid, "a,b", "link-loss grid", 0, 1},
+      {"--lambda", &config.lambda_grid, "a,b", "voter sensitivity grid", 0,
+       100},
+      {"--trials", &config.trials, "N", "trials per cell", 1},
+      {"--seed", &config.seed, "S", "campaign seed"},
+      {"--threads", &config.threads, "N",
+       "trial lanes (serve workers under --control)"},
+      {"--retries", &config.max_link_retries, "N", "link retry budget"},
+      {"--out", &out_path, "FILE",
+       "JSONL rows (--control writes control_drift.jsonl by default)"},
+      {"--enforce", &enforce, "", "exit 1 on any regression-gate violation"},
+      {"--control", &control_mode, "",
+       "drifting-gamma0 controller sweep instead of the fault grid"},
+      {"--phase-len", &phase_len, "N", "requests per gamma0 phase (--control)",
+       1},
+      {"--shards", &drift_shards, "N", "router shards (--control)", 1},
+      {"--shard-kill", &drift_kills, "SHARD@RESULT_COUNT",
+       "kill a shard mid-load (--control)"},
+      {"--control-budget-ms", &control_budget_ms, "X",
+       "controller deadline budget (--control)", kPositive},
+      {"--compute", &compute_mode, "",
+       "compute-fault x shadow-rate detected-vs-escaped sweep"},
+      {"--fault-rates", &compute_cfg.fault_rate_grid, "a,b",
+       "compute fault-rate grid (--compute)", 0, 1},
+      {"--shadow-rates", &compute_cfg.shadow_rate_grid, "a,b",
+       "shadow-rate grid (--compute)", 0, 1},
+      {"--requests", &compute_cfg.requests, "N",
+       "requests per cell (--compute)", 1},
+      {"--downlink", &downlink_mode, "",
+       "end-to-end fidelity sweep, preprocessing on vs off"},
+      {"--workloads", &downlink_cfg.workload_grid, "ngst,telemetry",
+       "chain workloads (--downlink)"},
+      {"--side", &downlink_cfg.side, "N", "image side (--downlink)", 1},
+      {"--frames", &downlink_cfg.frames, "N", "readouts (--downlink)", 3},
+      {"--tile-rows", &downlink_cfg.tile_rows, "N",
+       "product rows per frame (--downlink)", 1},
+  };
+  if (const auto rc = cli.parse({flags, telem.flags()})) return *rc;
 
-  if (!control_mode &&
-      (drift_shards > 0 || !drift_kills.empty() || control_budget_ms > 0.0)) {
-    return bad_flag("--shards/--shard-kill/--control-budget-ms",
-                    "require --control");
+  if (const void* t = cli.seen({&drift_shards, &drift_kills,
+                                &control_budget_ms});
+      t != nullptr && !control_mode) {
+    return cli.fail(t, "requires --control");
   }
   if (control_mode + compute_mode + downlink_mode > 1) {
-    return bad_flag("--control/--compute/--downlink",
-                    "modes are mutually exclusive");
+    return cli.fail(downlink_mode ? &downlink_mode : &compute_mode,
+                    "cannot be combined with another campaign mode");
   }
-  if (!compute_mode && (fault_rates_set || shadow_rates_set || requests_set)) {
-    return bad_flag("--fault-rates/--shadow-rates/--requests",
-                    "require --compute");
+  if (const void* t = cli.seen({&compute_cfg.fault_rate_grid,
+                                &compute_cfg.shadow_rate_grid,
+                                &compute_cfg.requests});
+      t != nullptr && !compute_mode) {
+    return cli.fail(t, "requires --compute");
   }
-  if (!downlink_mode && downlink_shape_set) {
-    return bad_flag("--workloads/--side/--frames/--tile-rows",
-                    "require --downlink");
+  if (const void* t =
+          cli.seen({&downlink_cfg.workload_grid, &downlink_cfg.side,
+                    &downlink_cfg.frames, &downlink_cfg.tile_rows});
+      t != nullptr && !downlink_mode) {
+    return cli.fail(t, "requires --downlink");
   }
 
+  // The downlink and compute sweeps upsert keyed rows into --out.
+  const auto finish_sweep = [&](const auto& report, const char* sweep) {
+    return finish_campaign(
+        spacefts::telemetry::jsonl::upsert_jsonl(
+            campaign::to_jsonl(report), campaign::campaign_row_key, out_path),
+        out_path,
+        std::string(sweep) + ", " + std::to_string(report.cells.size()) +
+            " cells; appended to",
+        telem, enforce,
+        [&](std::string& d) { return campaign::enforce(report, d); });
+  };
   if (downlink_mode) {
     // Shared grid flags override the sweep's own defaults only when given
     // explicitly — the classic campaign's defaults are not chain defaults.
-    if (gamma_set) downlink_cfg.gamma0_grid = config.gamma0_grid;
-    if (link_set) downlink_cfg.link_loss_grid = config.link_loss_grid;
-    if (lambda_set) downlink_cfg.lambda_grid = config.lambda_grid;
+    if (cli.seen({&config.gamma0_grid})) {
+      downlink_cfg.gamma0_grid = config.gamma0_grid;
+    }
+    if (cli.seen({&config.link_loss_grid})) {
+      downlink_cfg.link_loss_grid = config.link_loss_grid;
+    }
+    if (cli.seen({&config.lambda_grid})) {
+      downlink_cfg.lambda_grid = config.lambda_grid;
+    }
     downlink_cfg.trials = config.trials;
     downlink_cfg.seed = config.seed;
     downlink_cfg.threads = config.threads;
     telem.arm();
-    spacefts::campaign::DownlinkSweepReport report;
-    try {
-      report = spacefts::campaign::run_downlink_sweep(downlink_cfg);
-    } catch (const std::invalid_argument& ex) {
-      return bad_flag("--downlink", ex.what());
-    }
+    const auto report = campaign::run_downlink_sweep(downlink_cfg);
     std::printf("%-10s %8s %10s %8s %9s %9s %9s %9s %9s\n", "workload",
                 "gamma0", "link_loss", "lambda", "psnr_on", "psnr_off",
                 "match_on", "match_off", "degraded");
@@ -1265,38 +1109,13 @@ int cmd_campaign(int argc, char** argv) {
                   c.link_loss, c.lambda, c.psnr_on_db, c.psnr_off_db,
                   c.match_on, c.match_off, c.degraded_on, c.degraded_off);
     }
-    if (!spacefts::telemetry::jsonl::upsert_jsonl(
-            spacefts::campaign::to_jsonl(report),
-            spacefts::campaign::campaign_row_key, out_path)) {
-      std::fprintf(stderr, "campaign: cannot write %s\n", out_path.c_str());
-      return kExitFailure;
-    }
-    std::printf("campaign: downlink sweep, %zu cells; appended to %s\n",
-                report.cells.size(), out_path.c_str());
-    const int telem_rc = telem.finish();
-    if (enforce) {
-      std::string diagnostics;
-      const std::size_t violations =
-          spacefts::campaign::enforce(report, diagnostics);
-      if (violations > 0) {
-        std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                     violations, diagnostics.c_str());
-        return kExitFailure;
-      }
-      std::printf("campaign enforce: pass\n");
-    }
-    return telem_rc;
+    return finish_sweep(report, "downlink sweep");
   }
 
   if (compute_mode) {
     compute_cfg.seed = config.seed;
     telem.arm();
-    spacefts::campaign::ComputeSweepReport report;
-    try {
-      report = spacefts::campaign::run_compute_sweep(compute_cfg);
-    } catch (const std::invalid_argument& ex) {
-      return bad_flag("--fault-rates/--shadow-rates", ex.what());
-    }
+    const auto report = campaign::run_compute_sweep(compute_cfg);
     std::printf("%-12s %-12s %8s %8s %8s %8s %8s %s\n", "fault_rate",
                 "shadow_rate", "requests", "injected", "detected", "escaped",
                 "stalls", "quarantine");
@@ -1305,32 +1124,12 @@ int cmd_campaign(int argc, char** argv) {
                   c.shadow_rate, c.requests, c.injected, c.detected, c.escaped,
                   c.stalls, c.quarantined ? "yes" : "no");
     }
-    if (!spacefts::telemetry::jsonl::upsert_jsonl(
-            spacefts::campaign::to_jsonl(report),
-            spacefts::campaign::campaign_row_key, out_path)) {
-      std::fprintf(stderr, "campaign: cannot write %s\n", out_path.c_str());
-      return kExitFailure;
-    }
-    std::printf("campaign: compute sweep, %zu cells; appended to %s\n",
-                report.cells.size(), out_path.c_str());
-    const int telem_rc = telem.finish();
-    if (enforce) {
-      std::string diagnostics;
-      const std::size_t violations =
-          spacefts::campaign::enforce(report, diagnostics);
-      if (violations > 0) {
-        std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                     violations, diagnostics.c_str());
-        return kExitFailure;
-      }
-      std::printf("campaign enforce: pass\n");
-    }
-    return telem_rc;
+    return finish_sweep(report, "compute sweep");
   }
 
   if (control_mode) {
-    spacefts::campaign::DriftConfig dc;
-    if (gamma_set) {
+    campaign::DriftConfig dc;
+    if (cli.seen({&config.gamma0_grid})) {
       dc.phases.clear();
       for (const double gamma0 : config.gamma0_grid) {
         dc.phases.push_back({gamma0, phase_len});
@@ -1338,7 +1137,7 @@ int cmd_campaign(int argc, char** argv) {
     } else {
       for (auto& phase : dc.phases) phase.requests = phase_len;
     }
-    if (lambda_set) dc.lambda_grid = config.lambda_grid;
+    if (cli.seen({&config.lambda_grid})) dc.lambda_grid = config.lambda_grid;
     dc.seed = config.seed;
     // --threads means serve worker threads here (the determinism axis the
     // control-smoke CI job sweeps); the classic grid uses it for trials.
@@ -1350,19 +1149,7 @@ int cmd_campaign(int argc, char** argv) {
     }
 
     telem.arm();
-    const auto report = spacefts::campaign::run_drift(dc);
-    const std::string drift_out =
-        out_set ? out_path : std::string("control_drift.jsonl");
-    {
-      // Truncate, not append: the file is a byte-comparable artifact.
-      std::ofstream out(drift_out, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "campaign: cannot write %s\n",
-                     drift_out.c_str());
-        return kExitFailure;
-      }
-      out << spacefts::campaign::to_jsonl(report);
-    }
+    const auto report = campaign::run_drift(dc);
     for (const auto& arm : report.arms) {
       std::printf(
           "control %-12s science %12.0f  corrected %llu/%llu  vetoed %llu"
@@ -1374,52 +1161,40 @@ int cmd_campaign(int argc, char** argv) {
           arm.virtual_cost_ms_mean, arm.virtual_compliance, arm.decisions,
           arm.raises, arm.relaxes, arm.sheds);
     }
-    std::printf("campaign: controller sweep, %zu arms; wrote %s\n",
-                report.arms.size(), drift_out.c_str());
-    const int telem_rc = telem.finish();
-    if (enforce) {
-      std::string diagnostics;
-      const std::size_t violations =
-          spacefts::campaign::enforce_drift(report, diagnostics);
-      if (violations > 0) {
-        std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                     violations, diagnostics.c_str());
-        return kExitFailure;
-      }
-      std::printf("campaign enforce: pass\n");
-    }
-    return telem_rc;
+    const std::string drift_out =
+        cli.seen({&out_path}) ? out_path : std::string("control_drift.jsonl");
+    // Truncate, not append: the file is a byte-comparable artifact.
+    std::ofstream out(drift_out, std::ios::trunc);
+    out << campaign::to_jsonl(report);
+    out.close();
+    return finish_campaign(
+        static_cast<bool>(out), drift_out,
+        std::string("controller sweep, ") + std::to_string(report.arms.size()) +
+            " arms; wrote",
+        telem, enforce,
+        [&](std::string& d) { return campaign::enforce_drift(report, d); });
   }
 
   telem.arm();
-  const auto report = spacefts::campaign::run_campaign(config);
-  spacefts::campaign::append_jsonl(report, out_path);
-  std::printf("campaign: %zu cells, %zu/%zu trials survived; appended to %s\n",
-              report.cells.size(), report.trials_survived, report.trials_run,
-              out_path.c_str());
-  const int telem_rc = telem.finish();
-  if (enforce) {
-    std::string diagnostics;
-    const std::size_t violations =
-        spacefts::campaign::enforce(report, diagnostics);
-    if (violations > 0) {
-      std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                   violations, diagnostics.c_str());
-      return kExitFailure;
-    }
-    std::printf("campaign enforce: pass\n");
-  }
-  return telem_rc;
+  const auto report = campaign::run_campaign(config);
+  campaign::append_jsonl(report, out_path);
+  return finish_campaign(
+      true, out_path,
+      std::to_string(report.cells.size()) + " cells, " +
+          std::to_string(report.trials_survived) + "/" +
+          std::to_string(report.trials_run) + " trials survived; appended to",
+      telem, enforce,
+      [&](std::string& d) { return campaign::enforce(report, d); });
 }
 
-int cmd_serve(int argc, char** argv) {
+int cmd_serve(Cli& cli) {
   std::string replay_path, results_out, workload_out;
   bool gen_only = false, pace = false;
   bool control_enabled = false;
   std::string control_out;
   spacefts::control::ControlConfig control_cfg;
   std::size_t shards = 0;  ///< 0 = classic single-server path
-  std::vector<std::pair<std::size_t, std::uint64_t>> shard_kills;
+  ShardKills shard_kills;
   spacefts::fault::ShardFaultConfig chaos;
   spacefts::serve::WorkloadSpec spec;
   spacefts::serve::ServerConfig config;
@@ -1432,193 +1207,97 @@ int cmd_serve(int argc, char** argv) {
   spec.ngst_frames = 8;
   TelemetryOptions telem;
   BackendOptions bopts;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (const int brc = parse_backend_flag(arg, value, bopts)) {
-      if (brc < 0) return -brc;
-      continue;
-    }
-    if (arg == "--replay") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      replay_path = v;
-    } else if (arg == "--requests") {
-      if (!parse_size(value(), spec.requests)) return bad_flag(arg, "bad value");
-    } else if (arg == "--rate") {
-      if (!parse_double(value(), spec.rate_hz)) return bad_flag(arg, "bad value");
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), spec.seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--otis-frac") {
-      if (!parse_double(value(), spec.otis_fraction)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--pipeline-frac") {
-      if (!parse_double(value(), spec.pipeline_fraction)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--deadline-ms") {
-      if (!parse_double(value(), spec.deadline_ms)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--priorities") {
-      std::size_t levels = 0;
-      if (!parse_size(value(), levels) || levels == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      spec.priority_levels = static_cast<int>(levels);
-    } else if (arg == "--streams") {
-      if (!parse_size(value(), spec.streams)) return bad_flag(arg, "bad value");
-    } else if (arg == "--shards") {
-      if (!parse_size(value(), shards) || shards == 0) {
-        return bad_flag(arg, "must be a positive shard count");
-      }
-    } else if (arg == "--shard-kill") {
-      std::size_t victim = 0;
-      std::uint64_t after = 0;
-      if (!parse_shard_kill(value(), victim, after)) {
-        return bad_flag(arg, "expected SHARD@RESULT_COUNT (e.g. 1@50)");
-      }
-      shard_kills.emplace_back(victim, after);
-    } else if (arg == "--shard-crash") {
-      if (!parse_double(value(), chaos.crash_prob) || chaos.crash_prob < 0.0 ||
-          chaos.crash_prob > 1.0) {
-        return bad_flag(arg, "probability outside [0, 1]");
-      }
-    } else if (arg == "--shard-stall") {
-      if (!parse_double(value(), chaos.stall_prob) || chaos.stall_prob < 0.0 ||
-          chaos.stall_prob > 1.0) {
-        return bad_flag(arg, "probability outside [0, 1]");
-      }
-    } else if (arg == "--shard-slow") {
-      if (!parse_double(value(), chaos.slow_prob) || chaos.slow_prob < 0.0 ||
-          chaos.slow_prob > 1.0) {
-        return bad_flag(arg, "probability outside [0, 1]");
-      }
-    } else if (arg == "--capacity") {
-      if (!parse_size(value(), config.capacity)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), config.workers)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--batch") {
-      if (!parse_size(value(), config.max_batch)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), config.exec.kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-    } else if (arg == "--linger-ms") {
-      if (!parse_double(value(), config.batch_linger_ms)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--admit-wait-ms") {
-      if (!parse_double(value(), config.admission_timeout_ms)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--ingress-drop") {
-      if (!parse_double(value(), config.exec.ingress.drop_prob)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--ingress-corrupt") {
-      if (!parse_double(value(), config.exec.ingress.corrupt_prob)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--control") {
-      control_enabled = true;
-    } else if (arg == "--control-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      control_out = v;
-    } else if (arg == "--control-budget-ms") {
-      if (!parse_double(value(), control_cfg.deadline_budget_ms) ||
-          control_cfg.deadline_budget_ms <= 0.0) {
-        return bad_flag(arg, "budget must be > 0 ms");
-      }
-    } else if (arg == "--control-window") {
-      if (!parse_size(value(), control_cfg.window) ||
-          control_cfg.window == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--control-lag") {
-      if (!parse_size(value(), control_cfg.lag) || control_cfg.lag == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--pace") {
-      pace = true;
-    } else if (arg == "--gen-only") {
-      gen_only = true;
-    } else if (arg == "--results-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      results_out = v;
-    } else if (arg == "--workload-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      workload_out = v;
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
+  const Flag flags[] = {
+      {"--replay", &replay_path, "FILE",
+       "replay a JSONL workload instead of generating one"},
+      {"--requests", &spec.requests, "N", "generated requests", 1},
+      {"--rate", &spec.rate_hz, "X", "generated Poisson arrival rate (Hz)",
+       kPositive},
+      {"--otis-frac", &spec.otis_fraction, "X", "fraction of OTIS requests", 0,
+       1},
+      {"--pipeline-frac", &spec.pipeline_fraction, "X",
+       "fraction of distributed-pipeline requests", 0, 1},
+      {"--deadline-ms", &spec.deadline_ms, "X", "per-request deadline"},
+      {"--priorities", &spec.priority_levels, "N", "priority levels", 1},
+      {"--seed", &spec.seed, "S", "workload seed"},
+      {"--streams", &spec.streams, "N", "distinct request streams"},
+      {"--capacity", &config.capacity, "N", "admission queue capacity", 1},
+      {"--threads", &config.workers, "N", "worker threads per server"},
+      {"--batch", &config.max_batch, "N", "max same-shape batch", 1},
+      {"--linger-ms", &config.batch_linger_ms, "X",
+       "how long a batch waits to fill", 0},
+      {"--admit-wait-ms", &config.admission_timeout_ms, "X",
+       "admission wait on a full queue (0 = shed at once)", 0},
+      {"--pace", &pace, "", "honour the workload's arrival timestamps"},
+      {"--ingress-drop", &config.exec.ingress.drop_prob, "X",
+       "ingress drop probability", 0, 1},
+      {"--ingress-corrupt", &config.exec.ingress.corrupt_prob, "X",
+       "ingress corruption probability", 0, 1},
+      {"--shards", &shards, "N", "route across N shards", 1},
+      {"--shard-kill", &shard_kills, "SHARD@RESULT_COUNT",
+       "kill a shard once the router has recorded that many results"},
+      {"--shard-crash", &chaos.crash_prob, "X",
+       "per-(shard, epoch) crash probability", 0, 1},
+      {"--shard-stall", &chaos.stall_prob, "X", "stall probability", 0, 1},
+      {"--shard-slow", &chaos.slow_prob, "X", "slowdown probability", 0, 1},
+      {"--results-out", &results_out, "FILE",
+       "write the per-request results as JSONL"},
+      {"--workload-out", &workload_out, "FILE", "write the workload as JSONL"},
+      {"--gen-only", &gen_only, "", "stop after writing --workload-out"},
+      {"--control", &control_enabled, "",
+       "adaptive lambda/upsilon controller per stream"},
+      {"--control-out", &control_out, "FILE",
+       "write the controller's decision log as JSONL"},
+      {"--control-budget-ms", &control_cfg.deadline_budget_ms, "X",
+       "controller deadline budget", kPositive},
+      {"--control-window", &control_cfg.window, "N",
+       "results per controller decision", 1},
+      {"--control-lag", &control_cfg.lag, "N", "controller observation lag",
+       1},
+  };
+  if (const auto rc = cli.parse({flags, kernel_flags(config.exec.kernel),
+                                 bopts.flags(), telem.flags()})) {
+    return *rc;
   }
   if (gen_only && workload_out.empty()) {
-    return bad_flag("--gen-only", "requires --workload-out");
+    return cli.fail(&gen_only, "requires --workload-out");
   }
   if (gen_only && !replay_path.empty()) {
-    return bad_flag("--gen-only", "incompatible with --replay");
+    return cli.fail(&gen_only, "incompatible with --replay");
   }
   if (shards == 0 && !shard_kills.empty()) {
-    return bad_flag("--shard-kill", "requires --shards");
+    return cli.fail(&shard_kills, "requires --shards");
   }
   if (shards == 0 && !chaos.perfect()) {
-    return bad_flag("--shard-crash/--shard-stall/--shard-slow",
-                    "require --shards");
+    return cli.fail(cli.seen({&chaos.crash_prob, &chaos.stall_prob,
+                              &chaos.slow_prob}),
+                    "requires --shards");
   }
   for (const auto& [victim, after] : shard_kills) {
     (void)after;
     if (victim >= shards) {
-      return bad_flag("--shard-kill", "shard index out of range");
+      return cli.fail(&shard_kills, "shard index out of range");
     }
   }
   if (shards > 0 && config.workers == 0) {
-    return bad_flag("--threads", "must be > 0 with --shards");
+    return cli.fail(&config.workers, "must be > 0 with --shards");
   }
   if (!control_enabled && !control_out.empty()) {
-    return bad_flag("--control-out", "requires --control");
+    return cli.fail(&control_out, "requires --control");
   }
-  if (const char* err = bopts.validate()) return bad_flag("--backend", err);
+  if (const int rc = bopts.validate(cli)) return rc;
   if (control_enabled && config.workers == 0) {
-    return bad_flag("--control",
+    return cli.fail(&control_enabled,
                     "requires --threads > 0 (the admission gate needs a "
                     "running worker to make progress)");
   }
   // Early writability probes: a typo'd output path exits 3 here, before the
   // run burns minutes of compute only to fail at the final write.
-  const std::pair<const char*, const std::string*> out_paths[] = {
-      {"--trace-out", &telem.trace_out},
-      {"--metrics-out", &telem.metrics_out},
-      {"--results-out", &results_out},
-      {"--workload-out", &workload_out},
-      {"--control-out", &control_out},
-      {"--backend-log", &bopts.log_out}};
-  for (const auto& [flag, path] : out_paths) {
+  for (const std::string* path :
+       {&telem.trace_out, &telem.metrics_out, &results_out, &workload_out,
+        &control_out, &bopts.log_out}) {
     if (!path->empty() && !probe_writable(*path)) {
-      return bad_flag(flag, "cannot open for writing");
+      return cli.fail(path, "cannot open for writing");
     }
   }
 
@@ -1806,59 +1485,26 @@ int cmd_serve(int argc, char** argv) {
   return telem.finish();
 }
 
-int cmd_check(int argc, char** argv) {
+int cmd_check(Cli& cli) {
   std::uint64_t seed = 1;
   std::size_t cases = 50;
   std::string corpus_out, replay_path;
+  Kernel kernel = Kernel::kAuto;
   spacefts::check::RunOptions options;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--seed") {
-      if (!parse_u64(value(), seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--cases") {
-      if (!parse_size(value(), cases) || cases == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing value");
-      options.threads.clear();
-      std::stringstream stream(v);
-      std::string item;
-      while (std::getline(stream, item, ',')) {
-        std::size_t count = 0;
-        if (!parse_size(item.c_str(), count) || count == 0) {
-          return bad_flag(arg, "bad thread list");
-        }
-        options.threads.push_back(count);
-      }
-      if (options.threads.empty()) return bad_flag(arg, "empty thread list");
-    } else if (arg == "--kernel") {
-      spacefts::core::Kernel kernel = spacefts::core::Kernel::kAuto;
-      if (!parse_kernel_flag(value(), kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-      // auto keeps the default cross-kernel sweep; an explicit variant
-      // narrows the diff families to that one kernel.
-      if (kernel != spacefts::core::Kernel::kAuto) options.kernels = {kernel};
-    } else if (arg == "--corpus-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      corpus_out = v;
-    } else if (arg == "--replay") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      replay_path = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
-  }
+  const Flag flags[] = {
+      {"--seed", &seed, "S", "fuzz seed"},
+      {"--cases", &cases, "N", "fuzz cases", 1},
+      {"--threads", &options.threads, "a,b,c",
+       "thread counts pitted against the serial oracle", 1},
+      {"--corpus-out", &corpus_out, "FILE",
+       "write shrunk failing cases as a JSONL corpus"},
+      {"--replay", &replay_path, "FILE",
+       "replay a committed failure corpus instead of fuzzing"},
+  };
+  if (const auto rc = cli.parse({flags, kernel_flags(kernel)})) return *rc;
+  // auto keeps the default cross-kernel sweep; an explicit variant narrows
+  // the diff families to that one kernel.
+  if (kernel != Kernel::kAuto) options.kernels = {kernel};
 
   spacefts::check::CheckReport report;
   if (!replay_path.empty()) {
@@ -1905,30 +1551,96 @@ int cmd_check(int argc, char** argv) {
   return report.ok() ? 0 : kExitFailure;
 }
 
+int cmd_version(Cli& cli) {
+  if (const auto rc = cli.parse({})) return *rc;
+  std::printf("spacefts_cli %s\n", SPACEFTS_VERSION);
+  return 0;
+}
+
+int cmd_help(Cli& cli);
+
+/// Every verb, in `help` order: the dispatch table of main().
+constexpr Verb kVerbs[] = {
+    {"gen", cmd_gen, "synthesise a baseline (NGST Gaussian model) as a "
+                     "multi-HDU FITS"},
+    {"corrupt", cmd_corrupt,
+     "flip data-unit bits with probability gamma0 per bit"},
+    {"ingest", cmd_ingest,
+     "run the ingest layer (header sanity + Algo_NGST) and write the "
+     "repaired baseline"},
+    {"info", cmd_info, "print HDU headers and geometry"},
+    {"psi", cmd_psi,
+     "the paper's average relative error between two baselines"},
+    {"pipeline", cmd_pipeline,
+     "ingest one generated baseline and run the distributed "
+     "scatter/compute/gather pipeline once under the fault model"},
+    {"campaign", cmd_campaign,
+     "sweep a seeded fault grid (or the --control, --compute or --downlink "
+     "sweep) and append one JSON line per cell"},
+    {"downlink", cmd_downlink,
+     "fly the full chain once (preprocess, Rice, framing, faulty link) and "
+     "report fidelity vs the clean-chain golden"},
+    {"serve", cmd_serve,
+     "run the preprocessing service over a replayed or generated workload"},
+    {"check", cmd_check,
+     "cross-check the optimized preprocessing paths against the naive "
+     "golden oracles; exit 1 on any divergence"},
+    {"version", cmd_version, "print the tool version"},
+    {"help", cmd_help, "print the global usage, or one verb's flags"},
+};
+
+void print_usage(std::FILE* stream) {
+  std::fputs("usage:\n", stream);
+  for (const Verb& verb : kVerbs) {
+    Cli line(verb, 0, nullptr, Cli::Mode::kSynopsis, stream);
+    (void)verb.run(line);
+  }
+  std::fputs(
+      "run 'spacefts_cli help <verb>' for a verb's flags; --version and "
+      "--help also work as verbs\n"
+      "exit codes: 0 ok, 1 operation failed, 2 usage error, 3 bad flag\n",
+      stream);
+}
+
+int usage() {
+  print_usage(stderr);
+  return kExitUsage;
+}
+
+int cmd_help(Cli& cli) {
+  std::string name;
+  const Flag flags[] = {{"[verb]", &name, "", "the verb to describe"}};
+  if (const auto rc = cli.parse({flags})) return *rc;
+  if (name.empty()) {
+    print_usage(stdout);
+    return 0;
+  }
+  for (const Verb& verb : kVerbs) {
+    if (name == verb.name) {
+      Cli help(verb, 0, nullptr, Cli::Mode::kHelp);
+      return verb.run(help);
+    }
+  }
+  std::fprintf(stderr, "spacefts_cli: help: unknown verb '%s'\n",
+               name.c_str());
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "version" || command == "--version") {
-    std::printf("spacefts_cli %s\n", SPACEFTS_VERSION);
-    return 0;
-  }
-  if (command == "help" || command == "--help") return cmd_help(argc, argv);
-  try {
-    if (command == "gen") return cmd_gen(argc, argv);
-    if (command == "corrupt") return cmd_corrupt(argc, argv);
-    if (command == "ingest") return cmd_ingest(argc, argv);
-    if (command == "info") return cmd_info(argc, argv);
-    if (command == "psi") return cmd_psi(argc, argv);
-    if (command == "pipeline") return cmd_pipeline(argc, argv);
-    if (command == "campaign") return cmd_campaign(argc, argv);
-    if (command == "downlink") return cmd_downlink(argc, argv);
-    if (command == "serve") return cmd_serve(argc, argv);
-    if (command == "check") return cmd_check(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitFailure;
+  std::string command = argv[1];
+  if (command == "--version" || command == "--help") command.erase(0, 2);
+  for (const Verb& verb : kVerbs) {
+    if (command != verb.name) continue;
+    Cli cli(verb, argc, argv);
+    try {
+      return verb.run(cli);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return kExitFailure;
+    }
   }
   std::fprintf(stderr, "spacefts_cli: unknown verb '%s'\n", command.c_str());
   return usage();
