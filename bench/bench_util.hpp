@@ -10,8 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -112,13 +112,6 @@ inline std::vector<double> measure_psi(
 
 namespace detail {
 
-/// Extracts the raw token following `"key": ` in a JSON-lines record.
-/// Thin alias of the shared telemetry::jsonl helper (kept for the existing
-/// bench call sites).
-inline std::string json_field(std::string_view line, std::string_view key) {
-  return spacefts::telemetry::jsonl::json_field(line, key);
-}
-
 /// The run-configuration identity of one BENCH_preprocess.json record.
 /// Records written before the kernel field existed measured the scalar
 /// path, so a missing kernel reads as "scalar" and legacy duplicates
@@ -127,6 +120,7 @@ inline std::string json_field(std::string_view line, std::string_view key) {
 /// the insertion and network rows of one Υ read as duplicates and one of
 /// them was dropped.
 inline std::string preprocess_record_key(std::string_view line) {
+  using spacefts::telemetry::jsonl::json_field;
   std::string kernel = json_field(line, "kernel");
   if (kernel.empty()) kernel = "scalar";
   return json_field(line, "bench") + "|" + json_field(line, "threads") + "|" +
@@ -135,13 +129,6 @@ inline std::string preprocess_record_key(std::string_view line) {
 }
 
 }  // namespace detail
-
-/// Bench-hygiene guard for values destined for a BENCH_*.json row.  Thin
-/// alias of the shared telemetry::jsonl helper (every recorder in the tree
-/// goes through the same validation).
-inline bool valid_metric(double value, bool signed_ok = false) {
-  return spacefts::telemetry::jsonl::valid_metric(value, signed_ok);
-}
 
 /// UTC wall-clock stamp ("2026-02-07T12:34:56Z") for trajectory records.
 inline std::string iso_timestamp_utc() {
@@ -153,18 +140,6 @@ inline std::string iso_timestamp_utc() {
   return stamp;
 }
 
-/// Rewrites the JSONL file at \p path so it holds exactly one row per
-/// configuration, then appends \p line (which must end in '\n').  Thin
-/// alias of the shared telemetry::jsonl::upsert_jsonl — every BENCH_*.json
-/// writer in the tree (benches, campaign runner, CLI) goes through that
-/// one implementation, so keyed replacement semantics cannot drift apart.
-inline void upsert_jsonl_record(
-    const std::string& line,
-    const std::function<std::string(std::string_view)>& key_of,
-    const char* path) {
-  (void)spacefts::telemetry::jsonl::upsert_jsonl(line, key_of, path);
-}
-
 /// Records one stack-preprocessing throughput measurement, the best of
 /// \p reps timed runs, in \p path (default: BENCH_preprocess.json in the
 /// working directory):
@@ -174,7 +149,8 @@ inline void upsert_jsonl_record(
 /// The file holds exactly one line per run configuration — (bench,
 /// threads, upsilon, lambda, kernel) — so re-running a bench replaces its
 /// row instead of accumulating duplicates.  The rewrite also collapses any
-/// duplicate rows already present.
+/// duplicate rows already present.  Exits the bench with status 1 when
+/// the file cannot be rewritten.
 inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
                                      std::size_t upsilon, double lambda,
                                      const char* kernel, std::size_t reps,
@@ -192,7 +168,9 @@ inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
   line += ", \"reps\": " + std::to_string(reps);
   line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
   line += ", \"iso_timestamp\": \"" + iso_timestamp_utc() + "\"}\n";
-  upsert_jsonl_record(line, detail::preprocess_record_key, path);
+  if (!jsonl::upsert_jsonl(line, detail::preprocess_record_key, path)) {
+    std::exit(EXIT_FAILURE);
+  }
 }
 
 /// Prints a table header: the x-label followed by one column per algorithm.

@@ -42,27 +42,25 @@ std::uint64_t median_pass(const std::vector<std::uint16_t>& partners,
   return checksum;
 }
 
-/// (bench, upsilon, impl) identifies one row; re-running replaces it.
-std::string gate_record_key(std::string_view line) {
-  return bench::detail::json_field(line, "bench") + "|" +
-         bench::detail::json_field(line, "upsilon") + "|" +
-         bench::detail::json_field(line, "impl");
-}
-
 void record(std::size_t upsilon, const char* impl, double medians_per_s) {
-  if (!bench::valid_metric(medians_per_s)) {
+  namespace jsonl = spacefts::telemetry::jsonl;
+  if (!jsonl::valid_metric(medians_per_s)) {
     std::fprintf(stderr, "gate_bench: invalid metric %g, not recording\n",
                  medians_per_s);
     std::exit(EXIT_FAILURE);
   }
-  namespace jsonl = spacefts::telemetry::jsonl;
   std::string line = "{\"bench\": \"gate_median\", \"medians_per_s\": ";
   jsonl::append_fmt(line, "%.6g", medians_per_s);
   line += ", \"upsilon\": " + std::to_string(upsilon);
   line += ", \"impl\": \"" + jsonl::escape(impl) + "\"";
   line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
   line += ", \"iso_timestamp\": \"" + bench::iso_timestamp_utc() + "\"}\n";
-  bench::upsert_jsonl_record(line, gate_record_key, "BENCH_preprocess.json");
+  // The file's one key: stack_preprocess rows share it, so a narrower key
+  // would collapse them into one row per upsilon.
+  if (!jsonl::upsert_jsonl(line, bench::detail::preprocess_record_key,
+                           "BENCH_preprocess.json")) {
+    std::exit(EXIT_FAILURE);
+  }
 }
 
 }  // namespace

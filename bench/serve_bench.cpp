@@ -261,11 +261,10 @@ std::string to_jsonl(const ShardPoint& p, double speedup_vs_1) {
 
 /// Configuration identity of one BENCH_serve.json row — the upsert key.
 std::string serve_record_key(std::string_view line) {
-  namespace d = bench::detail;
-  return d::json_field(line, "bench") + "|" + d::json_field(line, "threads") +
-         "|" + d::json_field(line, "shards") + "|" +
-         d::json_field(line, "offered_load") + "|" +
-         d::json_field(line, "ejected");
+  using spacefts::telemetry::jsonl::json_field;
+  return json_field(line, "bench") + "|" + json_field(line, "threads") + "|" +
+         json_field(line, "shards") + "|" + json_field(line, "offered_load") +
+         "|" + json_field(line, "ejected");
 }
 
 }  // namespace
@@ -349,7 +348,10 @@ int main(int argc, char** argv) {
   }
 
   for (const auto& row : rows) {
-    bench::upsert_jsonl_record(row, serve_record_key, "BENCH_serve.json");
+    if (!spacefts::telemetry::jsonl::upsert_jsonl(row, serve_record_key,
+                                                  "BENCH_serve.json")) {
+      return EXIT_FAILURE;
+    }
   }
   std::printf(
       "serve_bench: wrote BENCH_serve.json; overload %s, 4-shard speedup"

@@ -2,39 +2,19 @@
 
 #include <cstdio>
 #include <exception>
-#include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "spacefts/common/parallel.hpp"
-#include "spacefts/common/random.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/ingest/guard.hpp"
 #include "spacefts/metrics/aggregate.hpp"
 #include "spacefts/telemetry/jsonl.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
+#include "sweep.hpp"
 
 namespace spacefts::campaign {
 namespace {
-
-/// Everything the aggregator needs from one trial.  Slots are preallocated
-/// and indexed by (cell, trial), so the parallel phase never contends and
-/// the serial aggregation phase sees a thread-count-independent order.
-struct TrialRecord {
-  bool survived = false;
-  double coverage = 0.0;
-  double makespan_s = 0.0;
-  std::size_t faults_injected = 0;
-  std::size_t pixels_corrected = 0;
-  std::size_t worker_crashes = 0;
-  std::size_t messages_dropped = 0;
-  std::size_t messages_corrupted = 0;
-  std::size_t crc_failures = 0;
-  std::size_t byzantine_rejected = 0;
-  std::size_t link_retries = 0;
-  std::size_t degraded_fragments = 0;
-  std::size_t pixel_frames = 0;  ///< pixels * frames, for rate normalisation
-};
 
 /// One grid point, in the fixed Γ₀-major enumeration order.
 struct Cell {
@@ -45,22 +25,10 @@ struct Cell {
 };
 
 void validate(const CampaignConfig& config) {
-  auto check_axis = [](const std::vector<double>& axis, const char* name,
-                       double lo, double hi) {
-    if (axis.empty()) {
-      throw std::invalid_argument(std::string("campaign: empty axis ") + name);
-    }
-    for (double v : axis) {
-      if (!(v >= lo && v <= hi)) {
-        throw std::invalid_argument(std::string("campaign: ") + name +
-                                    " value out of range");
-      }
-    }
-  };
-  check_axis(config.gamma0_grid, "gamma0", 0.0, 1.0);
-  check_axis(config.crash_grid, "crash", 0.0, 1.0);
-  check_axis(config.link_loss_grid, "link_loss", 0.0, 1.0);
-  check_axis(config.lambda_grid, "lambda", 0.0, 100.0);
+  check_axis(config.gamma0_grid, "campaign", "gamma0", 0.0, 1.0);
+  check_axis(config.crash_grid, "campaign", "crash", 0.0, 1.0);
+  check_axis(config.link_loss_grid, "campaign", "link_loss", 0.0, 1.0);
+  check_axis(config.lambda_grid, "campaign", "lambda", 0.0, 100.0);
   if (config.trials == 0) {
     throw std::invalid_argument("campaign: trials must be > 0");
   }
@@ -84,19 +52,12 @@ std::vector<Cell> enumerate_cells(const CampaignConfig& config) {
   return cells;
 }
 
-/// Stateless per-trial seed over (campaign seed, cell, trial); the shared
-/// helper guarantees the same trial always replays the same run regardless
-/// of thread count.
-std::uint64_t trial_seed(std::uint64_t seed, std::size_t cell,
-                         std::size_t trial) {
-  return common::derive_stream_seed(seed, cell, trial);
-}
-
-TrialRecord run_trial(const CampaignConfig& config, const Cell& cell,
-                      std::uint64_t seed) {
+/// One seeded pipeline run; an empty optional is a trial that died.
+std::optional<dist::PipelineResult> run_trial(const CampaignConfig& config,
+                                              const Cell& cell,
+                                              std::uint64_t seed) {
   SPACEFTS_TSPAN("campaign.trial", {"gamma0", cell.gamma0},
                  {"lambda", cell.lambda});
-  TrialRecord rec;
   try {
     datagen::NgstSimulator gen(seed);
     datagen::SceneParams scene;
@@ -137,27 +98,12 @@ TrialRecord run_trial(const CampaignConfig& config, const Cell& cell,
     pc.max_link_retries = config.max_link_retries;
 
     common::Rng rng = gen.rng().split();
-    const auto result = dist::run_pipeline(readouts, pc, rng);
-
-    rec.survived = true;
-    rec.coverage = result.coverage;
-    rec.makespan_s = result.makespan_s;
-    rec.faults_injected = result.faults_injected;
-    rec.pixels_corrected = result.pixels_corrected;
-    rec.worker_crashes = result.worker_crashes;
-    rec.messages_dropped = result.messages_dropped;
-    rec.messages_corrupted = result.messages_corrupted;
-    rec.crc_failures = result.crc_failures;
-    rec.byzantine_rejected = result.byzantine_rejected;
-    rec.link_retries = result.link_retries;
-    rec.degraded_fragments = result.degraded_fragments;
-    rec.pixel_frames = config.scene_side * config.scene_side * config.frames;
+    return dist::run_pipeline(readouts, pc, rng);
   } catch (const std::exception&) {
     // A throwing pipeline is precisely the regression the campaign exists
     // to catch; record the death and keep sweeping.
-    rec.survived = false;
+    return std::nullopt;
   }
-  return rec;
 }
 
 // The JSONL double formatting shared by every exporter in the tree.
@@ -168,21 +114,12 @@ using telemetry::jsonl::append_fmt;
 CampaignReport run_campaign(const CampaignConfig& config) {
   validate(config);
   const std::vector<Cell> cells = enumerate_cells(config);
-  const std::size_t total = cells.size() * config.trials;
   SPACEFTS_TSPAN("campaign.run", {"cells", static_cast<double>(cells.size())},
                  {"trials", static_cast<double>(config.trials)});
-  std::vector<TrialRecord> records(total);
-
-  const std::size_t lanes = common::parallel::resolve_threads(config.threads);
-  common::parallel::parallel_for(
-      total, 1, lanes,
-      [&](std::size_t begin, std::size_t end, std::size_t /*lane*/) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t cell = i / config.trials;
-          const std::size_t trial = i % config.trials;
-          records[i] = run_trial(config, cells[cell],
-                                 trial_seed(config.seed, cell, trial));
-        }
+  const auto records = run_trials(
+      cells.size(), config.trials, config.seed, config.threads,
+      [&](std::size_t cell, std::uint64_t seed) {
+        return run_trial(config, cells[cell], seed);
       });
 
   CampaignReport report;
@@ -196,25 +133,24 @@ CampaignReport run_campaign(const CampaignConfig& config) {
     cr.trials = config.trials;
 
     metrics::RunningStats coverage, makespan;
-    std::size_t corrected = 0, pixel_frames = 0;
+    std::size_t corrected = 0;
     for (std::size_t t = 0; t < config.trials; ++t) {
-      const TrialRecord& rec = records[c * config.trials + t];
+      const auto& rec = records[c * config.trials + t];
       report.trials_run += 1;
-      if (!rec.survived) continue;
+      if (!rec) continue;
       report.trials_survived += 1;
       cr.survived += 1;
-      coverage.add(rec.coverage);
-      makespan.add(rec.makespan_s);
-      corrected += rec.pixels_corrected;
-      pixel_frames += rec.pixel_frames;
-      cr.faults_injected += rec.faults_injected;
-      cr.worker_crashes += rec.worker_crashes;
-      cr.messages_dropped += rec.messages_dropped;
-      cr.messages_corrupted += rec.messages_corrupted;
-      cr.crc_failures += rec.crc_failures;
-      cr.byzantine_rejected += rec.byzantine_rejected;
-      cr.link_retries += rec.link_retries;
-      cr.degraded_fragments += rec.degraded_fragments;
+      coverage.add(rec->coverage);
+      makespan.add(rec->makespan_s);
+      corrected += rec->pixels_corrected;
+      cr.faults_injected += rec->faults_injected;
+      cr.worker_crashes += rec->worker_crashes;
+      cr.messages_dropped += rec->messages_dropped;
+      cr.messages_corrupted += rec->messages_corrupted;
+      cr.crc_failures += rec->crc_failures;
+      cr.byzantine_rejected += rec->byzantine_rejected;
+      cr.link_retries += rec->link_retries;
+      cr.degraded_fragments += rec->degraded_fragments;
     }
     cr.mean_coverage = coverage.count() ? coverage.mean() : 0.0;
     cr.min_coverage = coverage.count() ? coverage.min() : 0.0;
@@ -222,6 +158,8 @@ CampaignReport run_campaign(const CampaignConfig& config) {
       cr.correction_rate = static_cast<double>(corrected) /
                            static_cast<double>(cr.faults_injected);
     }
+    const std::size_t pixel_frames =
+        cr.survived * config.scene_side * config.scene_side * config.frames;
     if (cells[c].gamma0 == 0.0 && pixel_frames > 0) {
       cr.false_alarm_per_mpixel =
           static_cast<double>(corrected) /
@@ -278,13 +216,6 @@ std::string campaign_row_key(std::string_view line) {
     key += jsonl::json_field(line, axis);
   }
   return key;
-}
-
-void append_jsonl(const CampaignReport& report, const std::string& path) {
-  if (!telemetry::jsonl::upsert_jsonl(to_jsonl(report), campaign_row_key,
-                                      path)) {
-    throw std::runtime_error("campaign: cannot rewrite " + path);
-  }
 }
 
 std::size_t enforce(const CampaignReport& report, std::string& diagnostics) {

@@ -3,10 +3,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "spacefts/common/parallel.hpp"
-#include "spacefts/common/random.hpp"
 #include "spacefts/telemetry/jsonl.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
+#include "sweep.hpp"
 
 namespace spacefts::campaign {
 namespace {
@@ -27,22 +26,14 @@ struct FlightRecord {
 };
 
 void validate(const DownlinkSweepConfig& config) {
-  if (config.workload_grid.empty() || config.gamma0_grid.empty() ||
-      config.link_loss_grid.empty() || config.lambda_grid.empty()) {
-    throw std::invalid_argument("downlink_sweep: empty grid axis");
+  if (config.workload_grid.empty()) {
+    throw std::invalid_argument("downlink_sweep: empty axis workload");
   }
+  check_axis(config.gamma0_grid, "downlink_sweep", "gamma0", 0.0, 1.0);
+  check_axis(config.link_loss_grid, "downlink_sweep", "link_loss", 0.0, 1.0);
+  check_axis(config.lambda_grid, "downlink_sweep", "lambda", 0.0, 100.0);
   if (config.trials == 0) {
     throw std::invalid_argument("downlink_sweep: trials must be > 0");
-  }
-  for (const double g : config.gamma0_grid) {
-    if (!(g >= 0.0 && g <= 1.0)) {
-      throw std::invalid_argument("downlink_sweep: gamma0 outside [0, 1]");
-    }
-  }
-  for (const double l : config.link_loss_grid) {
-    if (!(l >= 0.0 && l <= 1.0)) {
-      throw std::invalid_argument("downlink_sweep: link_loss outside [0, 1]");
-    }
   }
 }
 
@@ -89,28 +80,17 @@ downlink::ChainConfig chain_config(const DownlinkSweepConfig& config,
 DownlinkSweepReport run_downlink_sweep(const DownlinkSweepConfig& config) {
   validate(config);
   const std::vector<DownlinkCell> cells = enumerate_cells(config);
-  const std::size_t total = cells.size() * config.trials;
   SPACEFTS_TSPAN("campaign.downlink_sweep",
                  {"cells", static_cast<double>(cells.size())},
                  {"trials", static_cast<double>(config.trials)});
-
-  std::vector<FlightRecord> records(total);
-  const std::size_t lanes = common::parallel::resolve_threads(config.threads);
-  common::parallel::parallel_for(
-      total, 1, lanes,
-      [&](std::size_t begin, std::size_t end, std::size_t /*lane*/) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t cell = i / config.trials;
-          const std::size_t trial = i % config.trials;
-          const std::uint64_t seed =
-              common::derive_stream_seed(config.seed, cell, trial);
-          records[i].on =
-              downlink::run_chain(chain_config(config, cells[cell], seed,
-                                               /*preprocess=*/true));
-          records[i].off =
-              downlink::run_chain(chain_config(config, cells[cell], seed,
-                                               /*preprocess=*/false));
-        }
+  const auto records = run_trials(
+      cells.size(), config.trials, config.seed, config.threads,
+      [&](std::size_t cell, std::uint64_t seed) {
+        return FlightRecord{
+            downlink::run_chain(chain_config(config, cells[cell], seed,
+                                             /*preprocess=*/true)),
+            downlink::run_chain(chain_config(config, cells[cell], seed,
+                                             /*preprocess=*/false))};
       });
 
   DownlinkSweepReport report;

@@ -1,16 +1,14 @@
 #include "spacefts/campaign/drift.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
 #include "spacefts/common/random.hpp"
 #include "spacefts/control/bank.hpp"
-#include "spacefts/metrics/aggregate.hpp"
 #include "spacefts/serve/router.hpp"
 #include "spacefts/serve/server.hpp"
 #include "spacefts/telemetry/jsonl.hpp"
+#include "sweep.hpp"
 
 namespace spacefts::campaign {
 namespace {
@@ -22,25 +20,15 @@ using telemetry::jsonl::append_fmt;
 constexpr std::uint64_t kStreamDrift = 7;
 
 void validate(const DriftConfig& cfg) {
-  if (cfg.phases.empty()) {
-    throw std::invalid_argument("drift: phase schedule must not be empty");
-  }
+  std::vector<double> phase_gamma0;
   for (const DriftPhase& phase : cfg.phases) {
     if (phase.requests == 0) {
       throw std::invalid_argument("drift: phase with zero requests");
     }
-    if (!(phase.gamma0 >= 0.0 && phase.gamma0 <= 1.0)) {
-      throw std::invalid_argument("drift: phase gamma0 outside [0, 1]");
-    }
+    phase_gamma0.push_back(phase.gamma0);
   }
-  if (cfg.lambda_grid.empty()) {
-    throw std::invalid_argument("drift: lambda_grid must not be empty");
-  }
-  for (const double lambda : cfg.lambda_grid) {
-    if (!(lambda >= 0.0 && lambda <= 100.0)) {
-      throw std::invalid_argument("drift: fixed lambda outside [0, 100]");
-    }
-  }
+  check_axis(phase_gamma0, "drift", "phase gamma0", 0.0, 1.0);
+  check_axis(cfg.lambda_grid, "drift", "lambda", 0.0, 100.0);
   if (cfg.workers == 0) {
     throw std::invalid_argument(
         "drift: workers must be > 0 (the admission gate needs a running "
@@ -96,8 +84,6 @@ std::vector<serve::Request> build_requests(const DriftConfig& cfg,
 struct ArmRun {
   std::vector<serve::RequestResult> results;
   std::vector<control::Decision> decisions;
-  std::size_t ejections = 0;
-  double wall_s = 0.0;
 };
 
 ArmRun run_arm(const DriftConfig& cfg,
@@ -114,49 +100,39 @@ ArmRun run_arm(const DriftConfig& cfg,
     sc.exec.tuner = [&bank](const serve::Request& r) {
       return bank.point(r.id);
     };
+    sc.on_result = [&bank](const serve::RequestResult& r) {
+      bank.observe(r);
+    };
   }
 
+  // One submission path for both tiers: the Server and the Router share
+  // the submit / wait_idle / drain / take_results surface.
   ArmRun run;
-  const auto start = std::chrono::steady_clock::now();
+  const auto fly = [&](auto& tier) {
+    for (const serve::Request& req : requests) {
+      if (adaptive) (void)bank.admit(req);
+      (void)tier.submit(req);
+    }
+    tier.wait_idle();
+    tier.drain();
+    run.results = tier.take_results();
+  };
   if (cfg.shards > 0) {
     serve::RouterConfig rc;
     rc.shards = cfg.shards;
     rc.shard = sc;
-    if (adaptive) {
-      rc.on_result = [&bank](const serve::RequestResult& r) {
-        bank.observe(r);
-      };
-    }
+    // The router clears the shard-level observer and calls its own exactly
+    // once per request, replays included.
+    rc.on_result = sc.on_result;
     serve::Router router(rc);
     for (const auto& [shard, after] : cfg.shard_kills) {
       router.schedule_kill(shard, after);
     }
-    for (const serve::Request& req : requests) {
-      if (adaptive) (void)bank.admit(req);
-      (void)router.submit(req);
-    }
-    router.wait_idle();
-    router.drain();
-    run.ejections = router.stats().ejections;
-    run.results = router.take_results();
+    fly(router);
   } else {
-    if (adaptive) {
-      sc.on_result = [&bank](const serve::RequestResult& r) {
-        bank.observe(r);
-      };
-    }
     serve::Server server(sc);
-    for (const serve::Request& req : requests) {
-      if (adaptive) (void)bank.admit(req);
-      (void)server.submit(req);
-    }
-    server.wait_idle();
-    server.drain();
-    run.results = server.take_results();
+    fly(server);
   }
-  run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             start)
-                   .count();
   if (adaptive) run.decisions = bank.decisions();
   return run;
 }
@@ -169,12 +145,9 @@ DriftArm aggregate(const DriftConfig& cfg, std::string name, bool adaptive,
   arm.adaptive = adaptive;
   arm.fixed_lambda = fixed_lambda;
   arm.requests = run.results.size();
-  arm.wall_s = run.wall_s;
 
   const std::size_t pixels = cfg.side * cfg.side * cfg.frames;
   double cost_sum = 0.0;
-  std::vector<double> e2e;
-  e2e.reserve(run.results.size());
   for (const serve::RequestResult& r : run.results) {
     if (r.status == serve::ServeStatus::kOk) ++arm.completed;
     const bool faulty = r.id < gamma_of.size() && gamma_of[r.id] > 0.0;
@@ -188,7 +161,6 @@ DriftArm aggregate(const DriftConfig& cfg, std::string name, bool adaptive,
     const double cost = control::virtual_cost_ms(cfg.control, pixels, point);
     cost_sum += cost;
     if (cost > cfg.control.deadline_budget_ms) ++arm.virtual_misses;
-    e2e.push_back(r.e2e_ms);
   }
   arm.science = static_cast<double>(arm.corrected_faulty) -
                 static_cast<double>(arm.corrected_clean);
@@ -198,8 +170,6 @@ DriftArm aggregate(const DriftConfig& cfg, std::string name, bool adaptive,
         1.0 - static_cast<double>(arm.virtual_misses) /
                   static_cast<double>(arm.requests);
   }
-  std::sort(e2e.begin(), e2e.end());
-  arm.p99_e2e_ms = metrics::percentile(e2e, 99.0);
 
   arm.decisions = run.decisions.size();
   for (const control::Decision& d : run.decisions) {
@@ -232,22 +202,20 @@ DriftReport run_drift(const DriftConfig& config) {
   }
 
   DriftReport report;
-  {
-    const auto requests =
-        build_requests(config, config.control.lambda_initial);
-    const ArmRun run = run_arm(config, requests, /*adaptive=*/true);
-    report.decisions_jsonl = control::decisions_to_jsonl(run.decisions);
-    report.ejections = run.ejections;
-    report.arms.push_back(
-        aggregate(config, "adaptive", true, 0.0, gamma_of, run));
-  }
+  // Flies one arm over the shared request list; returns its decision log.
+  const auto fly_arm = [&](std::string name, bool adaptive, double lambda) {
+    const ArmRun run =
+        run_arm(config, build_requests(config, lambda), adaptive);
+    report.arms.push_back(aggregate(config, std::move(name), adaptive,
+                                    adaptive ? 0.0 : lambda, gamma_of, run));
+    return run.decisions;
+  };
+  report.decisions_jsonl = control::decisions_to_jsonl(
+      fly_arm("adaptive", true, config.control.lambda_initial));
   for (const double lambda : config.lambda_grid) {
     char name[32];
     std::snprintf(name, sizeof name, "lambda=%.10g", lambda);
-    const auto requests = build_requests(config, lambda);
-    const ArmRun run = run_arm(config, requests, /*adaptive=*/false);
-    report.arms.push_back(
-        aggregate(config, name, false, lambda, gamma_of, run));
+    fly_arm(name, false, lambda);
   }
   return report;
 }

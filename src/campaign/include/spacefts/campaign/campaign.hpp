@@ -91,18 +91,12 @@ struct CampaignReport {
 /// %.10g formatting — byte-stable across runs and thread counts).
 [[nodiscard]] std::string to_jsonl(const CampaignReport& report);
 
-/// Upserts to_jsonl(report) into \p path (BENCH_campaign.json by
-/// convention) through the shared telemetry::jsonl keyed-rewrite: one row
-/// per grid cell, re-runs replace their rows instead of accumulating.
-/// \throws std::runtime_error when the file cannot be rewritten.
-void append_jsonl(const CampaignReport& report, const std::string& path);
-
 /// The row-identity key the campaign artifact dedupes on: the bench name
 /// plus every axis field present in the row (fault_campaign rows key on
 /// (gamma0, crash_prob, link_loss, lambda); compute_shadow rows on
 /// (fault_rate, shadow_rate); downlink_fidelity rows on (workload, gamma0,
-/// link_loss, lambda); absent fields contribute "").  Shared with the
-/// compute-sweep and downlink-sweep recorders and the CI validator.
+/// link_loss, lambda); absent fields contribute "").  `spacefts_cli
+/// campaign` upserts every grid family's rows into its --out under it.
 [[nodiscard]] std::string campaign_row_key(std::string_view line);
 
 /// Robustness gate: returns the number of violations (0 = pass) and

@@ -72,7 +72,7 @@ struct ComputeSweepReport {
 /// one human-readable line per violation to \p diagnostics.  Violations:
 /// escaped != injected - detected on any cell, an escape at shadow rate
 /// 1.0, or an escape count that *rises* with the shadow rate at a fixed
-/// fault rate.
+/// fault rate.  Each cell is flagged at most once per kind.
 [[nodiscard]] std::size_t enforce(const ComputeSweepReport& report,
                                   std::string& diagnostics);
 

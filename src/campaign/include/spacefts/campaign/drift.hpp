@@ -16,8 +16,7 @@
 /// avoids the false alarms by missing real faults, and the controller —
 /// raising Λ/Υ only while observed activity is high — should dominate
 /// both.  Deadline compliance is scored in the controller's virtual-time
-/// cost model (deterministic), with wall-clock p99 carried alongside as an
-/// informational, non-compared field.
+/// cost model, so every field of the report is deterministic.
 ///
 /// Determinism: requests carry no wall deadline and cross a perfect
 /// ingress link, so every status is kOk and every result payload is a pure
@@ -67,8 +66,7 @@ struct DriftConfig {
   control::ControlConfig control;
 };
 
-/// One arm's aggregate outcome.  All fields except p99_e2e_ms and wall_s
-/// are deterministic.
+/// One arm's aggregate outcome.
 struct DriftArm {
   std::string name;          ///< "adaptive" or "lambda=<value>"
   bool adaptive = false;
@@ -91,15 +89,11 @@ struct DriftArm {
   std::size_t raises = 0;
   std::size_t relaxes = 0;
   std::size_t sheds = 0;
-
-  double p99_e2e_ms = 0.0;  ///< wall clock — informational, never compared
-  double wall_s = 0.0;      ///< arm runtime — informational
 };
 
 struct DriftReport {
   std::vector<DriftArm> arms;   ///< adaptive first, then lambda_grid order
   std::string decisions_jsonl;  ///< adaptive arm's full decision trajectory
-  std::size_t ejections = 0;    ///< router ejections seen (adaptive arm)
 };
 
 /// Runs every arm over the identical request list.
@@ -109,7 +103,7 @@ struct DriftReport {
 
 /// Deterministic summary: one {"bench":"control_drift",...} line per arm
 /// followed by the decision trajectory.  Byte-stable across thread and
-/// shard counts — the artifact CI compares.
+/// shard counts — the artifact CI compares, and BENCH_control.json.
 [[nodiscard]] std::string to_jsonl(const DriftReport& report);
 
 /// The acceptance gate: every request completed, and no fixed-Λ arm beats

@@ -223,6 +223,76 @@ TEST(ComputeSweep, AccountingHoldsAndFullShadowEscapesNothing) {
             sc::to_jsonl(report));
 }
 
+namespace {
+
+sc::ComputeCellResult compute_cell(double fault_rate, double shadow_rate,
+                                   std::size_t injected, std::size_t detected,
+                                   std::size_t escaped) {
+  sc::ComputeCellResult cell;
+  cell.fault_rate = fault_rate;
+  cell.shadow_rate = shadow_rate;
+  cell.requests = 48;
+  cell.injected = injected;
+  cell.detected = detected;
+  cell.escaped = escaped;
+  return cell;
+}
+
+std::size_t count_lines(const std::string& text) {
+  std::size_t lines = 0;
+  for (const char c : text) lines += c == '\n' ? 1 : 0;
+  return lines;
+}
+
+}  // namespace
+
+// Manufactured regressions: each broken property is flagged, once per
+// offending cell, with one diagnostic line per violation.
+TEST(ComputeSweep, EnforceFlagsManufacturedRegressions) {
+  sc::ComputeSweepReport healthy;
+  healthy.cells = {compute_cell(0.3, 0.0, 6, 0, 6),
+                   compute_cell(0.3, 0.5, 6, 4, 2),
+                   compute_cell(0.3, 1.0, 6, 6, 0)};
+  std::string diagnostics;
+  EXPECT_EQ(sc::enforce(healthy, diagnostics), 0u) << diagnostics;
+
+  sc::ComputeSweepReport accounting;
+  accounting.cells = {compute_cell(0.1, 0.5, 4, 1, 2)};  // 2 != 4 - 1
+  diagnostics.clear();
+  EXPECT_EQ(sc::enforce(accounting, diagnostics), 1u);
+  EXPECT_NE(diagnostics.find("accounting broken"), std::string::npos);
+
+  sc::ComputeSweepReport full_shadow_escape;
+  full_shadow_escape.cells = {compute_cell(0.1, 0.0, 3, 0, 3),
+                              compute_cell(0.1, 1.0, 3, 2, 1)};
+  diagnostics.clear();
+  EXPECT_EQ(sc::enforce(full_shadow_escape, diagnostics), 1u);
+  EXPECT_NE(diagnostics.find("escaped a 100% shadow sample"),
+            std::string::npos);
+
+  // Escapes rise twice along one fault rate: 1 -> 2 -> 3.  Each rising
+  // cell is one violation, however many lower-shadow cells it exceeds; the
+  // 1.0 cell also escaped a full shadow sample.
+  sc::ComputeSweepReport rising;
+  rising.cells = {compute_cell(0.3, 0.0, 6, 5, 1),
+                  compute_cell(0.3, 0.5, 6, 4, 2),
+                  compute_cell(0.3, 1.0, 6, 3, 3),
+                  compute_cell(0.1, 0.0, 2, 0, 2)};
+  diagnostics.clear();
+  EXPECT_EQ(sc::enforce(rising, diagnostics), 3u) << diagnostics;
+  EXPECT_EQ(count_lines(diagnostics), 3u) << diagnostics;
+  EXPECT_NE(diagnostics.find("fault_rate=0.3 shadow_rate=0.5: escape count "
+                             "rose with the shadow rate"),
+            std::string::npos)
+      << diagnostics;
+  EXPECT_NE(diagnostics.find("fault_rate=0.3 shadow_rate=1: escape count "
+                             "rose with the shadow rate"),
+            std::string::npos)
+      << diagnostics;
+  EXPECT_EQ(diagnostics.find("fault_rate=0.1"), std::string::npos)
+      << diagnostics;
+}
+
 TEST(ComputeSweep, RowKeySeparatesComputeAndClassicCampaignRows) {
   // Both row schemas coexist in BENCH_campaign.json; the shared key must
   // never collide them or merge distinct grid cells.

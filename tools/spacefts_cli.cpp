@@ -1072,16 +1072,16 @@ int cmd_campaign(Cli& cli) {
     return cli.fail(t, "requires --downlink");
   }
 
-  // The downlink and compute sweeps upsert keyed rows into --out.
-  const auto finish_sweep = [&](const auto& report, const char* sweep) {
+  // The grid families upsert keyed rows into --out and gate alike.
+  const auto finish_grid = [&](const auto& report, const std::string& what) {
     return finish_campaign(
         spacefts::telemetry::jsonl::upsert_jsonl(
             campaign::to_jsonl(report), campaign::campaign_row_key, out_path),
-        out_path,
-        std::string(sweep) + ", " + std::to_string(report.cells.size()) +
-            " cells; appended to",
-        telem, enforce,
+        out_path, what + "; appended to", telem, enforce,
         [&](std::string& d) { return campaign::enforce(report, d); });
+  };
+  const auto cells = [](const auto& report) {
+    return std::to_string(report.cells.size()) + " cells";
   };
   if (downlink_mode) {
     // Shared grid flags override the sweep's own defaults only when given
@@ -1109,7 +1109,7 @@ int cmd_campaign(Cli& cli) {
                   c.link_loss, c.lambda, c.psnr_on_db, c.psnr_off_db,
                   c.match_on, c.match_off, c.degraded_on, c.degraded_off);
     }
-    return finish_sweep(report, "downlink sweep");
+    return finish_grid(report, "downlink sweep, " + cells(report));
   }
 
   if (compute_mode) {
@@ -1124,7 +1124,7 @@ int cmd_campaign(Cli& cli) {
                   c.shadow_rate, c.requests, c.injected, c.detected, c.escaped,
                   c.stalls, c.quarantined ? "yes" : "no");
     }
-    return finish_sweep(report, "compute sweep");
+    return finish_grid(report, "compute sweep, " + cells(report));
   }
 
   if (control_mode) {
@@ -1177,14 +1177,10 @@ int cmd_campaign(Cli& cli) {
 
   telem.arm();
   const auto report = campaign::run_campaign(config);
-  campaign::append_jsonl(report, out_path);
-  return finish_campaign(
-      true, out_path,
-      std::to_string(report.cells.size()) + " cells, " +
-          std::to_string(report.trials_survived) + "/" +
-          std::to_string(report.trials_run) + " trials survived; appended to",
-      telem, enforce,
-      [&](std::string& d) { return campaign::enforce(report, d); });
+  return finish_grid(report, cells(report) + ", " +
+                                 std::to_string(report.trials_survived) + "/" +
+                                 std::to_string(report.trials_run) +
+                                 " trials survived");
 }
 
 int cmd_serve(Cli& cli) {
