@@ -168,6 +168,14 @@ std::vector<std::uint16_t> telemetry_samples() {
   return data;
 }
 
+/// One tile of the telemetry bank as run_chain codes it: 16 product rows of
+/// 256 channels, a 4,096-sample stream whose tail weighs on every tile.
+std::vector<std::uint16_t> telemetry_tile_samples() {
+  auto data = telemetry_samples();
+  data.resize(16 * 256);
+  return data;
+}
+
 void BM_RiceCompress(benchmark::State& state,
                      std::vector<std::uint16_t> (*make)()) {
   const auto data = make();
@@ -180,6 +188,7 @@ void BM_RiceCompress(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_RiceCompress, ngst, ngst_samples);
 BENCHMARK_CAPTURE(BM_RiceCompress, telemetry, telemetry_samples);
+BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile, telemetry_tile_samples);
 
 void BM_RiceDecompress(benchmark::State& state,
                        std::vector<std::uint16_t> (*make)()) {
@@ -193,6 +202,7 @@ void BM_RiceDecompress(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_RiceDecompress, ngst, ngst_samples);
 BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry, telemetry_samples);
+BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry_tile, telemetry_tile_samples);
 
 void BM_Crc32(benchmark::State& state) {
   spacefts::common::Rng rng(0xBEEFA);

@@ -323,6 +323,7 @@ CaseResult run_case(const CaseSpec& spec, const RunOptions& options) {
         apply(check_rice_writer_reuse(rng), "rice_writer_reuse", result);
         apply(check_rice_corrupt_contract(rng), "rice_corrupt_contract",
               result);
+        apply(check_rice_decode_oracle(rng), "rice_decode_oracle", result);
         break;
       case CaseFamily::kCrcFrame:
         apply(check_crc_frame(rng), "crc_frame", result);

@@ -1,5 +1,6 @@
 /// \file oracle.hpp
-/// Naive scalar golden references for the voting algorithms.
+/// Naive scalar golden references for the voting algorithms and the Rice
+/// decoder.
 ///
 /// Every function here re-derives the paper's semantics from scratch —
 /// straight-line loops, full sorts instead of nth_element, fresh vectors
@@ -19,10 +20,17 @@
 ///  * report counters accumulate in row-major pixel order, the window masks
 ///    keep the last processed series' value ("last pixel wins") — matching
 ///    the serial sweep the threaded stack path reproduces.
+///
+/// The Rice reference reads its stream one bit at a time, the way the codec
+/// first shipped, and restates the format from its definition: a 5-bit k
+/// per 32-sample block (31 = verbatim 16-bit samples), a unary quotient
+/// bounded by the largest legal residual, k remainder bits, and the
+/// zigzag-mapped delta against the previous sample.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "spacefts/common/image.hpp"
 #include "spacefts/core/algo_ngst.hpp"
@@ -55,5 +63,11 @@ namespace spacefts::check {
 [[nodiscard]] core::AlgoOtisReport oracle_otis_cube(
     common::Cube<float>& cube, std::span<const double> wavelengths_um,
     const core::AlgoOtisConfig& config);
+
+/// Golden Rice decoder: exactly \p count samples of \p stream, bit by bit.
+/// Same contract as rice::decompress16 — the same samples, or a
+/// rice::BitstreamError with the same message.
+[[nodiscard]] std::vector<std::uint16_t> oracle_rice_decode(
+    std::span<const std::uint8_t> stream, std::size_t count);
 
 }  // namespace spacefts::check

@@ -10,7 +10,8 @@
 ///  * rice: compress/decompress identity (escape blocks and block-boundary
 ///    lengths included), writer reuse across finish(), and the
 ///    corrupt-stream contract (decode either returns `count` samples or
-///    throws BitstreamError — never hangs, never reads out of bounds);
+///    throws BitstreamError — never hangs, never reads out of bounds), and
+///    agreement with the bit-serial oracle decoder on damaged streams;
 ///  * CRC-32: frame/deframe round-trip and single-bit-damage detection;
 ///  * Hamming(72,64): encode → 1 flip → corrects to the original word;
 ///    encode → 2 flips → detects without miscorrecting;
@@ -56,6 +57,13 @@ struct PropertyResult {
 /// Corrupt streams (bit flips, truncation, trailing garbage) must decode to
 /// exactly `count` samples or throw rice::BitstreamError.
 [[nodiscard]] PropertyResult check_rice_corrupt_contract(common::Rng& rng);
+
+/// rice::decompress16 agrees with the bit-serial oracle_rice_decode on
+/// every payload shape's stream, intact and damaged (bit flips, cuts
+/// anywhere and inside the last 8 bytes, tails of 0xFF longer than 64
+/// bits) and under hostile counts: the same samples, or a BitstreamError
+/// with the same message.
+[[nodiscard]] PropertyResult check_rice_decode_oracle(common::Rng& rng);
 
 // ---- edac -----------------------------------------------------------------
 

@@ -11,6 +11,8 @@
 #include "spacefts/common/bitops.hpp"
 #include "spacefts/core/sensitivity.hpp"
 #include "spacefts/otis/bounds.hpp"
+#include "spacefts/rice/bitstream.hpp"
+#include "spacefts/rice/rice.hpp"
 
 namespace spacefts::check {
 
@@ -114,7 +116,72 @@ struct OracleSpatialWay {
   std::uint32_t v_val = 0;
 };
 
+// --------------------------------------------------------------------- Rice
+
+/// MSB-first bits, one per step, with the codec's error messages.
+struct OracleBits {
+  std::span<const std::uint8_t> bytes;
+  std::size_t pos = 0;
+
+  bool bit() {
+    if (pos >= bytes.size() * 8) {
+      throw rice::BitstreamError("BitReader: past end of stream");
+    }
+    const bool b = (bytes[pos / 8] >> (7 - pos % 8)) & 1;
+    ++pos;
+    return b;
+  }
+  std::uint64_t bits(unsigned count) {
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < count; ++i) v = (v << 1) | std::uint64_t{bit()};
+    return v;
+  }
+  std::uint64_t unary(std::uint64_t max_run) {
+    std::uint64_t run = 0;
+    while (bit()) {
+      if (++run > max_run) {
+        throw rice::BitstreamError("BitReader: unary run exceeds bound");
+      }
+    }
+    return run;
+  }
+};
+
 }  // namespace
+
+std::vector<std::uint16_t> oracle_rice_decode(
+    std::span<const std::uint8_t> stream, std::size_t count) {
+  constexpr std::uint64_t kEscape = 31;
+  constexpr std::uint64_t kMaxK = 16;
+  // zigzag(±65535): the largest residual a legal stream can carry.
+  constexpr std::uint64_t kMaxMapped = 131070;
+  OracleBits in{stream};
+  std::vector<std::uint16_t> out;
+  std::uint16_t previous = 0;
+  while (out.size() < count) {
+    const std::uint64_t k = in.bits(5);
+    if (k != kEscape && k > kMaxK) {
+      throw rice::BitstreamError("decompress16: invalid k");
+    }
+    const std::size_t len = std::min(rice::kBlockSamples, count - out.size());
+    for (std::size_t j = 0; j < len; ++j) {
+      if (k == kEscape) {
+        previous = static_cast<std::uint16_t>(in.bits(16));
+      } else {
+        const std::uint64_t quotient = in.unary(kMaxMapped >> k);
+        const std::uint64_t mapped =
+            (quotient << k) | in.bits(static_cast<unsigned>(k));
+        // Even codes are non-negative deltas, odd ones negative.
+        const std::int64_t delta =
+            mapped % 2 == 0 ? static_cast<std::int64_t>(mapped / 2)
+                            : -static_cast<std::int64_t>((mapped + 1) / 2);
+        previous = static_cast<std::uint16_t>(previous + delta);
+      }
+      out.push_back(previous);
+    }
+  }
+  return out;
+}
 
 core::AlgoNgstReport oracle_ngst_series(std::span<std::uint16_t> series,
                                         const core::AlgoNgstConfig& config) {

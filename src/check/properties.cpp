@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "spacefts/check/oracle.hpp"
 #include "spacefts/core/voter_matrix.hpp"
 #include "spacefts/downlink/chain.hpp"
 #include "spacefts/downlink/compressed_hdu.hpp"
@@ -196,6 +199,75 @@ PropertyResult check_rice_corrupt_contract(common::Rng& rng) {
       (void)rice::decompress16(hostile, 1);
       return property_failed("oversized unary quotient was not rejected");
     } catch (const rice::BitstreamError&) {
+    }
+  }
+  return {};
+}
+
+PropertyResult check_rice_decode_oracle(common::Rng& rng) {
+  std::size_t count = 0;
+  const auto diff = [&count](std::span<const std::uint8_t> stream,
+                             const char* what,
+                             std::size_t kind) -> PropertyResult {
+    const auto outcome = [&](auto&& decode) {
+      std::pair<std::vector<std::uint16_t>, std::string> result;
+      try {
+        result.first = decode(stream, count);
+      } catch (const rice::BitstreamError& e) {
+        result.second = e.what();
+      }
+      return result;
+    };
+    const auto got = outcome(rice::decompress16);
+    const auto want = outcome(oracle_rice_decode);
+    if (got != want) {
+      return property_failed(format_detail(
+          "rice decode (%s, kind=%zu, %zu bytes, count=%zu) diverged from "
+          "the oracle: \"%s\" vs \"%s\"",
+          what, kind, stream.size(), count, got.second.c_str(),
+          want.second.c_str()));
+    }
+    return {};
+  };
+
+  // draw_payload's four shapes, then telemetry-like i.i.d. noise of +-4000
+  // around a level, which codes at k = 12..13.
+  for (std::size_t kind = 0; kind < 5; ++kind) {
+    auto payload = draw_payload(rng, 1 + rng.below(300), kind);
+    if (kind == 4) {
+      for (auto& v : payload) {
+        v = static_cast<std::uint16_t>(26000 + rng.below(8001));
+      }
+    }
+    const auto pristine = rice::compress16(payload);
+    count = payload.size();
+    if (auto r = diff(pristine, "intact", kind); !r.ok) return r;
+    for (int trial = 0; trial < 8; ++trial) {
+      auto damaged = pristine;
+      for (auto flips = 1 + rng.below(3); flips > 0; --flips) {
+        const auto bit = rng.below(damaged.size() * 8);
+        damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+      if (auto r = diff(damaged, "bit flips", kind); !r.ok) return r;
+    }
+    // Every cut inside the last 8 bytes, where the reader goes from word
+    // loads to byte loads, and one anywhere.
+    for (std::size_t cut = 1; cut <= 8 && cut <= pristine.size(); ++cut) {
+      const auto kept = std::span(pristine).first(pristine.size() - cut);
+      if (auto r = diff(kept, "tail cut", kind); !r.ok) return r;
+    }
+    auto extended = pristine;
+    extended.resize(rng.below(pristine.size() + 1));
+    if (auto r = diff(extended, "cut", kind); !r.ok) return r;
+    // A run of ones longer than the reader's buffer.
+    extended.insert(extended.end(), 9 + rng.below(24), 0xFF);
+    if (auto r = diff(extended, "0xFF tail", kind); !r.ok) return r;
+    // Counts the stream cannot hold.
+    for (const std::size_t hostile :
+         {payload.size() + 1 + rng.below(64), pristine.size() * 8 + 1,
+          std::size_t{1} << 40}) {
+      count = hostile;
+      if (auto r = diff(pristine, "hostile count", kind); !r.ok) return r;
     }
   }
   return {};

@@ -16,6 +16,7 @@
 #include "spacefts/edac/hamming.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
+#include "spacefts/telemetry/telemetry.hpp"
 
 namespace spacefts::downlink {
 namespace {
@@ -135,6 +136,8 @@ const char* to_string(ChainWorkload workload) noexcept {
 }
 
 std::vector<std::uint8_t> protect_frame(std::span<const std::uint8_t> payload) {
+  SPACEFTS_TSPAN("downlink.frame",
+                 {"bytes", static_cast<double>(payload.size())});
   const std::size_t padded = (4 + payload.size() + 7) / 8 * 8;
   const std::size_t words = padded / 8;
   std::vector<std::uint8_t> frame;
@@ -155,6 +158,8 @@ std::vector<std::uint8_t> protect_frame(std::span<const std::uint8_t> payload) {
 
 std::optional<std::vector<std::uint8_t>> recover_frame(
     std::span<const std::uint8_t> frame, std::size_t* words_corrected) {
+  SPACEFTS_TSPAN("downlink.deframe",
+                 {"bytes", static_cast<double>(frame.size())});
   if (words_corrected != nullptr) *words_corrected = 0;
   // Layout: 8k data bytes + k parity bytes + 4 CRC bytes.  Anything that
   // does not factor as 9k + 4 lost or gained bytes in transit.

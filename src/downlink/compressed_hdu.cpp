@@ -4,6 +4,7 @@
 
 #include "spacefts/rice/bitstream.hpp"
 #include "spacefts/rice/rice.hpp"
+#include "spacefts/telemetry/telemetry.hpp"
 
 namespace spacefts::downlink {
 
@@ -15,6 +16,8 @@ fits::Hdu make_compressed_hdu(const common::Image<std::uint16_t>& image,
     // we can read back.
     throw fits::FitsError("make_compressed_hdu: empty image");
   }
+  SPACEFTS_TSPAN("downlink.compress",
+                 {"pixels", static_cast<double>(image.size())});
   auto stream = rice::compress16(image.pixels());
 
   fits::Hdu hdu;
@@ -50,6 +53,8 @@ bool is_compressed_hdu(const fits::Hdu& hdu) {
 }
 
 common::Image<std::uint16_t> read_compressed_hdu(const fits::Hdu& hdu) {
+  SPACEFTS_TSPAN("downlink.decompress",
+                 {"bytes", static_cast<double>(hdu.data.size())});
   if (!is_compressed_hdu(hdu)) {
     throw fits::FitsError("read_compressed_hdu: not a RICE_1 compressed HDU");
   }

@@ -1,48 +1,14 @@
 #include "spacefts/rice/bitstream.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 namespace spacefts::rice {
 
 namespace {
 
-/// Bits a window holds past its bit offset: 64 minus at most 7.
-constexpr unsigned kWindowBits = 57;
-
 constexpr const char* kPastEnd = "BitReader: past end of stream";
 
 }  // namespace
-
-void BitWriter::put(std::uint64_t value, unsigned count) {
-  // acc_ holds pending_ < 32 unflushed bits in its low end; bits above them
-  // are already flushed and fall off the top as later bits shift in.
-  acc_ = (acc_ << count) | value;
-  pending_ += count;
-  if (pending_ >= 32) {
-    pending_ -= 32;
-    const auto word = static_cast<std::uint32_t>(acc_ >> pending_);
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + 4);
-    bytes_[at] = static_cast<std::uint8_t>(word >> 24);
-    bytes_[at + 1] = static_cast<std::uint8_t>(word >> 16);
-    bytes_[at + 2] = static_cast<std::uint8_t>(word >> 8);
-    bytes_[at + 3] = static_cast<std::uint8_t>(word);
-  }
-}
-
-void BitWriter::write_bits(std::uint64_t value, unsigned count) {
-  if (count == 0) return;
-  value &= ~std::uint64_t{0} >> (64 - count);  // drop junk above count
-  bit_count_ += count;
-  if (count > 32) {
-    put(value >> 32, count - 32);
-    put(value & 0xFFFFFFFFu, 32);
-  } else {
-    put(value, count);
-  }
-}
 
 void BitWriter::write_unary(std::uint64_t count) {
   for (; count >= 32; count -= 32) write_bits(0xFFFFFFFFu, 32);
@@ -51,79 +17,70 @@ void BitWriter::write_unary(std::uint64_t count) {
              static_cast<unsigned>(count) + 1);
 }
 
-void BitWriter::reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+void BitWriter::grow(std::size_t bytes) {
+  bytes_.resize(std::max(bytes_.size() * 2, used_ + bytes));
+}
 
 std::vector<std::uint8_t> BitWriter::finish() {
-  // Flush the pending bits MSB-first, zero-padded to a byte boundary.
-  for (unsigned left = pending_; left > 0; left -= std::min(left, 8u)) {
-    const std::uint64_t top =
-        left >= 8 ? acc_ >> (left - 8) : acc_ << (8 - left);
-    bytes_.push_back(static_cast<std::uint8_t>(top));
+  bytes_.resize(used_);
+  // The last pending bits, MSB-first and zero-padded to a byte boundary.
+  if (pending_ > 0) {
+    bytes_.push_back(static_cast<std::uint8_t>(acc_ << (8 - pending_)));
   }
   std::vector<std::uint8_t> out = std::move(bytes_);
   // Reset so a reused writer starts a fresh stream.
   bytes_.clear();
+  used_ = 0;
   acc_ = 0;
   pending_ = 0;
-  bit_count_ = 0;
   return out;
 }
 
-std::uint64_t BitReader::window() const noexcept {
-  const std::size_t byte = pos_ / 8;
-  std::uint64_t w = 0;
-  if (bytes_.size() - byte >= 8) {
-    std::memcpy(&w, bytes_.data() + byte, sizeof w);
-    if constexpr (std::endian::native == std::endian::little) {
-      w = __builtin_bswap64(w);
-    }
-  } else {
-    // The last window of a stream loads only the bytes that exist.
-    for (std::size_t i = byte; i < bytes_.size(); ++i) {
-      w |= std::uint64_t{bytes_[i]} << (56 - 8 * (i - byte));
-    }
+void BitReader::refill_tail() noexcept {
+  for (; avail_ <= 55 && next_ < bytes_.size(); ++next_, avail_ += 8) {
+    buf_ |= std::uint64_t{bytes_[next_]} << (56 - avail_);
   }
-  return w << (pos_ % 8);
 }
 
-std::uint64_t BitReader::read_bits(unsigned count) {
+void BitReader::throw_past_end() {
+  // A read past the end leaves the whole stream consumed.
+  next_ = bytes_.size();
+  buf_ = 0;
+  avail_ = 0;
+  throw BitstreamError(kPastEnd);
+}
+
+std::uint64_t BitReader::read_bits_slow(unsigned count) {
   if (count == 0) return 0;
-  if (count > size() - pos_) {
-    pos_ = size();
-    throw BitstreamError(kPastEnd);
-  }
+  if (count > size() - position()) throw_past_end();
+  // Enough bits remain, so each part of at most 32 bits reads on the fast
+  // path: a refill loads at least 32 bits or the rest of the stream.
   std::uint64_t out = 0;
   if (count > 32) {
-    out = (window() >> (64 - (count - 32))) << 32;
-    pos_ += count - 32;
+    out = read_bits(count - 32) << 32;
     count = 32;
   }
-  out |= window() >> (64 - count);
-  pos_ += count;
-  return out;
+  return out | read_bits(count);
 }
 
-std::uint64_t BitReader::read_unary(std::uint64_t max_run) {
-  const std::size_t start = pos_;
+std::uint64_t BitReader::read_unary_slow(std::uint64_t max_run) {
   std::uint64_t count = 0;
   for (;;) {
-    const std::size_t left = size() - pos_;
-    if (left == 0) throw BitstreamError(kPastEnd);
-    const auto valid =
-        static_cast<unsigned>(std::min<std::size_t>(left, kWindowBits));
-    // Bits past the window or the stream load as zeros, so the run of ones
-    // never counts beyond them.
-    const auto ones = static_cast<unsigned>(std::countl_one(window()));
-    count += ones;
-    if (count > max_run) {
-      pos_ = start + max_run + 1;
+    if (avail_ < 32) refill();
+    if (avail_ == 0) throw_past_end();
+    const unsigned ones = leading_ones(buf_);
+    if (count + ones > max_run) {
+      // Stop just past the first one-bit over the bound.
+      skip(static_cast<unsigned>(max_run + 1 - count));
       throw BitstreamError("BitReader: unary run exceeds bound");
     }
-    if (ones < valid) {
-      pos_ += ones + 1;
-      return count;
+    if (ones < avail_) {
+      skip(ones + 1);
+      return count + ones;
     }
-    pos_ += ones;
+    // The run fills the buffer; continue from its end.
+    count += ones;
+    skip(ones);
   }
 }
 

@@ -1,9 +1,21 @@
 /// \file bitstream.hpp
 /// MSB-first bit-level I/O used by the Rice codec.
+///
+/// Both directions keep their hot paths inline.  The writer packs bits into
+/// a 64-bit accumulator and stores it as one big-endian word into a
+/// presized buffer after every put, advancing by the whole bytes it holds.
+/// The reader holds a left-aligned 64-bit buffer that it refills a 32-bit
+/// word at a time, so a Rice code (unary quotient, stop bit and k remainder
+/// bits) decodes from one peek at that buffer.  The block calls,
+/// write_rice() and read_rice(), keep that state in registers for a whole
+/// block.  Stream tails, runs longer than the buffer and every throw stay
+/// out of line.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -17,47 +29,141 @@ class BitstreamError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends bits MSB-first into a growing byte buffer, a 32-bit
-/// big-endian word at a time.
+/// Appends bits MSB-first into a growing byte buffer.
 class BitWriter {
  public:
   /// Writes the low \p count bits of \p value (MSB of that slice first).
   /// \pre count <= 64.
-  void write_bits(std::uint64_t value, unsigned count);
+  void write_bits(std::uint64_t value, unsigned count) {
+    if (count == 0) return;
+    value &= ~std::uint64_t{0} >> (64 - count);  // drop junk above count
+    if (count > 32) {
+      put(value >> 32, count - 32);
+      count = 32;
+      value &= 0xFFFFFFFFu;
+    }
+    put(value, count);
+  }
 
   /// Writes \p count consecutive one-bits followed by a zero (unary code).
   void write_unary(std::uint64_t count);
 
-  /// Reserves room for \p bytes of output, so a caller that knows a bound
-  /// on the stream length pays for no regrowth.
-  void reserve(std::size_t bytes);
+  /// Writes each of \p values as a Rice code with parameter \p k: the
+  /// quotient value >> k in unary, then the low k bits.  The same bits as
+  /// write_unary(value >> k) followed by write_bits(value, k) per value.
+  /// \pre k <= 31.
+  void write_rice(unsigned k, std::span<const std::uint32_t> values) {
+    // Room for the whole block up front, so the loop never checks.
+    std::size_t bits = pending_;
+    for (std::uint32_t v : values) bits += std::size_t{v >> k} + 1 + k;
+    ensure(bits / 8);
+    const std::uint32_t low_mask = (std::uint32_t{1} << k) - 1;
+    // Bits k + 1 and up; base ^ (base << q) sets the q quotient ones above
+    // the stop bit.
+    const std::uint64_t base = ~std::uint64_t{0} << (k + 1);
+    std::uint8_t* out = bytes_.data();
+    std::size_t used = used_;
+    std::uint64_t acc = acc_;
+    unsigned pending = pending_;
+    for (std::uint32_t v : values) {
+      const std::uint32_t q = v >> k;
+      if (q < 32 - k) [[likely]] {  // q + 1 + k <= 32, without wrapping
+        // ones(q), the stop bit and the k-bit remainder in one put.
+        emit(out, used, acc, pending, (base ^ (base << q)) | (v & low_mask),
+             q + 1 + k);
+        continue;
+      }
+      used_ = used;
+      acc_ = acc;
+      pending_ = pending;
+      write_unary(q);
+      write_bits(v & low_mask, k);
+      out = bytes_.data();
+      used = used_;
+      acc = acc_;
+      pending = pending_;
+    }
+    used_ = used;
+    acc_ = acc;
+    pending_ = pending;
+  }
+
+  /// Presizes the buffer for \p bytes of output, so a caller that knows a
+  /// bound on the stream length pays for no regrowth.
+  void reserve(std::size_t bytes) { ensure(bytes); }
 
   /// Pads to a byte boundary with zeros and returns the buffer.  The writer
   /// is reset to its initial state, so it can be reused for another stream.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
   /// Bits written so far (before padding).
-  [[nodiscard]] std::size_t bit_count() const noexcept { return bit_count_; }
+  [[nodiscard]] std::size_t bit_count() const noexcept {
+    return used_ * 8 + pending_;
+  }
 
  private:
+  /// Appends the low \p count bits of \p value at out + used: shifts them
+  /// into \p acc, stores its \p pending bits MSB-first as one big-endian
+  /// 64-bit word, and advances \p used past the whole bytes among them.
+  /// \pre 0 < count <= 32, no bits of \p value above \p count, pending < 8
+  /// and 8 writable bytes at out + used.
+  static void emit(std::uint8_t* out, std::size_t& used, std::uint64_t& acc,
+                   unsigned& pending, std::uint64_t value,
+                   unsigned count) noexcept {
+    // Bits above the pending ones are already stored and fall off the top
+    // as later bits shift in.
+    acc = (acc << count) | value;
+    pending += count;
+    std::uint64_t word = acc << (64 - pending);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    std::memcpy(out + used, &word, sizeof word);
+    used += pending / 8;
+    pending %= 8;
+  }
+
   /// Appends the low \p count bits of \p value. \pre 0 < count <= 32 and
   /// no bits of \p value above \p count.
-  void put(std::uint64_t value, unsigned count);
+  void put(std::uint64_t value, unsigned count) {
+    ensure(0);
+    emit(bytes_.data(), used_, acc_, pending_, value, count);
+  }
 
-  std::vector<std::uint8_t> bytes_;  ///< whole flushed words
-  std::uint64_t acc_ = 0;            ///< unflushed bits, in the low end
-  unsigned pending_ = 0;             ///< unflushed bit count, < 32
-  std::size_t bit_count_ = 0;
+  /// Makes the buffer hold \p bytes past used_ plus the 8 bytes a word
+  /// store needs.
+  void ensure(std::size_t bytes) {
+    if (bytes_.size() - used_ < bytes + 8) [[unlikely]] grow(bytes + 8);
+  }
+
+  /// Resizes the buffer to hold at least \p bytes past used_.
+  void grow(std::size_t bytes);
+
+  std::vector<std::uint8_t> bytes_;  ///< presized; the first used_ are stream
+  std::size_t used_ = 0;             ///< whole bytes written
+  std::uint64_t acc_ = 0;            ///< pending bits, in the low end
+  unsigned pending_ = 0;             ///< bits not yet in a whole byte, < 8
 };
 
-/// Reads bits MSB-first from a byte buffer through a 64-bit window.
+/// Reads bits MSB-first from a byte buffer through a left-aligned 64-bit
+/// buffer.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   /// Reads \p count bits as an unsigned value. \pre count <= 64.
   /// \throws BitstreamError past the end.
-  [[nodiscard]] std::uint64_t read_bits(unsigned count);
+  [[nodiscard]] std::uint64_t read_bits(unsigned count) {
+    if (count - 1u < 32u) {  // 1..32
+      if (avail_ < 32) refill();
+      if (count <= avail_) [[likely]] {
+        const std::uint64_t out = buf_ >> (64 - count);
+        skip(count);
+        return out;
+      }
+    }
+    return read_bits_slow(count);
+  }
 
   /// Reads a unary code: the number of one-bits before the next zero.
   /// \param max_run upper bound on the run length a well-formed stream can
@@ -65,22 +171,116 @@ class BitReader {
   ///        instead of consuming the rest of the stream bit by bit.
   /// \throws BitstreamError past the end or when the run exceeds \p max_run.
   [[nodiscard]] std::uint64_t read_unary(
-      std::uint64_t max_run = std::numeric_limits<std::uint64_t>::max());
+      std::uint64_t max_run = std::numeric_limits<std::uint64_t>::max()) {
+    if (avail_ < 32) refill();
+    const unsigned ones = leading_ones(buf_);
+    if (ones < avail_ && ones <= max_run) [[likely]] {
+      skip(ones + 1);
+      return ones;
+    }
+    return read_unary_slow(max_run);
+  }
+
+  /// Reads out.size() Rice codes with parameter \p k: per value, a unary
+  /// quotient bounded by \p max_run, then k remainder bits, stored as
+  /// (quotient << k) | remainder.  Same values, position and errors as
+  /// read_unary(max_run) then read_bits(k) per value.
+  /// \pre k <= 31 and max_run < 2^(32 - k), so every value fits 32 bits.
+  void read_rice(unsigned k, std::uint64_t max_run,
+                 std::span<std::uint32_t> out) {
+    const std::uint8_t* const data = bytes_.data();
+    // Whole 32-bit words start below this byte.
+    const std::size_t words_end = bytes_.size() < 4 ? 0 : bytes_.size() - 3;
+    const std::uint64_t low_mask = (std::uint64_t{1} << k) - 1;
+    std::uint64_t buf = buf_;
+    unsigned avail = avail_;
+    std::size_t next = next_;
+    for (std::uint32_t& value : out) {
+      if (avail < 32 && next < words_end) load_word(data, next, buf, avail);
+      const unsigned ones = leading_ones(buf);
+      const unsigned length = ones + 1 + k;
+      if (length <= avail && ones <= max_run) [[likely]] {
+        // The remainder is the low k bits of the length-bit code.
+        value = static_cast<std::uint32_t>(
+            (std::uint64_t{ones} << k) | ((buf >> (64 - length)) & low_mask));
+        buf <<= length;
+        avail -= length;
+        continue;
+      }
+      // The stream's tail, a run past the buffer, or an error: continue
+      // from here on the member state.
+      buf_ = buf;
+      avail_ = avail;
+      next_ = next;
+      const std::uint64_t quotient = read_unary(max_run);
+      value = static_cast<std::uint32_t>((quotient << k) | read_bits(k));
+      buf = buf_;
+      avail = avail_;
+      next = next_;
+    }
+    buf_ = buf;
+    avail_ = avail;
+    next_ = next;
+  }
 
   /// Bits consumed so far.
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
+  [[nodiscard]] std::size_t position() const noexcept {
+    return next_ * 8 - avail_;
+  }
 
   /// Total bits available.
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size() * 8; }
 
  private:
-  /// The 64 bits from position() on, MSB first; bits past the end of the
-  /// buffer read as zeros and at least 57 bits are real when available.
-  /// Never loads a byte past the buffer.  \pre position() < size().
-  [[nodiscard]] std::uint64_t window() const noexcept;
+  // Invariants: buf_ holds the avail_ <= 63 bits from position() on at its
+  // top, every bit below them is zero, and next_ is the first byte not yet
+  // loaded.  A run of ones therefore never counts past the loaded bits, and
+  // buf_ always has a zero bit for leading_ones() to stop at.
+
+  [[nodiscard]] static unsigned leading_ones(std::uint64_t buf) noexcept {
+    return static_cast<unsigned>(__builtin_clzll(~buf));
+  }
+
+  /// Puts the 32-bit big-endian word at data + next below the avail bits
+  /// of buf.  \pre avail < 32 and 4 bytes at data + next.
+  static void load_word(const std::uint8_t* data, std::size_t& next,
+                        std::uint64_t& buf, unsigned& avail) noexcept {
+    std::uint32_t word;
+    std::memcpy(&word, data + next, sizeof word);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    buf |= std::uint64_t{word} << (32 - avail);
+    next += 4;
+    avail += 32;
+  }
+
+  /// Tops the buffer up from next_.  \pre avail_ < 32.  Loads a whole
+  /// word while one remains, so avail_ ends in [32, 63]; only the stream's
+  /// last three bytes go byte by byte.
+  void refill() {
+    if (bytes_.size() - next_ >= 4) [[likely]] {
+      load_word(bytes_.data(), next_, buf_, avail_);
+    } else {
+      refill_tail();
+    }
+  }
+
+  /// Drops \p count bits from the front of the buffer. \pre count <= avail_.
+  void skip(unsigned count) noexcept {
+    buf_ <<= count;
+    avail_ -= count;
+  }
+
+  void refill_tail() noexcept;
+  [[noreturn]] void throw_past_end();
+  std::uint64_t read_bits_slow(unsigned count);
+  std::uint64_t read_unary_slow(std::uint64_t max_run);
 
   std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
+  std::size_t next_ = 0;   ///< next byte to load
+  std::uint64_t buf_ = 0;  ///< loaded, unconsumed bits, MSB first
+  unsigned avail_ = 0;     ///< valid bits at the top of buf_
 };
 
 }  // namespace spacefts::rice

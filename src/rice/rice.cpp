@@ -1,6 +1,8 @@
 #include "spacefts/rice/rice.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "spacefts/rice/bitstream.hpp"
 
@@ -29,14 +31,40 @@ constexpr std::uint64_t kMaxMapped = 131070;
   return static_cast<std::int32_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
-/// Cost in bits of coding \p residuals with Rice parameter k.
-[[nodiscard]] std::size_t rice_cost(std::span<const std::uint32_t> residuals,
-                                    unsigned k) noexcept {
-  std::size_t bits = 0;
-  for (std::uint32_t r : residuals) {
-    bits += (r >> k) + 1 + k;
-  }
+/// Sum of the quotient bits a block saves by raising k to k + 1:
+/// (r >> k) - (r >> (k + 1)) = ceil((r >> k) / 2) per residual.
+[[nodiscard]] std::uint32_t saving(std::span<const std::uint32_t> residuals,
+                                   unsigned k) noexcept {
+  std::uint32_t bits = 0;
+  for (std::uint32_t r : residuals) bits += ((r >> k) + 1) >> 1;
   return bits;
+}
+
+/// The first strict minimum of the block's cost over k in [0, kMaxK]; the
+/// stream format depends on this exact choice.
+///
+/// cost(k + 1) - cost(k) = n - saving(k) =: delta(k).  saving(k) never
+/// grows with k, so delta is non-decreasing and the first strict minimum
+/// is the smallest k < kMaxK with delta(k) >= 0, or kMaxK if there is
+/// none.  That predicate is monotone in k, so a walk from any start finds
+/// the same k.  Started at floor(log2(mean residual)), near the optimum,
+/// the walk evaluates about two saving() sums per block on the NGST and
+/// telemetry benches.
+[[nodiscard]] unsigned choose_k(std::span<const std::uint32_t> residuals,
+                                std::uint32_t sum) noexcept {
+  const auto n = static_cast<std::uint32_t>(residuals.size());
+  const auto stops = [&](unsigned k) {
+    return k == kMaxK || saving(residuals, k) <= n;
+  };
+  const std::uint32_t mean = sum / n;
+  unsigned k =
+      mean == 0 ? 0u : std::min<unsigned>(std::bit_width(mean) - 1, kMaxK);
+  if (stops(k)) {
+    while (k > 0 && stops(k - 1)) --k;
+  } else {
+    do ++k; while (!stops(k));
+  }
+  return k;
 }
 
 }  // namespace
@@ -49,55 +77,33 @@ std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
       (samples.size() + kBlockSamples - 1) / kBlockSamples;
   writer.reserve(samples.size() * 2 + (blocks * 5 + 7) / 8);
   std::uint16_t previous = 0;
-  std::vector<std::uint32_t> residuals;
-  residuals.reserve(kBlockSamples);
+  std::array<std::uint32_t, kBlockSamples> block;
 
-  std::size_t i = 0;
-  while (i < samples.size()) {
+  for (std::size_t i = 0; i < samples.size(); i += kBlockSamples) {
     const std::size_t block_len = std::min(kBlockSamples, samples.size() - i);
-    residuals.clear();
+    const auto residuals = std::span(block).first(block_len);
+    std::uint32_t sum = 0;
     for (std::size_t j = 0; j < block_len; ++j) {
       const std::int32_t delta = static_cast<std::int32_t>(samples[i + j]) -
                                  static_cast<std::int32_t>(previous);
-      residuals.push_back(zigzag(delta));
+      residuals[j] = zigzag(delta);
+      sum += residuals[j];
       previous = samples[i + j];
     }
-    // Pick the cheapest k; compare against the verbatim escape.  The cost
-    // is convex in k (each step up saves sum(ceil((r >> k) / 2)) quotient
-    // bits, which never grows with k, and spends block_len remainder bits),
-    // so the first k whose successor costs no less is the first strict
-    // minimum over all k.
-    unsigned best_k = 0;
-    std::size_t best_cost = rice_cost(residuals, 0);
-    for (unsigned k = 1; k <= kMaxK; ++k) {
-      const std::size_t cost = rice_cost(residuals, k);
-      if (cost >= best_cost) break;
-      best_cost = cost;
-      best_k = k;
-    }
-    const std::size_t verbatim_cost = block_len * 16;
-    if (verbatim_cost < best_cost) {
+    // Pick the cheapest k; compare against the verbatim escape.
+    const unsigned k = choose_k(residuals, sum);
+    std::size_t rice_cost = block_len * (1 + k);
+    for (std::uint32_t r : residuals) rice_cost += r >> k;
+    if (block_len * 16 < rice_cost) {
       writer.write_bits(kEscape, 5);
       // Verbatim blocks restart the predictor from the stored samples.
       for (std::size_t j = 0; j < block_len; ++j) {
         writer.write_bits(samples[i + j], 16);
       }
-    } else {
-      writer.write_bits(best_k, 5);
-      for (std::uint32_t r : residuals) {
-        const std::uint32_t q = r >> best_k;
-        const std::uint32_t low = r & ((1u << best_k) - 1);
-        if (q + 1 + best_k <= 32) {
-          // ones(q), the terminating zero and the k-bit remainder in one put.
-          const std::uint64_t ones = (std::uint64_t{1} << q) - 1;
-          writer.write_bits((ones << (best_k + 1)) | low, q + 1 + best_k);
-        } else {
-          writer.write_unary(q);
-          writer.write_bits(low, best_k);
-        }
-      }
+      continue;
     }
-    i += block_len;
+    writer.write_bits(k, 5);
+    writer.write_rice(k, residuals);
   }
   return writer.finish();
 }
@@ -107,31 +113,31 @@ std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
   BitReader reader(stream);
   std::vector<std::uint16_t> out;
   // The count comes from outside; every sample costs at least one bit, so
-  // the stream bounds what a well-formed decode can produce.
+  // the stream bounds what a well-formed decode can produce.  A block is
+  // appended only once it decoded whole, so the reserve is never outgrown.
   out.reserve(std::min(count, stream.size() * 8));
+  std::array<std::uint32_t, kBlockSamples> mapped;
+  std::array<std::uint16_t, kBlockSamples> block;
   std::uint16_t previous = 0;
   while (out.size() < count) {
     const auto k = static_cast<unsigned>(reader.read_bits(5));
     const std::size_t block_len = std::min(kBlockSamples, count - out.size());
     if (k == kEscape) {
       for (std::size_t j = 0; j < block_len; ++j) {
-        const auto v = static_cast<std::uint16_t>(reader.read_bits(16));
-        out.push_back(v);
-        previous = v;
+        block[j] = static_cast<std::uint16_t>(reader.read_bits(16));
       }
-      continue;
+      previous = block[block_len - 1];
+    } else {
+      if (k > kMaxK) throw BitstreamError("decompress16: invalid k");
+      reader.read_rice(k, kMaxMapped >> k, std::span(mapped).first(block_len));
+      for (std::size_t j = 0; j < block_len; ++j) {
+        previous = static_cast<std::uint16_t>(
+            static_cast<std::int32_t>(previous) + unzigzag(mapped[j]));
+        block[j] = previous;
+      }
     }
-    if (k > kMaxK) throw BitstreamError("decompress16: invalid k");
-    for (std::size_t j = 0; j < block_len; ++j) {
-      const std::uint64_t quotient = reader.read_unary(kMaxMapped >> k);
-      const std::uint64_t remainder = k ? reader.read_bits(k) : 0;
-      const auto mapped = static_cast<std::uint32_t>((quotient << k) | remainder);
-      const std::int32_t delta = unzigzag(mapped);
-      const auto value = static_cast<std::uint16_t>(
-          static_cast<std::int32_t>(previous) + delta);
-      out.push_back(value);
-      previous = value;
-    }
+    out.insert(out.end(), block.begin(),
+               block.begin() + static_cast<std::ptrdiff_t>(block_len));
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "spacefts/check/corpus.hpp"
@@ -17,11 +18,14 @@
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/datagen/otis_scenes.hpp"
 #include "spacefts/fault/models.hpp"
+#include "spacefts/rice/bitstream.hpp"
+#include "spacefts/rice/rice.hpp"
 
 namespace sc = spacefts::check;
 namespace score = spacefts::core;
 namespace sd = spacefts::datagen;
 namespace sf = spacefts::fault;
+namespace sr = spacefts::rice;
 using spacefts::common::Rng;
 
 namespace {
@@ -179,6 +183,46 @@ TEST(Oracle, OtisPlaneMatchesCore) {
   expect_reports_equal(core_report, oracle_report);
 }
 
+TEST(Oracle, RiceDecodeMatchesTheCodec) {
+  // The oracle reads valid streams back, and names the same errors as the
+  // codec on a short stream and an out-of-range k.
+  Rng rng(71);
+  std::vector<std::uint16_t> walk(1000);
+  std::uint16_t level = 27000;
+  for (auto& v : walk) {
+    level = static_cast<std::uint16_t>(level + rng.below(201) - 100);
+    v = level;
+  }
+  EXPECT_EQ(sc::oracle_rice_decode(sr::compress16(walk), walk.size()), walk);
+  const auto error_of = [](auto&& decode, std::span<const std::uint8_t> s,
+                           std::size_t count) {
+    try {
+      (void)decode(s, count);
+    } catch (const sr::BitstreamError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::vector<std::uint8_t> zeros{0x00, 0x00, 0x00};
+  EXPECT_EQ(error_of(sc::oracle_rice_decode, zeros, 25),
+            "BitReader: past end of stream");
+  EXPECT_EQ(error_of(sr::decompress16, zeros, 25),
+            "BitReader: past end of stream");
+  const std::vector<std::uint8_t> k17{0x88, 0x00, 0x00};  // 10001 = k 17
+  EXPECT_EQ(error_of(sc::oracle_rice_decode, k17, 1),
+            "decompress16: invalid k");
+  EXPECT_EQ(error_of(sr::decompress16, k17, 1), "decompress16: invalid k");
+
+  // Whole-stream differential: every payload shape, intact, bit-flipped,
+  // cut anywhere and inside the last 8 bytes, extended with 0xFF runs
+  // longer than 64 bits, and under hostile counts.
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Rng case_rng(seed);
+    const auto result = sc::check_rice_decode_oracle(case_rng);
+    ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.detail;
+  }
+}
+
 // ---------------------------------------------------------------- properties
 
 TEST(Properties, AllSeededChecksPass) {
@@ -190,6 +234,7 @@ TEST(Properties, AllSeededChecksPass) {
   EXPECT_TRUE(sc::check_hamming_contract(rng).ok);
   EXPECT_TRUE(sc::check_serve_workload_roundtrip(rng).ok);
   EXPECT_TRUE(sc::check_serve_determinism(rng).ok);
+  EXPECT_TRUE(sc::check_rice_decode_oracle(rng).ok);
 }
 
 TEST(Properties, MetamorphicChecksPassOnFaultySeries) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "spacefts/common/random.hpp"
 #include "spacefts/datagen/ngst.hpp"
@@ -11,6 +13,7 @@
 #include "spacefts/downlink/compressed_hdu.hpp"
 #include "spacefts/edac/crc32.hpp"
 #include "spacefts/fits/fits.hpp"
+#include "spacefts/telemetry/telemetry.hpp"
 
 namespace dl = spacefts::downlink;
 using spacefts::common::Image;
@@ -210,6 +213,26 @@ TEST(DownlinkChain, CleanChainReproducesGoldenBitExact) {
     EXPECT_EQ(report.tiles_degraded, 0u);
     EXPECT_GT(report.compression_ratio, 1.0);
   }
+}
+
+TEST(DownlinkChain, CodecAndFramingRecordLibrarySpans) {
+  namespace st = spacefts::telemetry;
+  if (!st::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  st::reset();
+  st::set_enabled(true);
+  const auto report = dl::run_chain(small_chain(dl::ChainWorkload::kTelemetry));
+  st::set_enabled(false);
+  std::map<std::string, std::size_t> spans;
+  for (const auto& span : st::collect()) ++spans[span.name];
+  st::reset();
+  // A clean link: every tile is compressed, framed, deframed and
+  // decompressed exactly once.
+  ASSERT_EQ(report.tiles_degraded, 0u);
+  const std::size_t tiles = spans["downlink.compress"];
+  EXPECT_GT(tiles, 1u);
+  EXPECT_EQ(spans["downlink.frame"], tiles);
+  EXPECT_EQ(spans["downlink.deframe"], tiles);
+  EXPECT_EQ(spans["downlink.decompress"], tiles);
 }
 
 TEST(DownlinkChain, DeterministicAcrossThreadCounts) {

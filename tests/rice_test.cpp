@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +15,26 @@
 #include "spacefts/fault/models.hpp"
 #include "spacefts/rice/bitstream.hpp"
 #include "spacefts/rice/rice.hpp"
+
+namespace {
+// The largest single heap request since the last reset, so a test can bound
+// what decode allocates against the size of its stream.
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+// Out of line like the deletes, so the compiler never sees malloc() paired
+// with a sized delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_alloc.compare_exchange_weak(seen, n)) {
+  }
+  if (void* p = std::malloc(std::max<std::size_t>(n, 1))) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sr = spacefts::rice;
 using spacefts::common::Rng;
@@ -311,6 +334,64 @@ TEST(Bitstream, MatchesABitSerialOracle) {
   }
 }
 
+TEST(Bitstream, RiceBlockCallsMatchUnaryThenBits) {
+  // write_rice and read_rice are the block forms of write_unary + write_bits
+  // and read_unary + read_bits: same bits, and on any stream the same
+  // values, position and error.
+  Rng rng(0xB10C);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto k = static_cast<unsigned>(rng.below(17));
+    std::vector<std::uint32_t> values(1 + rng.below(40));
+    for (auto& v : values) {
+      // Mostly short quotients, sometimes past the 32-bit fused code.
+      const auto q = rng.below(8) == 0 ? rng.below(300) : rng.below(4);
+      v = static_cast<std::uint32_t>((q << k) | (rng() & ((1u << k) - 1)));
+    }
+    sr::BitWriter block;
+    sr::BitWriter serial;
+    const auto lead = static_cast<unsigned>(rng.below(40));
+    block.write_bits(0x5A5A5A5A5Au, lead);
+    serial.write_bits(0x5A5A5A5A5Au, lead);
+    block.write_rice(k, values);
+    for (std::uint32_t v : values) {
+      serial.write_unary(v >> k);
+      serial.write_bits(v, k);
+    }
+    ASSERT_EQ(block.bit_count(), serial.bit_count()) << "trial " << trial;
+    auto bytes = block.finish();
+    ASSERT_EQ(bytes, serial.finish()) << "trial " << trial;
+
+    // Damage the stream, then read it back both ways.
+    bytes.resize(rng.below(bytes.size() + 1));
+    for (auto n = rng.below(12); n > 0; --n) {
+      bytes.push_back(rng.below(2) ? 0xFF : static_cast<std::uint8_t>(rng()));
+    }
+    if (!bytes.empty() && rng.below(2)) {
+      bytes[rng.below(bytes.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.below(8));
+    }
+    const std::uint64_t max_run = rng.below(4) == 0 ? rng.below(64) : 300;
+    sr::BitReader block_reader(bytes);
+    sr::BitReader serial_reader(bytes);
+    EXPECT_EQ(error_of([&] { (void)block_reader.read_bits(lead); }),
+              error_of([&] { (void)serial_reader.read_bits(lead); }));
+    std::vector<std::uint32_t> got(values.size());
+    std::vector<std::uint32_t> want(values.size());
+    const auto got_error = error_of(
+        [&] { block_reader.read_rice(k, max_run, got); });
+    const auto want_error = error_of([&] {
+      for (auto& v : want) {
+        const auto q = serial_reader.read_unary(max_run);
+        v = static_cast<std::uint32_t>((q << k) | serial_reader.read_bits(k));
+      }
+    });
+    ASSERT_EQ(got_error, want_error) << "trial " << trial;
+    ASSERT_EQ(block_reader.position(), serial_reader.position())
+        << "trial " << trial;
+    ASSERT_EQ(got, want) << "trial " << trial;
+  }
+}
+
 // ----------------------------------------------------------------------- Rice
 
 namespace {
@@ -592,6 +673,7 @@ struct StreamFeatures {
   bool high_k = false;
   bool escape = false;
   bool long_unary = false;
+  std::vector<unsigned> headers;  ///< each block's k, 31 for verbatim
 };
 
 StreamFeatures walk_stream(const std::vector<std::uint8_t>& stream,
@@ -602,6 +684,7 @@ StreamFeatures walk_stream(const std::vector<std::uint8_t>& stream,
     const auto k = static_cast<unsigned>(r.read_bits(5));
     const std::size_t len = std::min(sr::kBlockSamples, count - done);
     done += len;
+    seen.headers.push_back(k);
     if (k == 31) {
       seen.escape = true;
       for (std::size_t j = 0; j < len; ++j) (void)r.read_bits(16);
@@ -641,4 +724,120 @@ TEST(Rice, StreamBytesArePinned) {
   EXPECT_TRUE(all.high_k);
   EXPECT_TRUE(all.escape);
   EXPECT_TRUE(all.long_unary);
+}
+
+// ------------------------------------------------------------ k choice
+
+namespace {
+
+/// The header a full scan writes for one block: the first strict minimum
+/// of the Rice cost over every k in 0..16, or 31 when the verbatim block
+/// is strictly cheaper.
+unsigned scanned_header(std::span<const std::uint16_t> samples,
+                        std::size_t begin, std::size_t len) {
+  std::vector<std::uint32_t> residuals;
+  for (std::size_t i = begin; i < begin + len; ++i) {
+    const std::int32_t delta =
+        static_cast<std::int32_t>(samples[i]) -
+        (i == 0 ? 0 : static_cast<std::int32_t>(samples[i - 1]));
+    residuals.push_back(delta >= 0 ? 2 * static_cast<std::uint32_t>(delta)
+                                   : 2 * static_cast<std::uint32_t>(-delta) - 1);
+  }
+  unsigned best_k = 0;
+  std::size_t best_cost = ~std::size_t{0};
+  for (unsigned k = 0; k <= 16; ++k) {
+    std::size_t cost = 0;
+    for (std::uint32_t r : residuals) cost += (r >> k) + 1 + k;
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_k = k;
+    }
+  }
+  return len * 16 < best_cost ? 31u : best_k;
+}
+
+void expect_scanned_headers(const std::vector<std::uint16_t>& samples,
+                            const char* name) {
+  const auto stream = sr::compress16(samples);
+  const auto headers = walk_stream(stream, samples.size()).headers;
+  ASSERT_EQ(headers.size(),
+            (samples.size() + sr::kBlockSamples - 1) / sr::kBlockSamples)
+      << name;
+  for (std::size_t b = 0; b < headers.size(); ++b) {
+    const std::size_t begin = b * sr::kBlockSamples;
+    const std::size_t len = std::min(sr::kBlockSamples, samples.size() - begin);
+    EXPECT_EQ(headers[b], scanned_header(samples, begin, len))
+        << name << " block " << b;
+  }
+  EXPECT_EQ(sr::decompress16(stream, samples.size()), samples) << name;
+}
+
+}  // namespace
+
+TEST(Rice, KSearchMatchesTheFullScan) {
+  // All-zero residuals: k = 0.
+  expect_scanned_headers(std::vector<std::uint16_t>(64, 0), "zeros");
+  // Residuals near 131070 push the choice to the k = 16 cap, where the
+  // block escapes; one block of them among quiet ones.
+  {
+    std::vector<std::uint16_t> v(96, 100);
+    for (std::size_t i = 32; i < 64; ++i) v[i] = i % 2 ? 0 : 65535;
+    expect_scanned_headers(v, "cap");
+  }
+  // A single spike in a flat block.
+  {
+    std::vector<std::uint16_t> v(64, 30000);
+    v[40] = 31000;
+    expect_scanned_headers(v, "spike");
+  }
+  // Residuals 16400 and 16399 (steps of +-8200): k = 13 costs
+  // 32 * 14 + 32 * 2 = 512 bits, exactly the verbatim cost, so the block
+  // must stay Rice.
+  {
+    std::vector<std::uint16_t> v(32);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 2 ? 0 : 8200;
+    expect_scanned_headers(v, "tie");
+    const auto stream = sr::compress16(v);
+    EXPECT_EQ(walk_stream(stream, v.size()).headers,
+              std::vector<unsigned>{13});
+  }
+  // Final blocks of 1..31 samples over every shape of residual scale:
+  // a slow walk, telemetry-like noise, full-range noise.
+  Rng rng(0x5CA7);
+  for (std::size_t tail = 1; tail < sr::kBlockSamples; ++tail) {
+    for (unsigned spread : {8u, 8000u, 65536u}) {
+      std::vector<std::uint16_t> v(2 * sr::kBlockSamples + tail);
+      std::uint16_t level = 26000;
+      for (auto& s : v) {
+        s = spread == 8 ? (level = static_cast<std::uint16_t>(
+                               level + rng.below(spread) - spread / 2))
+                        : static_cast<std::uint16_t>(level +
+                                                     rng.below(spread));
+      }
+      expect_scanned_headers(v, "tail");
+    }
+  }
+  // Every block scale in between: residual magnitudes 2^0 .. 2^16.
+  for (unsigned bits = 0; bits <= 16; ++bits) {
+    std::vector<std::uint16_t> v(4 * sr::kBlockSamples);
+    for (auto& s : v) {
+      s = static_cast<std::uint16_t>(rng.below(std::uint64_t{1} << bits));
+    }
+    expect_scanned_headers(v, "scale");
+  }
+}
+
+TEST(Rice, HostileCountAllocationIsBounded) {
+  // A 16-byte stream can hold at most 8 samples per byte; a count of 2^40
+  // must fail as a short stream without ever asking for more than that.
+  std::vector<std::uint8_t> prefix = sr::compress16(std::vector<std::uint16_t>(
+      200, 27000));
+  prefix.resize(16);
+  for (const auto& stream : {std::vector<std::uint8_t>(16, 0x00),
+                             std::vector<std::uint8_t>(16, 0xFF), prefix}) {
+    g_largest_alloc = 0;
+    EXPECT_THROW((void)sr::decompress16(stream, std::size_t{1} << 40),
+                 sr::BitstreamError);
+    EXPECT_LE(g_largest_alloc.load(), 2 * 8 * stream.size());
+  }
 }
