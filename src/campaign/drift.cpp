@@ -158,7 +158,7 @@ DriftArm aggregate(const DriftConfig& cfg, std::string name, bool adaptive,
     core::OperatingPoint point;
     point.lambda = r.lambda_eff;
     point.upsilon = r.upsilon_eff;
-    const double cost = control::virtual_cost_ms(cfg.control, pixels, point);
+    const double cost = control::virtual_cost_ms(pixels, point);
     cost_sum += cost;
     if (cost > cfg.control.deadline_budget_ms) ++arm.virtual_misses;
   }

@@ -28,25 +28,4 @@ namespace spacefts::common {
 /// \throws std::invalid_argument for an empty input or p outside [0,100].
 [[nodiscard]] double percentile(std::span<const double> values, double p);
 
-/// Running summary accumulator (count / mean / min / max / stddev) for
-/// streaming experiment results without storing every sample.
-class Accumulator {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  /// Population standard deviation (Welford); 0 with fewer than two samples.
-  [[nodiscard]] double stddev() const noexcept;
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace spacefts::common

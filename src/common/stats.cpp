@@ -59,22 +59,4 @@ double percentile(std::span<const double> values, double p) {
   return copy[lo] + frac * (copy[lo + 1] - copy[lo]);
 }
 
-void Accumulator::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double Accumulator::stddev() const noexcept {
-  if (count_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(count_));
-}
-
 }  // namespace spacefts::common

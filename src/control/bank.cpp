@@ -54,7 +54,7 @@ void ControllerBank::observe(const serve::RequestResult& result) {
   obs.bits_corrected = result.bits_corrected;
   obs.pixels_corrected = result.pixels_corrected;
   obs.pixels_vetoed = result.pixels_vetoed;
-  obs.cost_ms = virtual_cost_ms(cfg_, slot.pixels, slot.point);
+  obs.cost_ms = virtual_cost_ms(slot.pixels, slot.point);
   obs.completed = result.status == serve::ServeStatus::kOk;
 
   StreamCtl& ctl = streams_.at(slot.stream);
@@ -124,7 +124,7 @@ std::string ControllerBank::applied_jsonl() const {
         static_cast<unsigned long long>(slot->stream),
         static_cast<unsigned long long>(slot->seq), slot->point.lambda,
         slot->point.upsilon, slot->point.max_batch,
-        virtual_cost_ms(cfg_, slot->pixels, slot->point));
+        virtual_cost_ms(slot->pixels, slot->point));
     out += buf;
   }
   return out;

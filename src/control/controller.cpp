@@ -9,16 +9,35 @@
 namespace spacefts::control {
 namespace {
 
+constexpr double kLambdaStep = 10.0;      ///< bounded Λ step per decision epoch
+constexpr std::size_t kUpsilonMax = 8;    ///< voter-way ceiling (even)
+/// Epochs to dwell after a *downward* step (relax/shed) before another
+/// one.  Raises are exempt: the loop attacks fast, decays slow.
+constexpr std::size_t kHold = 1;
+/// Cost/deadline ratio below which raising is re-enabled; the band up to
+/// pressure_high is the pressure hysteresis.
+constexpr double kPressureLow = 0.80;
+constexpr double kCostBaseNsPerPix = 40.0;   ///< Λ-independent per-pixel work
+constexpr double kCostVoterNsPerPix = 25.0;  ///< per voter way, × B width
+
 /// Highest Λ grid level the config admits.
 int level_cap(const ControlConfig& cfg) {
   return static_cast<int>(
-      std::floor((cfg.lambda_max - cfg.lambda_min) / cfg.lambda_step));
+      std::floor((cfg.lambda_max - cfg.lambda_min) / kLambdaStep));
 }
 
 int snap_level(const ControlConfig& cfg, double lambda) {
-  const double raw = (lambda - cfg.lambda_min) / cfg.lambda_step;
+  const double raw = (lambda - cfg.lambda_min) / kLambdaStep;
   const int level = static_cast<int>(std::floor(raw + 0.5));
   return std::clamp(level, 0, level_cap(cfg));
+}
+
+/// Per-pixel virtual cost of a point, in ns — pixels cancel out of the
+/// pressure projection, so decide() needs no knowledge of the job shape.
+double per_pixel_cost(const core::OperatingPoint& point) {
+  return kCostBaseNsPerPix + kCostVoterNsPerPix *
+                                 static_cast<double>(point.upsilon) *
+                                 core::window_b_fraction(point.lambda);
 }
 
 void require(bool ok, const char* what) {
@@ -32,20 +51,16 @@ void validate_config(const ControlConfig& cfg) {
               core::is_valid_sensitivity(cfg.lambda_max) &&
               cfg.lambda_min <= cfg.lambda_max,
           "lambda bounds must satisfy 0 <= lambda_min <= lambda_max <= 100");
-  require(cfg.lambda_step > 0.0 && std::isfinite(cfg.lambda_step),
-          "lambda_step must be > 0");
   require(core::is_valid_sensitivity(cfg.lambda_initial) &&
               cfg.lambda_initial >= cfg.lambda_min &&
               cfg.lambda_initial <= cfg.lambda_max,
           "lambda_initial outside [lambda_min, lambda_max]");
   require(cfg.upsilon_min >= 2 && cfg.upsilon_min % 2 == 0,
           "upsilon_min must be even and >= 2");
-  require(cfg.upsilon_max >= cfg.upsilon_min && cfg.upsilon_max % 2 == 0,
-          "upsilon_max must be even and >= upsilon_min");
   require(cfg.upsilon_initial >= cfg.upsilon_min &&
-              cfg.upsilon_initial <= cfg.upsilon_max &&
+              cfg.upsilon_initial <= kUpsilonMax &&
               cfg.upsilon_initial % 2 == 0,
-          "upsilon_initial outside [upsilon_min, upsilon_max] or odd");
+          "upsilon_initial outside [upsilon_min, 8] or odd");
   require(cfg.window >= 1, "window must be >= 1");
   require(cfg.lag >= 1, "lag must be >= 1");
   require(cfg.ewma_halflife > 0.0 && std::isfinite(cfg.ewma_halflife),
@@ -55,12 +70,10 @@ void validate_config(const ControlConfig& cfg) {
   require(cfg.veto_cap >= 0.0 && cfg.veto_cap <= 1.0 &&
               cfg.veto_high >= cfg.veto_cap && cfg.veto_high <= 1.0,
           "veto thresholds must satisfy 0 <= cap <= high <= 1");
-  require(cfg.pressure_low > 0.0 && cfg.pressure_high > cfg.pressure_low,
-          "pressure thresholds must satisfy 0 < low < high");
+  require(cfg.pressure_high > kPressureLow,
+          "pressure_high must exceed the 0.80 raise threshold");
   require(cfg.deadline_budget_ms > 0.0 && std::isfinite(cfg.deadline_budget_ms),
           "deadline_budget_ms must be > 0");
-  require(cfg.cost_base_ns_per_pix >= 0.0 && cfg.cost_voter_ns_per_pix >= 0.0,
-          "cost model coefficients must be >= 0");
 }
 
 const char* to_string(Action action) noexcept {
@@ -81,20 +94,15 @@ core::OperatingPoint point_at(const ControlConfig& cfg, int level,
                               std::size_t upsilon, bool pressed) {
   core::OperatingPoint point;
   point.lambda = std::min(
-      cfg.lambda_min + static_cast<double>(level) * cfg.lambda_step,
+      cfg.lambda_min + static_cast<double>(level) * kLambdaStep,
       cfg.lambda_max);
   point.upsilon = upsilon;
   point.max_batch = pressed ? cfg.batch_pressed : cfg.batch_calm;
   return point;
 }
 
-double virtual_cost_ms(const ControlConfig& cfg, std::size_t pixels,
-                       const core::OperatingPoint& point) {
-  const double per_pixel_ns =
-      cfg.cost_base_ns_per_pix +
-      cfg.cost_voter_ns_per_pix * static_cast<double>(point.upsilon) *
-          core::window_b_fraction(point.lambda);
-  return static_cast<double>(pixels) * per_pixel_ns * 1e-6;
+double virtual_cost_ms(std::size_t pixels, const core::OperatingPoint& point) {
+  return static_cast<double>(pixels) * per_pixel_cost(point) * 1e-6;
 }
 
 core::OperatingPoint fit_budget(const ControlConfig& cfg,
@@ -102,8 +110,8 @@ core::OperatingPoint fit_budget(const ControlConfig& cfg,
   validate_config(cfg);
   const double budget = cfg.pressure_high * cfg.deadline_budget_ms;
   const auto fits = [&](int level, std::size_t upsilon) {
-    return virtual_cost_ms(cfg, pixels,
-                           point_at(cfg, level, upsilon, false)) <= budget;
+    return virtual_cost_ms(pixels, point_at(cfg, level, upsilon, false)) <=
+           budget;
   };
   // Walk the controller's own raise order so the open-loop fit lands on the
   // closed loop's steady state: Λ climbs at nominal Υ first, and only at
@@ -117,7 +125,7 @@ core::OperatingPoint fit_budget(const ControlConfig& cfg,
   int level = 0;
   while (level < level_cap(cfg) && fits(level + 1, upsilon)) ++level;
   if (level == level_cap(cfg)) {
-    while (upsilon + 2 <= cfg.upsilon_max && fits(level, upsilon + 2)) {
+    while (upsilon + 2 <= kUpsilonMax && fits(level, upsilon + 2)) {
       upsilon += 2;
     }
   }
@@ -126,15 +134,6 @@ core::OperatingPoint fit_budget(const ControlConfig& cfg,
 
 namespace {
 
-/// Per-pixel virtual cost of a point — pixels cancel out of the pressure
-/// projection, so decide() needs no knowledge of the job shape.
-double per_pixel_cost(const ControlConfig& cfg,
-                      const core::OperatingPoint& point) {
-  return cfg.cost_base_ns_per_pix +
-         cfg.cost_voter_ns_per_pix * static_cast<double>(point.upsilon) *
-             core::window_b_fraction(point.lambda);
-}
-
 /// Feed-forward pressure check: projected virtual cost of `next` at the
 /// stream's observed load, against the shed threshold.  Using the load EWMA
 /// (not the pressure EWMA, which trails the applied point by the feedback
@@ -142,7 +141,7 @@ double per_pixel_cost(const ControlConfig& cfg,
 /// instead of overshooting and shed-cascading a lag later.
 bool raise_fits(const ControllerState& state, const ControlConfig& cfg,
                 const core::OperatingPoint& next) {
-  return state.signals.load_mpix * per_pixel_cost(cfg, next) <=
+  return state.signals.load_mpix * per_pixel_cost(next) <=
          cfg.pressure_high * cfg.deadline_budget_ms;
 }
 
@@ -179,7 +178,7 @@ Action decide(ControllerState& state, const ControlConfig& cfg) {
       state.upsilon -= 2;
       action = Action::kShedPrecision;
     }
-  } else if (s.pressure < cfg.pressure_low) {
+  } else if (s.pressure < kPressureLow) {
     // Only a clearly calm loop may spend more: the (low, high) band is the
     // pressure hysteresis.
     const bool false_alarm_storm = s.veto_ratio > cfg.veto_high;
@@ -191,7 +190,7 @@ Action decide(ControllerState& state, const ControlConfig& cfg) {
           ++state.level;
           action = Action::kRaise;
         }
-      } else if (state.upsilon < cfg.upsilon_max) {
+      } else if (state.upsilon < kUpsilonMax) {
         const auto next = point_at(cfg, state.level, state.upsilon + 2, false);
         if (raise_fits(state, cfg, next)) {
           state.upsilon += 2;
@@ -219,7 +218,7 @@ Action decide(ControllerState& state, const ControlConfig& cfg) {
 
   // Only downward steps arm the dwell — see the asymmetry note above.
   if (action == Action::kRelax || action == Action::kShedPrecision) {
-    state.hold_remaining = cfg.hold;
+    state.hold_remaining = kHold;
   }
   ++state.epochs;
   return action;
@@ -263,7 +262,7 @@ void SensitivityController::fold(const Observation& obs) {
 
   if (state_.folds % cfg_.window == 0) {
     const Action action = decide(state_, cfg_);
-    const bool pressed = state_.signals.pressure > cfg_.pressure_low;
+    const bool pressed = state_.signals.pressure > kPressureLow;
     const core::OperatingPoint point =
         point_at(cfg_, state_.level, state_.upsilon, pressed);
     // The fresh point governs from the seq this fold schedules: seq + lag.

@@ -17,8 +17,8 @@
 /// observation prefix, which is itself a pure function of the workload: the
 /// deterministic result fields (bits corrected, pixels vetoed) depend only
 /// on each JobSpec and the point the controller chose for it, and deadline
-/// pressure is computed in *virtual time* — a calibratable per-pixel cost
-/// model (virtual_cost_ms) rather than wall-clock measurements — so the
+/// pressure is computed in *virtual time* — a fixed per-pixel cost model
+/// (virtual_cost_ms) rather than wall-clock measurements — so the
 /// whole feedback loop replays bit-identically across thread counts, batch
 /// shapes, and shard topologies (including mid-load shard kills, where the
 /// replayed request re-resolves to the same point).  Observations fold in
@@ -37,17 +37,19 @@
 namespace spacefts::control {
 
 /// Controller tuning.  Λ moves on an integer level grid — level L means
-/// Λ = lambda_min + L·lambda_step — so repeated bounded steps reproduce
-/// exact doubles on every platform and the decision goldens stay stable.
+/// Λ = lambda_min + 10·L, one bounded step per decision epoch — so repeated
+/// steps reproduce exact doubles on every platform and the decision goldens
+/// stay stable.  Υ tops out at 8 voter ways.  Fixed alongside these: a
+/// one-epoch dwell after a downward step, raising re-enabled only below
+/// 0.80 pressure, and a virtual cost of 40 ns/pixel plus 25 ns/pixel per
+/// voter way scaled by the B-window width (controller.cpp).
 struct ControlConfig {
   // ---- operating-point bounds and grid ---------------------------------
   double lambda_min = 45.0;        ///< floor the controller may shed to
   double lambda_max = 95.0;        ///< ceiling it may raise to
-  double lambda_step = 10.0;       ///< bounded Λ step per decision epoch
   double lambda_initial = 75.0;    ///< starting Λ (snapped onto the grid)
   std::size_t upsilon_min = 2;     ///< even, ≥ 2
-  std::size_t upsilon_max = 8;     ///< even, ≥ upsilon_min
-  std::size_t upsilon_initial = 4;
+  std::size_t upsilon_initial = 4; ///< even, in [upsilon_min, 8]
 
   // ---- decision cadence and feedback geometry --------------------------
   /// Observations folded between decisions (the decision epoch).  Hysteresis
@@ -58,9 +60,6 @@ struct ControlConfig {
   /// the admission gate enforces, so the point is always scheduled before
   /// the request can execute — on any shard, at any thread count.
   std::size_t lag = 4;
-  /// Epochs to dwell after a *downward* step (relax/shed) before another
-  /// one.  Raises are exempt: the loop attacks fast, decays slow.
-  std::size_t hold = 1;
   /// EWMA half-life of the windowed signals, in observations.
   double ewma_halflife = 4.0;
 
@@ -79,12 +78,9 @@ struct ControlConfig {
   /// high, because the corrections are mostly pseudo.
   double veto_high = 0.80;
   double pressure_high = 0.95;  ///< cost/deadline ratio: shed precision above
-  double pressure_low = 0.80;   ///< raising re-enabled only below this
 
-  // ---- virtual-time cost model (see virtual_cost_ms) -------------------
+  // ---- deadline, in virtual time (see virtual_cost_ms) ----------------
   double deadline_budget_ms = 1.0;     ///< per-request latency SLO
-  double cost_base_ns_per_pix = 40.0;  ///< Λ-independent per-pixel work
-  double cost_voter_ns_per_pix = 25.0; ///< per voter way, scaled by B width
 
   // ---- batch hints ------------------------------------------------------
   std::size_t batch_calm = 4;     ///< latency-biased batches when idle
@@ -163,11 +159,10 @@ struct Decision {
 /// that misses deadlines protects nothing.
 [[nodiscard]] Action decide(ControllerState& state, const ControlConfig& cfg);
 
-/// The virtual-time cost model: pixels · (base + voter·Υ·windowB(Λ)) ns.
+/// The virtual-time cost model: pixels · (40 + 25·Υ·windowB(Λ)) ns.
 /// Monotone in Λ and Υ, so shedding precision always relieves pressure —
 /// the property the stability argument in DESIGN.md §13 rests on.
-[[nodiscard]] double virtual_cost_ms(const ControlConfig& cfg,
-                                     std::size_t pixels,
+[[nodiscard]] double virtual_cost_ms(std::size_t pixels,
                                      const core::OperatingPoint& point);
 
 /// The operating point a level/upsilon pair denotes under \p cfg.

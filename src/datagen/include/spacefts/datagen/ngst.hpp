@@ -35,17 +35,14 @@ inline constexpr double kDefaultSigma = 30.0;        ///< NMS-representative σ
 inline constexpr std::uint16_t kPixelMax = 0xFFFF;   ///< 16-bit saturation
 
 /// Parameters of the synthetic star-field base scene used by the
-/// whole-frame pipeline experiments.
+/// whole-frame pipeline experiments.  The background carries a spatial
+/// σ of 40 counts; star peaks (over background) span 2000–45000 counts and
+/// PSF widths 0.8–2.5 pixels.
 struct SceneParams {
   std::size_t width = 128;
   std::size_t height = 128;
   double background = 1200.0;      ///< detector background level (counts)
-  double background_noise = 40.0;  ///< spatial σ of the background
   std::size_t stars = 24;          ///< number of point sources
-  double star_peak_min = 2000.0;   ///< faintest star peak over background
-  double star_peak_max = 45000.0;  ///< brightest star peak over background
-  double psf_sigma_min = 0.8;      ///< PSF width range in pixels
-  double psf_sigma_max = 2.5;
 };
 
 /// Generator for NGST-like temporal datasets.  Deterministic per seed.

@@ -45,7 +45,6 @@ struct OtisSceneParams {
   std::size_t height = 64;
   std::size_t bands = 8;            ///< 8–12 µm grid (otis::standard_band_grid)
   double base_temperature_k = 290.0;
-  double emissivity_mean = 0.95;
 };
 
 /// Deterministic generator for the three morphologies.

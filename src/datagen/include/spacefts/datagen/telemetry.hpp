@@ -11,9 +11,10 @@
 /// Per channel the signal model is
 ///     v(t) = base + A·sin(2π t / T + φ) + walk(t),
 /// sampled at t_i = i + j·U(-1, 1) (jittered sampling clock, j in fractions
-/// of the nominal period) with walk advancing as a Gaussian random walk per
-/// sample — the same Eq.-(1) drift family the NGST generator uses, riding
-/// on a deterministic periodic component.
+/// of the nominal period) with walk advancing as a Gaussian random walk of
+/// σ = 12 counts per sample — the same Eq.-(1) drift family the NGST
+/// generator uses, riding on a periodic component with A ~ U(0, 600)
+/// counts and T ~ U(16, 128) samples.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,6 @@ struct TelemetryParams {
   std::size_t samples = 64;       ///< temporal samples per channel
   double base_min = 20000.0;      ///< channel base level range (counts)
   double base_max = 34000.0;
-  double drift_sigma = 12.0;      ///< per-sample random-walk σ
-  double osc_amp_max = 600.0;     ///< oscillation amplitude range [0, max]
-  double osc_period_min = 16.0;   ///< oscillation period range (samples)
-  double osc_period_max = 128.0;
   double jitter = 0.25;           ///< sampling-clock jitter, in [0, 0.5)
 };
 

@@ -4,6 +4,15 @@
 #include <stdexcept>
 
 namespace spacefts::datagen {
+namespace {
+
+constexpr double kBackgroundNoise = 40.0;  ///< spatial σ of the background
+constexpr double kStarPeakMin = 2000.0;    ///< faintest star peak over background
+constexpr double kStarPeakMax = 45000.0;   ///< brightest star peak over background
+constexpr double kPsfSigmaMin = 0.8;       ///< PSF width range in pixels
+constexpr double kPsfSigmaMax = 2.5;
+
+}  // namespace
 
 std::uint16_t clamp_pixel(double value) noexcept {
   if (value <= 0.0) return 0;
@@ -31,15 +40,15 @@ common::Image<std::uint16_t> NgstSimulator::base_scene(
   for (std::size_t y = 0; y < params.height; ++y) {
     for (std::size_t x = 0; x < params.width; ++x) {
       img(x, y) = clamp_pixel(
-          rng_.gaussian(params.background, params.background_noise));
+          rng_.gaussian(params.background, kBackgroundNoise));
     }
   }
   // Point sources with Gaussian PSFs, truncated at 4σ.
   for (std::size_t s = 0; s < params.stars; ++s) {
     const double cx = rng_.uniform(0.0, static_cast<double>(params.width));
     const double cy = rng_.uniform(0.0, static_cast<double>(params.height));
-    const double peak = rng_.uniform(params.star_peak_min, params.star_peak_max);
-    const double psf = rng_.uniform(params.psf_sigma_min, params.psf_sigma_max);
+    const double peak = rng_.uniform(kStarPeakMin, kStarPeakMax);
+    const double psf = rng_.uniform(kPsfSigmaMin, kPsfSigmaMax);
     const double reach = 4.0 * psf;
     const auto x_lo = static_cast<std::size_t>(std::max(0.0, cx - reach));
     const auto y_lo = static_cast<std::size_t>(std::max(0.0, cy - reach));

@@ -12,6 +12,9 @@ namespace spacefts::datagen {
 
 namespace {
 
+/// Mean broadband emissivity the ε texture varies around.
+constexpr double kEmissivityMean = 0.95;
+
 /// Smooth low-frequency field: a handful of random cosine modes, amplitude 1.
 common::Image<double> smooth_field(std::size_t w, std::size_t h,
                                    common::Rng& rng, std::size_t modes = 4) {
@@ -125,12 +128,12 @@ OtisScene OtisSceneGenerator::generate(OtisSceneKind kind,
   }
 
   // Emissivity: smooth around the mean, clamped to a physical range.
-  common::Image<double> eps(w, h, params.emissivity_mean);
+  common::Image<double> eps(w, h, kEmissivityMean);
   {
     const auto texture = smooth_field(w, h, rng_);
     for (std::size_t y = 0; y < h; ++y) {
       for (std::size_t x = 0; x < w; ++x) {
-        eps(x, y) = std::clamp(params.emissivity_mean + 0.02 * texture(x, y),
+        eps(x, y) = std::clamp(kEmissivityMean + 0.02 * texture(x, y),
                                0.7, 1.0);
       }
     }

@@ -9,19 +9,17 @@
 namespace spacefts::datagen {
 namespace {
 
+constexpr double kDriftSigma = 12.0;     ///< per-sample random-walk σ
+constexpr double kOscAmpMax = 600.0;     ///< oscillation amplitude range [0, max]
+constexpr double kOscPeriodMin = 16.0;   ///< oscillation period range (samples)
+constexpr double kOscPeriodMax = 128.0;
+
 void validate(const TelemetryParams& params) {
   if (params.samples == 0) {
     throw std::invalid_argument("telemetry: samples must be > 0");
   }
   if (!(params.base_min <= params.base_max)) {
     throw std::invalid_argument("telemetry: base_min > base_max");
-  }
-  if (!(params.drift_sigma >= 0.0) || !(params.osc_amp_max >= 0.0)) {
-    throw std::invalid_argument("telemetry: negative sigma/amplitude");
-  }
-  if (!(params.osc_period_min > 0.0) ||
-      !(params.osc_period_min <= params.osc_period_max)) {
-    throw std::invalid_argument("telemetry: bad oscillation period range");
   }
   if (!(params.jitter >= 0.0 && params.jitter < 0.5)) {
     throw std::invalid_argument("telemetry: jitter outside [0, 0.5)");
@@ -36,9 +34,8 @@ std::vector<std::uint16_t> TelemetrySimulator::channel(
   // Per-channel character draws first, then one (jitter, drift) pair per
   // sample — a fixed draw order, so a bank regenerates bit-identically.
   const double base = rng_.uniform(params.base_min, params.base_max);
-  const double amp = rng_.uniform(0.0, params.osc_amp_max);
-  const double period =
-      rng_.uniform(params.osc_period_min, params.osc_period_max);
+  const double amp = rng_.uniform(0.0, kOscAmpMax);
+  const double period = rng_.uniform(kOscPeriodMin, kOscPeriodMax);
   const double phase = rng_.uniform(0.0, 2.0 * std::numbers::pi);
 
   std::vector<std::uint16_t> out;
@@ -47,7 +44,7 @@ std::vector<std::uint16_t> TelemetrySimulator::channel(
   for (std::size_t i = 0; i < params.samples; ++i) {
     const double t = static_cast<double>(i) +
                      params.jitter * rng_.uniform(-1.0, 1.0);
-    walk += rng_.gaussian(0.0, params.drift_sigma);
+    walk += rng_.gaussian(0.0, kDriftSigma);
     const double v =
         base + amp * std::sin(2.0 * std::numbers::pi * t / period + phase) +
         walk;

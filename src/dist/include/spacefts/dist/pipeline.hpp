@@ -36,7 +36,6 @@
 #include "spacefts/common/random.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/dist/sim.hpp"
-#include "spacefts/ngst/cr_reject.hpp"
 
 namespace spacefts::dist {
 
@@ -57,10 +56,6 @@ struct PipelineConfig {
   std::size_t workers = 15;
   std::size_t fragment_side = 128;
   LinkModel link{};
-  /// Compute-cost model (seconds per pixel-frame) for the virtual clock.
-  double preprocess_cost_s = 1.5e-8;
-  double cr_reject_cost_s = 3.0e-8;
-  double compress_cost_s = 1.0e-8;
   /// Per-bit flip probability applied to tiles in worker memory.
   double gamma0 = 0.0;
   /// Probability that a worker crashes while processing a fragment (the
@@ -68,34 +63,22 @@ struct PipelineConfig {
   /// by timeout and reassigns the fragment to the next worker; crashed
   /// workers reboot and keep serving later fragments.
   double worker_crash_prob = 0.0;
-  /// Master-side detection timeout for a silent worker, measured from the
-  /// fragment's dispatch.
-  double crash_timeout_s = 0.05;
   /// ---- Link-level fault tolerance ----------------------------------
   /// Extra dispatch attempts the master may spend per fragment recovering
   /// from link faults (timeout, CRC failure, byzantine result); 0 sends a
   /// first failure straight to degraded completion.  Crash reassignment
   /// keeps its own bound and does not consume this budget.
   std::size_t max_link_retries = 3;
-  /// Backoff before link retry k: retry_backoff_s * factor^(k-1), scaled
-  /// by a seeded uniform jitter factor in [1 - jitter, 1 + jitter].
-  double retry_backoff_s = 2e-3;
-  double retry_backoff_factor = 2.0;
-  double retry_jitter = 0.25;  ///< jitter fraction, in [0, 1]
-  /// The master declares a data message lost after this much silence.
-  double link_timeout_s = 0.05;
   /// Master-side plausibility screen on gathered tiles: a tile with any
   /// non-finite pixel, or any pixel outside [result_flux_lo,
   /// result_flux_hi], is rejected as byzantine and the fragment retried.
   /// The default bounds are the physical envelope of 16-bit ramp slopes
   /// with a wide guard band, so legitimately fault-corrupted (but sane)
   /// data is never rejected — only computational garbage is.
-  bool reject_byzantine = true;
   float result_flux_lo = -1.0e6f;
   float result_flux_hi = 1.0e6f;
   PreprocessMode preprocess = PreprocessMode::kAlgoNgst;
   core::AlgoNgstConfig algo{};
-  ngst::CrRejectParams cr{};
   /// Worker lanes each (simulated) node uses for its own tile preprocessing;
   /// forwarded into AlgoNgstConfig::threads.  1 = serial, 0 = all hardware
   /// threads of the host.  Does not affect results — tile output is
@@ -156,8 +139,8 @@ struct PipelineResult {
 /// fallback tile once its retry budget is exhausted.
 /// \throws std::invalid_argument if the stack is not tileable by
 /// fragment_side, workers == 0, any probability (gamma0,
-/// worker_crash_prob, link fault rates) is outside [0, 1], a timeout is
-/// non-positive, or the retry/backoff/bounds parameters are malformed.
+/// worker_crash_prob, link fault rates) is outside [0, 1], or the result
+/// flux bounds are empty.
 [[nodiscard]] PipelineResult run_pipeline(
     const common::TemporalStack<std::uint16_t>& readouts,
     const PipelineConfig& config, common::Rng& rng);

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "spacefts/common/backoff.hpp"
 #include "spacefts/common/bitops.hpp"
 #include "spacefts/edac/crc32.hpp"
 #include "spacefts/fault/message_faults.hpp"
 #include "spacefts/fault/models.hpp"
+#include "spacefts/ngst/cr_reject.hpp"
 #include "spacefts/rice/rice.hpp"
 #include "spacefts/smoothing/temporal.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
@@ -50,6 +52,19 @@ constexpr std::size_t kControlBytes = 16;
 /// Crash reassignment bound (the ALFT process-fault model): the final
 /// attempt is forced through, as the flight master would process locally.
 constexpr std::size_t kMaxCrashAttempts = 16;
+
+/// Compute-cost model (seconds per pixel-frame) for the virtual clock.
+constexpr double kPreprocessCostS = 1.5e-8;
+constexpr double kCrRejectCostS = 3.0e-8;
+constexpr double kCompressCostS = 1.0e-8;
+
+/// Master-side detection timeout for a silent worker, measured from the
+/// fragment's dispatch.
+constexpr double kCrashTimeoutS = 0.05;
+/// The master declares a data message lost after this much silence.
+constexpr double kLinkTimeoutS = 0.05;
+/// First link-retry delay of the shared backoff law (common/backoff.hpp).
+constexpr double kRetryBackoffS = 2e-3;
 
 /// One fragment's readout stack, cut out of the full detector stack.
 [[nodiscard]] common::TemporalStack<std::uint16_t> cut_tile(
@@ -177,7 +192,7 @@ struct WorkerOutput {
       break;
     }
   }
-  out.flux = ngst::reject_and_integrate(tile, config.cr).flux;
+  out.flux = ngst::reject_and_integrate(tile).flux;
   return out;
 }
 
@@ -204,21 +219,6 @@ void validate_config(const PipelineConfig& config) {
   if (config.worker_crash_prob < 0.0 || config.worker_crash_prob > 1.0) {
     throw std::invalid_argument(
         "run_pipeline: worker_crash_prob outside [0, 1]");
-  }
-  if (!(config.crash_timeout_s > 0.0)) {
-    throw std::invalid_argument("run_pipeline: crash_timeout_s must be > 0");
-  }
-  if (!(config.link_timeout_s > 0.0)) {
-    throw std::invalid_argument("run_pipeline: link_timeout_s must be > 0");
-  }
-  if (config.retry_backoff_s < 0.0) {
-    throw std::invalid_argument("run_pipeline: retry_backoff_s < 0");
-  }
-  if (config.retry_backoff_factor < 1.0) {
-    throw std::invalid_argument("run_pipeline: retry_backoff_factor < 1");
-  }
-  if (config.retry_jitter < 0.0 || config.retry_jitter > 1.0) {
-    throw std::invalid_argument("run_pipeline: retry_jitter outside [0, 1]");
   }
   if (!(config.result_flux_lo < config.result_flux_hi)) {
     throw std::invalid_argument("run_pipeline: empty result flux bounds");
@@ -322,19 +322,14 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
     if (f.link_attempts < config.max_link_retries) {
       ++f.link_attempts;
       ++result.link_retries;
-      const double base =
-          config.retry_backoff_s *
-          std::pow(config.retry_backoff_factor,
-                   static_cast<double>(f.link_attempts - 1));
-      const double factor =
-          config.retry_jitter > 0.0
-              ? 1.0 + config.retry_jitter * (2.0 * link_rngs[i].uniform() - 1.0)
-              : 1.0;
+      const double delay = common::backoff_delay(
+          kRetryBackoffS, static_cast<std::uint32_t>(f.link_attempts),
+          link_rngs[i].uniform());
       telemetry::instant("pipeline.retry",
                          {"fragment", static_cast<double>(i)},
                          {"attempt", static_cast<double>(f.link_attempts)});
-      telemetry::histogram("pipeline.backoff_s").record(base * factor);
-      sim.schedule_after(base * factor, [&, i] { start_attempt(i); });
+      telemetry::histogram("pipeline.backoff_s").record(delay);
+      sim.schedule_after(delay, [&, i] { start_attempt(i); });
     } else {
       finish_fragment(i, f.has_corrupt_flux ? FragmentOutcome::kDegradedCorrupt
                                             : FragmentOutcome::kDegradedFilled);
@@ -349,7 +344,7 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
     if (fate.extra_delay_s > 0.0) ++result.messages_delayed;
     if (fate.dropped) {
       ++result.messages_dropped;
-      sim.schedule_after(config.link_timeout_s,
+      sim.schedule_after(kLinkTimeoutS,
                          [&, i, ep] { link_failure(i, ep); });
       return;
     }
@@ -379,7 +374,7 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
         return;
       }
       auto flux = deserialize_flux(edac::frame_payload(frame), side);
-      if (config.reject_byzantine && !flux_plausible(flux, config)) {
+      if (!flux_plausible(flux, config)) {
         ++result.byzantine_rejected;
         frag.corrupt_flux = std::move(flux);
         frag.has_corrupt_flux = true;
@@ -411,10 +406,9 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
     const double pre_cost =
         config.preprocess == PreprocessMode::kNone
             ? 0.0
-            : config.preprocess_cost_s * static_cast<double>(tile_pixel_frames);
+            : kPreprocessCostS * static_cast<double>(tile_pixel_frames);
     const double compute =
-        pre_cost +
-        config.cr_reject_cost_s * static_cast<double>(tile_pixel_frames);
+        pre_cost + kCrRejectCostS * static_cast<double>(tile_pixel_frames);
 
     // ALFT process-fault model: the worker may die mid-fragment.  The
     // last attempt is forced to succeed so the baseline always closes.
@@ -429,7 +423,7 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
                          {"fragment", static_cast<double>(i)},
                          {"worker", static_cast<double>(worker)});
       const double detect_at =
-          std::max(ready_at + config.crash_timeout_s, crash_at);
+          std::max(ready_at + kCrashTimeoutS, crash_at);
       sim.schedule(detect_at, [&, i, ep] {
         Fragment& frag = frags[i];
         if (frag.done || frag.epoch != ep) return;
@@ -477,7 +471,7 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
     if (fate.extra_delay_s > 0.0) ++result.messages_delayed;
     if (fate.dropped) {
       ++result.messages_dropped;
-      sim.schedule(send_start + config.link_timeout_s,
+      sim.schedule(send_start + kLinkTimeoutS,
                    [&, i, ep] { link_failure(i, ep); });
       return;
     }
@@ -572,7 +566,7 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
   }
   result.compression_ratio = rice::compression_ratio16(quantised);
   const double compress_time =
-      config.compress_cost_s * static_cast<double>(quantised.size());
+      kCompressCostS * static_cast<double>(quantised.size());
   result.makespan_s = gather_done_at + compress_time;
 
   // Mirror the result accounting into the metrics registry once, from the

@@ -6,6 +6,20 @@
 #include "spacefts/common/random.hpp"
 
 namespace spacefts::fault {
+namespace {
+
+// Relative mix of the silent kinds once a fault fires; stall_weight joins
+// them from the config.
+constexpr double kBitflipWeight = 4.0;
+constexpr double kStuckWeight = 2.0;
+constexpr double kTruncateWeight = 2.0;
+constexpr double kSilentWeight = kBitflipWeight + kStuckWeight + kTruncateWeight;
+
+constexpr std::size_t kMaxBitFlips = 8;  ///< kBitFlips: 1..max flipped bits
+constexpr std::size_t kTileSide = 8;     ///< kStuckTile: stuck square side
+constexpr unsigned kTruncateBits = 3;    ///< kTruncate: low bits zeroed per word
+
+}  // namespace
 
 const char* to_string(ComputeFaultKind kind) noexcept {
   switch (kind) {
@@ -28,19 +42,8 @@ ComputeFaultModel::ComputeFaultModel(const ComputeFaultConfig& config)
   if (!(config_.fault_rate >= 0.0 && config_.fault_rate <= 1.0)) {
     throw std::invalid_argument("compute_faults: fault_rate outside [0, 1]");
   }
-  if (config_.bitflip_weight < 0.0 || config_.stuck_weight < 0.0 ||
-      config_.truncate_weight < 0.0 || config_.stall_weight < 0.0) {
+  if (config_.stall_weight < 0.0) {
     throw std::invalid_argument("compute_faults: negative kind weight");
-  }
-  const double total = config_.bitflip_weight + config_.stuck_weight +
-                       config_.truncate_weight + config_.stall_weight;
-  if (config_.fault_rate > 0.0 && total <= 0.0) {
-    throw std::invalid_argument(
-        "compute_faults: positive fault_rate needs a positive kind weight");
-  }
-  if (config_.max_bit_flips == 0 || config_.tile_side == 0) {
-    throw std::invalid_argument(
-        "compute_faults: max_bit_flips and tile_side must be > 0");
   }
   if (config_.stall_ms < 0.0) {
     throw std::invalid_argument("compute_faults: negative stall_ms");
@@ -54,14 +57,13 @@ ComputeFaultPlan ComputeFaultModel::plan(std::uint64_t request,
   common::Rng rng(common::derive_stream_seed(config_.seed, request, epoch));
   // Draw order is part of the replay contract: fire?, kind, payload seed.
   if (rng.uniform() >= config_.fault_rate) return out;
-  const double total = config_.bitflip_weight + config_.stuck_weight +
-                       config_.truncate_weight + config_.stall_weight;
+  const double total = kSilentWeight + config_.stall_weight;
   double pick = rng.uniform() * total;
-  if ((pick -= config_.bitflip_weight) < 0.0) {
+  if ((pick -= kBitflipWeight) < 0.0) {
     out.kind = ComputeFaultKind::kBitFlips;
-  } else if ((pick -= config_.stuck_weight) < 0.0) {
+  } else if ((pick -= kStuckWeight) < 0.0) {
     out.kind = ComputeFaultKind::kStuckTile;
-  } else if ((pick -= config_.truncate_weight) < 0.0) {
+  } else if ((pick -= kTruncateWeight) < 0.0) {
     out.kind = ComputeFaultKind::kTruncate;
   } else {
     out.kind = ComputeFaultKind::kStall;
@@ -78,9 +80,7 @@ namespace {
 /// produces the same corruption on the same-shaped buffer.
 template <typename Word>
 std::size_t corrupt_words(std::span<Word> words, std::size_t row_width,
-                          const ComputeFaultPlan& plan,
-                          const ComputeFaultConfig& config,
-                          unsigned truncate_bits) {
+                          const ComputeFaultPlan& plan) {
   if (words.empty() || !plan.silent()) return 0;
   constexpr unsigned kBits = sizeof(Word) * 8;
   common::Rng rng(plan.payload_seed);
@@ -88,7 +88,7 @@ std::size_t corrupt_words(std::span<Word> words, std::size_t row_width,
   switch (plan.kind) {
     case ComputeFaultKind::kBitFlips: {
       const std::size_t flips =
-          1 + static_cast<std::size_t>(rng.below(config.max_bit_flips));
+          1 + static_cast<std::size_t>(rng.below(kMaxBitFlips));
       for (std::size_t f = 0; f < flips; ++f) {
         const std::size_t bit = static_cast<std::size_t>(
             rng.below(static_cast<std::uint64_t>(words.size()) * kBits));
@@ -102,14 +102,13 @@ std::size_t corrupt_words(std::span<Word> words, std::size_t row_width,
     case ComputeFaultKind::kStuckTile: {
       const std::size_t width = row_width > 0 ? row_width : words.size();
       const std::size_t height = (words.size() + width - 1) / width;
-      const std::size_t side = config.tile_side;
       const std::size_t x0 = static_cast<std::size_t>(
           rng.below(static_cast<std::uint64_t>(width)));
       const std::size_t y0 = static_cast<std::size_t>(
           rng.below(static_cast<std::uint64_t>(height)));
       const Word stuck = static_cast<Word>(rng());
-      for (std::size_t y = y0; y < y0 + side && y < height; ++y) {
-        for (std::size_t x = x0; x < x0 + side && x < width; ++x) {
+      for (std::size_t y = y0; y < y0 + kTileSide && y < height; ++y) {
+        for (std::size_t x = x0; x < x0 + kTileSide && x < width; ++x) {
           const std::size_t i = y * width + x;
           if (i >= words.size()) break;
           if (words[i] != stuck) {
@@ -121,8 +120,7 @@ std::size_t corrupt_words(std::span<Word> words, std::size_t row_width,
       break;
     }
     case ComputeFaultKind::kTruncate: {
-      const Word mask = static_cast<Word>(
-          ~Word{0} << (truncate_bits < kBits ? truncate_bits : kBits - 1));
+      const Word mask = static_cast<Word>(~Word{0} << kTruncateBits);
       for (Word& w : words) {
         const Word before = w;
         w = static_cast<Word>(w & mask);
@@ -141,8 +139,7 @@ std::size_t corrupt_words(std::span<Word> words, std::size_t row_width,
 std::size_t ComputeFaultModel::corrupt(std::span<std::uint16_t> words,
                                        std::size_t row_width,
                                        const ComputeFaultPlan& plan) const {
-  return corrupt_words<std::uint16_t>(words, row_width, plan, config_,
-                                      config_.truncate_bits);
+  return corrupt_words<std::uint16_t>(words, row_width, plan);
 }
 
 std::size_t ComputeFaultModel::corrupt(std::span<float> values,
@@ -154,8 +151,7 @@ std::size_t ComputeFaultModel::corrupt(std::span<float> values,
   static_assert(sizeof(float) == sizeof(std::uint32_t));
   std::span<std::uint32_t> bits{
       reinterpret_cast<std::uint32_t*>(values.data()), values.size()};
-  return corrupt_words<std::uint32_t>(bits, row_width, plan, config_,
-                                      config_.truncate_bits);
+  return corrupt_words<std::uint32_t>(bits, row_width, plan);
 }
 
 }  // namespace spacefts::fault

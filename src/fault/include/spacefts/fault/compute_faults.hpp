@@ -38,19 +38,14 @@ enum class ComputeFaultKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ComputeFaultKind kind) noexcept;
 
-/// Per-(request, epoch) fault probability and the corruption magnitudes.
-/// The default is a faithful substrate.
+/// Per-(request, epoch) fault probability and the stall it adds.  Once a
+/// fault fires, the silent kinds weigh 4 (bit flips, 1..8 bits) : 2 (stuck
+/// 8×8 tile) : 2 (low 3 bits truncated) against `stall_weight`.  The
+/// default is a faithful substrate.
 struct ComputeFaultConfig {
   double fault_rate = 0.0;  ///< P(any fault per (request, epoch) execution)
-  // Relative mix of the kinds once a fault fires (normalised internally).
-  double bitflip_weight = 4.0;
-  double stuck_weight = 2.0;
-  double truncate_weight = 2.0;
-  double stall_weight = 1.0;
-  std::size_t max_bit_flips = 8;  ///< kBitFlips: 1..max flipped bits
-  std::size_t tile_side = 8;      ///< kStuckTile: stuck square side
-  unsigned truncate_bits = 3;     ///< kTruncate: low bits zeroed per word
-  double stall_ms = 25.0;         ///< kStall: added latency
+  double stall_weight = 1.0;  ///< relative weight of kStall in the mix
+  double stall_ms = 25.0;     ///< kStall: added latency
   std::uint64_t seed = 0xacce1ULL;  ///< base of the per-request streams
 
   /// True when no fault can ever fire (and plan() must draw nothing).
@@ -76,9 +71,8 @@ struct ComputeFaultPlan {
 /// their corruptions to output buffers.
 class ComputeFaultModel {
  public:
-  /// \throws std::invalid_argument if fault_rate is outside [0, 1], every
-  /// kind weight is zero (with a positive rate), a weight is negative, or a
-  /// magnitude is zero where the kind needs one.
+  /// \throws std::invalid_argument if fault_rate is outside [0, 1], or
+  /// stall_weight or stall_ms is negative.
   explicit ComputeFaultModel(const ComputeFaultConfig& config);
 
   [[nodiscard]] const ComputeFaultConfig& config() const noexcept {

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <span>
 
 namespace spacefts::metrics {
 
@@ -39,21 +38,5 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Linear-interpolated percentile of an already-sorted series (the R-7
-/// rule, numpy's default): rank p/100 · (n−1), fractional ranks blend the
-/// two bracketing samples.  \p p is clamped to [0, 100].  An empty series
-/// yields 0; a single sample is every percentile of itself.
-[[nodiscard]] inline double percentile(std::span<const double> sorted,
-                                       double p) noexcept {
-  if (sorted.empty()) return 0.0;
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const double target = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(target);
-  const double frac = target - static_cast<double>(lo);
-  if (frac == 0.0 || lo + 1 >= sorted.size()) return sorted[lo];
-  return sorted[lo] + (sorted[lo + 1] - sorted[lo]) * frac;
-}
 
 }  // namespace spacefts::metrics

@@ -9,10 +9,17 @@
 #include "spacefts/common/stats.hpp"
 
 namespace spacefts::ngst {
+namespace {
+
+/// Difference-outlier cut, in robust σ.
+constexpr double kThresholdSigmas = 5.0;
+/// Scale floor (counts) so a perfectly quiet ramp cannot reject everything.
+constexpr double kMinSigma = 8.0;
+
+}  // namespace
 
 IntegrationResult reject_and_integrate(
-    const common::TemporalStack<std::uint16_t>& readouts,
-    const CrRejectParams& params) {
+    const common::TemporalStack<std::uint16_t>& readouts) {
   const std::size_t frames = readouts.frames();
   if (frames < 3) {
     throw std::invalid_argument("reject_and_integrate: need >= 3 frames");
@@ -36,12 +43,12 @@ IntegrationResult reject_and_integrate(
       }
       // 1.4826 * MAD estimates σ for Gaussian noise.
       const double sigma =
-          std::max(1.4826 * common::median(deviations), params.min_sigma);
+          std::max(1.4826 * common::median(deviations), kMinSigma);
       double sum = 0.0;
       std::size_t kept = 0;
       bool flagged = false;
       for (double d : diffs) {
-        if (std::abs(d - med) > params.threshold_sigmas * sigma) {
+        if (std::abs(d - med) > kThresholdSigmas * sigma) {
           ++out.rejected_differences;
           flagged = true;
           continue;
@@ -84,8 +91,7 @@ namespace {
 }  // namespace
 
 IntegrationResult reject_segmented(
-    const common::TemporalStack<std::uint16_t>& readouts,
-    const CrRejectParams& params) {
+    const common::TemporalStack<std::uint16_t>& readouts) {
   const std::size_t frames = readouts.frames();
   if (frames < 3) {
     throw std::invalid_argument("reject_segmented: need >= 3 frames");
@@ -112,12 +118,12 @@ IntegrationResult reject_segmented(
         deviations[t] = std::abs(diffs[t] - med);
       }
       const double sigma =
-          std::max(1.4826 * common::median(deviations), params.min_sigma);
+          std::max(1.4826 * common::median(deviations), kMinSigma);
       // Jump positions: the ramp is cut *after* frame t when the step
       // t -> t+1 is an outlier.
       cuts.clear();
       for (std::size_t t = 0; t < diffs.size(); ++t) {
-        if (std::abs(diffs[t] - med) > params.threshold_sigmas * sigma) {
+        if (std::abs(diffs[t] - med) > kThresholdSigmas * sigma) {
           cuts.push_back(t);
           ++out.rejected_differences;
         }

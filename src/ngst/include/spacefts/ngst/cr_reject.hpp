@@ -7,8 +7,8 @@
 /// For each pixel the first differences of the ramp, d(t) = R(t+1) − R(t),
 /// estimate the flux; a cosmic ray shows up as a single huge positive
 /// difference.  The rejector computes a robust location/scale of the
-/// differences (median + MAD), discards differences beyond
-/// `threshold_sigmas`, and averages the survivors into the flux estimate.
+/// differences (median + MAD), discards differences beyond 5σ (σ floored
+/// at 8 counts), and averages the survivors into the flux estimate.
 /// A plain least-slope integrator without rejection is provided as the
 /// baseline the CR literature compares against.
 #pragma once
@@ -18,13 +18,6 @@
 #include "spacefts/common/image.hpp"
 
 namespace spacefts::ngst {
-
-/// CR-rejection tuning.
-struct CrRejectParams {
-  double threshold_sigmas = 5.0;  ///< difference-outlier cut
-  double min_sigma = 8.0;         ///< scale floor (counts) so a perfectly
-                                  ///< quiet ramp cannot reject everything
-};
 
 /// Result of integrating one baseline.
 struct IntegrationResult {
@@ -36,8 +29,7 @@ struct IntegrationResult {
 /// CR-rejecting integration of a ramp stack.
 /// \throws std::invalid_argument for stacks with fewer than 3 frames.
 [[nodiscard]] IntegrationResult reject_and_integrate(
-    const common::TemporalStack<std::uint16_t>& readouts,
-    const CrRejectParams& params = {});
+    const common::TemporalStack<std::uint16_t>& readouts);
 
 /// Baseline: slope from the first and last readouts, no rejection at all.
 /// \throws std::invalid_argument for stacks with fewer than 2 frames.
@@ -54,7 +46,6 @@ struct IntegrationResult {
 /// of one rejector (bench/ablation_cr_reject).
 /// \throws std::invalid_argument for stacks with fewer than 3 frames.
 [[nodiscard]] IntegrationResult reject_segmented(
-    const common::TemporalStack<std::uint16_t>& readouts,
-    const CrRejectParams& params = {});
+    const common::TemporalStack<std::uint16_t>& readouts);
 
 }  // namespace spacefts::ngst

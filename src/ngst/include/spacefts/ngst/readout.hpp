@@ -5,10 +5,11 @@
 /// 1000-second baseline every pixel is sampled N (= 64) times "up the
 /// ramp", accumulating charge, so a pixel's ideal readout sequence is
 ///     R(t) = bias + flux · t + read-noise,       t = 1..N,
-/// saturating at the 16-bit limit.  A cosmic-ray hit at frame k deposits a
-/// charge jump that persists in every later readout — the signature the
-/// CR-rejection algorithms of [10,11,12] detect.  This module synthesises
-/// ramp stacks with ground truth, the input to spacefts::ngst::cr_reject.
+/// over a fixed 1000-count detector bias, saturating at the 16-bit limit.
+/// A cosmic-ray hit at frame k deposits a charge jump that persists in
+/// every later readout — the signature the CR-rejection algorithms of
+/// [10,11,12] detect.  This module synthesises ramp stacks with ground
+/// truth, the input to spacefts::ngst::cr_reject.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@ namespace spacefts::ngst {
 /// Readout-model parameters.
 struct RampParams {
   std::size_t frames = 64;     ///< readouts per baseline
-  double bias = 1000.0;        ///< detector bias level (counts)
   double read_noise = 15.0;    ///< per-readout Gaussian noise σ (counts)
   double cr_probability = 0.1; ///< P(a pixel is hit within the baseline);
                                ///< the paper cites ~10% loss per baseline

@@ -6,6 +6,9 @@
 namespace spacefts::ngst {
 
 namespace {
+/// Detector bias level (counts) every ramp starts from.
+constexpr double kBias = 1000.0;
+
 [[nodiscard]] std::uint16_t saturate(double v) noexcept {
   if (v <= 0.0) return 0;
   if (v >= 65535.0) return 65535;
@@ -38,7 +41,7 @@ RampStack make_ramp_stack(const common::Image<float>& flux,
         cr_amp = rng.uniform(params.cr_amp_min, params.cr_amp_max);
         out.cr_hits(x, y) = 1;
       }
-      double accumulated = params.bias;
+      double accumulated = kBias;
       for (std::size_t t = 0; t < params.frames; ++t) {
         accumulated += static_cast<double>(flux(x, y));
         if (t == cr_frame) accumulated += cr_amp;

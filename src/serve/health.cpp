@@ -3,6 +3,17 @@
 #include <stdexcept>
 
 namespace spacefts::serve {
+namespace {
+
+/// Consecutive shadow-compare mismatches (compute results the guard
+/// backend had to overrule) before the shard's compute substrate is
+/// presumed degraded.  Note the outputs themselves stay correct — the
+/// guard already substituted the trusted result — so this is a
+/// *scheduling* signal: take the shard out before an unchecked request
+/// escapes.
+constexpr std::uint32_t kMaxMismatchBurst = 6;
+
+}  // namespace
 
 const char* to_string(ShardState state) noexcept {
   switch (state) {
@@ -65,8 +76,7 @@ EjectReason should_eject(const HealthPolicy& policy,
       vitals.congested_ms > policy.congestion_timeout_ms) {
     return EjectReason::kCongestion;
   }
-  if (policy.max_mismatch_burst > 0 &&
-      vitals.mismatch_burst >= policy.max_mismatch_burst) {
+  if (vitals.mismatch_burst >= kMaxMismatchBurst) {
     return EjectReason::kComputeMismatch;
   }
   return EjectReason::kNone;

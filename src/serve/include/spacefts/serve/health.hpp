@@ -56,13 +56,6 @@ struct HealthPolicy {
   /// Completions a probation shard must serve (without re-ejection) to be
   /// promoted back to kHealthy.
   std::uint32_t probation_successes = 4;
-  /// Consecutive shadow-compare mismatches (compute results the guard
-  /// backend had to overrule) before the shard's compute substrate is
-  /// presumed degraded; 0 disables the check.  Note the outputs themselves
-  /// stay correct — the guard already substituted the trusted result — so
-  /// this is a *scheduling* signal: take the shard out before an unchecked
-  /// request escapes.
-  std::uint32_t max_mismatch_burst = 6;
 };
 
 /// \throws std::invalid_argument for non-positive timeouts/windows or a

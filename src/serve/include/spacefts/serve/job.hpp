@@ -25,11 +25,13 @@
 
 namespace spacefts::serve {
 
-/// Server-wide execution knobs shared by every batch.
+/// Base of the per-request ingress fault streams: the server's admission
+/// draw and the payload-corruption pattern both derive from it.
+inline constexpr std::uint64_t kIngressSeed = 0x5e12e;
+
+/// Server-wide execution knobs shared by every batch.  Each request's
+/// preprocessing runs serially; parallelism comes from the worker pool.
 struct ExecContext {
-  /// Lanes each batch item's stack preprocessing uses on the shared
-  /// common::parallel pool; 1 = serial.  Output is bit-identical either way.
-  std::size_t algo_threads = 1;
   /// Voter kernel for every preprocessing stage (NGST ingest, pipeline,
   /// OTIS planes).  kAuto resolves to the widest the host supports;
   /// results are bit-identical for every choice.
@@ -40,7 +42,6 @@ struct ExecContext {
   /// Ingress link model (drop is applied at admission by the server;
   /// corruption is applied here, to the packed request payload).
   fault::MessageFaultConfig ingress{};
-  std::uint64_t ingress_seed = 0x5e12e;  ///< base of per-request fault streams
   /// Adaptive-sensitivity hook (src/control): when set, resolves the
   /// operating point (Λ, Υ, batch ceiling) each request runs at, overriding
   /// the JobSpec's Λ and the algorithms' default Υ.  Called at batch

@@ -64,11 +64,6 @@ struct RouterConfig {
   HealthPolicy health;  ///< ejection / probation thresholds
   /// Replay budget per request after shard death; exhausting it sheds.
   std::size_t max_replays = 3;
-  double replay_backoff_ms = 1.0;     ///< first replay delay
-  double replay_backoff_factor = 2.0; ///< delay multiplier per attempt
-  /// Jitter fraction: each delay is scaled by a seeded uniform factor in
-  /// [1 - jitter, 1 + jitter] so replay herds decorrelate reproducibly.
-  double replay_jitter = 0.25;
   /// Base seed of the ring geometry, key hashing, and replay jitter.
   std::uint64_t seed = 0x70c7e12ULL;
   fault::ShardFaultConfig chaos;  ///< default: a faithful fleet
@@ -110,10 +105,11 @@ struct ShardSnapshot {
   std::uint64_t ejections = 0;   ///< lifetime eject count
 };
 
-/// The replay delay for `attempt` (1-based) of request `id`:
-/// `replay_backoff_ms * factor^(attempt-1)` scaled by the seeded jitter
-/// factor.  Pure function of (config, id, attempt) — the golden test pins
-/// its values forever.
+/// The replay delay for `attempt` (1-based) of request `id`: the shared
+/// backoff law (common/backoff.hpp) from a 1 ms first delay, jittered by a
+/// uniform drawn from config.seed's replay stream so replay herds
+/// decorrelate reproducibly.  Pure function of (config.seed, id, attempt)
+/// — the golden test pins its values forever.
 [[nodiscard]] double replay_backoff_ms(const RouterConfig& config,
                                        std::uint64_t id,
                                        std::uint32_t attempt);

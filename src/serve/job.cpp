@@ -74,7 +74,7 @@ void corrupt_in_transit(std::span<std::uint8_t> bytes, const Request& request,
                         const ExecContext& ctx, RequestResult& result) {
   const fault::MessageFaultModel link(ctx.ingress);
   common::Rng fault_rng(
-      common::derive_stream_seed(ctx.ingress_seed, request.id, kStreamIngress));
+      common::derive_stream_seed(kIngressSeed, request.id, kStreamIngress));
   result.ingress_bits_corrupted = link.corrupt(bytes, fault_rng);
 }
 
@@ -100,7 +100,6 @@ std::optional<common::TemporalStack<std::uint16_t>> run_temporal(
       resolve_point(request, ctx, ic.algo.upsilon);
   ic.algo.lambda = point.lambda;
   ic.algo.upsilon = point.upsilon;
-  ic.algo.threads = ctx.algo_threads;
   ic.algo.kernel = ctx.kernel;
   result.lambda_eff = point.lambda;
   result.upsilon_eff = point.upsilon;
@@ -157,7 +156,6 @@ void execute_ngst(const Request& request, bool corrupt_ingress,
   pc.algo.lambda = result.lambda_eff;
   pc.algo.upsilon = result.upsilon_eff;
   pc.algo.kernel = ctx.kernel;
-  pc.threads = ctx.algo_threads;
   if (ctx.backend) {
     pc.ngst_executor = [&ctx, &request, &result](
                            common::TemporalStack<std::uint16_t>& tile,
@@ -215,7 +213,6 @@ void execute_otis(const Request& request, bool corrupt_ingress,
   const core::OperatingPoint point = resolve_point(request, ctx, oc.upsilon);
   oc.lambda = point.lambda;
   oc.upsilon = point.upsilon;
-  oc.threads = ctx.algo_threads;
   oc.kernel = ctx.kernel;
   result.lambda_eff = point.lambda;
   result.upsilon_eff = point.upsilon;

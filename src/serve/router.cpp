@@ -1,11 +1,11 @@
 #include "spacefts/serve/router.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "spacefts/common/backoff.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
 
@@ -20,20 +20,18 @@ enum RouterStream : std::uint64_t {
   kStreamReplay = 0x5250,      ///< replay-backoff jitter of (id, attempt)
 };
 
+/// First replay delay of the shared backoff law.
+constexpr double kReplayBackoffMs = 1.0;
+
 }  // namespace
 
 double replay_backoff_ms(const RouterConfig& config, std::uint64_t id,
                          std::uint32_t attempt) {
   if (attempt == 0) return 0.0;
-  const double base =
-      config.replay_backoff_ms *
-      std::pow(config.replay_backoff_factor,
-               static_cast<double>(attempt - 1));
   common::Rng rng(common::derive_stream_seed(
       common::derive_stream_seed(config.seed, kStreamReplay, id), attempt,
       0));
-  const double unit = rng.uniform();
-  return base * (1.0 + config.replay_jitter * (2.0 * unit - 1.0));
+  return common::backoff_delay(kReplayBackoffMs, attempt, rng.uniform());
 }
 
 /// Chaos state shared between the router (trigger checks) and the shard's
@@ -82,15 +80,6 @@ Router::Router(const RouterConfig& config)
   }
   if (config_.virtual_nodes == 0) {
     throw std::invalid_argument("router: virtual_nodes must be > 0");
-  }
-  if (config_.replay_backoff_ms < 0.0) {
-    throw std::invalid_argument("router: negative replay_backoff_ms");
-  }
-  if (!(config_.replay_backoff_factor >= 1.0)) {
-    throw std::invalid_argument("router: replay_backoff_factor must be >= 1");
-  }
-  if (!(config_.replay_jitter >= 0.0 && config_.replay_jitter < 1.0)) {
-    throw std::invalid_argument("router: replay_jitter outside [0, 1)");
   }
   validate_policy(config_.health);
 

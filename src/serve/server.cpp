@@ -92,8 +92,8 @@ ServeStatus Server::submit(const Request& request) {
   // Outcomes are drawn from a stream derived from the request id alone, so
   // the same workload replays the same fates at any thread count.
   if (!ingress_model_.config().perfect()) {
-    common::Rng rng(common::derive_stream_seed(config_.exec.ingress_seed,
-                                               request.id, kStreamAdmission));
+    common::Rng rng(
+        common::derive_stream_seed(kIngressSeed, request.id, kStreamAdmission));
     const auto outcome = ingress_model_.sample(rng);
     bool dropped = false;
     RequestResult lost_result;

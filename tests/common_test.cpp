@@ -338,21 +338,3 @@ TEST(Stats, Percentile) {
   EXPECT_THROW((void)sc::percentile(v, 101), std::invalid_argument);
   EXPECT_THROW((void)sc::percentile({}, 50), std::invalid_argument);
 }
-
-TEST(Stats, AccumulatorMatchesBatch) {
-  const std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
-  sc::Accumulator acc;
-  for (double x : v) acc.add(x);
-  EXPECT_EQ(acc.count(), v.size());
-  EXPECT_DOUBLE_EQ(acc.mean(), sc::mean(v));
-  EXPECT_NEAR(acc.stddev(), sc::stddev(v), 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-}
-
-TEST(Stats, AccumulatorEmpty) {
-  sc::Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.stddev(), 0.0);
-}

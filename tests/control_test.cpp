@@ -72,11 +72,10 @@ TEST(ControlPoints, GridSnapsAndClamps) {
 }
 
 TEST(ControlCost, MonotoneInLambdaAndUpsilon) {
-  const sc::ControlConfig cfg;
   const std::size_t pixels = 32 * 32 * 8;
-  const double base = sc::virtual_cost_ms(cfg, pixels, {55.0, 4, 4});
-  EXPECT_GT(sc::virtual_cost_ms(cfg, pixels, {95.0, 4, 4}), base);
-  EXPECT_GT(sc::virtual_cost_ms(cfg, pixels, {55.0, 8, 4}), base);
+  const double base = sc::virtual_cost_ms(pixels, {55.0, 4, 4});
+  EXPECT_GT(sc::virtual_cost_ms(pixels, {95.0, 4, 4}), base);
+  EXPECT_GT(sc::virtual_cost_ms(pixels, {55.0, 8, 4}), base);
 }
 
 TEST(ControlCost, FitBudgetPicksStrongestSustainablePoint) {
@@ -84,7 +83,7 @@ TEST(ControlCost, FitBudgetPicksStrongestSustainablePoint) {
   const std::size_t pixels = 32 * 32 * 8;
   // Default budget: the hottest Λ at nominal-ish Υ fits, Υ6 does not.
   const auto point = sc::fit_budget(cfg, pixels);
-  EXPECT_LE(sc::virtual_cost_ms(cfg, pixels, point),
+  EXPECT_LE(sc::virtual_cost_ms(pixels, point),
             cfg.pressure_high * cfg.deadline_budget_ms);
   EXPECT_DOUBLE_EQ(point.lambda, 95.0);
   // A budget nothing fits falls back to the floor point: precision sheds,
@@ -110,7 +109,7 @@ TEST(ControlDecide, RaisesAreExemptFromTheDwell) {
 }
 
 TEST(ControlDecide, RelaxArmsTheDwell) {
-  const sc::ControlConfig cfg;  // hold = 1
+  const sc::ControlConfig cfg;  // one-epoch dwell
   sc::ControllerState state;
   state.signals.veto_ratio = 0.95;  // false-alarm storm
   state.signals.activity = 20000.0;

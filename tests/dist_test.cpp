@@ -10,6 +10,7 @@
 #include "spacefts/dist/pipeline.hpp"
 #include "spacefts/dist/sim.hpp"
 #include "spacefts/metrics/error.hpp"
+#include "spacefts/ngst/cr_reject.hpp"
 #include "spacefts/ngst/readout.hpp"
 
 namespace sd = spacefts::dist;
@@ -262,20 +263,7 @@ TEST(Pipeline, ValidatesProbabilitiesAndTimeouts) {
                std::invalid_argument);
 
   config = small_config();
-  config.crash_timeout_s = 0.0;
-  EXPECT_THROW((void)sd::run_pipeline(baseline.readouts, config, rng),
-               std::invalid_argument);
-  config.crash_timeout_s = -1.0;
-  EXPECT_THROW((void)sd::run_pipeline(baseline.readouts, config, rng),
-               std::invalid_argument);
-
-  config = small_config();
   config.link.faults.drop_prob = 1.2;
-  EXPECT_THROW((void)sd::run_pipeline(baseline.readouts, config, rng),
-               std::invalid_argument);
-
-  config = small_config();
-  config.retry_jitter = 1.5;
   EXPECT_THROW((void)sd::run_pipeline(baseline.readouts, config, rng),
                std::invalid_argument);
 
@@ -348,6 +336,21 @@ TEST(Pipeline, LossyLinkWithRetriesTerminatesAndReportsCoverage) {
   EXPECT_GE(result.coverage, 0.0);
   EXPECT_LE(result.coverage, 1.0);
   ASSERT_EQ(result.fragment_outcomes.size(), result.fragments);
+}
+
+TEST(Pipeline, RetryScheduleIsPinned) {
+  // One seeded lossy flight: the literals pin the link-retry backoff law
+  // (first delay, doubling, seeded jitter) through the virtual clock.
+  const auto baseline = small_baseline(42);
+  auto config = small_config();
+  config.link.faults.drop_prob = 0.5;
+  config.link.faults.corrupt_prob = 0.1;
+  config.max_link_retries = 8;
+  Rng rng(47);
+  const auto result = sd::run_pipeline(baseline.readouts, config, rng);
+  EXPECT_EQ(result.link_retries, 16u);
+  EXPECT_EQ(result.messages_dropped, 14u);
+  EXPECT_DOUBLE_EQ(result.makespan_s, 0.84157647752424958);
 }
 
 TEST(Pipeline, LossyLinkIsDeterministicPerSeed) {

@@ -9,7 +9,6 @@
 
 #include "spacefts/metrics/aggregate.hpp"
 #include "spacefts/metrics/error.hpp"
-#include "spacefts/metrics/timer.hpp"
 
 namespace sm = spacefts::metrics;
 
@@ -184,34 +183,6 @@ TEST(CorrectionStats, MismatchThrows) {
                std::invalid_argument);
 }
 
-// ----------------------------------------------------------------------- Timer
-
-TEST(Timer, ElapsedIsMonotonic) {
-  sm::Timer timer;
-  const double t1 = timer.elapsed_seconds();
-  const double t2 = timer.elapsed_seconds();
-  EXPECT_GE(t1, 0.0);
-  EXPECT_GE(t2, t1);
-  EXPECT_GE(timer.elapsed_micros(), t2 * 1e6);
-}
-
-TEST(Timer, RestartResets) {
-  sm::Timer timer;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  const double before = timer.elapsed_seconds();
-  timer.restart();
-  EXPECT_LE(timer.elapsed_seconds(), before);
-}
-
-TEST(Timer, MicrosTracksSeconds) {
-  sm::Timer timer;
-  const double micros = timer.elapsed_micros();
-  const double seconds = timer.elapsed_seconds();
-  // micros was read first, so seconds * 1e6 must be at least as large.
-  EXPECT_LE(micros, seconds * 1e6);
-}
-
 // ---------------------------------------------------------------- RunningStats
 
 TEST(RunningStats, EmptySeriesIsAllZero) {
@@ -241,45 +212,4 @@ TEST(RunningStats, NegativeOnlyStreamKeepsSigns) {
   EXPECT_DOUBLE_EQ(stats.min(), -3.0);
   EXPECT_DOUBLE_EQ(stats.max(), -1.0);
   EXPECT_DOUBLE_EQ(stats.mean(), -2.0);
-}
-
-// ------------------------------------------------------------------ percentile
-
-TEST(Percentile, EmptySeriesIsZero) {
-  EXPECT_DOUBLE_EQ(sm::percentile({}, 50.0), 0.0);
-}
-
-TEST(Percentile, SingleSampleIsEveryPercentile) {
-  const std::vector<double> one{7.0};
-  EXPECT_DOUBLE_EQ(sm::percentile(one, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(sm::percentile(one, 50.0), 7.0);
-  EXPECT_DOUBLE_EQ(sm::percentile(one, 100.0), 7.0);
-}
-
-TEST(Percentile, BoundariesClampToEnds) {
-  const std::vector<double> sorted{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, -10.0), 1.0);
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 100.0), 3.0);
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 250.0), 3.0);
-}
-
-TEST(Percentile, ExactRankNeedsNoInterpolation) {
-  const std::vector<double> sorted{10.0, 20.0, 30.0, 40.0, 50.0};
-  // p = 25 lands exactly on index 1 with n = 5.
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 25.0), 20.0);
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 50.0), 30.0);
-}
-
-TEST(Percentile, InterpolatesBetweenBrackets) {
-  const std::vector<double> sorted{10.0, 20.0};
-  // R-7: rank 0.5 -> halfway between the two samples.
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 50.0), 15.0);
-  // rank 0.95 -> 10 + 0.95 * 10
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 95.0), 19.5);
-}
-
-TEST(Percentile, MatchesMedianOfOddSeries) {
-  const std::vector<double> sorted{1.0, 5.0, 9.0};
-  EXPECT_DOUBLE_EQ(sm::percentile(sorted, 50.0), 5.0);
 }

@@ -440,7 +440,7 @@ TEST(Server, IngressDropsAreDeterministicAndAccounted) {
   EXPECT_EQ(server.take_results().size(), 16u);
   EXPECT_FALSE(lost_a.empty());
 
-  // The fates are a function of (ingress_seed, request id) only.
+  // The fates are a function of the request id only.
   ss::Server replay(config);
   std::vector<std::uint64_t> lost_b;
   for (std::uint64_t id = 0; id < 16; ++id) {

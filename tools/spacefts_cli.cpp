@@ -826,7 +826,7 @@ int cmd_pipeline(Cli& cli) {
         "control: budget %.3g ms -> lambda %.10g, upsilon %zu (virtual cost"
         " %.4g ms)\n",
         control_budget_ms, point.lambda, point.upsilon,
-        spacefts::control::virtual_cost_ms(cc, side * side * frames, point));
+        spacefts::control::virtual_cost_ms(side * side * frames, point));
   }
 
   spacefts::common::Rng rng = gen.rng().split();
