@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "spacefts/core/algo_ngst.hpp"
-#include "spacefts/core/kernel.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/smoothing/temporal.hpp"
@@ -43,50 +42,6 @@ void BM_AlgoNgstAtLambda(benchmark::State& state) {
   state.SetLabel("lambda=" + std::to_string(state.range(0)));
 }
 
-/// Not a paper series: the production stack path swept over worker-lane
-/// count x voter kernel, so one run of this harness also shows how the
-/// Λ-dependent overhead amortises across cores and SIMD width.  Output is
-/// bit-identical in every cell of the grid (see tests/kernel_test).
-void BM_AlgoNgstStackThreaded(benchmark::State& state,
-                              spacefts::core::Kernel kernel) {
-  spacefts::core::AlgoNgstConfig config;
-  config.lambda = 80.0;
-  config.threads = static_cast<std::size_t>(state.range(0));
-  config.kernel = kernel;
-  const spacefts::core::AlgoNgst algo(config);
-  spacefts::datagen::NgstSimulator sim(0xF164);
-  spacefts::datagen::SceneParams scene;
-  scene.width = 64;
-  scene.height = 64;
-  auto stack = sim.stack(8, scene);
-  spacefts::common::Rng fault_rng(0xF164F164);
-  const auto mask = spacefts::fault::UncorrelatedFaultModel(0.003).mask16(
-      stack.cube().size(), fault_rng);
-  spacefts::fault::apply_mask<std::uint16_t>(stack.cube().voxels(), mask);
-  for (auto _ : state) {
-    auto working = stack;
-    benchmark::DoNotOptimize(algo.preprocess(working));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
-                          64);
-  state.SetLabel("threads=" + std::to_string(state.range(0)) + ",kernel=" +
-                 spacefts::core::kernel_name(kernel));
-}
-
-/// Registers the lane x kernel grid at runtime so only kernels the host
-/// can execute appear in the report.
-void register_stack_threaded_sweep() {
-  for (const auto kernel : spacefts::core::available_kernels()) {
-    const std::string name = std::string("BM_AlgoNgstStackThreaded/") +
-                             spacefts::core::kernel_name(kernel);
-    benchmark::RegisterBenchmark(name.c_str(), BM_AlgoNgstStackThreaded,
-                                 kernel)
-        ->Arg(1)
-        ->Arg(4)
-        ->Arg(8);
-  }
-}
-
 void BM_MedianSmoothing(benchmark::State& state) {
   const auto base = corrupted_series();
   for (auto _ : state) {
@@ -111,11 +66,4 @@ BENCHMARK(BM_AlgoNgstAtLambda)->Arg(0)->Arg(20)->Arg(40)->Arg(60)->Arg(80)->Arg(
 BENCHMARK(BM_MedianSmoothing);
 BENCHMARK(BM_BitVoting);
 
-int main(int argc, char** argv) {
-  register_stack_threaded_sweep();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -207,10 +207,8 @@ BackendHealth ShadowBackend::health() const {
   const auto canonical = decisions();
   BackendHealth out;
   out.executed = canonical.size();
-  for (const auto& d : canonical) {
-    out.sampled += d.sampled ? 1 : 0;
-    out.mismatches += d.mismatch ? 1 : 0;
-  }
+  for (const auto& d : canonical) out.sampled += d.sampled ? 1 : 0;
+  out.mismatches = count_mismatches(canonical);
   out.quarantined = out.mismatches >= config_.quarantine_threshold;
   return out;
 }

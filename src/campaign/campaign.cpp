@@ -7,6 +7,7 @@
 #include <string>
 
 #include "spacefts/datagen/ngst.hpp"
+#include "spacefts/fault/message_faults.hpp"
 #include "spacefts/ingest/guard.hpp"
 #include "spacefts/metrics/aggregate.hpp"
 #include "spacefts/telemetry/jsonl.hpp"
@@ -89,10 +90,7 @@ std::optional<dist::PipelineResult> run_trial(const CampaignConfig& config,
     pc.fragment_side = config.fragment_side;
     pc.gamma0 = cell.gamma0;
     pc.worker_crash_prob = cell.crash_prob;
-    pc.link.faults.drop_prob = cell.link_loss;
-    pc.link.faults.corrupt_prob = cell.link_loss;
-    pc.link.faults.duplicate_prob = cell.link_loss / 2.0;
-    pc.link.faults.delay_prob = cell.link_loss;
+    pc.link.faults = fault::link_loss_faults(cell.link_loss);
     pc.preprocess = config.preprocess;
     pc.algo.lambda = cell.lambda;
     pc.max_link_retries = config.max_link_retries;

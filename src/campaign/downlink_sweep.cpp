@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "spacefts/fault/message_faults.hpp"
 #include "spacefts/telemetry/jsonl.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
 #include "sweep.hpp"
@@ -64,10 +65,7 @@ downlink::ChainConfig chain_config(const DownlinkSweepConfig& config,
   cc.lambda = cell.lambda;
   cc.preprocess = preprocess;
   cc.gamma0 = cell.gamma0;
-  cc.link.drop_prob = cell.link_loss;
-  cc.link.corrupt_prob = cell.link_loss;
-  cc.link.duplicate_prob = cell.link_loss / 2.0;
-  cc.link.delay_prob = cell.link_loss;
+  cc.link = fault::link_loss_faults(cell.link_loss);
   cc.seed = seed;
   // Trial-level parallelism owns the lanes; each chain flies serially so a
   // sweep is deterministic for every --threads value.

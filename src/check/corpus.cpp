@@ -1,6 +1,5 @@
 #include "spacefts/check/corpus.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "spacefts/telemetry/jsonl.hpp"
@@ -9,64 +8,14 @@ namespace spacefts::check {
 namespace {
 
 using telemetry::jsonl::append_fmt;
+using telemetry::jsonl::find_number;
+using telemetry::jsonl::find_token;
+using telemetry::jsonl::find_u64;
 
 constexpr const char* kFamilyNames[kCaseFamilyCount] = {
     "ngst_diff",      "otis_diff", "rice_roundtrip", "crc_frame",
     "hamming",        "properties", "serve_workload", "downlink",
 };
-
-/// Strict double parse of a whole token.
-bool parse_double_token(const std::string& token, double& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
-/// Extracts the raw token following `"key":` (up to ',' or '}').
-bool find_token(std::string_view line, std::string_view key,
-                std::string& out) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return false;
-  const auto start = pos + needle.size();
-  auto end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  out.assign(line.substr(start, end - start));
-  return !out.empty();
-}
-
-bool find_number(std::string_view line, std::string_view key, double& out) {
-  std::string token;
-  return find_token(line, key, token) && parse_double_token(token, out);
-}
-
-bool find_size(std::string_view line, std::string_view key, std::size_t& out) {
-  std::string token;
-  if (!find_token(line, key, token) || token.empty() || token[0] == '-') {
-    return false;
-  }
-  char* end = nullptr;
-  out = static_cast<std::size_t>(std::strtoull(token.c_str(), &end, 10));
-  return end == token.c_str() + token.size();
-}
-
-/// Full-precision unsigned parse (a 64-bit seed does not survive a double
-/// round-trip).
-bool find_u64(std::string_view line, std::string_view key,
-              std::uint64_t& out) {
-  std::string token;
-  if (!find_token(line, key, token) || token.empty() || token[0] == '-') {
-    return false;
-  }
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size();
-}
 
 }  // namespace
 
@@ -140,13 +89,13 @@ std::vector<CaseSpec> parse_corpus_jsonl(std::string_view text) {
       fail("unknown family");
     }
     if (!find_u64(line, "seed", spec.seed)) fail("missing seed");
-    if (!find_size(line, "width", spec.width)) fail("missing width");
-    if (!find_size(line, "height", spec.height)) fail("missing height");
-    if (!find_size(line, "frames", spec.frames)) fail("missing frames");
+    if (!find_u64(line, "width", spec.width)) fail("missing width");
+    if (!find_u64(line, "height", spec.height)) fail("missing height");
+    if (!find_u64(line, "frames", spec.frames)) fail("missing frames");
     if (!find_number(line, "lambda", spec.lambda)) fail("missing lambda");
-    if (!find_size(line, "upsilon", spec.upsilon)) fail("missing upsilon");
+    if (!find_u64(line, "upsilon", spec.upsilon)) fail("missing upsilon");
     if (!find_number(line, "gamma", spec.gamma)) fail("missing gamma");
-    if (!find_size(line, "scene", spec.scene)) fail("missing scene");
+    if (!find_u64(line, "scene", spec.scene)) fail("missing scene");
     specs.push_back(spec);
   }
   return specs;

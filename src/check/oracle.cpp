@@ -283,7 +283,7 @@ core::AlgoOtisReport oracle_otis_plane(common::Image<float>& plane,
   const std::size_t w = plane.width();
   const std::size_t h = plane.height();
   const otis::RadianceInterval interval =
-      config.bounds.radiance_interval(wavelength_um);
+      otis::PhysicalBounds::global().radiance_interval(wavelength_um);
 
   // Phase 1: classification.  Hypothesis (2) marks every value outside the
   // grey-body envelope; the rest contribute residuals against their local
@@ -322,7 +322,7 @@ core::AlgoOtisReport oracle_otis_plane(common::Image<float>& plane,
     sigma_est = sorted[std::min(rank, sorted.size() - 1)] / 0.385;
   }
   const double factor =
-      config.outlier_base_factor * (1.0 + (100.0 - config.lambda) / 50.0);
+      core::kOutlierBaseFactor * (1.0 + (100.0 - config.lambda) / 50.0);
   const double tau = std::max(factor * sigma_est, 1e-12);
 
   // Hypothesis (1): residual outliers whose neighbours share the deviation
@@ -359,7 +359,7 @@ core::AlgoOtisReport oracle_otis_plane(common::Image<float>& plane,
             }
           }
         }
-        if (allies >= config.trend_neighbors) {
+        if (allies >= core::kTrendNeighbors) {
           state(x, y) = static_cast<std::uint8_t>(OracleState::kProtected);
           ++report.trend_protected;
           continue;

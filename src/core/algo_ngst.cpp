@@ -164,11 +164,6 @@ AlgoNgstReport AlgoNgst::preprocess(std::span<std::uint16_t> series) const {
   return run<false>(series, scratch);
 }
 
-AlgoNgstReport AlgoNgst::preprocess(std::span<std::uint16_t> series,
-                                    NgstScratch& scratch) const {
-  return run<false>(series, scratch);
-}
-
 AlgoNgstReport AlgoNgst::preprocess_bitserial(
     std::span<std::uint16_t> series) const {
   NgstScratch scratch;

@@ -90,7 +90,7 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
   const std::size_t w = plane.width();
   const std::size_t h = plane.height();
   const otis::RadianceInterval interval =
-      config_.bounds.radiance_interval(wavelength_um);
+      otis::PhysicalBounds::global().radiance_interval(wavelength_um);
   const std::size_t lanes = par::resolve_threads(config_.threads);
 
   // ---- Phase 1: classification ---------------------------------------------
@@ -157,7 +157,7 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
                 0.385;
   }
   const double factor =
-      config_.outlier_base_factor * (1.0 + (100.0 - config_.lambda) / 50.0);
+      kOutlierBaseFactor * (1.0 + (100.0 - config_.lambda) / 50.0);
   // Floor the threshold to keep pure float rounding noise from qualifying.
   const double tau = std::max(factor * sigma_est, 1e-12);
 
@@ -211,7 +211,7 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
               }
             }
           }
-          if (allies >= config_.trend_neighbors) {
+          if (allies >= kTrendNeighbors) {
             state(x, y) = static_cast<std::uint8_t>(PixelState::kProtected);
             ++lane_protected[lane];
             continue;
@@ -432,7 +432,7 @@ AlgoOtisReport AlgoOtis::preprocess_spectral(
   std::vector<otis::RadianceInterval> intervals;
   intervals.reserve(bands);
   for (double wl : wavelengths_um) {
-    intervals.push_back(config_.bounds.radiance_interval(wl));
+    intervals.push_back(otis::PhysicalBounds::global().radiance_interval(wl));
   }
 
   // Row-parallel over ground pixels; every lane owns a full scratch set

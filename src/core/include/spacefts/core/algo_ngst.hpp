@@ -107,12 +107,6 @@ class AlgoNgst {
   /// Preprocesses one coordinate's time series in place.
   [[nodiscard]] AlgoNgstReport preprocess(std::span<std::uint16_t> series) const;
 
-  /// Scratch-reuse form: identical output, but all working memory lives in
-  /// \p scratch, so a caller iterating many series performs no per-series
-  /// heap allocation once the scratch reaches steady state.
-  [[nodiscard]] AlgoNgstReport preprocess(std::span<std::uint16_t> series,
-                                          NgstScratch& scratch) const;
-
   /// Reference implementation that iterates bit positions serially across
   /// the active windows, mirroring the cost structure the paper measured in
   /// Fig. 3 (overhead grows with Λ because Λ widens window B).  Produces

@@ -13,9 +13,8 @@
 ///      protected from correction; an isolated single-pixel deviation is a
 ///      fault candidate;
 ///  (2) any theoretically out-of-bounds value is a fault — each band's
-///      radiance must lie within the grey-body envelope of the configured
-///      temperature bounds (global physical limits, or tighter
-///      "tropical"/"arctic" cut-offs).
+///      radiance must lie within the grey-body envelope of the global
+///      physical temperature limits (otis::PhysicalBounds::global()).
 ///
 /// Fault candidates are repaired at bit level by a 4-neighbour spatial vote
 /// over the binary32 patterns (retaining the information in the pixel's
@@ -28,9 +27,18 @@
 
 #include "spacefts/common/image.hpp"
 #include "spacefts/core/kernel.hpp"
-#include "spacefts/otis/bounds.hpp"
 
 namespace spacefts::core {
+
+/// Outlier threshold = factor(Λ) · σ̂ of the local residuals (σ̂ from the
+/// contamination-robust 30th percentile of |residual|), where
+/// factor(Λ) = kOutlierBaseFactor · (1 + (100 − Λ)/50).
+inline constexpr double kOutlierBaseFactor = 3.0;
+/// An outlier with at least this many allies — neighbours deviating in the
+/// same direction by a comparable amount — is a natural trend and is
+/// protected.  3 is the count a plateau-shaped anomaly's corner pixel sees,
+/// the weakest genuinely natural configuration.
+inline constexpr std::size_t kTrendNeighbors = 3;
 
 /// Tuning parameters for Algo_OTIS.
 struct AlgoOtisConfig {
@@ -39,17 +47,6 @@ struct AlgoOtisConfig {
   std::size_t upsilon = 4;
   /// Sensitivity Λ in [0, 100]; 0 = sanity-only (no data changes).
   double lambda = 80.0;
-  /// Physical envelope for hypothesis (2).
-  otis::PhysicalBounds bounds = otis::PhysicalBounds::global();
-  /// Outlier threshold = factor(Λ) · σ̂ of the local residuals (σ̂ from the
-  /// contamination-robust 30th percentile of |residual|), where
-  /// factor(Λ) = outlier_base_factor · (1 + (100 − Λ)/50).
-  double outlier_base_factor = 3.0;
-  /// An outlier with at least this many allies — neighbours deviating in
-  /// the same direction by a comparable amount — is a natural trend and is
-  /// protected.  3 is the count a plateau-shaped anomaly's corner pixel
-  /// sees, the weakest genuinely natural configuration.
-  std::size_t trend_neighbors = 3;
   /// Ablation switches.
   bool enable_bounds = true;
   bool enable_trend_test = true;

@@ -101,8 +101,6 @@ template <typename Word>
 
 extern template VoterMatrix<std::uint16_t> build_voter_matrix<std::uint16_t>(
     std::span<const std::uint16_t>, std::size_t, double, bool);
-extern template VoterMatrix<std::uint32_t> build_voter_matrix<std::uint32_t>(
-    std::span<const std::uint32_t>, std::size_t, double, bool);
 extern template void rebuild_voter_matrix<std::uint16_t>(
     std::span<const std::uint16_t>, std::size_t, double, bool,
     VoterMatrix<std::uint16_t>&, std::vector<std::uint16_t>&);

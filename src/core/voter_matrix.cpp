@@ -94,8 +94,6 @@ Word correction_vector(std::span<const Word> voters, Word lsb_mask,
 
 template VoterMatrix<std::uint16_t> build_voter_matrix<std::uint16_t>(
     std::span<const std::uint16_t>, std::size_t, double, bool);
-template VoterMatrix<std::uint32_t> build_voter_matrix<std::uint32_t>(
-    std::span<const std::uint32_t>, std::size_t, double, bool);
 template void rebuild_voter_matrix<std::uint16_t>(
     std::span<const std::uint16_t>, std::size_t, double, bool,
     VoterMatrix<std::uint16_t>&, std::vector<std::uint16_t>&);

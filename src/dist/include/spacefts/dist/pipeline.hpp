@@ -78,12 +78,10 @@ struct PipelineConfig {
   float result_flux_lo = -1.0e6f;
   float result_flux_hi = 1.0e6f;
   PreprocessMode preprocess = PreprocessMode::kAlgoNgst;
+  /// The worker stage's voter.  algo.threads are the lanes each (simulated)
+  /// node uses for its own tiles; tile output is bit-identical for every
+  /// value.
   core::AlgoNgstConfig algo{};
-  /// Worker lanes each (simulated) node uses for its own tile preprocessing;
-  /// forwarded into AlgoNgstConfig::threads.  1 = serial, 0 = all hardware
-  /// threads of the host.  Does not affect results — tile output is
-  /// bit-identical for every value.
-  std::size_t threads = 1;
   /// Optional compute executor for the kAlgoNgst worker stage.  When set,
   /// each worker routes its tile preprocessing through it instead of
   /// running AlgoNgst inline — the serve tier uses this to execute

@@ -161,13 +161,11 @@ struct WorkerOutput {
     case PreprocessMode::kNone:
       break;
     case PreprocessMode::kAlgoNgst: {
-      core::AlgoNgstConfig algo_config = config.algo;
-      algo_config.threads = config.threads;
       if (config.ngst_executor) {
-        const auto report = config.ngst_executor(tile, algo_config, fragment);
+        const auto report = config.ngst_executor(tile, config.algo, fragment);
         out.corrected = report.pixels_corrected;
       } else {
-        const core::AlgoNgst algo(algo_config);
+        const core::AlgoNgst algo(config.algo);
         const auto report = algo.preprocess(tile);
         out.corrected = report.pixels_corrected;
       }

@@ -84,15 +84,4 @@ common::Image<std::uint16_t> read_compressed_hdu(const fits::Hdu& hdu) {
   return common::Image<std::uint16_t>(width, height, std::move(samples));
 }
 
-double stored_compression_ratio(const fits::Hdu& hdu) {
-  if (!is_compressed_hdu(hdu)) {
-    throw fits::FitsError("stored_compression_ratio: not a compressed HDU");
-  }
-  const auto w = hdu.header.get_int("ZNAXIS1").value_or(0);
-  const auto h = hdu.header.get_int("ZNAXIS2").value_or(0);
-  if (w <= 0 || h <= 0 || hdu.data.empty()) return 0.0;
-  return static_cast<double>(w) * static_cast<double>(h) * 2.0 /
-         static_cast<double>(hdu.data.size());
-}
-
 }  // namespace spacefts::downlink

@@ -36,8 +36,4 @@ namespace spacefts::downlink {
 [[nodiscard]] common::Image<std::uint16_t> read_compressed_hdu(
     const fits::Hdu& hdu);
 
-/// Achieved size ratio (uncompressed bytes / stored bytes) of a compressed
-/// HDU's payload. \throws fits::FitsError if not a compressed HDU.
-[[nodiscard]] double stored_compression_ratio(const fits::Hdu& hdu);
-
 }  // namespace spacefts::downlink

@@ -45,6 +45,17 @@ struct MessageFaultConfig {
   }
 };
 
+/// The one-knob link budget of the campaigns, the serving tier and the CLI:
+/// drop = corrupt = delay = \p loss, duplicate = \p loss / 2.
+[[nodiscard]] inline MessageFaultConfig link_loss_faults(double loss) noexcept {
+  MessageFaultConfig config;
+  config.drop_prob = loss;
+  config.corrupt_prob = loss;
+  config.duplicate_prob = loss / 2.0;
+  config.delay_prob = loss;
+  return config;
+}
+
 /// Samples per-message outcomes from a MessageFaultConfig.
 class MessageFaultModel {
  public:

@@ -29,8 +29,13 @@ enum class ShardFaultKind : std::uint8_t {
   kNone = 0,   ///< the shard serves its whole epoch faithfully
   kCrash = 1,  ///< the shard dies; in-flight work is lost
   kStall = 2,  ///< the shard freezes for stall_ms, then resumes
-  kSlow = 3,   ///< every request gains slow_ms of latency for slow_window_ms
+  kSlow = 3,   ///< every request gains kSlowMs of latency for kSlowWindowMs
 };
+
+/// kSlow magnitudes: extra latency per request while slowed, and how long
+/// the slowdown lasts.
+inline constexpr double kSlowMs = 2.0;
+inline constexpr double kSlowWindowMs = 400.0;
 
 [[nodiscard]] const char* to_string(ShardFaultKind kind) noexcept;
 
@@ -41,8 +46,6 @@ struct ShardFaultConfig {
   double stall_prob = 0.0;  ///< P(shard stalls this epoch)
   double slow_prob = 0.0;   ///< P(shard slows down this epoch)
   double stall_ms = 200.0;  ///< length of a stall freeze
-  double slow_ms = 2.0;     ///< extra latency per request while slowed
-  double slow_window_ms = 400.0;  ///< how long the slowdown lasts
   /// The fault fires after the shard has completed a count of requests
   /// drawn uniformly from [trigger_lo, trigger_hi] (so faults strike
   /// mid-load, not at the first or last request).
@@ -61,16 +64,14 @@ struct ShardFaultPlan {
   ShardFaultKind kind = ShardFaultKind::kNone;
   /// Shard-local completed-request count at which the fault fires.
   std::uint64_t after_completed = 0;
-  double stall_ms = 0.0;        ///< kStall: freeze length
-  double slow_ms = 0.0;         ///< kSlow: per-request extra latency
-  double slow_window_ms = 0.0;  ///< kSlow: slowdown duration
+  double stall_ms = 0.0;  ///< kStall: freeze length
 };
 
 /// Draws deterministic per-(shard, epoch) fault plans.
 class ShardFaultModel {
  public:
   /// \throws std::invalid_argument if any probability is outside [0, 1],
-  /// the probabilities sum past 1, a magnitude is negative, or
+  /// the probabilities sum past 1, stall_ms is negative, or
   /// trigger_lo > trigger_hi.
   explicit ShardFaultModel(const ShardFaultConfig& config);
 

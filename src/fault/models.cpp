@@ -165,10 +165,6 @@ void apply_mask(std::span<T> data, std::span<const T> mask) {
 
 template void apply_mask<std::uint16_t>(std::span<std::uint16_t>,
                                         std::span<const std::uint16_t>);
-template void apply_mask<std::uint32_t>(std::span<std::uint32_t>,
-                                        std::span<const std::uint32_t>);
-template void apply_mask<std::uint64_t>(std::span<std::uint64_t>,
-                                        std::span<const std::uint64_t>);
 
 void apply_mask_float(std::span<float> data,
                       std::span<const std::uint32_t> mask) {
@@ -249,15 +245,7 @@ std::vector<T> unpermute(std::span<const T> data,
 
 template std::vector<std::uint16_t> permute<std::uint16_t>(
     std::span<const std::uint16_t>, std::span<const std::size_t>);
-template std::vector<std::uint32_t> permute<std::uint32_t>(
-    std::span<const std::uint32_t>, std::span<const std::size_t>);
-template std::vector<float> permute<float>(std::span<const float>,
-                                           std::span<const std::size_t>);
 template std::vector<std::uint16_t> unpermute<std::uint16_t>(
     std::span<const std::uint16_t>, std::span<const std::size_t>);
-template std::vector<std::uint32_t> unpermute<std::uint32_t>(
-    std::span<const std::uint32_t>, std::span<const std::size_t>);
-template std::vector<float> unpermute<float>(std::span<const float>,
-                                             std::span<const std::size_t>);
 
 }  // namespace spacefts::fault

@@ -33,8 +33,7 @@ ShardFaultModel::ShardFaultModel(const ShardFaultConfig& config)
     throw std::invalid_argument(
         "shard faults: fault probabilities sum past 1");
   }
-  if (config.stall_ms < 0.0 || config.slow_ms < 0.0 ||
-      config.slow_window_ms < 0.0) {
+  if (config.stall_ms < 0.0) {
     throw std::invalid_argument("shard faults: negative magnitude");
   }
   if (config.trigger_lo > config.trigger_hi) {
@@ -58,8 +57,6 @@ ShardFaultPlan ShardFaultModel::plan(std::size_t shard,
     plan.stall_ms = config_.stall_ms;
   } else if (u < config_.crash_prob + config_.stall_prob + config_.slow_prob) {
     plan.kind = ShardFaultKind::kSlow;
-    plan.slow_ms = config_.slow_ms;
-    plan.slow_window_ms = config_.slow_window_ms;
   } else {
     return plan;  // faithful epoch; the trigger draw is skipped
   }

@@ -8,8 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "spacefts/common/bitops.hpp"
-
 namespace spacefts::fits {
 
 namespace {
@@ -442,16 +440,14 @@ FitsFile FitsFile::parse(std::span<const std::uint8_t> bytes) {
 
 // ------------------------------------------------------------ image encoding
 
-namespace {
-
-void common_image_keywords(Header& h, std::size_t width, std::size_t height,
-                           bool primary, std::int64_t bitpix) {
+Header image_u16_header(std::size_t width, std::size_t height, bool primary) {
+  Header h;
   if (primary) {
     h.set_logical("SIMPLE", true, "conforms to FITS standard");
   } else {
     h.set_string("XTENSION", "IMAGE", "image extension");
   }
-  h.set_int("BITPIX", bitpix, "bits per data value");
+  h.set_int("BITPIX", 16, "bits per data value");
   h.set_int("NAXIS", 2, "number of data axes");
   h.set_int("NAXIS1", static_cast<std::int64_t>(width), "axis 1 length");
   h.set_int("NAXIS2", static_cast<std::int64_t>(height), "axis 2 length");
@@ -459,13 +455,6 @@ void common_image_keywords(Header& h, std::size_t width, std::size_t height,
     h.set_int("PCOUNT", 0, "no varying arrays");
     h.set_int("GCOUNT", 1, "one group");
   }
-}
-
-}  // namespace
-
-Header image_u16_header(std::size_t width, std::size_t height, bool primary) {
-  Header h;
-  common_image_keywords(h, width, height, primary, 16);
   h.set_double("BZERO", 32768.0, "unsigned 16-bit offset");
   h.set_double("BSCALE", 1.0, "default scaling");
   return h;
@@ -487,21 +476,6 @@ Hdu make_image_hdu(const common::Image<std::uint16_t>& image, bool primary) {
   hdu.header = image_u16_header(image.width(), image.height(), primary);
   hdu.data.resize(image.size() * 2);
   write_image_u16(image.pixels(), hdu.data.data());
-  return hdu;
-}
-
-Hdu make_float_hdu(const common::Image<float>& image, bool primary) {
-  Hdu hdu;
-  common_image_keywords(hdu.header, image.width(), image.height(), primary, -32);
-  hdu.data.resize(image.size() * 4);
-  std::size_t o = 0;
-  for (float px : image.pixels()) {
-    const std::uint32_t u = common::float_to_bits(px);
-    hdu.data[o++] = static_cast<std::uint8_t>(u >> 24);
-    hdu.data[o++] = static_cast<std::uint8_t>((u >> 16) & 0xFF);
-    hdu.data[o++] = static_cast<std::uint8_t>((u >> 8) & 0xFF);
-    hdu.data[o++] = static_cast<std::uint8_t>(u & 0xFF);
-  }
   return hdu;
 }
 
@@ -567,33 +541,6 @@ common::Image<std::uint16_t> read_image_u16(const Hdu& hdu) {
   const U16Layout layout = u16_layout(hdu);
   common::Image<std::uint16_t> img(layout.width, layout.height);
   decode_u16(hdu.data.data(), layout.bzero, img.pixels());
-  return img;
-}
-
-common::Image<float> read_image_f32(const Hdu& hdu) {
-  const auto bitpix = hdu.header.get_int("BITPIX");
-  const auto naxis1 = hdu.header.get_int("NAXIS1");
-  const auto naxis2 = hdu.header.get_int("NAXIS2");
-  if (!bitpix || *bitpix != -32 || !naxis1 || !naxis2 || *naxis1 <= 0 ||
-      *naxis2 <= 0) {
-    throw FitsError("read_image_f32: header does not describe a float image");
-  }
-  const auto w = static_cast<std::size_t>(*naxis1);
-  const auto h = static_cast<std::size_t>(*naxis2);
-  // Divide rather than multiply: header axes can make w*h*4 wrap.
-  if (h > hdu.data.size() / 4 / w) {
-    throw FitsError("read_image_f32: short data unit");
-  }
-  common::Image<float> img(w, h);
-  std::size_t o = 0;
-  for (auto& px : img.pixels()) {
-    const std::uint32_t u = (static_cast<std::uint32_t>(hdu.data[o]) << 24) |
-                            (static_cast<std::uint32_t>(hdu.data[o + 1]) << 16) |
-                            (static_cast<std::uint32_t>(hdu.data[o + 2]) << 8) |
-                            static_cast<std::uint32_t>(hdu.data[o + 3]);
-    o += 4;
-    px = common::bits_to_float(u);
-  }
   return img;
 }
 

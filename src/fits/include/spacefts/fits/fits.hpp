@@ -4,11 +4,12 @@
 /// (§2.2.1).
 ///
 /// Implemented: 80-character keyword cards, 2880-byte header/data blocks,
-/// a primary HDU plus any number of IMAGE extensions, BITPIX 16 (signed
-/// big-endian with the conventional BZERO=32768 offset for unsigned data)
-/// and BITPIX -32 (IEEE binary32, big-endian).  That is everything the NGST
-/// readout pipeline needs; tables, scaling beyond BZERO/BSCALE and the
-/// random-groups convention are out of scope.
+/// a primary HDU plus any number of IMAGE extensions, and BITPIX 16 image
+/// encode/decode (signed big-endian with the conventional BZERO=32768
+/// offset for unsigned data).  That is everything the NGST readout
+/// pipeline needs; other BITPIX payloads parse as opaque data units, and
+/// tables, scaling beyond BZERO/BSCALE and the random-groups convention
+/// are out of scope.
 #pragma once
 
 #include <cstddef>
@@ -159,10 +160,6 @@ class FitsFile {
 void write_image_u16(std::span<const std::uint16_t> pixels,
                      std::uint8_t* out) noexcept;
 
-/// Builds an HDU holding a 32-bit float image (BITPIX=-32).
-[[nodiscard]] Hdu make_float_hdu(const common::Image<float>& image,
-                                 bool primary = true);
-
 /// Decodes a BITPIX=16/BZERO=32768 HDU back into an unsigned image:
 /// physical = clamp(stored + BZERO, 0, 65535), with BZERO absent = 0.
 /// \throws FitsError if the header does not describe a 16-bit image, the
@@ -174,8 +171,5 @@ void write_image_u16(std::span<const std::uint16_t> pixels,
 /// must hold exactly NAXIS1*NAXIS2 pixels.
 /// \throws FitsError as above, or if \p out has a different size.
 void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out);
-
-/// Decodes a BITPIX=-32 HDU back into a float image.
-[[nodiscard]] common::Image<float> read_image_f32(const Hdu& hdu);
 
 }  // namespace spacefts::fits

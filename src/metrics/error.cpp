@@ -11,15 +11,10 @@ template double average_relative_error<std::uint16_t>(
     std::span<const std::uint16_t>, std::span<const std::uint16_t>);
 template double average_relative_error<float>(std::span<const float>,
                                               std::span<const float>);
-template double rms_error<std::uint16_t>(std::span<const std::uint16_t>,
-                                         std::span<const std::uint16_t>);
 template double rms_error<float>(std::span<const float>,
                                  std::span<const float>);
 template CorrectionStats correction_stats<std::uint16_t>(
     std::span<const std::uint16_t>, std::span<const std::uint16_t>,
     std::span<const std::uint16_t>);
-template CorrectionStats correction_stats<std::uint32_t>(
-    std::span<const std::uint32_t>, std::span<const std::uint32_t>,
-    std::span<const std::uint32_t>);
 
 }  // namespace spacefts::metrics

@@ -28,8 +28,4 @@ RadianceInterval PhysicalBounds::radiance_interval(double wavelength_um) const {
 
 PhysicalBounds PhysicalBounds::global() { return {150.0, 1500.0, 0.6}; }
 
-PhysicalBounds PhysicalBounds::tropical() { return {270.0, 340.0, 0.8}; }
-
-PhysicalBounds PhysicalBounds::arctic() { return {180.0, 290.0, 0.8}; }
-
 }  // namespace spacefts::otis

@@ -4,7 +4,8 @@
 /// sensed by OTIS, set by the laws of thermo-physics … In addition to the
 /// global absolute theoretical limits, there can also be logical cut-off
 /// bounds, depending on the localized geographical characteristics of the
-/// target area … such as 'tropical' or 'arctic' bounds."
+/// target area."  Only the global limits are flown here
+/// (PhysicalBounds::global()).
 ///
 /// A PhysicalBounds instance converts a temperature interval (plus an
 /// emissivity floor) into per-wavelength radiance intervals; any pixel
@@ -45,12 +46,6 @@ class PhysicalBounds {
   /// 150 K (polar inversion layers) to 1500 K (fresh lava — the hyperthermal
   /// phenomena §7.2 insists must be *retained*).
   [[nodiscard]] static PhysicalBounds global();
-
-  /// Logical cut-off bounds for a tropical target area.
-  [[nodiscard]] static PhysicalBounds tropical();
-
-  /// Logical cut-off bounds for an arctic target area.
-  [[nodiscard]] static PhysicalBounds arctic();
 
  private:
   double min_t_;

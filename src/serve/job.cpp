@@ -15,6 +15,7 @@
 #include "spacefts/datagen/telemetry.hpp"
 #include "spacefts/dist/pipeline.hpp"
 #include "spacefts/edac/crc32.hpp"
+#include "spacefts/fault/message_faults.hpp"
 #include "spacefts/ingest/guard.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
 
@@ -149,10 +150,7 @@ void execute_ngst(const Request& request, bool corrupt_ingress,
   pc.fragment_side = ctx.fragment_side;
   pc.gamma0 = job.gamma0;
   pc.worker_crash_prob = 0.0;
-  pc.link.faults.drop_prob = job.link_loss;
-  pc.link.faults.corrupt_prob = job.link_loss;
-  pc.link.faults.duplicate_prob = job.link_loss / 2.0;
-  pc.link.faults.delay_prob = job.link_loss;
+  pc.link.faults = fault::link_loss_faults(job.link_loss);
   pc.algo.lambda = result.lambda_eff;
   pc.algo.upsilon = result.upsilon_eff;
   pc.algo.kernel = ctx.kernel;

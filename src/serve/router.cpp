@@ -197,12 +197,12 @@ void Router::boot_shard_locked(std::size_t i) {
         }
       } else if (plan.kind == fault::ShardFaultKind::kSlow) {
         if (n == plan.after_completed) {
-          chaos->slow_until_ms.store(now_ms() + plan.slow_window_ms,
+          chaos->slow_until_ms.store(now_ms() + fault::kSlowWindowMs,
                                      std::memory_order_relaxed);
         }
         if (now_ms() < chaos->slow_until_ms.load(std::memory_order_relaxed)) {
           std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(plan.slow_ms));
+              std::chrono::duration<double, std::milli>(fault::kSlowMs));
         }
       }
       // kCrash: the control loop watches `executed` and kills the shard.

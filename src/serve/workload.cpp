@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +12,9 @@ namespace spacefts::serve {
 namespace {
 
 using telemetry::jsonl::append_fmt;
+using telemetry::jsonl::find_number;
+using telemetry::jsonl::find_token;
+using telemetry::jsonl::find_u64;
 
 /// Sub-stream indices of the generator's derived streams (documented so a
 /// committed workload file can be re-derived forever).
@@ -21,50 +23,6 @@ enum WorkloadStream : std::uint64_t {
   kStreamMix = 1,
   kStreamDataset = 2,
 };
-
-/// Strict double parse of a whole token.
-bool parse_double_token(const std::string& token, double& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
-/// Extracts the raw token following `"key":` (up to ',' or '}'),
-/// whitespace-free by construction of to_jsonl.  False when absent.
-bool find_token(std::string_view line, std::string_view key,
-                std::string& out) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return false;
-  const auto start = pos + needle.size();
-  auto end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  out.assign(line.substr(start, end - start));
-  return !out.empty();
-}
-
-bool find_number(std::string_view line, std::string_view key, double& out) {
-  std::string token;
-  return find_token(line, key, token) && parse_double_token(token, out);
-}
-
-/// Full-precision unsigned parse (a 64-bit seed does not survive a double
-/// round-trip).
-bool find_u64(std::string_view line, std::string_view key,
-              std::uint64_t& out) {
-  std::string token;
-  if (!find_token(line, key, token) || token.empty() || token[0] == '-') {
-    return false;
-  }
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size();
-}
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 /// windows run over the spatial neighbourhood of each pixel within one
 /// wavelength plane.
 ///
-/// Value-based smoothing (median/mean) compares the floats themselves;
+/// Value-based smoothing (median) compares the floats themselves;
 /// bitwise voting operates on the IEEE-754 bit patterns, the same raw bits
 /// the fault injector flips.
 #pragma once
@@ -18,10 +18,6 @@ namespace spacefts::smoothing {
 /// neighbourhood.  Non-recursive.
 void median_smooth_2d(common::Image<float>& image);
 
-/// 3x3 spatial arithmetic mean, NaN-tolerant (NaN neighbours are skipped;
-/// a pixel with no finite neighbour is left unchanged).  Non-recursive.
-void mean_smooth_2d(common::Image<float>& image);
-
 /// Spatial bitwise majority voting: each bit of each pixel's binary32
 /// representation becomes the majority of that bit over the 5-voter cross
 /// neighbourhood {self, N, S, E, W} (edges mirror).  Non-recursive.
@@ -29,7 +25,6 @@ void majority_bit_vote_2d(common::Image<float>& image);
 
 /// Applies any of the above plane by plane over a cube.
 void median_smooth_cube(common::Cube<float>& cube);
-void mean_smooth_cube(common::Cube<float>& cube);
 void majority_bit_vote_cube(common::Cube<float>& cube);
 
 }  // namespace spacefts::smoothing

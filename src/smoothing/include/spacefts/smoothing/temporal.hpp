@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace spacefts::smoothing {
 
@@ -57,11 +56,5 @@ void running_average(std::span<std::uint16_t> data, std::size_t window);
 /// alpha in (0, 1]: y(i) = alpha*x(i) + (1-alpha)*y(i-1).
 /// \throws std::invalid_argument for alpha outside (0, 1].
 void exponential_smooth(std::span<std::uint16_t> data, double alpha);
-
-/// Convenience: non-mutating wrappers returning the smoothed copy.
-[[nodiscard]] std::vector<std::uint16_t> median_smoothed3(
-    std::span<const std::uint16_t> data);
-[[nodiscard]] std::vector<std::uint16_t> majority_bit_voted3(
-    std::span<const std::uint16_t> data);
 
 }  // namespace spacefts::smoothing

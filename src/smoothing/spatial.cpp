@@ -72,35 +72,6 @@ void median_smooth_2d(common::Image<float>& image) {
   }
 }
 
-void mean_smooth_2d(common::Image<float>& image) {
-  const std::size_t w = image.width();
-  const std::size_t h = image.height();
-  if (w < 2 || h < 2) return;
-  const common::Image<float> src = image;
-  for (std::size_t y = 0; y < h; ++y) {
-    for (std::size_t x = 0; x < w; ++x) {
-      double sum = 0.0;
-      std::size_t count = 0;
-      for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
-        for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
-          const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(x) + dx;
-          const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(y) + dy;
-          if (nx < 0 || ny < 0 || nx >= static_cast<std::ptrdiff_t>(w) ||
-              ny >= static_cast<std::ptrdiff_t>(h)) {
-            continue;
-          }
-          const float v = src(static_cast<std::size_t>(nx),
-                              static_cast<std::size_t>(ny));
-          if (std::isnan(v)) continue;
-          sum += static_cast<double>(v);
-          ++count;
-        }
-      }
-      if (count > 0) image(x, y) = static_cast<float>(sum / static_cast<double>(count));
-    }
-  }
-}
-
 void majority_bit_vote_2d(common::Image<float>& image) {
   const std::size_t w = image.width();
   const std::size_t h = image.height();
@@ -128,10 +99,6 @@ void majority_bit_vote_2d(common::Image<float>& image) {
 
 void median_smooth_cube(common::Cube<float>& cube) {
   for_each_plane(cube, [](common::Image<float>& img) { median_smooth_2d(img); });
-}
-
-void mean_smooth_cube(common::Cube<float>& cube) {
-  for_each_plane(cube, [](common::Image<float>& img) { mean_smooth_2d(img); });
 }
 
 void majority_bit_vote_cube(common::Cube<float>& cube) {

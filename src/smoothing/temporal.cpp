@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace spacefts::smoothing {
 
@@ -153,20 +154,6 @@ void exponential_smooth(std::span<std::uint16_t> data, double alpha) {
     level = alpha * static_cast<double>(data[i]) + (1.0 - alpha) * level;
     data[i] = static_cast<std::uint16_t>(level + 0.5);
   }
-}
-
-std::vector<std::uint16_t> median_smoothed3(
-    std::span<const std::uint16_t> data) {
-  std::vector<std::uint16_t> out(data.begin(), data.end());
-  median_smooth3(out);
-  return out;
-}
-
-std::vector<std::uint16_t> majority_bit_voted3(
-    std::span<const std::uint16_t> data) {
-  std::vector<std::uint16_t> out(data.begin(), data.end());
-  majority_bit_vote3(out);
-  return out;
 }
 
 }  // namespace spacefts::smoothing

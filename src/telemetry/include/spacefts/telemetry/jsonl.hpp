@@ -13,7 +13,10 @@
 #pragma once
 
 #include <cmath>
+#include <concepts>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -108,6 +111,56 @@ inline void append_fmt(std::string& out, const char* format, double value) {
   }
   while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
   return std::string(line.substr(begin, end - begin));
+}
+
+/// The strict field readers of the replay parse boundaries (serve
+/// workloads, check corpora).  Unlike json_field they take the raw token
+/// after `"key":` verbatim, up to ',' or '}' (these records are written
+/// whitespace-free), and report absence or a malformed value as false.
+
+/// Strict double parse of a whole token.
+[[nodiscard]] inline bool parse_double_token(const std::string& token,
+                                             double& out) {
+  if (token.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(token.c_str(), &end);
+  return end == token.c_str() + token.size();
+}
+
+/// Extracts the raw token following `"key":` into \p out.  False when the
+/// key is absent or its token is empty.
+[[nodiscard]] inline bool find_token(std::string_view line,
+                                     std::string_view key, std::string& out) {
+  std::string needle;
+  needle.reserve(key.size() + 3);
+  needle += '"';
+  needle += key;
+  needle += "\":";
+  const auto pos = line.find(needle);
+  if (pos == std::string_view::npos) return false;
+  const auto start = pos + needle.size();
+  auto end = start;
+  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+  out.assign(line.substr(start, end - start));
+  return !out.empty();
+}
+
+[[nodiscard]] inline bool find_number(std::string_view line,
+                                      std::string_view key, double& out) {
+  std::string token;
+  return find_token(line, key, token) && parse_double_token(token, out);
+}
+
+/// Full-precision unsigned parse (a 64-bit seed does not survive a double
+/// round-trip) into any unsigned type of up to 64 bits; a sign is refused.
+template <std::unsigned_integral Unsigned>
+[[nodiscard]] bool find_u64(std::string_view line, std::string_view key,
+                            Unsigned& out) {
+  std::string token;
+  if (!find_token(line, key, token) || token[0] == '-') return false;
+  char* end = nullptr;
+  out = static_cast<Unsigned>(std::strtoull(token.c_str(), &end, 10));
+  return end == token.c_str() + token.size();
 }
 
 /// Hygiene guard for values destined for a BENCH_*.json row: a NaN or (for

@@ -195,77 +195,6 @@ class Histogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-/// Snapshot cursor over a Counter: each take() returns the increment since
-/// the previous take — the windowed rate a control loop needs, where the
-/// registry's lifetime totals answer the wrong question.  Cheap enough to
-/// call per decision epoch; reading costs one relaxed load.  One cursor per
-/// (counter, reader); takes from several threads need external ordering.
-class CounterCursor {
- public:
-  [[nodiscard]] std::uint64_t take(const Counter& c) noexcept {
-    const std::uint64_t now = c.value();
-    const std::uint64_t delta = now - last_;
-    last_ = now;
-    return delta;
-  }
-  [[nodiscard]] std::uint64_t last() const noexcept { return last_; }
-
- private:
-  std::uint64_t last_ = 0;
-};
-
-/// EWMA-decayed windowed rate: each update() takes the counter's delta and
-/// folds it into an exponentially decayed average (half-life measured in
-/// updates).  value() is then "recent events per update interval" — the
-/// decayed read that turns a monotone counter into a trend signal.
-class DecayedRate {
- public:
-  explicit DecayedRate(double halflife_updates = 8.0) noexcept;
-  double update(const Counter& c) noexcept {
-    const auto delta = static_cast<double>(cursor_.take(c));
-    value_ += alpha_ * (delta - value_);
-    return value_;
-  }
-  [[nodiscard]] double value() const noexcept { return value_; }
-
- private:
-  CounterCursor cursor_;
-  double alpha_;
-  double value_ = 0.0;
-};
-
-/// Windowed view of a Histogram: take() captures the per-bucket deltas
-/// since the previous take, and count()/sum()/mean()/quantile() then answer
-/// for *that window only*.  Quantiles interpolate across the power-of-two
-/// buckets without the lifetime min/max clamp (the window has no min/max of
-/// its own), so they are bucket-resolution estimates: a single-sample
-/// window brackets the sample inside its bucket rather than reporting it
-/// exactly; an empty window reports 0.  Reading is wait-free against
-/// concurrent record()s — a racing sample lands in this window or the next.
-class HistogramWindow {
- public:
-  /// Captures the window [previous take, now).
-  void take(const Histogram& h) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double mean() const noexcept {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t index) const noexcept {
-    return index < Histogram::kBucketCount ? window_[index] : 0;
-  }
-  [[nodiscard]] double quantile(double p) const noexcept;
-
- private:
-  std::array<std::uint64_t, Histogram::kBucketCount> last_{};
-  std::array<std::uint64_t, Histogram::kBucketCount> window_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t last_count_ = 0;
-  double sum_ = 0.0;
-  double last_sum_ = 0.0;
-};
-
 /// Registry access: registers on first use, then returns the same object
 /// forever (node-stable storage; reset() zeroes values, never erases).
 [[nodiscard]] Counter& counter(const char* name);
@@ -347,29 +276,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t bucket(std::size_t) const noexcept { return 0; }
   [[nodiscard]] double quantile(double) const noexcept { return 0.0; }
   void clear() noexcept {}
-};
-
-class CounterCursor {
- public:
-  [[nodiscard]] std::uint64_t take(const Counter&) noexcept { return 0; }
-  [[nodiscard]] std::uint64_t last() const noexcept { return 0; }
-};
-
-class DecayedRate {
- public:
-  explicit DecayedRate(double = 8.0) noexcept {}
-  double update(const Counter&) noexcept { return 0.0; }
-  [[nodiscard]] double value() const noexcept { return 0.0; }
-};
-
-class HistogramWindow {
- public:
-  void take(const Histogram&) noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] double sum() const noexcept { return 0.0; }
-  [[nodiscard]] double mean() const noexcept { return 0.0; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t) const noexcept { return 0; }
-  [[nodiscard]] double quantile(double) const noexcept { return 0.0; }
 };
 
 inline Counter& counter(const char*) {

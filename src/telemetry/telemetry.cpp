@@ -341,53 +341,6 @@ void Histogram::clear() noexcept {
              std::memory_order_relaxed);
 }
 
-DecayedRate::DecayedRate(double halflife_updates) noexcept
-    : alpha_(halflife_updates > 0.0
-                 ? 1.0 - std::exp2(-1.0 / halflife_updates)
-                 : 1.0) {}
-
-void HistogramWindow::take(const Histogram& h) noexcept {
-  // Per-bucket deltas against the previous snapshot.  Each load is a
-  // single relaxed read; a record() racing the sweep lands either in this
-  // window or the next, never in both and never nowhere.
-  count_ = 0;
-  for (std::size_t b = 0; b < Histogram::kBucketCount; ++b) {
-    const std::uint64_t now = h.bucket(b);
-    window_[b] = now - last_[b];
-    last_[b] = now;
-    count_ += window_[b];
-  }
-  const std::uint64_t total = h.count();
-  const double total_sum = h.sum();
-  last_count_ = total;
-  sum_ = total_sum - last_sum_;
-  last_sum_ = total_sum;
-}
-
-double HistogramWindow::quantile(double p) const noexcept {
-  if (count_ == 0) return 0.0;
-  p = p < 0.0 ? 0.0 : p > 100.0 ? 100.0 : p;
-  const double target = p / 100.0 * static_cast<double>(count_ - 1);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < Histogram::kBucketCount; ++b) {
-    const auto in_bucket = static_cast<double>(window_[b]);
-    if (in_bucket == 0.0) continue;
-    if (target < cumulative + in_bucket) {
-      const double frac = (target - cumulative) / in_bucket;
-      const double lo = bucket_lower(b);
-      // Unlike Histogram::quantile there is no windowed min/max to clamp
-      // against, so the top bucket interpolates to its upper edge and the
-      // result is a bucket-resolution estimate.
-      const double hi = b + 1 < Histogram::kBucketCount
-                            ? bucket_lower(b + 1)
-                            : bucket_lower(Histogram::kBucketCount - 1) * 2.0;
-      return lo + frac * (hi - lo);
-    }
-    cumulative += in_bucket;
-  }
-  return bucket_lower(Histogram::kBucketCount - 1);
-}
-
 Counter& counter(const char* name) {
   Tracer& t = tracer();
   std::scoped_lock lock(t.registry_mutex);

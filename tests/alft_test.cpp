@@ -5,7 +5,6 @@
 #include <string>
 
 #include "spacefts/alft/alft.hpp"
-#include "spacefts/alft/logic_grid.hpp"
 
 namespace sa = spacefts::alft;
 
@@ -101,106 +100,6 @@ TEST(Alft, DecisionNames) {
   EXPECT_STREQ(sa::to_string(sa::Decision::kPrimaryDubious),
                "primary-dubious");
   EXPECT_STREQ(sa::to_string(sa::Decision::kFailed), "failed");
-}
-
-// ------------------------------------------------------------------ LogicGrid
-
-namespace {
-
-using IntGrid = sa::LogicGrid<int>;
-
-IntGrid three_filter_grid(double threshold) {
-  IntGrid grid(threshold);
-  grid.add_filter({"positive", 2.0, [](const int& v) { return v > 0; }});
-  grid.add_filter({"small", 1.0, [](const int& v) { return v < 100; }});
-  grid.add_filter({"even", 1.0, [](const int& v) { return v % 2 == 0; }});
-  return grid;
-}
-
-}  // namespace
-
-TEST(LogicGrid, ValidatesConstruction) {
-  EXPECT_THROW(IntGrid(0.0), std::invalid_argument);
-  EXPECT_THROW(IntGrid(1.5), std::invalid_argument);
-  IntGrid grid;
-  EXPECT_THROW(grid.add_filter({"bad", 1.0, nullptr}), std::invalid_argument);
-  EXPECT_THROW(grid.add_filter({"bad", 0.0, [](const int&) { return true; }}),
-               std::invalid_argument);
-  EXPECT_THROW((void)grid.score(1), std::logic_error);
-}
-
-TEST(LogicGrid, ScoresAreWeightNormalised) {
-  const auto grid = three_filter_grid(1.0);
-  // 42: positive (2), small (1), even (1) -> 4/4.
-  EXPECT_DOUBLE_EQ(grid.score(42).score, 1.0);
-  // 43: positive, small, odd -> 3/4.
-  const auto s43 = grid.score(43);
-  EXPECT_DOUBLE_EQ(s43.score, 0.75);
-  ASSERT_EQ(s43.failed_filters.size(), 1u);
-  EXPECT_EQ(s43.failed_filters[0], "even");
-  // -3: small only -> 1/4.
-  EXPECT_DOUBLE_EQ(grid.score(-3).score, 0.25);
-}
-
-TEST(LogicGrid, CleanPrimarySkipsSecondary) {
-  const auto grid = three_filter_grid(1.0);
-  bool secondary_ran = false;
-  const auto r = grid.execute([] { return std::optional<int>(42); },
-                              [&]() -> std::optional<int> {
-                                secondary_ran = true;
-                                return 2;
-                              });
-  EXPECT_EQ(r.decision, sa::Decision::kPrimary);
-  EXPECT_EQ(r.output, 42);
-  EXPECT_FALSE(secondary_ran);
-}
-
-TEST(LogicGrid, ThresholdAdmitsPartialScores) {
-  const auto grid = three_filter_grid(0.7);
-  // 43 scores 0.75 >= 0.7: accepted despite failing "even".
-  const auto r = grid.execute([] { return std::optional<int>(43); },
-                              [] { return std::optional<int>(2); });
-  EXPECT_EQ(r.decision, sa::Decision::kPrimary);
-}
-
-TEST(LogicGrid, FallsThroughToSecondary) {
-  const auto grid = three_filter_grid(1.0);
-  const auto r = grid.execute([] { return std::optional<int>(-8); },
-                              [] { return std::optional<int>(42); });
-  EXPECT_EQ(r.decision, sa::Decision::kSecondary);
-  EXPECT_EQ(r.output, 42);
-  EXPECT_TRUE(r.secondary_ran);
-  EXPECT_LT(r.primary_score.score, 1.0);
-}
-
-TEST(LogicGrid, ShipsTheBetterDubiousProduct) {
-  const auto grid = three_filter_grid(1.0);
-  // Primary scores 0.75 (odd), secondary 0.5 (negative even small):
-  // both rejected, primary ships flagged.
-  const auto r = grid.execute([] { return std::optional<int>(43); },
-                              [] { return std::optional<int>(-2); });
-  EXPECT_EQ(r.decision, sa::Decision::kPrimaryDubious);
-  EXPECT_EQ(r.output, 43);
-  // And the reverse: secondary scores higher -> its product ships.
-  const auto r2 = grid.execute([] { return std::optional<int>(-3); },
-                               [] { return std::optional<int>(43); });
-  EXPECT_EQ(r2.decision, sa::Decision::kPrimaryDubious);
-  EXPECT_EQ(r2.output, 43);
-}
-
-TEST(LogicGrid, BothCrashFails) {
-  const auto grid = three_filter_grid(1.0);
-  const auto r = grid.execute([]() -> std::optional<int> { return std::nullopt; },
-                              []() -> std::optional<int> { return std::nullopt; });
-  EXPECT_EQ(r.decision, sa::Decision::kFailed);
-  EXPECT_FALSE(r.output.has_value());
-}
-
-TEST(LogicGrid, PrimaryCrashSecondaryClean) {
-  const auto grid = three_filter_grid(1.0);
-  const auto r = grid.execute([]() -> std::optional<int> { return std::nullopt; },
-                              [] { return std::optional<int>(42); });
-  EXPECT_EQ(r.decision, sa::Decision::kSecondary);
 }
 
 TEST(Alft, WorksWithNonTrivialOutputTypes) {

@@ -152,7 +152,10 @@ TEST(VoterMatrix, ThirtyTwoBitWords) {
   for (int i = 0; i < 32; ++i) {
     series.push_back(v + static_cast<std::uint32_t>(i * 1031));
   }
-  const auto m = sc::build_voter_matrix<std::uint32_t>(series, 4, 80.0);
+  sc::VoterMatrix<std::uint32_t> m;
+  std::vector<std::uint32_t> sort_scratch;
+  sc::rebuild_voter_matrix<std::uint32_t>(series, 4, 80.0, true, m,
+                                          sort_scratch);
   ASSERT_EQ(m.ways.size(), 2u);
   for (const auto& way : m.ways) {
     EXPECT_EQ(way.v_val & (way.v_val - 1), 0u);

@@ -37,8 +37,10 @@ TEST(CompressedHdu, RoundtripRestoresImageExactly) {
 TEST(CompressedHdu, AchievesCompressionOnSmoothData) {
   const auto img = smooth_image(2);
   const auto hdu = dl::make_compressed_hdu(img);
-  EXPECT_GT(dl::stored_compression_ratio(hdu), 1.3);
-  EXPECT_LT(hdu.data.size(), img.size() * 2);
+  // Uncompressed bytes / stored bytes.
+  EXPECT_GT(static_cast<double>(img.size() * 2) /
+                static_cast<double>(hdu.data.size()),
+            1.3);
 }
 
 TEST(CompressedHdu, KeywordsDescribeTheStream) {
@@ -68,8 +70,6 @@ TEST(CompressedHdu, RejectsPlainHdus) {
   const auto plain = spacefts::fits::make_image_hdu(smooth_image(5));
   EXPECT_FALSE(dl::is_compressed_hdu(plain));
   EXPECT_THROW((void)dl::read_compressed_hdu(plain), spacefts::fits::FitsError);
-  EXPECT_THROW((void)dl::stored_compression_ratio(plain),
-               spacefts::fits::FitsError);
 }
 
 TEST(CompressedHdu, DamagedGeometryThrows) {

@@ -486,16 +486,6 @@ TEST(ImageHdu, U16IsBigEndianWithOffset) {
   EXPECT_EQ(hdu.data[1], 0u);
 }
 
-TEST(ImageHdu, F32Roundtrip) {
-  Image<float> img(3, 3);
-  img(0, 0) = 1.5f;
-  img(1, 1) = -2.25e-3f;
-  img(2, 2) = 3.0e20f;
-  const auto hdu = ff::make_float_hdu(img);
-  const auto back = ff::read_image_f32(hdu);
-  EXPECT_EQ(back, img);
-}
-
 TEST(ImageHdu, ReadersValidateHeader) {
   Image<std::uint16_t> img(2, 2, 7);
   auto hdu = ff::make_image_hdu(img);
@@ -512,10 +502,6 @@ TEST(ImageHdu, ReadersValidatePayloadSize) {
   hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
   hdu.header.set_int("NAXIS2", std::int64_t{1} << 31);
   EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError);
-  auto float_hdu = ff::make_float_hdu(Image<float>(4, 4, 1.0f));
-  float_hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
-  float_hdu.header.set_int("NAXIS2", std::int64_t{1} << 30);
-  EXPECT_THROW((void)ff::read_image_f32(float_hdu), ff::FitsError);
 }
 
 namespace {
@@ -572,17 +558,30 @@ TEST(Fits, ReadImageU16RejectsNonFiniteOrFractionalBzero) {
 TEST(FitsFile, MultiHduRoundtrip) {
   ff::FitsFile file;
   Image<std::uint16_t> primary(16, 16, 500);
-  Image<float> ext(8, 8, 1.25f);
   file.hdus().push_back(ff::make_image_hdu(primary, /*primary=*/true));
-  file.hdus().push_back(ff::make_float_hdu(ext, /*primary=*/false));
+  // An 8x8 BITPIX=-32 extension: parse carries it as an opaque data unit.
+  ff::Hdu ext;
+  ext.header.set_string("XTENSION", "IMAGE");
+  ext.header.set_int("BITPIX", -32);
+  ext.header.set_int("NAXIS", 2);
+  ext.header.set_int("NAXIS1", 8);
+  ext.header.set_int("NAXIS2", 8);
+  ext.header.set_int("PCOUNT", 0);
+  ext.header.set_int("GCOUNT", 1);
+  for (std::size_t i = 0; i < 8 * 8 * 4; ++i) {
+    ext.data.push_back(static_cast<std::uint8_t>(i * 7));
+  }
+  file.hdus().push_back(ext);
   const auto bytes = file.serialize();
   EXPECT_EQ(bytes.size() % ff::kBlockSize, 0u);
 
   const auto parsed = ff::FitsFile::parse(bytes);
   ASSERT_EQ(parsed.hdus().size(), 2u);
   EXPECT_EQ(ff::read_image_u16(parsed.hdus()[0]), primary);
-  EXPECT_EQ(ff::read_image_f32(parsed.hdus()[1]), ext);
+  EXPECT_EQ(parsed.hdus()[1].data, ext.data);
   EXPECT_EQ(parsed.hdus()[1].header.get_string("XTENSION"), "IMAGE");
+  EXPECT_EQ(parsed.hdus()[1].header.get_int("BITPIX"), -32);
+  EXPECT_THROW((void)ff::read_image_u16(parsed.hdus()[1]), ff::FitsError);
 }
 
 TEST(FitsFile, ParseEmptyThrows) {

@@ -77,15 +77,6 @@ TEST(Bounds, IntervalContainsNaturalRadiance) {
   EXPECT_FALSE(interval.contains(so::planck_radiance(10.0, 2500.0)));
 }
 
-TEST(Bounds, ClimatePresetsAreTighterThanGlobal) {
-  const auto global = so::PhysicalBounds::global().radiance_interval(10.0);
-  const auto tropical = so::PhysicalBounds::tropical().radiance_interval(10.0);
-  const auto arctic = so::PhysicalBounds::arctic().radiance_interval(10.0);
-  EXPECT_GT(tropical.lo, global.lo);
-  EXPECT_LT(tropical.hi, global.hi);
-  EXPECT_LT(arctic.hi, tropical.hi);
-}
-
 TEST(Bounds, HyperthermalPhenomenaRemainInGlobalEnvelope) {
   // §7.2: fresh lava (~1400 K) must be *inside* the global bounds so a real
   // eruption is never declared a fault by hypothesis (2).

@@ -248,18 +248,6 @@ TEST(Exponential, ValidatesAlpha) {
   EXPECT_THROW((void)ss::exponential_smooth(data, 1.5), std::invalid_argument);
 }
 
-// ----------------------------------------------------------- non-mutating API
-
-TEST(NonMutating, WrappersLeaveInputAlone) {
-  const std::vector<std::uint16_t> data{100, 9000, 100, 100};
-  const auto smoothed = ss::median_smoothed3(data);
-  EXPECT_EQ(data[1], 9000u);
-  EXPECT_EQ(smoothed[1], 100u);
-  const auto voted = ss::majority_bit_voted3(data);
-  EXPECT_EQ(data[1], 9000u);
-  EXPECT_NE(voted, data);
-}
-
 // -------------------------------------------------------------------- spatial
 
 TEST(Spatial, MedianRemovesIsolatedSpike) {
@@ -274,13 +262,6 @@ TEST(Spatial, MedianNaNNeverWins) {
   img(2, 2) = std::nanf("");
   ss::median_smooth_2d(img);
   EXPECT_FLOAT_EQ(img(2, 2), 10.0f);
-}
-
-TEST(Spatial, MeanSkipsNaN) {
-  Image<float> img(3, 3, 6.0f);
-  img(1, 1) = std::nanf("");
-  ss::mean_smooth_2d(img);
-  EXPECT_FLOAT_EQ(img(1, 1), 6.0f);
 }
 
 TEST(Spatial, BitVoteRepairsSignFlip) {

@@ -324,65 +324,3 @@ TEST(JsonlAppendFmt, UsesTheGivenFormat) {
   st::jsonl::append_fmt(out, "%.3f", 1.5);
   EXPECT_EQ(out, "x=1.500");
 }
-
-// ------------------------------------------------------- windowed snapshots
-
-TEST_F(TelemetryTest, CounterCursorTakesDeltasSinceLastTake) {
-  if (!st::kCompiledIn) return;
-  auto& c = st::counter("test.cursor");
-  st::CounterCursor cursor;
-  c.add(5);
-  EXPECT_EQ(cursor.take(c), 5u);
-  EXPECT_EQ(cursor.take(c), 0u);  // nothing new since the last sweep
-  c.add(3);
-  EXPECT_EQ(cursor.take(c), 3u);
-  EXPECT_EQ(cursor.last(), 8u);
-}
-
-TEST_F(TelemetryTest, DecayedRateFoldsCounterDeltasIntoEwma) {
-  if (!st::kCompiledIn) return;
-  auto& c = st::counter("test.decayed");
-  st::DecayedRate rate(1.0);  // half-life 1 update: alpha = 0.5
-  c.add(10);
-  EXPECT_DOUBLE_EQ(rate.update(c), 5.0);
-  EXPECT_DOUBLE_EQ(rate.update(c), 2.5);  // decays with no new events
-  c.add(10);
-  EXPECT_DOUBLE_EQ(rate.update(c), 6.25);
-  EXPECT_DOUBLE_EQ(rate.value(), 6.25);
-}
-
-TEST_F(TelemetryTest, HistogramWindowIsolatesTheWindowFromLifetimeTotals) {
-  if (!st::kCompiledIn) return;
-  auto& h = st::histogram("test.window");
-  st::HistogramWindow window;
-  h.record(1.5);
-  h.record(3.0);
-  window.take(h);
-  EXPECT_EQ(window.count(), 2u);
-  EXPECT_DOUBLE_EQ(window.sum(), 4.5);
-  EXPECT_DOUBLE_EQ(window.mean(), 2.25);
-  // The next window only sees what arrived after the previous take.
-  h.record(100.0);
-  window.take(h);
-  EXPECT_EQ(window.count(), 1u);
-  EXPECT_DOUBLE_EQ(window.sum(), 100.0);
-  // Lifetime totals keep accumulating regardless.
-  EXPECT_EQ(h.count(), 3u);
-}
-
-TEST_F(TelemetryTest, HistogramWindowQuantilesAreBucketBracketed) {
-  if (!st::kCompiledIn) return;
-  auto& h = st::histogram("test.window.q");
-  st::HistogramWindow window;
-  window.take(h);
-  EXPECT_DOUBLE_EQ(window.quantile(99.0), 0.0);  // empty window
-  h.record(3.0);  // bucket [2, 4)
-  window.take(h);
-  const double q50 = window.quantile(50.0);
-  EXPECT_GE(q50, 2.0);  // single sample: bracketed by its bucket
-  EXPECT_LE(q50, 4.0);
-  for (int i = 0; i < 100; ++i) h.record(i < 90 ? 1.5 : 1000.0);
-  window.take(h);
-  EXPECT_LE(window.quantile(50.0), 4.0);
-  EXPECT_GE(window.quantile(99.0), 512.0);
-}

@@ -43,6 +43,7 @@
 #include "spacefts/dist/pipeline.hpp"
 #include "spacefts/downlink/chain.hpp"
 #include "spacefts/downlink/compressed_hdu.hpp"
+#include "spacefts/fault/message_faults.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/io.hpp"
 #include "spacefts/fits/sanity.hpp"
@@ -758,7 +759,7 @@ int cmd_pipeline(Cli& cli) {
        kPositive},
       {"--retries", &pc.max_link_retries, "N", "link retry budget per tile"},
       {"--seed", &seed, "S", "scene and fault seed"},
-      {"--threads", &pc.threads, "N", "preprocessing worker lanes"},
+      {"--threads", &pc.algo.threads, "N", "preprocessing worker lanes"},
   };
   if (const auto rc = cli.parse({flags, kernel_flags(pc.algo.kernel),
                                  bopts.flags(), telem.flags()})) {
@@ -790,10 +791,7 @@ int cmd_pipeline(Cli& cli) {
   }
   readouts = std::move(ingested.stack);
 
-  pc.link.faults.drop_prob = link_loss;
-  pc.link.faults.corrupt_prob = link_loss;
-  pc.link.faults.duplicate_prob = link_loss / 2.0;
-  pc.link.faults.delay_prob = link_loss;
+  pc.link.faults = spacefts::fault::link_loss_faults(link_loss);
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
   if (const auto backend = bopts.build(&shadow)) {
     // Fragment i computes as epoch 1 + i so fault plans and shadow samples
@@ -899,10 +897,7 @@ int cmd_downlink(Cli& cli) {
       return cli.fail(path, "path is not writable");
     }
   }
-  config.link.drop_prob = link_loss;
-  config.link.corrupt_prob = link_loss;
-  config.link.duplicate_prob = link_loss / 2.0;
-  config.link.delay_prob = link_loss;
+  config.link = spacefts::fault::link_loss_faults(link_loss);
   config.preprocess = !no_preprocess;
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
   config.backend = backend.build(&shadow);
