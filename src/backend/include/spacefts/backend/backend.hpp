@@ -10,7 +10,7 @@
 /// paths (NGST temporal stacks, OTIS radiance cubes) behind one interface:
 ///
 ///   * `CpuBackend` — the trusted reference; wraps the existing
-///     core::Kernel scalar/SWAR/AVX2 dispatch unchanged.
+///     core::Kernel scalar/SWAR/AVX2/AVX-512 dispatch unchanged.
 ///   * `UnreliableBackend` — decorates any inner backend with a seeded
 ///     fault::ComputeFaultModel that corrupts the *output* (bit flips,
 ///     stuck tiles, silent truncation, stalls) per (request, epoch) draw.

@@ -97,8 +97,9 @@ struct PropertyResult {
     std::span<const std::uint16_t> series, const core::AlgoNgstConfig& config);
 
 /// Kernel-choice invariance: preprocessing \p stack with every voter
-/// kernel the host can execute (scalar reference, SWAR, AVX2 where
-/// compiled in) yields bit-identical data and identical report counters.
+/// kernel the host can execute (scalar reference, SWAR, AVX2 and AVX-512
+/// where compiled in) yields bit-identical data and identical report
+/// counters.
 /// The kernel field of \p config is ignored; the scalar run is the
 /// reference.
 [[nodiscard]] PropertyResult check_kernel_invariance(

@@ -186,6 +186,7 @@ AlgoNgstReport AlgoNgst::preprocess(
   const Kernel kern = resolve_kernel(config_.kernel);
   using TileFn = AlgoNgstReport (*)(const detail::NgstTileCtx&);
   TileFn tile_fn = nullptr;
+  std::size_t pad = detail::kNgstPad;
   switch (kern) {
     case Kernel::kSwar:
       tile_fn = detail::ngst_tile_swar;
@@ -193,6 +194,12 @@ AlgoNgstReport AlgoNgst::preprocess(
 #if defined(SPACEFTS_HAVE_AVX2)
     case Kernel::kAvx2:
       tile_fn = detail::ngst_tile_avx2;
+      break;
+#endif
+#if defined(SPACEFTS_HAVE_AVX512)
+    case Kernel::kAvx512:
+      tile_fn = detail::ngst_tile_avx512;
+      pad = detail::kNgstPadAvx512;
       break;
 #endif
     default:
@@ -220,8 +227,8 @@ AlgoNgstReport AlgoNgst::preprocess(
             if (tile_fn != nullptr) {
               // Frame-major SoA gather: each frame's tile row is one
               // contiguous memcpy (both sides contiguous), padded with
-              // zero series to a whole number of the widest lane group.
-              const std::size_t twp = (tw + 15) / 16 * 16;
+              // zero series to a whole number of the kernel's lane group.
+              const std::size_t twp = (tw + pad - 1) / pad * pad;
               s.soa.resize(twp * frames);
               for (std::size_t t = 0; t < frames; ++t) {
                 const std::uint16_t* src = data + t * plane + y * width + x0;
@@ -275,10 +282,7 @@ AlgoNgstReport AlgoNgst::preprocess(
         }
       });
   for (const AlgoNgstReport& row : row_reports) accumulate(total, row);
-  telemetry::counter(kern == Kernel::kScalar  ? "ngst.kernel.scalar"
-                     : kern == Kernel::kSwar ? "ngst.kernel.swar"
-                                             : "ngst.kernel.avx2")
-      .add(1);
+  telemetry::counter(detail::ngst_kernel_counter(kern)).add(1);
   telemetry::counter("ngst.pixels_corrected").add(total.pixels_corrected);
   telemetry::counter("ngst.bits_corrected").add(total.bits_corrected);
   telemetry::counter("voter.gate_vetoed").add(total.pixels_vetoed);

@@ -232,22 +232,25 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
   // bit-identical lane-parallel implementation; kScalar keeps the reference
   // code below.
   const Kernel kern = resolve_kernel(config_.kernel);
-  telemetry::counter(kern == Kernel::kScalar  ? "otis.kernel.scalar"
-                     : kern == Kernel::kSwar ? "otis.kernel.swar"
-                                             : "otis.kernel.avx2")
-      .add(1);
+  telemetry::counter(detail::otis_kernel_counter(kern)).add(1);
   if (kern != Kernel::kScalar) {
     const detail::OtisPhase23Ctx ctx{&plane,  &state,    &medians, &interval,
                                      tau,     &config_,  lanes};
+    switch (kern) {
 #if defined(SPACEFTS_HAVE_AVX2)
-    if (kern == Kernel::kAvx2) {
-      detail::otis_phase23_avx2(ctx, report);
-    } else {
-      detail::otis_phase23_swar(ctx, report);
-    }
-#else
-    detail::otis_phase23_swar(ctx, report);
+      case Kernel::kAvx2:
+        detail::otis_phase23_avx2(ctx, report);
+        break;
 #endif
+#if defined(SPACEFTS_HAVE_AVX512)
+      case Kernel::kAvx512:
+        detail::otis_phase23_avx512(ctx, report);
+        break;
+#endif
+      default:
+        detail::otis_phase23_swar(ctx, report);
+        break;
+    }
     telemetry::counter("otis.bit_corrected").add(report.bit_corrected);
     telemetry::counter("otis.median_replaced").add(report.median_replaced);
     telemetry::counter("otis.trend_protected").add(report.trend_protected);

@@ -73,9 +73,10 @@ struct NgstScratch {
   /// lane groups' partner rows (vector kernels).
   std::vector<std::uint16_t> partners;
   std::vector<std::uint16_t> tile;       ///< coordinate-major gather buffer
-  /// Structure-of-arrays buffers for the vector kernels (kSwar/kAvx2):
-  /// frame-major tiles padded to a whole number of lane groups, 32-byte
-  /// aligned so lane-group loads never split a cache line.
+  /// Structure-of-arrays buffers for the vector kernels
+  /// (kSwar/kAvx2/kAvx512): frame-major tiles padded to a whole number of
+  /// lane groups, 32-byte aligned so AVX2 lane-group loads never split a
+  /// cache line.
   common::AlignedVector<std::uint16_t> soa;       ///< frame-major tile
   common::AlignedVector<std::uint16_t> corr;      ///< per-readout corrections
   common::AlignedVector<std::uint16_t> vplus1;    ///< per-way per-lane V_val+1

@@ -11,7 +11,12 @@
 ///            or 2 x u32 lanes per word), no ISA requirements;
 ///   kAvx2    256-bit AVX2 intrinsics (16 x u16 or 8 x u32 lanes), only
 ///            compiled when SPACEFTS_SIMD=ON and only selected when the
-///            host CPU reports AVX2.
+///            host CPU reports AVX2;
+///   kAvx512  512-bit AVX-512F/BW intrinsics (32 x u16 or 16 x u32 lanes),
+///            the same engine with threshold counting in mask registers;
+///            compiled under the same switch, selected only when the host
+///            CPU reports both AVX-512F and AVX-512BW.  NGST tiles are
+///            padded to its 32-lane group; every other kernel pads to 16.
 ///
 /// Every kernel is specified to produce *bit-identical* output to kScalar —
 /// data, report counters, and window masks alike, at every thread count.
@@ -20,8 +25,9 @@
 /// tests/kernel_test.cpp byte-compares them directly.
 ///
 /// Selection: configs default to kAuto, which resolves at runtime (CPUID)
-/// to the widest available kernel.  `--kernel` on the CLI and the
-/// `kernel` fields of AlgoNgstConfig/AlgoOtisConfig force a variant.
+/// to the widest available kernel (kAvx512, else kAvx2, else kSwar).
+/// `--kernel` on the CLI and the `kernel` fields of
+/// AlgoNgstConfig/AlgoOtisConfig force a variant.
 #pragma once
 
 #include <cstdint>
@@ -36,29 +42,32 @@ enum class Kernel : std::uint8_t {
   kScalar = 1,  ///< per-series reference implementation
   kSwar = 2,    ///< portable 64-bit SIMD-within-a-register
   kAvx2 = 3,    ///< AVX2 intrinsics (requires CPU + build support)
+  kAvx512 = 4,  ///< AVX-512F/BW intrinsics (requires CPU + build support)
 };
 
-/// Stable lowercase name ("auto", "scalar", "swar", "avx2").  The returned
-/// pointer is a string literal (safe to hand to the telemetry registry).
+/// Stable lowercase name ("auto", "scalar", "swar", "avx2", "avx512").  The
+/// returned pointer is a string literal (safe to hand to the telemetry
+/// registry).
 [[nodiscard]] const char* kernel_name(Kernel kernel) noexcept;
 
 /// Parses a --kernel value; returns false on an unknown name.
 [[nodiscard]] bool parse_kernel(std::string_view text, Kernel& out) noexcept;
 
 /// True when \p kernel can execute on this host with this build:
-/// kScalar/kSwar always; kAvx2 only when compiled in (SPACEFTS_SIMD=ON)
-/// *and* the CPU reports AVX2.  kAuto is always available (it resolves).
+/// kScalar/kSwar always; kAvx2 and kAvx512 only when compiled in
+/// (SPACEFTS_SIMD=ON) *and* the CPU reports every feature their TU uses.
+/// kAuto is always available (it resolves).
 [[nodiscard]] bool kernel_available(Kernel kernel) noexcept;
 
 /// Maps a requested kernel to the one that will actually run: kAuto picks
 /// the widest available variant; an explicit unavailable request falls
 /// back to kSwar (the widest portable kernel) so a config serialized on an
-/// AVX2 host still runs everywhere.  Never returns kAuto.
+/// AVX2 or AVX-512 host still runs everywhere.  Never returns kAuto.
 [[nodiscard]] Kernel resolve_kernel(Kernel requested) noexcept;
 
 /// Every concrete kernel available on this host, widest last
-/// ({kScalar, kSwar[, kAvx2]}).  The cross-kernel differential harness and
-/// the bench sweeps iterate this.
+/// ({kScalar, kSwar[, kAvx2][, kAvx512]}).  The cross-kernel differential
+/// harness and the bench sweeps iterate this.
 [[nodiscard]] std::vector<Kernel> available_kernels();
 
 }  // namespace spacefts::core

@@ -172,6 +172,9 @@ struct Avx2Ops {
   }
 };
 
+static_assert(kNgstPad % Avx2Ops::kLanes16 == 0,
+              "NGST tiles pad to a whole number of lane groups");
+
 }  // namespace
 
 AlgoNgstReport ngst_tile_avx2(const NgstTileCtx& ctx) {

@@ -1,12 +1,13 @@
 /// \file kernel_detail.hpp
 /// Internal interface between the algorithm drivers (algo_ngst.cpp,
 /// algo_otis.cpp) and the data-parallel kernel translation units
-/// (kernel_swar.cpp, kernel_avx2.cpp).  Not installed; the public dispatch
-/// surface is spacefts/core/kernel.hpp.
+/// (kernel_swar.cpp, kernel_avx2.cpp, kernel_avx512.cpp).  Not installed;
+/// the public dispatch surface is spacefts/core/kernel.hpp.
 ///
-/// The AVX2 entry points exist only when the build compiled that TU
-/// (SPACEFTS_HAVE_AVX2); dispatch goes through core::resolve_kernel(),
-/// which never selects Kernel::kAvx2 without it.
+/// The AVX2 and AVX-512 entry points exist only when the build compiled
+/// their TU (SPACEFTS_HAVE_AVX2, SPACEFTS_HAVE_AVX512); dispatch goes
+/// through core::resolve_kernel(), which never selects Kernel::kAvx2 or
+/// Kernel::kAvx512 without it.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +16,21 @@
 #include "spacefts/common/image.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/algo_otis.hpp"
+#include "spacefts/core/kernel.hpp"
 #include "spacefts/otis/bounds.hpp"
 
 namespace spacefts::core::detail {
+
+/// Telemetry counter naming the kernel that ran ("ngst.kernel.avx512",
+/// "otis.kernel.swar", ...), from the same table as kernel_name().
+[[nodiscard]] const char* ngst_kernel_counter(Kernel kernel) noexcept;
+[[nodiscard]] const char* otis_kernel_counter(Kernel kernel) noexcept;
+
+/// NGST SoA tile padding: a whole number of the dispatched kernel's u16
+/// lane group, 32 for AVX-512 and 16 for the narrower vector kernels (a
+/// multiple of their 4- and 16-lane groups, so they do no extra pad work).
+inline constexpr std::size_t kNgstPadAvx512 = 32;
+inline constexpr std::size_t kNgstPad = 16;
 
 /// Pixel classification shared between the OTIS driver and its kernels.
 /// kClean must stay 0: the vector path derives clean-lane masks by
@@ -31,13 +44,13 @@ enum class OtisPixelState : std::uint8_t {
 /// One NGST tile handed to a kernel: `tw` real coordinate series of `n`
 /// readouts each, laid out frame-major in `scratch->soa`
 /// (soa[t * tw_padded + k] = readout t of series k), padded with all-zero
-/// series up to `tw_padded` (a multiple of the widest lane group).  Zero
+/// series up to `tw_padded` (a multiple of the kernel's lane group).  Zero
 /// pad series can never produce a correction — every XOR is 0, so the
 /// unanimous AND is 0 — and the per-tile counters are derived from `tw`,
 /// so padding affects neither data nor report.
 struct NgstTileCtx {
   std::size_t tw = 0;         ///< real series in the tile
-  std::size_t tw_padded = 0;  ///< allocated lane count (multiple of 16)
+  std::size_t tw_padded = 0;  ///< allocated lane count (see kNgstPad)
   std::size_t n = 0;          ///< readouts per series (>= 3)
   const AlgoNgstConfig* cfg = nullptr;
   NgstScratch* scratch = nullptr;  ///< holds soa and the kernel work buffers
@@ -49,6 +62,9 @@ struct NgstTileCtx {
 [[nodiscard]] AlgoNgstReport ngst_tile_swar(const NgstTileCtx& ctx);
 #if defined(SPACEFTS_HAVE_AVX2)
 [[nodiscard]] AlgoNgstReport ngst_tile_avx2(const NgstTileCtx& ctx);
+#endif
+#if defined(SPACEFTS_HAVE_AVX512)
+[[nodiscard]] AlgoNgstReport ngst_tile_avx512(const NgstTileCtx& ctx);
 #endif
 
 /// Phases 2 + 3 of one OTIS plane pass (dynamic thresholds from clean
@@ -69,6 +85,9 @@ struct OtisPhase23Ctx {
 void otis_phase23_swar(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
 #if defined(SPACEFTS_HAVE_AVX2)
 void otis_phase23_avx2(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
+#endif
+#if defined(SPACEFTS_HAVE_AVX512)
+void otis_phase23_avx512(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
 #endif
 
 }  // namespace spacefts::core::detail

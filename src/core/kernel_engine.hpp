@@ -1,8 +1,8 @@
 /// \file kernel_engine.hpp
 /// The data-parallel voter engine, written once against a lane-ops policy
 /// (`Ops`) and instantiated per kernel TU (SwarOps in kernel_swar.cpp,
-/// Avx2Ops in kernel_avx2.cpp).  Internal header — include only from those
-/// TUs.
+/// Avx2Ops in kernel_avx2.cpp, Avx512Ops in kernel_avx512.cpp).  Internal
+/// header — include only from those TUs.
 ///
 /// # Bit-identity to the scalar reference
 ///
@@ -18,10 +18,16 @@
 ///   v_val = value-class of the rank-th smallest element, where the classes
 ///   are 0, 1, 2, 4, ..., high-bit saturation — exactly the values that map
 ///   distinguishes.  Selection is the policy's `way_vplus1` primitive:
-///   AVX2 counts C_b = #{x <= class bound b} lane-parallel with one compare
-///   per class and row, and the class is the number of b with C_b <= rank;
-///   SWAR, whose compares cost ~12 word ops, buckets each lane's XORs into a
-///   histogram and walks it to the rank.  Same v_val, no sort, O(n).
+///   AVX2 and AVX-512 count C_b = #{x <= class bound b} lane-parallel with
+///   one byte compare per pair of classes and row, and the class is the
+///   number of b with C_b <= rank; SWAR, whose compares cost ~12 word ops,
+///   buckets each lane's XORs into a histogram and walks it to the rank.
+///   Same v_val, no sort, O(n).  The two wide tiers keep their own copy of
+///   the count: AVX-512 tests into mask registers and increments under the
+///   mask (two ops per class pair), which AVX2 has no form for (three).
+/// * **Window masks.**  V_vals are 0 or powers of two, so the window
+///   delimiters of a lane group come from lane-wise min/max and a few
+///   bitwise ops (ngst_mask_from).
 /// * **AND/GRT accumulation.**  With A_0 = ~0, B_0 = 0 and per voter v:
 ///   B' = (B & v) | A,  A' = A & v,  after m voters A is the AND of all and
 ///   B is the OR of leave-one-out ANDs (induction: the new leave-one-out
@@ -34,7 +40,8 @@
 /// * **Plausibility gate.**  The apply stage evaluates the gate for a whole
 ///   lane group per readout row: the in-range partners i±d of the *live*
 ///   series (their count depends only on i), their median through a
-///   min/max sort network (any full sort gives the same median),
+///   min/max sort network (any full sort gives the same median; interior
+///   rows of Υ = 4 and 8 keep the network in registers),
 ///   dev = |self − med| as `subs(self, med) | subs(med, self)`, and the top
 ///   corrected weight w by bit-smearing.  The scalar test 4·dev >= 3·w is
 ///   dev >= ceil(3w/4) = w − (w >> 2) for every power of two w (w = 1, 2
@@ -102,18 +109,49 @@ template <typename Word>
 // ---------------------------------------------------------------------------
 // NGST tile kernel.
 
-/// Window delimiter from a V_val — must stay in lockstep with the lambda in
-/// rebuild_voter_matrix (voter_matrix.cpp).
-[[nodiscard]] inline std::uint16_t ngst_mask_from(std::uint16_t v) noexcept {
-  if (v == 0) return std::uint16_t{0xFFFF};
-  if (v >= 0x8000) return std::uint16_t{0x8000};
-  const auto doubled = static_cast<std::uint16_t>(v << 1);
-  return static_cast<std::uint16_t>(~static_cast<std::uint16_t>(doubled - 1));
+/// Window delimiters of a lane group from its V_vals (each 0 or a power of
+/// two up to 0x8000): the lane-wise form of the mask_from lambda in
+/// rebuild_voter_matrix (voter_matrix.cpp), which maps 0 to 0xFFFF, 0x8000
+/// to 0x8000 and any other v to ~(2v - 1).  For those v,
+/// v | (v -sat 1) is 2v - 1, 0 for v = 0, and 0xFFFF for v = 0x8000.
+template <class Ops>
+[[nodiscard]] typename Ops::V ngst_mask_from(typename Ops::V v) {
+  const typename Ops::V one16 = Ops::bcast32(0x00010001u);
+  const typename Ops::V top16 = Ops::bcast32(0x80008000u);
+  return Ops::vor(Ops::vnot(Ops::vor(v, Ops::subsu16(v, one16))),
+                  Ops::vand(v, top16));
+}
+
+/// Lane-wise median of the 2·kWays partners of an interior readout row
+/// (every i±d in range): the partners load into a local array and the
+/// fixed network runs with compile-time indices, so it stays in registers.
+template <class Ops, std::size_t kWays>
+[[nodiscard]] typename Ops::V interior_median(const std::uint16_t* self,
+                                              std::size_t twp) {
+  using V = typename Ops::V;
+  V p[2 * kWays];
+  for (std::size_t d = 1; d <= kWays; ++d) {
+    p[2 * d - 2] = Ops::load(self + d * twp);
+    p[2 * d - 1] = Ops::load(self - d * twp);
+  }
+  const auto cx = [&p](std::size_t a, std::size_t b) {
+    const V lo = Ops::minu16(p[a], p[b]);
+    p[b] = Ops::maxu16(p[a], p[b]);
+    p[a] = lo;
+  };
+  if constexpr (kWays == 2) {
+    sort4_network(cx);
+  } else {
+    sort8_network(cx);
+  }
+  return p[kWays];
 }
 
 /// Lane-wise median of the in-range partners i±d of readout row \p i for
-/// the lane group at \p c0, read from the live tile: the \p count partners
-/// (a function of i alone) sort through \p spill, count lane groups of u16.
+/// the lane group at \p c0, read from the live tile.  Interior rows of
+/// Υ = 4 and 8 take the register networks; every other row sorts its
+/// \p count partners (a function of i alone) through \p spill, count lane
+/// groups of u16.
 template <class Ops>
 [[nodiscard]] typename Ops::V partner_median(const std::uint16_t* soa,
                                              std::size_t twp, std::size_t i,
@@ -124,6 +162,10 @@ template <class Ops>
   using V = typename Ops::V;
   constexpr std::size_t kL = Ops::kLanes16;
   const std::uint16_t* const self = soa + i * twp + c0;
+  if (i >= way_count && i + way_count < n) {
+    if (way_count == 2) return interior_median<Ops, 2>(self, twp);
+    if (way_count == 4) return interior_median<Ops, 4>(self, twp);
+  }
   std::size_t j = 0;
   for (std::size_t d = 1; d <= way_count; ++d) {
     if (i + d < n) Ops::store(spill + kL * j++, Ops::load(self + d * twp));
@@ -167,20 +209,24 @@ template <class Ops>
                     s.vplus1.data() + (d - 1) * twp);
   }
 
-  // ---- Mask stage: per-lane window delimiters from the per-way V_vals.
-  for (std::size_t k = 0; k < twp; ++k) {
-    std::uint16_t min_vval = 0xFFFF;
-    std::uint16_t max_vval = 0;
+  // ---- Mask stage: per-lane window delimiters from the min and max of the
+  // per-way V_vals, a lane group at a time.
+  const V one16 = Ops::bcast32(0x00010001u);
+  for (std::size_t c0 = 0; c0 < twp; c0 += Ops::kLanes16) {
+    V min_vval = Ops::ones();
+    V max_vval = Ops::zero();
     for (std::size_t d = 1; d <= way_count; ++d) {
-      const auto v =
-          static_cast<std::uint16_t>(s.vplus1[(d - 1) * twp + k] - 1);
-      min_vval = std::min(min_vval, v);
-      max_vval = std::max(max_vval, v);
+      const V v =
+          Ops::sub16(Ops::load(s.vplus1.data() + (d - 1) * twp + c0), one16);
+      min_vval = Ops::minu16(min_vval, v);
+      max_vval = Ops::maxu16(max_vval, v);
     }
-    s.lane_lsb[k] = cfg.enable_windows ? ngst_mask_from(min_vval)
-                                       : std::uint16_t{0xFFFF};
-    s.lane_msb[k] =
-        cfg.enable_windows ? ngst_mask_from(max_vval) : std::uint16_t{0};
+    Ops::store(s.lane_lsb.data() + c0, cfg.enable_windows
+                                            ? ngst_mask_from<Ops>(min_vval)
+                                            : Ops::ones());
+    Ops::store(s.lane_msb.data() + c0, cfg.enable_windows
+                                            ? ngst_mask_from<Ops>(max_vval)
+                                            : Ops::zero());
   }
   // Serial accumulate() keeps the last series' masks; that is lane tw-1.
   report.lsb_mask = s.lane_lsb[tw - 1];
@@ -424,16 +470,21 @@ void otis_phase23_engine(const OtisPhase23Ctx& c, AlgoOtisReport& report) {
       voters.reserve(cfg.upsilon);
       for (std::size_t y = y0; y < y1; ++y) {
         if (have_thresholds) {
-          // Scalar edge columns, vector middle.
+          // Scalar edge columns, vector middle.  A middle that is not a
+          // whole number of groups ends with one group flush against xb,
+          // overlapping the one before it: a column's correction depends
+          // only on the snapshot, so computing it twice stores the same
+          // word.
           const std::size_t xa = std::min(dmax, w);
           std::size_t xb = w > dmax ? w - dmax : 0;
           if (xb < xa) xb = xa;
-          const std::size_t xv_end = xa + (xb - xa) / Ops::kLanes32 * Ops::kLanes32;
+          const std::size_t xv_end = xb - xa >= Ops::kLanes32 ? xb : xa;
           for (std::size_t x = 0; x < xa; ++x) {
             corr_row[x] = otis_corr_scalar(source, state, ways, x, y, lsb_mask,
                                            msb_mask, voters);
           }
-          for (std::size_t x0 = xa; x0 < xv_end; x0 += Ops::kLanes32) {
+          for (std::size_t next = xa; next < xv_end; next += Ops::kLanes32) {
+            const std::size_t x0 = std::min(next, xv_end - Ops::kLanes32);
             const V self = Ops::load(src + y * w + x0);
             V acc_and = Ops::ones();
             V acc_grt = Ops::zero();

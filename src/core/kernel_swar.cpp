@@ -1,8 +1,8 @@
 /// \file kernel_swar.cpp
 /// Portable SIMD-within-a-register kernel: 4 x u16 or 2 x u32 lanes per
 /// std::uint64_t.  No ISA requirements — this is the floor every build and
-/// host can run, and the fallback resolve_kernel() picks when AVX2 is
-/// requested but unavailable.
+/// host can run, and the fallback resolve_kernel() picks when AVX2 or
+/// AVX-512 is requested but unavailable.
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -148,6 +148,9 @@ struct SwarOps {
            (p[1] == 0 ? 0xFFFFFFFFull << 32 : 0);
   }
 };
+
+static_assert(kNgstPad % SwarOps::kLanes16 == 0,
+              "NGST tiles pad to a whole number of lane groups");
 
 }  // namespace
 

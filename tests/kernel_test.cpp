@@ -1,13 +1,15 @@
 // Kernel parity: every compute kernel (scalar reference, portable SWAR,
-// AVX2 where the host supports it) must produce byte-identical data and
-// identical reports, for every thread count, over adversarial shapes —
-// odd tile remainders, every Υ the check harness fuzzes, masked window-C
-// edges, and the ablation switch combinations.  This is the contract the
-// runtime dispatch seam (core/kernel.hpp) rests on.
+// AVX2 and AVX-512 where the host supports them) must produce
+// byte-identical data and identical reports, for every thread count, over
+// adversarial shapes — odd tile remainders, every Υ the check harness
+// fuzzes, masked window-C edges, and the ablation switch combinations.
+// This is the contract the runtime dispatch seam (core/kernel.hpp) rests
+// on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "spacefts/common/bitops.hpp"
@@ -15,6 +17,7 @@
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/algo_otis.hpp"
 #include "spacefts/core/kernel.hpp"
+#include "spacefts/telemetry/telemetry.hpp"
 
 namespace {
 
@@ -104,7 +107,7 @@ void check_ngst_parity(const AlgoNgstConfig& base, std::size_t w,
 
 TEST(KernelDispatch, NamesRoundTrip) {
   for (const Kernel k : {Kernel::kAuto, Kernel::kScalar, Kernel::kSwar,
-                         Kernel::kAvx2}) {
+                         Kernel::kAvx2, Kernel::kAvx512}) {
     Kernel parsed = Kernel::kAuto;
     ASSERT_TRUE(
         spacefts::core::parse_kernel(spacefts::core::kernel_name(k), parsed));
@@ -116,7 +119,7 @@ TEST(KernelDispatch, NamesRoundTrip) {
 
 TEST(KernelDispatch, ResolveNeverReturnsAutoOrUnavailable) {
   for (const Kernel k : {Kernel::kAuto, Kernel::kScalar, Kernel::kSwar,
-                         Kernel::kAvx2}) {
+                         Kernel::kAvx2, Kernel::kAvx512}) {
     const Kernel resolved = spacefts::core::resolve_kernel(k);
     EXPECT_NE(resolved, Kernel::kAuto);
     EXPECT_TRUE(spacefts::core::kernel_available(resolved));
@@ -130,10 +133,52 @@ TEST(KernelDispatch, AvailableKernelsAlwaysIncludePortableOnes) {
   EXPECT_EQ(kernels[1], Kernel::kSwar);
 }
 
+TEST(KernelDispatch, AutoPicksAvx512WhenTheHostHasIt) {
+  if (!spacefts::core::kernel_available(Kernel::kAvx512)) {
+    GTEST_SKIP() << "AVX-512 kernel not compiled in (SPACEFTS_SIMD=OFF or "
+                    "not x86-64) or the CPU lacks AVX-512F/BW";
+  }
+  const auto kernels = spacefts::core::available_kernels();
+  EXPECT_EQ(kernels.back(), Kernel::kAvx512);
+  EXPECT_EQ(spacefts::core::resolve_kernel(Kernel::kAuto), Kernel::kAvx512);
+}
+
+TEST(KernelDispatch, CountersNameTheKernelThatRan) {
+  namespace st = spacefts::telemetry;
+  if (!st::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  st::reset();
+  st::set_enabled(true);
+  TemporalStack<std::uint16_t> stack = make_stack(20, 3, 8, 5);
+  Image<float> plane(20, 9, 5.0f);
+  for (const Kernel kernel : {Kernel::kAuto, Kernel::kScalar, Kernel::kSwar,
+                              Kernel::kAvx2, Kernel::kAvx512}) {
+    const Kernel ran = spacefts::core::resolve_kernel(kernel);
+    const std::string name = spacefts::core::kernel_name(ran);
+    auto& ngst = st::counter(("ngst.kernel." + name).c_str());
+    auto& otis = st::counter(("otis.kernel." + name).c_str());
+    const std::uint64_t ngst_before = ngst.value();
+    const std::uint64_t otis_before = otis.value();
+    AlgoNgstConfig ngst_cfg;
+    ngst_cfg.kernel = kernel;
+    (void)AlgoNgst(ngst_cfg).preprocess(stack);
+    AlgoOtisConfig otis_cfg;
+    otis_cfg.kernel = kernel;
+    (void)AlgoOtis(otis_cfg).preprocess_plane(plane, 10.0);
+    EXPECT_EQ(ngst.value(), ngst_before + 1) << name;
+    EXPECT_EQ(otis.value(), otis_before + 1) << name;
+  }
+  st::set_enabled(false);
+  st::reset();
+}
+
 TEST(KernelParity, NgstDefaultConfig) {
   AlgoNgstConfig cfg;
   cfg.lambda = 80.0;
   check_ngst_parity(cfg, 96, 24, 8, 1);
+  // Width 20: one tile narrower than a 32-lane group.  Width 84: a full
+  // 64-wide tile and a 20-wide tail.
+  check_ngst_parity(cfg, 20, 9, 8, 2);
+  check_ngst_parity(cfg, 84, 9, 8, 3);
 }
 
 TEST(KernelParity, NgstOddTileRemainderAndUpsilonSweep) {
@@ -308,6 +353,9 @@ void check_otis_parity(const AlgoOtisConfig& base, std::size_t w,
 TEST(KernelParity, OtisDefaultConfig) {
   AlgoOtisConfig cfg;
   check_otis_parity(cfg, 61, 23, 2);
+  // Υ = 4 reaches one column: the vector middle of width 23 is 21 columns,
+  // one 16-lane group plus a remainder.
+  check_otis_parity(cfg, 23, 11, 3);
 }
 
 TEST(KernelParity, OtisUpsilonSweepAndOddWidths) {
