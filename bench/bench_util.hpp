@@ -145,7 +145,11 @@ inline std::string iso_timestamp_utc() {
 /// working directory):
 ///   {"bench": "stack_preprocess", "pixels_per_s": …, "threads": …,
 ///    "upsilon": …, "lambda": …, "kernel": "…", "host_cores": …,
-///    "reps": …, "git_sha": "…", "iso_timestamp": "…"}
+///    "host_parallel_speedup": …, "reps": …, "git_sha": "…",
+///    "iso_timestamp": "…"}
+/// \p host_parallel_speedup is what the host gave \p threads spinning
+/// threads over one just before the measurement: a lane row that does not
+/// scale past it says the host was busy, not that the pool failed.
 /// The file holds exactly one line per run configuration — (bench,
 /// threads, upsilon, lambda, kernel) — so re-running a bench replaces its
 /// row instead of accumulating duplicates.  The rewrite also collapses any
@@ -154,6 +158,7 @@ inline std::string iso_timestamp_utc() {
 inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
                                      std::size_t upsilon, double lambda,
                                      const char* kernel, std::size_t reps,
+                                     double host_parallel_speedup,
                                      const char* path = "BENCH_preprocess.json") {
   namespace jsonl = spacefts::telemetry::jsonl;
   std::string line = "{\"bench\": \"stack_preprocess\", \"pixels_per_s\": ";
@@ -165,6 +170,8 @@ inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
   line += ", \"kernel\": \"" + jsonl::escape(kernel) + "\"";
   line += ", \"host_cores\": " +
           std::to_string(std::thread::hardware_concurrency());
+  line += ", \"host_parallel_speedup\": ";
+  jsonl::append_fmt(line, "%.3g", host_parallel_speedup);
   line += ", \"reps\": " + std::to_string(reps);
   line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
   line += ", \"iso_timestamp\": \"" + iso_timestamp_utc() + "\"}\n";

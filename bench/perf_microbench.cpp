@@ -7,8 +7,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -292,8 +294,9 @@ void BM_FitsHeaderParse(benchmark::State& state) {
 BENCHMARK(BM_FitsHeaderParse);
 
 /// A width x height x frames stack of the serve/chain shapes: the serve
-/// telemetry bank (32x1x64), the serve NGST baseline (32x32x16), and the
-/// telemetry_chain bank (256x1x1024).
+/// telemetry bank (32x1x64), the serve NGST baseline (32x32x16), the
+/// telemetry_chain bank (256x1x1024), and the ngst_chain baseline
+/// (256x256x64, 8 MB on the wire).
 spacefts::common::TemporalStack<std::uint16_t> ingest_stack(
     const benchmark::State& state) {
   spacefts::datagen::NgstSimulator sim(0xBEEF9);
@@ -304,7 +307,10 @@ spacefts::common::TemporalStack<std::uint16_t> ingest_stack(
 }
 
 void ingest_shapes(benchmark::internal::Benchmark* b) {
-  b->Args({32, 1, 64})->Args({32, 32, 16})->Args({256, 1, 1024});
+  b->Args({32, 1, 64})
+      ->Args({32, 32, 16})
+      ->Args({256, 1, 1024})
+      ->Args({256, 256, 64});
 }
 
 /// The transmit side: a stack packed into its FITS container.
@@ -317,6 +323,25 @@ void BM_IngestGuardPack(benchmark::State& state) {
                           static_cast<std::int64_t>(stack.frames()));
 }
 BENCHMARK(BM_IngestGuardPack)->Apply(ingest_shapes);
+
+/// FitsFile::parse of a packed 256x256 baseline of 1, 8 or 64 readouts:
+/// payloads are views of the input, so the time follows the header count,
+/// not the payload bytes (items = HDUs).
+void BM_FitsFileParse(benchmark::State& state) {
+  spacefts::datagen::NgstSimulator sim(0xBEEF9);
+  spacefts::datagen::SceneParams scene;
+  scene.width = 256;
+  scene.height = 256;
+  const auto frames = static_cast<std::size_t>(state.range(0));
+  const auto bytes =
+      spacefts::ingest::IngestGuard::pack(sim.stack(frames, scene));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::fits::FitsFile::parse(bytes));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frames));
+}
+BENCHMARK(BM_FitsFileParse)->Arg(1)->Arg(8)->Arg(64);
 
 /// The container path of ingest: parse, Λ=0 sanity over every HDU, decode.
 /// Λ = 0 keeps the voter out, so this is the FITS cost alone.
@@ -427,9 +452,40 @@ void BM_MedianBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_MedianBaseline);
 
+/// Wall-clock scaling the host gives right now: \p threads threads each
+/// spinning the same fixed integer loop, against one thread alone
+/// (threads * t1 / tN, best of three each; about min(threads, free cores)
+/// on a quiet host).
+double host_parallel_speedup(std::size_t threads) {
+  std::atomic<std::uint64_t> sink{0};
+  const auto spin = [&sink] {
+    std::uint64_t x = 1;
+    for (int i = 0; i < 20'000'000; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+    }
+    sink.fetch_add(x, std::memory_order_relaxed);
+  };
+  const auto seconds = [&spin](std::size_t n) {
+    double best = 1e100;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::thread> pool;
+      for (std::size_t i = 0; i < n; ++i) pool.emplace_back(spin);
+      for (auto& t : pool) t.join();
+      best = std::min(best, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    return best;
+  };
+  const double one = seconds(1);
+  return static_cast<double>(threads) * one / seconds(threads);
+}
+
 /// Times one full 256x256x8 stack preprocess (best of kReps) at the given
 /// lane count / kernel and records the result in BENCH_preprocess.json (one
-/// row per configuration; reruns replace their row).
+/// row per configuration; reruns replace their row), with the host's
+/// parallel speedup at that lane count measured just before.
 void record_stack_throughput(std::size_t threads,
                              spacefts::core::Kernel kernel) {
   constexpr std::size_t kReps = 5;
@@ -439,6 +495,7 @@ void record_stack_throughput(std::size_t threads,
   config.kernel = kernel;
   const spacefts::core::AlgoNgst algo(config);
   const auto base = corrupted_stack(256, 8);
+  const double host_speedup = host_parallel_speedup(threads);
   double best = 1e100;
   for (std::size_t r = 0; r < kReps; ++r) {
     auto working = base;
@@ -449,7 +506,8 @@ void record_stack_throughput(std::size_t threads,
   }
   bench::append_preprocess_record(256.0 * 256.0 / best, threads,
                                   config.upsilon, config.lambda,
-                                  spacefts::core::kernel_name(kernel), kReps);
+                                  spacefts::core::kernel_name(kernel), kReps,
+                                  host_speedup);
 }
 
 }  // namespace

@@ -603,7 +603,7 @@ PropertyResult check_downlink_corrupt_contract(common::Rng& rng) {
   // surface as FitsError from the decode path, never a wrong image.
   {
     auto hdu = downlink::make_compressed_hdu(image);
-    hdu.data.resize(hdu.data.size() / 2);
+    hdu.data.shrink(hdu.data.size() / 2);
     hdu.header.set_int("NAXIS1", static_cast<std::int64_t>(hdu.data.size()));
     try {
       const auto decoded = downlink::read_compressed_hdu(hdu);

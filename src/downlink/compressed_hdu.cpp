@@ -43,7 +43,7 @@ fits::Hdu make_compressed_hdu(const common::Image<std::uint16_t>& image,
             "original axis 1");
   h.set_int("ZNAXIS2", static_cast<std::int64_t>(image.height()),
             "original axis 2");
-  hdu.data = std::move(stream);
+  hdu.data = fits::Payload(std::move(stream));
   return hdu;
 }
 

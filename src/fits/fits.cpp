@@ -370,6 +370,15 @@ Header Header::parse(std::span<const std::uint8_t> data, std::size_t& offset) {
   return header;
 }
 
+// ------------------------------------------------------------------- Payload
+
+Payload::Payload(std::vector<std::uint8_t> bytes) {
+  auto owned =
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+  bytes_ = *owned;
+  owner_ = std::move(owned);
+}
+
 // ------------------------------------------------------------------ FitsFile
 
 namespace {
@@ -427,8 +436,7 @@ FitsFile FitsFile::parse(std::span<const std::uint8_t> bytes) {
     if (offset > bytes.size() || *size > bytes.size() - offset) {
       throw FitsError("FitsFile::parse: truncated data unit");
     }
-    hdu.data.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-                    bytes.begin() + static_cast<std::ptrdiff_t>(offset + *size));
+    hdu.data = Payload(bytes.subspan(offset, *size));
     offset += *size;
     if (offset % kBlockSize != 0) {
       offset += std::min(bytes.size() - offset, kBlockSize - offset % kBlockSize);
@@ -475,8 +483,9 @@ void write_image_u16(std::span<const std::uint16_t> pixels,
 Hdu make_image_hdu(const common::Image<std::uint16_t>& image, bool primary) {
   Hdu hdu;
   hdu.header = image_u16_header(image.width(), image.height(), primary);
-  hdu.data.resize(image.size() * 2);
-  write_image_u16(image.pixels(), hdu.data.data());
+  std::vector<std::uint8_t> data(image.size() * 2);
+  write_image_u16(image.pixels(), data.data());
+  hdu.data = Payload(std::move(data));
   return hdu;
 }
 
@@ -547,6 +556,11 @@ void decode_u16(const std::uint8_t* data, std::int32_t bzero,
 }
 
 }  // namespace
+
+std::pair<std::size_t, std::size_t> image_u16_shape(const Hdu& hdu) {
+  const U16Layout layout = u16_layout(hdu);
+  return {layout.width, layout.height};
+}
 
 void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out) {
   const U16Layout layout = u16_layout(hdu);

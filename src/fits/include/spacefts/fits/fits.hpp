@@ -12,13 +12,16 @@
 /// are out of scope.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "spacefts/common/image.hpp"
@@ -122,10 +125,48 @@ class Header {
   std::string images_;  ///< size() card images of kCardSize characters each
 };
 
+/// A read-only data unit.  Its bytes are either its own (an HDU built in
+/// memory; copies of the HDU share one immutable buffer) or a view of the
+/// buffer FitsFile::parse read, which the caller keeps alive and unchanged
+/// while the HDU is in use.  Nothing writes through a payload: a caller
+/// that changes bytes builds an owned payload from its own copy.
+class Payload {
+ public:
+  Payload() = default;
+  /// Owns \p bytes.
+  explicit Payload(std::vector<std::uint8_t> bytes);
+  /// Views \p bytes, kept alive by \p owner when it is set.
+  explicit Payload(std::span<const std::uint8_t> bytes,
+                   std::shared_ptr<const void> owner = nullptr) noexcept
+      : owner_(std::move(owner)), bytes_(bytes) {}
+
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return bytes_.data();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
+  [[nodiscard]] auto begin() const noexcept { return bytes_.begin(); }
+  [[nodiscard]] auto end() const noexcept { return bytes_.end(); }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const noexcept {
+    return bytes_[i];
+  }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return bytes_;
+  }
+
+  /// Keeps only the first \p n bytes (all of them when n >= size()).
+  void shrink(std::size_t n) noexcept {
+    bytes_ = bytes_.first(std::min(n, bytes_.size()));
+  }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  std::span<const std::uint8_t> bytes_;
+};
+
 /// One header+data unit.
 struct Hdu {
   Header header;
-  std::vector<std::uint8_t> data;  ///< raw big-endian payload, unpadded
+  Payload data;  ///< raw big-endian payload, unpadded
 };
 
 /// An in-memory FITS file: primary HDU plus extensions.
@@ -137,10 +178,14 @@ class FitsFile {
   /// Serializes the whole file (headers + padded data blocks).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
-  /// Parses a whole file. \throws FitsError on structural damage that
-  /// prevents even finding the HDUs (the sanity layer exists to handle
-  /// *recoverable* damage before this is called).
+  /// Parses a whole file.  Every payload views \p bytes, so they must
+  /// outlive the result and stay unchanged (read_file owns its buffer).
+  /// \throws FitsError on structural damage that prevents even finding the
+  /// HDUs (the sanity layer exists to handle *recoverable* damage before
+  /// this is called).
   [[nodiscard]] static FitsFile parse(std::span<const std::uint8_t> bytes);
+  /// A temporary buffer would leave every payload dangling.
+  static FitsFile parse(std::vector<std::uint8_t>&&) = delete;
 
  private:
   std::vector<Hdu> hdus_;
@@ -159,6 +204,11 @@ class FitsFile {
 /// BZERO, big-endian, into \p out (two bytes per pixel).
 void write_image_u16(std::span<const std::uint16_t> pixels,
                      std::uint8_t* out) noexcept;
+
+/// The width and height (NAXIS1, NAXIS2) read_image_u16 decodes \p hdu to.
+/// \throws FitsError exactly when read_image_u16 would.
+[[nodiscard]] std::pair<std::size_t, std::size_t> image_u16_shape(
+    const Hdu& hdu);
 
 /// Decodes a BITPIX=16/BZERO=32768 HDU back into an unsigned image:
 /// physical = clamp(stored + BZERO, 0, 65535), with BZERO absent = 0.

@@ -1,6 +1,7 @@
 #include "spacefts/fits/io.hpp"
 
 #include <fstream>
+#include <memory>
 
 namespace spacefts::fits {
 
@@ -30,7 +31,12 @@ void write_bytes(const std::string& path,
 }
 
 FitsFile read_file(const std::string& path) {
-  return FitsFile::parse(read_bytes(path));
+  // The parsed payloads view the file's bytes, and each keeps them alive.
+  const auto bytes =
+      std::make_shared<const std::vector<std::uint8_t>>(read_bytes(path));
+  FitsFile file = FitsFile::parse(*bytes);
+  for (auto& hdu : file.hdus()) hdu.data = Payload(hdu.data.bytes(), bytes);
+  return file;
 }
 
 void write_file(const std::string& path, const FitsFile& file) {

@@ -140,7 +140,7 @@ SanityReport check_and_repair(Hdu& hdu, const ImageExpectation& expected) {
       implied && is_legal_bitpix(*bitpix) && *implied < hdu.data.size() &&
       hdu.data.size() - *implied < kBlockSize &&
       (expected.width || expected.height || expected.bitpix)) {
-    hdu.data.resize(*implied);
+    hdu.data.shrink(*implied);
     report(r, "NAXIS", "data unit trimmed of parse-era padding", true);
   }
 

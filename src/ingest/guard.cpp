@@ -89,9 +89,10 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
   // 3. Decode into a stack, insisting on uniform geometry.  The headers are
   //    compared before the stack is sized: sanity has tied every payload to
   //    its header, so once all readouts claim readout 0's geometry the
-  //    stack is in proportion to the input.  A readout that fails to decode
+  //    stack is in proportion to the input.  Every readout decodes straight
+  //    from the wire bytes into its plane.  A readout that fails to decode
   //    reports that before any geometry mismatch of its own, so on a
-  //    mismatch at readout k, readouts 0..k still decode (one at a time).
+  //    mismatch at readout k, readouts 0..k are still checked for decoding.
   const auto& hdus = file.hdus();
   const auto axes = [&hdus](std::size_t t) {
     return std::pair{hdus[t].header.get_int("NAXIS1"),
@@ -105,17 +106,16 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
   {
     SPACEFTS_TSPAN("ingest.decode");
     try {
-      const auto first = fits::read_image_u16(hdus.front());
+      const auto [width, height] = fits::image_u16_shape(hdus.front());
       if (uniform) {
-        stack = common::TemporalStack<std::uint16_t>(
-            first.width(), first.height(), hdus.size());
-        stack.cube().set_plane(0, first);
-        for (std::size_t t = 1; t < hdus.size(); ++t) {
+        stack =
+            common::TemporalStack<std::uint16_t>(width, height, hdus.size());
+        for (std::size_t t = 0; t < hdus.size(); ++t) {
           fits::read_image_u16(hdus[t], stack.cube().plane(t));
         }
       } else {
         for (std::size_t t = 1; t <= mismatch; ++t) {
-          (void)fits::read_image_u16(hdus[t]);
+          (void)fits::image_u16_shape(hdus[t]);
         }
       }
     } catch (const fits::FitsError& e) {

@@ -3,19 +3,27 @@
 // executes preprocessing compute must document its --kernel and --backend
 // flags the same way, every flag a verb's help documents must be one the
 // verb accepts, and each bad invocation must exit with its documented code.
-// These tests drive the real binary (path injected by CMake) so the
-// assertion covers what users actually see.
+// The one verb that rewrites payload bytes (corrupt) is pinned byte for
+// byte through ingest.  These tests drive the real binary (path injected by
+// CMake) so the assertion covers what users actually see.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <ostream>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "spacefts/edac/crc32.hpp"
 
 #ifndef SPACEFTS_CLI_PATH
 #error "SPACEFTS_CLI_PATH must point at the spacefts_cli binary"
@@ -241,5 +249,47 @@ TEST_P(ExitCode, Matches) {
 
 INSTANTIATE_TEST_SUITE_P(Cli, ExitCode, ::testing::ValuesIn(exit_cases()),
                          [](const auto& info) { return info.param.name; });
+
+std::uint32_t file_crc32(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                        {});
+  return spacefts::edac::crc32(bytes);
+}
+
+// The one verb that changes payload bytes: gen -> corrupt --header ->
+// ingest on a 16x16x8 baseline.  NAXIS1 of HDU 4 goes 16 -> 48, so the
+// parse captures that readout's padding and sanity trims it again.  The
+// digests and the report are those of the build before payloads became
+// views of the file's bytes.
+TEST(CliCorrupt, HeaderDamageRoundTripIsPinned) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("spacefts_cli_corrupt_" + std::to_string(getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string clean = (dir / "t.fits").string();
+  const std::string damaged = (dir / "tc.fits").string();
+  const std::string repaired = (dir / "out.fits").string();
+
+  ASSERT_EQ(run_cli("gen " + clean + " 8 16 1").code, 0);
+  const CliRun corrupt =
+      run_cli("corrupt " + clean + " " + damaged + " 0.003 2 --header");
+  ASSERT_EQ(corrupt.code, 0);
+  EXPECT_NE(corrupt.text.find("damaged NAXIS1 of HDU 4: 16 -> 48"),
+            std::string::npos)
+      << corrupt.text;
+  EXPECT_NE(corrupt.text.find("with 106 flipped data bits"), std::string::npos)
+      << corrupt.text;
+  EXPECT_EQ(file_crc32(damaged), 0xd2a2b707u);
+
+  const CliRun ingest = run_cli("ingest " + damaged + " " + repaired + " 50 4");
+  ASSERT_EQ(ingest.code, 0);
+  EXPECT_EQ(ingest.text,
+            "sanity: 2 issue(s), 2 repaired\n"
+            "preprocessing: 42 bits corrected across 37 pixels\n"
+            "wrote " + repaired + "\n");
+  EXPECT_EQ(file_crc32(repaired), 0xe2e01b5eu);
+  std::filesystem::remove_all(dir);
+}
 
 }  // namespace

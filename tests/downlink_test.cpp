@@ -61,7 +61,8 @@ TEST(CompressedHdu, SurvivesFitsFileSerialization) {
   const auto img = smooth_image(4);
   spacefts::fits::FitsFile file;
   file.hdus().push_back(dl::make_compressed_hdu(img));
-  const auto parsed = spacefts::fits::FitsFile::parse(file.serialize());
+  const auto bytes = file.serialize();
+  const auto parsed = spacefts::fits::FitsFile::parse(bytes);
   ASSERT_EQ(parsed.hdus().size(), 1u);
   EXPECT_EQ(dl::read_compressed_hdu(parsed.hdus()[0]), img);
 }
@@ -80,7 +81,7 @@ TEST(CompressedHdu, DamagedGeometryThrows) {
 
 TEST(CompressedHdu, TruncatedStreamThrows) {
   auto hdu = dl::make_compressed_hdu(smooth_image(7));
-  hdu.data.resize(hdu.data.size() / 4);
+  hdu.data.shrink(hdu.data.size() / 4);
   EXPECT_THROW((void)dl::read_compressed_hdu(hdu), spacefts::fits::FitsError);
 }
 

@@ -2,11 +2,14 @@
 // and the Λ=0 header sanity checker.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "spacefts/fits/fits.hpp"
+#include "spacefts/fits/io.hpp"
 #include "spacefts/fits/sanity.hpp"
 
 namespace ff = spacefts::fits;
@@ -496,7 +500,7 @@ TEST(ImageHdu, ReadersValidateHeader) {
 TEST(ImageHdu, ReadersValidatePayloadSize) {
   Image<std::uint16_t> img(4, 4, 7);
   auto hdu = ff::make_image_hdu(img);
-  hdu.data.resize(10);  // truncated
+  hdu.data.shrink(10);  // truncated
   EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError);
   // Axes whose product wraps size_t must not pass the length check.
   hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
@@ -520,10 +524,12 @@ std::uint16_t double_formula(std::int16_t stored, double bzero) {
 TEST(Fits, ReadImageU16MatchesDoubleFormula) {
   // A 256x256 image whose stored words are every 16-bit pattern once.
   auto hdu = ff::make_image_hdu(Image<std::uint16_t>(256, 256));
+  std::vector<std::uint8_t> words(2 * 65536);
   for (std::size_t k = 0; k < 65536; ++k) {
-    hdu.data[2 * k] = static_cast<std::uint8_t>(k >> 8);
-    hdu.data[2 * k + 1] = static_cast<std::uint8_t>(k & 0xFF);
+    words[2 * k] = static_cast<std::uint8_t>(k >> 8);
+    words[2 * k + 1] = static_cast<std::uint8_t>(k & 0xFF);
   }
+  hdu.data = ff::Payload(std::move(words));
   for (const double bzero : {0.0, 32768.0, -7.0, 40000.0, 1e6, -1e6}) {
     hdu.header.set_double("BZERO", bzero);
     const auto image = ff::read_image_u16(hdu);
@@ -555,6 +561,31 @@ TEST(Fits, ReadImageU16RejectsNonFiniteOrFractionalBzero) {
 
 // ------------------------------------------------------------------- FitsFile
 
+namespace {
+
+/// The message of the FitsError \p parse throws, or "" when it throws none.
+template <typename F>
+std::string fits_error_of(F&& parse) {
+  try {
+    parse();
+  } catch (const ff::FitsError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// One line per issue: keyword, description and whether it was repaired.
+std::string describe(const ff::SanityReport& report) {
+  std::string out;
+  for (const auto& issue : report.issues) {
+    out += issue.keyword + ": " + issue.description +
+           (issue.repaired ? " (repaired)\n" : " (open)\n");
+  }
+  return out;
+}
+
+}  // namespace
+
 TEST(FitsFile, MultiHduRoundtrip) {
   ff::FitsFile file;
   Image<std::uint16_t> primary(16, 16, 500);
@@ -568,9 +599,11 @@ TEST(FitsFile, MultiHduRoundtrip) {
   ext.header.set_int("NAXIS2", 8);
   ext.header.set_int("PCOUNT", 0);
   ext.header.set_int("GCOUNT", 1);
-  for (std::size_t i = 0; i < 8 * 8 * 4; ++i) {
-    ext.data.push_back(static_cast<std::uint8_t>(i * 7));
+  std::vector<std::uint8_t> ext_bytes(8 * 8 * 4);
+  for (std::size_t i = 0; i < ext_bytes.size(); ++i) {
+    ext_bytes[i] = static_cast<std::uint8_t>(i * 7);
   }
+  ext.data = ff::Payload(std::move(ext_bytes));
   file.hdus().push_back(ext);
   const auto bytes = file.serialize();
   EXPECT_EQ(bytes.size() % ff::kBlockSize, 0u);
@@ -578,22 +611,31 @@ TEST(FitsFile, MultiHduRoundtrip) {
   const auto parsed = ff::FitsFile::parse(bytes);
   ASSERT_EQ(parsed.hdus().size(), 2u);
   EXPECT_EQ(ff::read_image_u16(parsed.hdus()[0]), primary);
-  EXPECT_EQ(parsed.hdus()[1].data, ext.data);
+  EXPECT_TRUE(std::ranges::equal(parsed.hdus()[1].data, ext.data));
   EXPECT_EQ(parsed.hdus()[1].header.get_string("XTENSION"), "IMAGE");
   EXPECT_EQ(parsed.hdus()[1].header.get_int("BITPIX"), -32);
   EXPECT_THROW((void)ff::read_image_u16(parsed.hdus()[1]), ff::FitsError);
 }
 
 TEST(FitsFile, ParseEmptyThrows) {
-  EXPECT_THROW((void)ff::FitsFile::parse({}), ff::FitsError);
+  EXPECT_EQ(fits_error_of([] {
+              (void)ff::FitsFile::parse(std::span<const std::uint8_t>{});
+            }),
+            "FitsFile::parse: empty input");
 }
 
 TEST(FitsFile, ParseTruncatedDataThrows) {
   ff::FitsFile file;
   file.hdus().push_back(ff::make_image_hdu(Image<std::uint16_t>(64, 64)));
-  auto bytes = file.serialize();
-  bytes.resize(ff::kBlockSize + 100);  // header block + partial data
-  EXPECT_THROW((void)ff::FitsFile::parse(bytes), ff::FitsError);
+  const auto whole = file.serialize();
+  // Header block plus partial data, and the header block alone.
+  for (const std::size_t keep : {ff::kBlockSize + 100, ff::kBlockSize}) {
+    const std::vector<std::uint8_t> bytes(
+        whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_EQ(fits_error_of([&] { (void)ff::FitsFile::parse(bytes); }),
+              "FitsFile::parse: truncated data unit")
+        << keep;
+  }
 }
 
 TEST(FitsFile, ParseRejectsWrappingDataSize) {
@@ -605,8 +647,10 @@ TEST(FitsFile, ParseRejectsWrappingDataSize) {
       ff::make_image_hdu(Image<std::uint16_t>(2, 2, 7), /*primary=*/false));
   file.hdus()[0].header.set_int("NAXIS1", std::int64_t{1} << 32);
   file.hdus()[0].header.set_int("NAXIS2", std::int64_t{1} << 32);
-  file.hdus()[0].data.clear();
-  EXPECT_THROW((void)ff::FitsFile::parse(file.serialize()), ff::FitsError);
+  file.hdus()[0].data = ff::Payload();
+  const auto bytes = file.serialize();
+  EXPECT_EQ(fits_error_of([&] { (void)ff::FitsFile::parse(bytes); }),
+            "FitsFile::parse: cannot size data unit (damaged header?)");
 }
 
 // --------------------------------------------------------------------- sanity
@@ -712,8 +756,10 @@ TEST(Sanity, WrappingGeometryIsInconsistent) {
   auto hdu = clean_hdu();
   hdu.header.set_int("NAXIS1", std::int64_t{1} << 32);
   hdu.header.set_int("NAXIS2", std::int64_t{1} << 32);
-  hdu.data.clear();
-  EXPECT_FALSE(ff::check_and_repair(hdu).fully_repaired());
+  hdu.data = ff::Payload();
+  EXPECT_EQ(describe(ff::check_and_repair(hdu)),
+            "NAXIS2: axis repaired from payload size (repaired)\n"
+            "NAXIS: header geometry inconsistent with payload size (open)\n");
 
   // A 2^61-pixel row of 64-bit pixels is 2^64 bytes, which wraps to 0:
   // it cannot tile the payload (nor divide it), so the other axis repairs.
@@ -721,8 +767,9 @@ TEST(Sanity, WrappingGeometryIsInconsistent) {
   row.header.set_int("BITPIX", 64);
   row.header.set_int("NAXIS1", std::int64_t{1} << 61);
   row.header.set_int("NAXIS2", 1);
-  row.data.resize(8);
-  EXPECT_TRUE(ff::check_and_repair(row).fully_repaired());
+  row.data.shrink(8);
+  EXPECT_EQ(describe(ff::check_and_repair(row)),
+            "NAXIS1: axis repaired from payload size (repaired)\n");
   EXPECT_EQ(row.header.get_int("NAXIS1"), 1);
 }
 
@@ -738,6 +785,97 @@ TEST(Sanity, RepairedFileParsesAgain) {
   expected.height = 32;
   const auto report = ff::check_and_repair(file.hdus()[0], expected);
   EXPECT_TRUE(report.fully_repaired());
-  const auto parsed = ff::FitsFile::parse(file.serialize());
+  const auto bytes = file.serialize();
+  const auto parsed = ff::FitsFile::parse(bytes);
   EXPECT_EQ(ff::read_image_u16(parsed.hdus()[0]), img);
+}
+
+// ------------------------------------------------------------ payload views
+
+namespace {
+
+/// Two 16x16 readouts, the first with NAXIS1 damaged 16 -> 48, as the wire
+/// carries them: parse sizes readout 0 at 1,536 bytes, its 512 payload
+/// bytes plus 1,024 bytes of its block's zero padding.
+std::vector<std::uint8_t> padded_capture_bytes(
+    const Image<std::uint16_t>& img) {
+  ff::FitsFile file;
+  file.hdus().push_back(ff::make_image_hdu(img));
+  file.hdus().push_back(ff::make_image_hdu(img, /*primary=*/false));
+  file.hdus()[0].header.set_int("NAXIS1", 16 ^ 0x20);
+  return file.serialize();
+}
+
+ff::ImageExpectation expect_16x16() {
+  ff::ImageExpectation expected;
+  expected.bitpix = 16;
+  expected.width = 16;
+  expected.height = 16;
+  return expected;
+}
+
+}  // namespace
+
+TEST(Sanity, PaddingTrimShrinksTheView) {
+  const Image<std::uint16_t> img(16, 16, 700);
+  const auto bytes = padded_capture_bytes(img);
+  const auto before = bytes;
+  auto file = ff::FitsFile::parse(bytes);
+  ASSERT_EQ(file.hdus().size(), 2u);
+  auto& hdu = file.hdus()[0];
+  ASSERT_EQ(hdu.data.size(), 48u * 16 * 2);
+  const std::uint8_t* const start = hdu.data.data();
+
+  const auto report = ff::check_and_repair(hdu, expect_16x16());
+  EXPECT_EQ(describe(report),
+            "NAXIS1: axis length contradicts expectation (repaired)\n"
+            "NAXIS: data unit trimmed of parse-era padding (repaired)\n");
+  EXPECT_EQ(hdu.data.size(), 16u * 16 * 2);
+  EXPECT_EQ(hdu.data.data(), start);
+  EXPECT_EQ(ff::read_image_u16(hdu), img);
+  EXPECT_EQ(ff::read_image_u16(file.hdus()[1]), img);
+  EXPECT_EQ(bytes, before);
+}
+
+TEST(Payload, MutationGoesThroughAnOwnedCopy) {
+  // The CLI's corrupt verb: copy the payload, flip bits, own the result.
+  const Image<std::uint16_t> img(16, 16, 700);
+  const auto bytes = padded_capture_bytes(img);
+  const auto before = bytes;
+  auto file = ff::FitsFile::parse(bytes);
+  auto& hdu = file.hdus()[1];
+  std::vector<std::uint8_t> data(hdu.data.begin(), hdu.data.end());
+  for (auto& b : data) b ^= 0x01;
+  hdu.data = ff::Payload(std::move(data));
+
+  EXPECT_EQ(bytes, before);
+  auto flipped = img;
+  for (auto& px : flipped.pixels()) px ^= 0x0101;
+  EXPECT_EQ(ff::read_image_u16(hdu), flipped);
+  // The copy is shared by every copy of the HDU, and outlives the file.
+  const ff::Hdu kept = hdu;
+  file = ff::FitsFile();
+  EXPECT_EQ(ff::read_image_u16(kept), flipped);
+}
+
+TEST(Payload, ReadFileOutlivesItsBuffer) {
+  const Image<std::uint16_t> img(16, 16, 700);
+  const std::string path =
+      ::testing::TempDir() + "payload_read_file_" +
+      std::to_string(::getpid()) + ".fits";
+  {
+    ff::FitsFile file;
+    file.hdus().push_back(ff::make_image_hdu(img));
+    file.hdus().push_back(ff::make_image_hdu(img, /*primary=*/false));
+    ff::write_file(path, file);
+  }
+  ff::Hdu kept;
+  {
+    const auto file = ff::read_file(path);
+    ASSERT_EQ(file.hdus().size(), 2u);
+    kept = file.hdus()[1];
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(ff::read_image_u16(kept), img);
+  EXPECT_EQ(kept.header.get_string("XTENSION"), "IMAGE");
 }

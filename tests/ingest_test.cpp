@@ -19,15 +19,23 @@
 #include "spacefts/metrics/error.hpp"
 
 namespace {
-// The largest single heap request since the last reset, so a test can bound
-// what ingest allocates against the size of its input.
+// The largest single heap request and the running byte total since the
+// last reset, so a test can bound what ingest allocates against the size of
+// its input.
 std::atomic<std::size_t> g_largest_alloc{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
+
+void reset_alloc_counters() {
+  g_largest_alloc = 0;
+  g_alloc_bytes = 0;
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
   std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
   while (n > seen && !g_largest_alloc.compare_exchange_weak(seen, n)) {
   }
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(std::max<std::size_t>(n, 1))) return p;
   throw std::bad_alloc();
 }
@@ -197,7 +205,8 @@ TEST(IngestGuard, RejectsMixedGeometry) {
   const auto stack = small_stack(10);
   for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{8, 4},
                              std::pair<std::size_t, std::size_t>{16, 4}}) {
-    auto file = spacefts::fits::FitsFile::parse(si::IngestGuard::pack(stack));
+    const auto packed = si::IngestGuard::pack(stack);
+    auto file = spacefts::fits::FitsFile::parse(packed);
     file.hdus()[5] = spacefts::fits::make_image_hdu(
         spacefts::common::Image<std::uint16_t>(w, h, 1000), /*primary=*/false);
     const si::IngestGuard guard(si::IngestConfig{});
@@ -222,11 +231,113 @@ TEST(IngestGuard, MixedGeometryAllocatesInProportionToInput) {
   }
   const auto bytes = file.serialize();
   const si::IngestGuard guard(si::IngestConfig{});
-  g_largest_alloc = 0;
+  reset_alloc_counters();
   const auto result = guard.ingest(bytes);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.error, "readout geometry differs across the baseline");
   EXPECT_LT(g_largest_alloc.load(), bytes.size());
+}
+
+namespace {
+
+/// A 128x128x16 baseline as the wire carries it, and the stack it holds.
+struct Baseline {
+  TemporalStack<std::uint16_t> stack;
+  std::vector<std::uint8_t> bytes;
+};
+
+Baseline wide_baseline() {
+  spacefts::datagen::NgstSimulator sim(12);
+  spacefts::datagen::SceneParams params;
+  params.width = 128;
+  params.height = 128;
+  params.stars = 0;
+  Baseline b{sim.stack(16, params), {}};
+  b.bytes = si::IngestGuard::pack(b.stack);
+  return b;
+}
+
+/// Bytes of the card images parse keeps for \p bytes' headers.
+std::size_t header_image_bytes(const std::vector<std::uint8_t>& bytes) {
+  const auto file = spacefts::fits::FitsFile::parse(bytes);
+  std::size_t total = 0;
+  for (const auto& hdu : file.hdus()) {
+    total += hdu.header.size() * spacefts::fits::kCardSize;
+  }
+  return total;
+}
+
+}  // namespace
+
+TEST(FitsFile, ParseBorrowsPayloads) {
+  const Baseline b = wide_baseline();
+  const std::uint8_t* const lo = b.bytes.data();
+  const std::uint8_t* const hi = lo + b.bytes.size();
+  const std::size_t payload = b.stack.width() * b.stack.height() * 2;
+
+  reset_alloc_counters();
+  const auto file = spacefts::fits::FitsFile::parse(b.bytes);
+  const std::size_t largest = g_largest_alloc.load();
+  const std::size_t total = g_alloc_bytes.load();
+
+  ASSERT_EQ(file.hdus().size(), b.stack.frames());
+  for (const auto& hdu : file.hdus()) {
+    ASSERT_EQ(hdu.data.size(), payload);
+    EXPECT_GE(hdu.data.data(), lo);
+    EXPECT_LE(hdu.data.data() + hdu.data.size(), hi);
+  }
+  // Headers and the HDU list only: not one payload-sized block, and not
+  // one payload's worth in all.
+  EXPECT_LT(largest, payload);
+  EXPECT_LT(total, payload);
+}
+
+TEST(IngestGuard, IngestAllocatesOnlyTheStack) {
+  const Baseline b = wide_baseline();
+  auto config = config_for(b.stack);
+  // The voter's tile scratch is the executor's, not ingest's.
+  config.executor = [](TemporalStack<std::uint16_t>&,
+                       const spacefts::core::AlgoNgstConfig&) {
+    return spacefts::core::AlgoNgstReport{};
+  };
+  const si::IngestGuard guard(config);
+  const std::size_t stack_bytes = b.stack.cube().size() * 2;
+  const std::size_t headers = header_image_bytes(b.bytes);
+  constexpr std::size_t kSlack = 8 * 1024;
+
+  (void)guard.ingest(b.bytes);  // first-use telemetry registrations
+  reset_alloc_counters();
+  const auto result = guard.ingest(b.bytes);
+  const std::size_t total = g_alloc_bytes.load();
+
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.stack.cube(), b.stack.cube());
+  EXPECT_LE(total, stack_bytes + headers + kSlack)
+      << "stack " << stack_bytes << ", headers " << headers;
+}
+
+TEST(IngestGuard, IngestLeavesTheCallersBytesAlone) {
+  // Sanity repairs the headers and trims a captured pad; neither may reach
+  // the wire buffer the payloads view (callers reuse it across ingests).
+  const auto stack = small_stack(13);
+  const auto packed = si::IngestGuard::pack(stack);
+  auto file = spacefts::fits::FitsFile::parse(packed);
+  file.hdus()[4].header.set_int("NAXIS1", 8 ^ 0x20);  // 40: parse takes pad
+  file.hdus()[9].header.set_double("BZERO", 1.0);
+  const auto damaged = file.serialize();
+  const auto bytes = damaged;
+
+  const si::IngestGuard guard(config_for(stack));
+  const auto first = guard.ingest(bytes);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(first.sanity[4].issues.size(), 2u);  // NAXIS1, then the trim
+  EXPECT_EQ(first.sanity[9].issues.size(), 1u);  // BZERO
+  EXPECT_EQ(bytes, damaged);
+  const auto second = guard.ingest(bytes);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(second.stack.cube(), first.stack.cube());
+  EXPECT_EQ(second.preprocess.pixels_corrected,
+            first.preprocess.pixels_corrected);
 }
 
 TEST(IngestGuard, EnforcesConfiguredMinReadouts) {
@@ -257,7 +368,7 @@ TEST(IngestGuard, AllHdusCorruptFailsGracefully) {
   auto file = spacefts::fits::FitsFile::parse(bytes);
   for (auto& hdu : file.hdus()) {
     hdu.header.set_int("NAXIS1", 0);
-    hdu.data.clear();
+    hdu.data = spacefts::fits::Payload();
   }
   bytes = file.serialize();
 

@@ -48,7 +48,8 @@ TEST(Integration, FitsTransportSurvivesHeaderDamageWithSanityPass) {
   const auto report = ff::check_and_repair(file.hdus()[0], expected);
   EXPECT_TRUE(report.fully_repaired());
 
-  const auto parsed = ff::FitsFile::parse(file.serialize());
+  const auto bytes = file.serialize();
+  const auto parsed = ff::FitsFile::parse(bytes);
   EXPECT_EQ(ff::read_image_u16(parsed.hdus()[0]), frame);
 }
 

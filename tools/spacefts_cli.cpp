@@ -624,13 +624,15 @@ int cmd_corrupt(Cli& cli) {
   const spacefts::fault::UncorrelatedFaultModel model(gamma0);
   std::size_t flipped = 0;
   for (auto& hdu : file.hdus()) {
-    // The data unit is a byte array; corrupt it 16 bits at a time.
-    const std::size_t words = hdu.data.size() / 2;
+    // The data unit is a byte array; corrupt a copy 16 bits at a time.
+    std::vector<std::uint8_t> data(hdu.data.begin(), hdu.data.end());
+    const std::size_t words = data.size() / 2;
     const auto mask = model.mask16(words, rng);
     for (std::size_t w = 0; w < words; ++w) {
-      hdu.data[2 * w] ^= static_cast<std::uint8_t>(mask[w] >> 8);
-      hdu.data[2 * w + 1] ^= static_cast<std::uint8_t>(mask[w] & 0xFF);
+      data[2 * w] ^= static_cast<std::uint8_t>(mask[w] >> 8);
+      data[2 * w + 1] ^= static_cast<std::uint8_t>(mask[w] & 0xFF);
     }
+    hdu.data = spacefts::fits::Payload(std::move(data));
     flipped += spacefts::fault::count_faults<std::uint16_t>(mask);
   }
   if (hit_header && !file.hdus().empty()) {
