@@ -496,7 +496,6 @@ PropertyResult check_serve_determinism(common::Rng& rng) {
     config.workers = 0;  // manual step mode: deterministic batch formation
     config.capacity = 64;
     config.max_batch = max_batch;
-    config.batch_linger_ms = 0.0;
     serve::Server server(config);
     for (const auto& item : items) (void)server.submit(item.request);
     while (server.step() > 0) {

@@ -108,6 +108,14 @@ void accumulate(AlgoNgstReport& total, const AlgoNgstReport& r) {
   total.msb_mask = r.msb_mask;
 }
 
+/// Publishes one stack's report to the voter's telemetry counters.
+void count_stack(Kernel kern, const AlgoNgstReport& total) {
+  telemetry::counter(detail::ngst_kernel_counter(kern)).add(1);
+  telemetry::counter("ngst.pixels_corrected").add(total.pixels_corrected);
+  telemetry::counter("ngst.bits_corrected").add(total.bits_corrected);
+  telemetry::counter("voter.gate_vetoed").add(total.pixels_vetoed);
+}
+
 }  // namespace
 
 template <bool BitSerial>
@@ -184,6 +192,14 @@ AlgoNgstReport AlgoNgst::preprocess(
   // the vector kernels get frame-major SoA tiles padded to whole lane
   // groups (pad series are all-zero and can never produce a correction).
   const Kernel kern = resolve_kernel(config_.kernel);
+  // Λ = 0 or fewer than three readouts: no series can change (the same
+  // early-out as run() and the tile kernels), so skip the gather, vote and
+  // scatter sweep and report what it would have.
+  if (config_.lambda <= 0.0 || frames < 3) {
+    total.pixels_examined = width * height * frames;
+    count_stack(kern, total);
+    return total;
+  }
   using TileFn = AlgoNgstReport (*)(const detail::NgstTileCtx&);
   TileFn tile_fn = nullptr;
   std::size_t pad = detail::kNgstPad;
@@ -282,10 +298,7 @@ AlgoNgstReport AlgoNgst::preprocess(
         }
       });
   for (const AlgoNgstReport& row : row_reports) accumulate(total, row);
-  telemetry::counter(detail::ngst_kernel_counter(kern)).add(1);
-  telemetry::counter("ngst.pixels_corrected").add(total.pixels_corrected);
-  telemetry::counter("ngst.bits_corrected").add(total.bits_corrected);
-  telemetry::counter("voter.gate_vetoed").add(total.pixels_vetoed);
+  count_stack(kern, total);
   return total;
 }
 

@@ -13,10 +13,10 @@
 ///     admission order (a sequence number assigned under the queue lock).
 ///     Two runs that admit the same entries in the same order therefore
 ///     dequeue them in the same order, no matter how many consumers race.
-///  3. **Inference-style batching.**  collect_batch() extracts additional
-///     queued entries with the same shape key as an already-popped head —
-///     size-triggered (returns as soon as `max_extra` are gathered) and
-///     time-triggered (returns whatever arrived once `linger_ms` elapses).
+///  3. **Greedy batching.**  collect_batch() extracts the queued entries
+///     with the same shape key as an already-popped head, up to
+///     `max_extra` of them.  It never waits for late arrivals: a lone
+///     request runs at once instead of idling for followers.
 ///
 /// The queue stores entries by value and is oblivious to their payload; the
 /// server keeps the heavy request state behind a shared_ptr.
@@ -37,7 +37,7 @@ namespace spacefts::serve {
 class RequestState;  // defined by the server; opaque to the queue
 
 /// Batch compatibility key: only requests that agree on all four fields can
-/// share a batch (they share one constructed guard/algorithm).
+/// share a batch.
 struct ShapeKey {
   JobKind kind = JobKind::kNgst;
   std::size_t side = 0;
@@ -78,13 +78,11 @@ class BoundedQueue {
   /// empty, open or not.
   [[nodiscard]] std::optional<QueueEntry> try_pop_best();
 
-  /// Extracts up to `max_extra` entries matching `shape` (in queue order),
-  /// waiting up to `linger_ms` for late arrivals while fewer than
-  /// `max_extra` have been gathered.  Returns immediately with whatever is
-  /// available when the queue closes.  linger_ms <= 0 never waits.
+  /// Removes and returns up to `max_extra` entries matching `shape` (in
+  /// queue order) that are queued at the time of the call.  Never blocks
+  /// beyond the queue lock.
   [[nodiscard]] std::vector<QueueEntry> collect_batch(const ShapeKey& shape,
-                                                      std::size_t max_extra,
-                                                      double linger_ms);
+                                                      std::size_t max_extra);
 
   /// Closes admission and wakes every waiting producer and consumer.
   /// Idempotent.

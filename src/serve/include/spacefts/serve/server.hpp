@@ -11,11 +11,11 @@
 ///      │           or bounded-wait admission — producers never block
 ///      │           indefinitely)
 ///      ▼
-///   worker pops the best entry, collect_batch()es same-shape followers
-///   (size- and time-triggered), then executes the batch through
-///   ingest::Guard → Algo_NGST / Algo_OTIS [→ dist::pipeline]; cancelled
-///   items are skipped (kCancelled), items whose deadline passed before
-///   the batch formed are skipped (kExpired)
+///   worker pops the best entry, collect_batch()es the same-shape entries
+///   already queued (up to max_batch, never waiting), then executes each
+///   member through ingest::Guard → Algo_NGST / Algo_OTIS
+///   [→ dist::pipeline]; cancelled items are skipped (kCancelled), items
+///   whose deadline passed before the batch formed are skipped (kExpired)
 ///      ▼
 ///   exactly one RequestResult per submitted request, via take_results()
 ///
@@ -53,8 +53,7 @@ struct ServerConfig {
   /// Batch-serving threads.  0 = manual mode: no threads are spawned and
   /// the owner pumps batches with step() — deterministic, for tests.
   std::size_t workers = 2;
-  std::size_t max_batch = 8;      ///< batch size trigger
-  double batch_linger_ms = 0.2;   ///< batch time trigger (0 = greedy only)
+  std::size_t max_batch = 8;  ///< batch size cap
   /// Bounded time submit() may wait for queue room; 0 = pure
   /// reject-on-full (load shedding).
   double admission_timeout_ms = 0.0;

@@ -73,31 +73,18 @@ std::optional<QueueEntry> BoundedQueue::try_pop_best() {
 }
 
 std::vector<QueueEntry> BoundedQueue::collect_batch(const ShapeKey& shape,
-                                                    std::size_t max_extra,
-                                                    double linger_ms) {
+                                                    std::size_t max_extra) {
   std::vector<QueueEntry> batch;
   if (max_extra == 0) return batch;
-  std::unique_lock lock(mutex_);
-  const auto linger_until = linger_ms > 0.0 ? after_ms(linger_ms)
-                                            : Clock::time_point::min();
-  for (;;) {
-    for (auto it = entries_.begin();
-         it != entries_.end() && batch.size() < max_extra;) {
-      if (it->shape == shape) {
-        batch.push_back(std::move(*it));
-        it = entries_.erase(it);
-        room_cv_.notify_one();
-      } else {
-        ++it;
-      }
-    }
-    if (batch.size() >= max_extra || closed_ || linger_ms <= 0.0) break;
-    // Time-triggered path: wait for late same-shape arrivals until the
-    // linger deadline.  Spurious wakeups just rescan.
-    if (entries_cv_.wait_until(lock, linger_until) ==
-        std::cv_status::timeout) {
-      // One final scan below, then give up on this linger window.
-      linger_ms = 0.0;
+  std::lock_guard lock(mutex_);
+  for (auto it = entries_.begin();
+       it != entries_.end() && batch.size() < max_extra;) {
+    if (it->shape == shape) {
+      batch.push_back(std::move(*it));
+      it = entries_.erase(it);
+      room_cv_.notify_one();
+    } else {
+      ++it;
     }
   }
   return batch;

@@ -52,7 +52,7 @@ Server::Server(const ServerConfig& config)
   if (config_.max_batch == 0) {
     throw std::invalid_argument("serve: max_batch must be > 0");
   }
-  if (config_.batch_linger_ms < 0.0 || config_.admission_timeout_ms < 0.0) {
+  if (config_.admission_timeout_ms < 0.0) {
     throw std::invalid_argument("serve: negative timeout");
   }
   workers_.reserve(config_.workers);
@@ -246,8 +246,7 @@ bool Server::next_batch(Batch& batch, bool blocking) {
   }
   batch.entries.push_back(std::move(*head));
   if (budget > 1) {
-    auto extra = queue_.collect_batch(shape, budget - 1,
-                                      config_.batch_linger_ms);
+    auto extra = queue_.collect_batch(shape, budget - 1);
     for (auto& e : extra) batch.entries.push_back(std::move(e));
   }
   telemetry::gauge("serve.queue_depth")

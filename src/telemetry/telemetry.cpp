@@ -13,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 #include "spacefts/telemetry/jsonl.hpp"
 
@@ -91,9 +92,10 @@ class Tracer {
   }
 
   std::mutex registry_mutex;  ///< guards the three metric maps
-  std::map<std::string, Counter> counters;
-  std::map<std::string, Gauge> gauges;
-  std::map<std::string, Histogram> histograms;
+  // std::less<> lets a lookup compare a string_view without building a key.
+  std::map<std::string, Counter, std::less<>> counters;
+  std::map<std::string, Gauge, std::less<>> gauges;
+  std::map<std::string, Histogram, std::less<>> histograms;
 
  private:
   std::mutex threads_mutex_;  ///< guards registered_ and next_tid_
@@ -341,22 +343,39 @@ void Histogram::clear() noexcept {
              std::memory_order_relaxed);
 }
 
+namespace {
+
+/// Returns the registered metric `name`, registering it on first use.  Only
+/// the registration allocates (the key and the node); std::map keeps the
+/// returned reference stable.
+template <typename Metric>
+Metric& find_or_register(std::map<std::string, Metric, std::less<>>& metrics,
+                         const char* name) {
+  const std::string_view key(name);
+  if (const auto it = metrics.find(key); it != metrics.end()) {
+    return it->second;
+  }
+  return metrics.try_emplace(std::string(key)).first->second;
+}
+
+}  // namespace
+
 Counter& counter(const char* name) {
   Tracer& t = tracer();
   std::scoped_lock lock(t.registry_mutex);
-  return t.counters[name];  // std::map: node-stable reference
+  return find_or_register(t.counters, name);
 }
 
 Gauge& gauge(const char* name) {
   Tracer& t = tracer();
   std::scoped_lock lock(t.registry_mutex);
-  return t.gauges[name];
+  return find_or_register(t.gauges, name);
 }
 
 Histogram& histogram(const char* name) {
   Tracer& t = tracer();
   std::scoped_lock lock(t.registry_mutex);
-  return t.histograms[name];
+  return find_or_register(t.histograms, name);
 }
 
 void flush() { tracer().flush_all(); }

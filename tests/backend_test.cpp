@@ -309,7 +309,6 @@ TEST(Backend, ServedResultsIdenticalAcrossShardCounts) {
     rc.shard.workers = 0;
     rc.shard.capacity = 64;
     rc.shard.max_batch = 4;
-    rc.shard.batch_linger_ms = 0.0;
     rc.health.heartbeat_timeout_ms = 1e9;
     rc.health.congestion_timeout_ms = 0.0;
     rc.shard.exec.backend =

@@ -161,6 +161,8 @@ std::vector<ExitCase> exit_cases() {
       {"bad_flag_check", "check --bogus", 3, "--bogus: unknown flag"},
       {"no_retries_removed", "campaign --no-retries", 3,
        "--no-retries: unknown flag"},
+      {"linger_ms_removed", "serve --linger-ms 1", 3,
+       "--linger-ms: unknown flag"},
       // Output paths are probed before the run: a typo'd directory is a
       // bad flag value, not a failure discovered after the compute.
       {"bad_path_serve_trace",
@@ -202,7 +204,6 @@ std::vector<ExitCase> exit_cases() {
       {"serve_otis_frac_above_one", "serve --otis-frac 3", 3, "--otis-frac"},
       {"serve_batch_zero", "serve --batch 0", 3, "--batch"},
       {"serve_capacity_zero", "serve --capacity 0", 3, "--capacity"},
-      {"serve_linger_negative", "serve --linger-ms -1", 3, "--linger-ms"},
       {"serve_ingress_drop_above_one", "serve --ingress-drop 2", 3,
        "--ingress-drop"},
       {"serve_priorities_past_int", "serve --priorities 4294967297", 3,

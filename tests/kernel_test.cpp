@@ -7,6 +7,7 @@
 // on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -224,6 +225,52 @@ TEST(KernelParity, NgstTinyAndDegenerateShapes) {
   AlgoNgstConfig off;
   off.lambda = 0.0;
   check_ngst_parity(off, 30, 4, 8, 13);
+}
+
+TEST(KernelParity, NgstSkippedSweepLeavesStackAndReport) {
+  // Λ = 0 and fewer than three readouts skip the stack sweep.  On the
+  // scalar series path and the vector tile path alike the stack keeps its
+  // bytes, the report counts every voxel as examined and nothing else, and
+  // the telemetry counters see the same four calls as after a sweep.
+  namespace st = spacefts::telemetry;
+  struct Case {
+    double lambda;
+    std::size_t frames;
+  };
+  for (const Case c : {Case{0.0, 8}, Case{80.0, 2}}) {
+    for (const Kernel kernel : {Kernel::kScalar, Kernel::kSwar}) {
+      st::reset();
+      st::set_enabled(true);
+      const TemporalStack<std::uint16_t> pristine =
+          make_stack(70, 5, c.frames, 21, /*upset_one_in=*/10);
+      AlgoNgstConfig cfg;
+      cfg.lambda = c.lambda;
+      cfg.kernel = kernel;
+      TemporalStack<std::uint16_t> stack = pristine;
+      const AlgoNgstReport report = AlgoNgst(cfg).preprocess(stack);
+      const std::string label = std::string("kernel=") +
+                                spacefts::core::kernel_name(kernel) +
+                                " frames=" + std::to_string(c.frames);
+      AlgoNgstReport want;
+      want.pixels_examined = 70 * 5 * c.frames;
+      expect_ngst_reports_equal(want, report, label.c_str());
+      EXPECT_TRUE(std::ranges::equal(stack.cube().voxels(),
+                                     pristine.cube().voxels()))
+          << label;
+      if (st::kCompiledIn) {
+        const std::string name = spacefts::core::kernel_name(kernel);
+        EXPECT_EQ(st::counter(("ngst.kernel." + name).c_str()).value(), 1u)
+            << label;
+        for (const char* counter : {"ngst.pixels_corrected",
+                                    "ngst.bits_corrected",
+                                    "voter.gate_vetoed"}) {
+          EXPECT_EQ(st::counter(counter).value(), 0u) << label << counter;
+        }
+      }
+      st::set_enabled(false);
+      st::reset();
+    }
+  }
 }
 
 TEST(KernelParity, NgstDenseGateAtSeriesEdges) {

@@ -46,7 +46,6 @@ ss::RouterConfig manual_config(std::size_t shards) {
   rc.shard.workers = 0;
   rc.shard.capacity = 64;
   rc.shard.max_batch = 4;
-  rc.shard.batch_linger_ms = 0.0;
   rc.health.heartbeat_timeout_ms = 1e9;
   rc.health.congestion_timeout_ms = 0.0;  // disabled
   return rc;
@@ -454,7 +453,6 @@ TEST(Router, ScheduledKillEjectsThenShardEarnsReadmission) {
   rc.shard.workers = 1;
   rc.shard.capacity = 128;
   rc.shard.max_batch = 4;
-  rc.shard.batch_linger_ms = 0.0;
   rc.health.probation_ms = 20.0;
   rc.health.probation_successes = 2;
   ss::Router router(rc);
@@ -497,7 +495,6 @@ TEST(Router, StallChaosTripsTheHeartbeatAndReplaysRecover) {
   rc.shard.workers = 1;
   rc.shard.capacity = 128;
   rc.shard.max_batch = 2;
-  rc.shard.batch_linger_ms = 0.0;
   rc.health.heartbeat_timeout_ms = 30.0;
   rc.health.probation_ms = 10.0;
   rc.health.probation_successes = 2;

@@ -139,26 +139,27 @@ TEST(BoundedQueue, CollectBatchMatchesShapeOnly) {
   ASSERT_EQ(queue.push(entry_with(0, kInf, otis)), ss::ServeStatus::kOk);
   ASSERT_EQ(queue.push(entry_with(0, kInf, ngst)), ss::ServeStatus::kOk);
 
-  // Size-triggered: both NGST entries, the OTIS one stays queued.
-  const auto batch = queue.collect_batch(ngst, 8, /*linger_ms=*/0.0);
+  // Both NGST entries, the OTIS one stays queued.
+  const auto batch = queue.collect_batch(ngst, 8);
   ASSERT_EQ(batch.size(), 2u);
   for (const auto& entry : batch) EXPECT_TRUE(entry.shape == ngst);
   EXPECT_EQ(queue.size(), 1u);
   ASSERT_TRUE(queue.try_pop_best().has_value());
 }
 
-TEST(BoundedQueue, CollectBatchLingerPicksUpLateArrival) {
+TEST(BoundedQueue, CollectBatchNeverWaits) {
   const ss::ShapeKey shape{ss::JobKind::kNgst, 16, 4, 80.0};
   ss::BoundedQueue queue(16);
   std::thread late([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
     ASSERT_EQ(queue.push(entry_with(0, kInf, shape)), ss::ServeStatus::kOk);
   });
-  // Time-triggered path: nothing queued yet, the linger window must catch
-  // the arrival 10 ms in.
-  const auto batch = queue.collect_batch(shape, 1, /*linger_ms=*/2'000.0);
+  // Nothing is queued at the call, so the batch is empty: a later arrival
+  // is the next batch's head, not a follower of this one.
+  const auto batch = queue.collect_batch(shape, 1);
   late.join();
-  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(BoundedQueue, CloseRacesWithProducersAndConsumers) {
@@ -230,7 +231,6 @@ TEST(Server, ShedsAtOverloadWithoutDeadlockAndAccountsEveryRequest) {
   config.capacity = 4;
   config.workers = 1;
   config.max_batch = 2;
-  config.batch_linger_ms = 0.0;
   config.admission_timeout_ms = 0.0;  // pure reject-on-full
   ss::Server server(config);
 
@@ -288,7 +288,6 @@ TEST(Server, CancellationSkipsRequestInsideFormedBatch) {
   ss::ServerConfig config;
   config.workers = 0;
   config.max_batch = 4;
-  config.batch_linger_ms = 0.0;
   ss::Server server(config);
 
   for (std::uint64_t id = 0; id < 4; ++id) {

@@ -6,13 +6,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "spacefts/telemetry/jsonl.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
+
+namespace {
+// Heap requests since the last reset, so a test can assert that a path
+// allocates nothing.
+std::atomic<std::size_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(std::max<std::size_t>(n, 1))) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs a new-expression with free().
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace st = spacefts::telemetry;
 
@@ -196,6 +216,33 @@ TEST_F(TelemetryTest, CounterAccumulatesAndRegistryIsStable) {
   EXPECT_EQ(c.value(), 10u);
   // Same name, same object.
   EXPECT_EQ(&st::counter("test.counter"), &c);
+}
+
+TEST_F(TelemetryTest, RegisteredLookupsAllocateNothing) {
+  // Names longer than the small-string buffer, as the hot-path names are:
+  // a std::string key built per lookup would be a heap request each time.
+  const char* const counter_name = "ngst.pixels_corrected";
+  const char* const gauge_name = "serve.queue_depth";
+  const char* const histogram_name = "serve.e2e_latency_s";
+  g_allocs = 0;
+  auto& c = st::counter(counter_name);
+  auto& g = st::gauge(gauge_name);
+  auto& h = st::histogram(histogram_name);
+  const std::size_t registering = g_allocs.load();
+  g_allocs = 0;
+  bool same = true;
+  for (int i = 0; i < 100; ++i) {
+    same = same && &st::counter(counter_name) == &c &&
+           &st::gauge(gauge_name) == &g &&
+           &st::histogram(histogram_name) == &h;
+  }
+  const std::size_t looking_up = g_allocs.load();
+  EXPECT_TRUE(same);
+  EXPECT_EQ(looking_up, 0u);
+  // The hook sees the registrations themselves (key and node per map).
+  if (st::kCompiledIn) {
+    EXPECT_GT(registering, 0u);
+  }
 }
 
 TEST_F(TelemetryTest, GaugeKeepsLastValue) {

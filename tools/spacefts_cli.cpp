@@ -1217,8 +1217,6 @@ int cmd_serve(Cli& cli) {
       {"--capacity", &config.capacity, "N", "admission queue capacity", 1},
       {"--threads", &config.workers, "N", "worker threads per server"},
       {"--batch", &config.max_batch, "N", "max same-shape batch", 1},
-      {"--linger-ms", &config.batch_linger_ms, "X",
-       "how long a batch waits to fill", 0},
       {"--admit-wait-ms", &config.admission_timeout_ms, "X",
        "admission wait on a full queue (0 = shed at once)", 0},
       {"--pace", &pace, "", "honour the workload's arrival timestamps"},
