@@ -246,8 +246,8 @@ void run_metamorphic(const CaseSpec& spec, CaseResult& result) {
   apply(check_ngst_idempotence(series, config), "ngst_idempotence", result);
 
   // Kernel-choice invariance on a small stack drawn from the same seed:
-  // whichever SIMD kernel runs, the result must match the scalar reference
-  // bit for bit (width 17 leaves an odd tile remainder on every kernel).
+  // whichever kernel runs, the result must match oracle_ngst_stack bit for
+  // bit (width 17 leaves an odd tile remainder on every kernel).
   datagen::SceneParams scene;
   scene.width = 17;
   scene.height = 6;

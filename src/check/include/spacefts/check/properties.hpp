@@ -97,11 +97,9 @@ struct PropertyResult {
     std::span<const std::uint16_t> series, const core::AlgoNgstConfig& config);
 
 /// Kernel-choice invariance: preprocessing \p stack with every voter
-/// kernel the host can execute (scalar reference, SWAR, AVX2 and AVX-512
-/// where compiled in) yields bit-identical data and identical report
-/// counters.
-/// The kernel field of \p config is ignored; the scalar run is the
-/// reference.
+/// kernel the host can execute (SWAR, and AVX2 and AVX-512 where compiled
+/// in) yields data and report counters bit-identical to
+/// oracle_ngst_stack.  The kernel field of \p config is ignored.
 [[nodiscard]] PropertyResult check_kernel_invariance(
     const common::TemporalStack<std::uint16_t>& stack,
     const core::AlgoNgstConfig& config);

@@ -188,9 +188,9 @@ AlgoNgstReport AlgoNgst::preprocess(
 
   SPACEFTS_TSPAN("ngst.preprocess_stack", {"lambda", config_.lambda},
                  {"frames", static_cast<double>(frames)});
-  // Kernel dispatch: the scalar reference keeps its series-major tile path;
-  // the vector kernels get frame-major SoA tiles padded to whole lane
-  // groups (pad series are all-zero and can never produce a correction).
+  // Kernel dispatch: every kernel gets frame-major SoA tiles padded to
+  // whole lane groups (pad series are all-zero and can never produce a
+  // correction).
   const Kernel kern = resolve_kernel(config_.kernel);
   // Λ = 0 or fewer than three readouts: no series can change (the same
   // early-out as run() and the tile kernels), so skip the gather, vote and
@@ -201,12 +201,9 @@ AlgoNgstReport AlgoNgst::preprocess(
     return total;
   }
   using TileFn = AlgoNgstReport (*)(const detail::NgstTileCtx&);
-  TileFn tile_fn = nullptr;
+  TileFn tile_fn = detail::ngst_tile_swar;
   std::size_t pad = detail::kNgstPad;
   switch (kern) {
-    case Kernel::kSwar:
-      tile_fn = detail::ngst_tile_swar;
-      break;
 #if defined(SPACEFTS_HAVE_AVX2)
     case Kernel::kAvx2:
       tile_fn = detail::ngst_tile_avx2;
@@ -240,59 +237,29 @@ AlgoNgstReport AlgoNgst::preprocess(
             const std::size_t tw = std::min(kTileWidth, width - x0);
             SPACEFTS_TSPAN("ngst.tile", {"lambda", config_.lambda},
                            {"width", static_cast<double>(tw)});
-            if (tile_fn != nullptr) {
-              // Frame-major SoA gather: each frame's tile row is one
-              // contiguous memcpy (both sides contiguous), padded with
-              // zero series to a whole number of the kernel's lane group.
-              const std::size_t twp = (tw + pad - 1) / pad * pad;
-              s.soa.resize(twp * frames);
-              for (std::size_t t = 0; t < frames; ++t) {
-                const std::uint16_t* src = data + t * plane + y * width + x0;
-                std::uint16_t* dst = s.soa.data() + t * twp;
-                std::memcpy(dst, src, tw * sizeof(std::uint16_t));
-                std::fill(dst + tw, dst + twp, std::uint16_t{0});
-              }
-              {
-                SPACEFTS_TSPAN("voter.vote",
-                               {"series", static_cast<double>(tw)});
-                const detail::NgstTileCtx ctx{tw, twp, frames, &config_, &s};
-                accumulate(row, tile_fn(ctx));
-              }
-              for (std::size_t t = 0; t < frames; ++t) {
-                std::uint16_t* dst = data + t * plane + y * width + x0;
-                std::memcpy(dst, s.soa.data() + t * twp,
-                            tw * sizeof(std::uint16_t));
-              }
-              continue;
-            }
-            s.tile.resize(tw * frames);
-            // Gather: transpose the tile into coordinate-major scratch.
-            // Each frame contributes one contiguous row segment, so the
-            // reads stream through memory instead of striding plane-sized
-            // gaps per sample.
+            // Frame-major SoA gather: each frame's tile row is one
+            // contiguous memcpy (both sides contiguous), padded with zero
+            // series to a whole number of the kernel's lane group.
+            const std::size_t twp = (tw + pad - 1) / pad * pad;
+            s.soa.resize(twp * frames);
             for (std::size_t t = 0; t < frames; ++t) {
               const std::uint16_t* src = data + t * plane + y * width + x0;
-              for (std::size_t k = 0; k < tw; ++k) {
-                s.tile[k * frames + t] = src[k];
-              }
+              std::uint16_t* dst = s.soa.data() + t * twp;
+              std::memcpy(dst, src, tw * sizeof(std::uint16_t));
+              std::fill(dst + tw, dst + twp, std::uint16_t{0});
             }
             {
               // One span per tile for the voting itself (per-series spans
               // would swamp the ring: a 128x128x64 stack has 16k series).
               SPACEFTS_TSPAN("voter.vote",
                              {"series", static_cast<double>(tw)});
-              for (std::size_t k = 0; k < tw; ++k) {
-                const std::span<std::uint16_t> series(
-                    s.tile.data() + k * frames, frames);
-                accumulate(row, run<false>(series, s));
-              }
+              const detail::NgstTileCtx ctx{tw, twp, frames, &config_, &s};
+              accumulate(row, tile_fn(ctx));
             }
-            // Scatter the corrected series back.
             for (std::size_t t = 0; t < frames; ++t) {
               std::uint16_t* dst = data + t * plane + y * width + x0;
-              for (std::size_t k = 0; k < tw; ++k) {
-                dst[k] = s.tile[k * frames + t];
-              }
+              std::memcpy(dst, s.soa.data() + t * twp,
+                          tw * sizeof(std::uint16_t));
             }
           }
         }

@@ -69,13 +69,6 @@ using PixelState = spacefts::core::detail::OtisPixelState;
   return window[count / 2];
 }
 
-/// One spatial pairing axis at one distance.
-struct SpatialWay {
-  std::ptrdiff_t dx = 0;
-  std::ptrdiff_t dy = 0;
-  std::uint32_t v_val = 0;  ///< pruning threshold (power of two)
-};
-
 }  // namespace
 
 AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
@@ -227,190 +220,25 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
     report.trend_protected += lane_protected[l];
   }
 
-  // ---- Kernel dispatch ------------------------------------------------------
-  // The vector kernels replace phases 2 + 3 (thresholds + vote) with a
-  // bit-identical lane-parallel implementation; kScalar keeps the reference
-  // code below.
+  // ---- Phases 2 + 3: thresholds and vote, on the dispatched kernel ---------
   const Kernel kern = resolve_kernel(config_.kernel);
   telemetry::counter(detail::otis_kernel_counter(kern)).add(1);
-  if (kern != Kernel::kScalar) {
-    const detail::OtisPhase23Ctx ctx{&plane,  &state,    &medians, &interval,
-                                     tau,     &config_,  lanes};
-    switch (kern) {
+  const detail::OtisPhase23Ctx ctx{&plane,  &state,    &medians, &interval,
+                                   tau,     &config_,  lanes};
+  switch (kern) {
 #if defined(SPACEFTS_HAVE_AVX2)
-      case Kernel::kAvx2:
-        detail::otis_phase23_avx2(ctx, report);
-        break;
+    case Kernel::kAvx2:
+      detail::otis_phase23_avx2(ctx, report);
+      break;
 #endif
 #if defined(SPACEFTS_HAVE_AVX512)
-      case Kernel::kAvx512:
-        detail::otis_phase23_avx512(ctx, report);
-        break;
+    case Kernel::kAvx512:
+      detail::otis_phase23_avx512(ctx, report);
+      break;
 #endif
-      default:
-        detail::otis_phase23_swar(ctx, report);
-        break;
-    }
-    telemetry::counter("otis.bit_corrected").add(report.bit_corrected);
-    telemetry::counter("otis.median_replaced").add(report.median_replaced);
-    telemetry::counter("otis.trend_protected").add(report.trend_protected);
-    telemetry::counter("otis.out_of_bounds").add(report.out_of_bounds);
-    return report;
-  }
-
-  // ---- Phase 2: dynamic bit-level thresholds from clean pairs ---------------
-  // Ways alternate horizontal/vertical at growing distance: Υ=4 consults the
-  // unit cross, Υ=8 adds the distance-2 cross [R5].
-  std::vector<SpatialWay> ways;
-  for (std::size_t k = 1; k <= config_.upsilon / 2; ++k) {
-    const auto dist = static_cast<std::ptrdiff_t>((k + 1) / 2);
-    if (k % 2 == 1) {
-      ways.push_back(SpatialWay{dist, 0, 0});
-    } else {
-      ways.push_back(SpatialWay{0, dist, 0});
-    }
-  }
-  const auto is_clean = [&](std::ptrdiff_t x, std::ptrdiff_t y) {
-    return x >= 0 && y >= 0 && x < static_cast<std::ptrdiff_t>(w) &&
-           y < static_cast<std::ptrdiff_t>(h) &&
-           state(static_cast<std::size_t>(x), static_cast<std::size_t>(y)) ==
-               static_cast<std::uint8_t>(PixelState::kClean);
-  };
-  std::uint32_t min_vval = 0xFFFFFFFFu;
-  std::uint32_t max_vval = 0;
-  bool have_thresholds = true;
-  {
-    SPACEFTS_TSPAN("otis.thresholds", {"lambda", config_.lambda});
-    std::vector<std::uint32_t> xors;
-    for (auto& way : ways) {
-      xors.clear();
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t x = 0; x < w; ++x) {
-          const auto nx = static_cast<std::ptrdiff_t>(x) + way.dx;
-          const auto ny = static_cast<std::ptrdiff_t>(y) + way.dy;
-          if (!is_clean(static_cast<std::ptrdiff_t>(x),
-                        static_cast<std::ptrdiff_t>(y)) ||
-              !is_clean(nx, ny)) {
-            continue;
-          }
-          xors.push_back(common::float_to_bits(plane(x, y)) ^
-                         common::float_to_bits(
-                             plane(static_cast<std::size_t>(nx),
-                                   static_cast<std::size_t>(ny))));
-        }
-      }
-      if (xors.size() < 8) {
-        have_thresholds = false;
-        break;
-      }
-      const std::size_t rank = prune_rank(xors.size(), config_.lambda);
-      std::nth_element(xors.begin(),
-                       xors.begin() + static_cast<std::ptrdiff_t>(rank),
-                       xors.end());
-      const std::uint32_t q = xors[rank];
-      way.v_val = q == 0 ? 0u : common::ceil_pow2(q);
-      min_vval = std::min(min_vval, way.v_val);
-      max_vval = std::max(max_vval, way.v_val);
-    }
-  }
-  const auto mask_from = [](std::uint32_t v) -> std::uint32_t {
-    return v <= 1 ? 0xFFFFFFFFu : ~(v - 1);
-  };
-  const std::uint32_t lsb_mask = have_thresholds ? mask_from(min_vval) : 0;
-  const std::uint32_t msb_mask = have_thresholds ? mask_from(max_vval) : 0;
-
-  // ---- Phase 3: vote over every unprotected pixel ---------------------------
-  // As in Algorithm 1, every pixel is examined; pruning makes the vote a
-  // no-op on conforming pixels, so clean data is not blurred the way a
-  // blanket median/majority filter blurs it.  Declared candidates that the
-  // bit vote cannot rehabilitate fall back to the neighbourhood median.
-  //
-  // Voters are read from an immutable snapshot of the plane (Jacobi-style):
-  // a pixel's repair never depends on whether a neighbour was already
-  // repaired this pass, which both removes the sweep-order dependence and
-  // makes the row-parallel execution bit-identical to serial.
-  const common::Image<float> source = plane;
-  std::vector<std::size_t> lane_bit(lanes, 0);
-  std::vector<std::size_t> lane_median(lanes, 0);
-  {
-  SPACEFTS_TSPAN("otis.vote");
-  par::parallel_for(h, /*grain=*/4, lanes, [&](std::size_t y0, std::size_t y1,
-                                               std::size_t lane) {
-    std::vector<std::uint32_t> voters;
-    voters.reserve(config_.upsilon);
-    for (std::size_t y = y0; y < y1; ++y) {
-      for (std::size_t x = 0; x < w; ++x) {
-        if (state(x, y) == static_cast<std::uint8_t>(PixelState::kProtected)) {
-          continue;
-        }
-        const bool candidate =
-            state(x, y) == static_cast<std::uint8_t>(PixelState::kCandidate);
-        const float original = source(x, y);
-        const float fallback = medians(x, y);
-
-        if (have_thresholds) {
-          voters.clear();
-          const std::uint32_t self = common::float_to_bits(original);
-          for (const auto& way : ways) {
-            for (int sign : {+1, -1}) {
-              const auto nx = static_cast<std::ptrdiff_t>(x) + sign * way.dx;
-              const auto ny = static_cast<std::ptrdiff_t>(y) + sign * way.dy;
-              if (!is_clean(nx, ny)) continue;
-              const std::uint32_t xr =
-                  self ^ common::float_to_bits(
-                             source(static_cast<std::size_t>(nx),
-                                    static_cast<std::size_t>(ny)));
-              voters.push_back(xr > way.v_val ? xr : 0u);
-            }
-          }
-          const std::uint32_t corr =
-              correction_vector<std::uint32_t>(voters, lsb_mask, msb_mask);
-          if (corr != 0) {
-            const float cand = common::bits_to_float(self ^ corr);
-            // Carry-analogue plausibility: accept a bit repair only if it is
-            // physical and moves the pixel *toward* its neighbourhood, never
-            // away (protects against coincidental vote agreement).
-            const bool physical =
-                std::isfinite(cand) &&
-                (!config_.enable_bounds ||
-                 interval.contains(static_cast<double>(cand)));
-            const bool converges =
-                std::isfinite(fallback) &&
-                (!std::isfinite(original) ||
-                 std::abs(static_cast<double>(cand) -
-                          static_cast<double>(fallback)) <
-                     std::abs(static_cast<double>(original) -
-                              static_cast<double>(fallback)));
-            if (physical && converges) {
-              plane(x, y) = cand;
-              ++lane_bit[lane];
-            }
-          }
-        }
-
-        // Declared candidates must end up conforming; if the bit vote did
-        // not achieve that, the neighbourhood median does.
-        if (candidate && std::isfinite(fallback)) {
-          const float now = plane(x, y);
-          const bool conforming =
-              std::isfinite(now) &&
-              (!config_.enable_bounds ||
-               interval.contains(static_cast<double>(now))) &&
-              std::abs(static_cast<double>(now) -
-                       static_cast<double>(fallback)) <= 2.0 * tau;
-          if (!conforming) {
-            plane(x, y) = fallback;
-            ++lane_median[lane];
-          }
-        }
-        // No finite neighbour at all: leave the pixel as-is.
-      }
-    }
-  });
-  }
-  for (std::size_t l = 0; l < lanes; ++l) {
-    report.bit_corrected += lane_bit[l];
-    report.median_replaced += lane_median[l];
+    default:
+      detail::otis_phase23_swar(ctx, report);
+      break;
   }
   telemetry::counter("otis.bit_corrected").add(report.bit_corrected);
   telemetry::counter("otis.median_replaced").add(report.median_replaced);

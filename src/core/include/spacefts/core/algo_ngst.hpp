@@ -51,13 +51,13 @@ struct AlgoNgstConfig {
   /// 0 = one lane per hardware thread.  The output is bit-identical for
   /// every value (the row partition and per-pixel work are independent of
   /// the lane count); the differential harness (src/check) enforces this
-  /// against a naive scalar oracle.
+  /// against a naive serial oracle.
   std::size_t threads = 1;
   /// Compute kernel for the stack hot path (kernel.hpp): kAuto resolves to
-  /// the widest kernel this host supports; kScalar forces the per-series
-  /// reference implementation.  Every kernel produces bit-identical output
-  /// at every thread count.  The per-series entry points always run the
-  /// scalar reference.
+  /// the widest kernel this host supports.  Every kernel produces output
+  /// bit-identical to check::oracle_ngst_stack at every thread count.  The
+  /// per-series entry points do not dispatch; they run one series at a
+  /// time.
   Kernel kernel = Kernel::kAuto;
 };
 
@@ -69,14 +69,12 @@ struct NgstScratch {
   VoterMatrix<std::uint16_t> matrix;
   std::vector<std::uint16_t> sort_buf;   ///< nth_element workspace
   std::vector<std::uint16_t> voters;     ///< surviving voters of one pixel
-  /// Plausibility-gate neighbours: one series' (scalar path), or whole
-  /// lane groups' partner rows (vector kernels).
+  /// Plausibility-gate neighbours: one series' (per-series entry points),
+  /// or whole lane groups' partner rows (stack kernels).
   std::vector<std::uint16_t> partners;
-  std::vector<std::uint16_t> tile;       ///< coordinate-major gather buffer
-  /// Structure-of-arrays buffers for the vector kernels
-  /// (kSwar/kAvx2/kAvx512): frame-major tiles padded to a whole number of
-  /// lane groups, 32-byte aligned so AVX2 lane-group loads never split a
-  /// cache line.
+  /// Structure-of-arrays buffers for the stack kernels: frame-major tiles
+  /// padded to a whole number of lane groups, 32-byte aligned so AVX2
+  /// lane-group loads never split a cache line.
   common::AlignedVector<std::uint16_t> soa;       ///< frame-major tile
   common::AlignedVector<std::uint16_t> corr;      ///< per-readout corrections
   common::AlignedVector<std::uint16_t> vplus1;    ///< per-way per-lane V_val+1
@@ -119,9 +117,9 @@ class AlgoNgst {
   /// Preprocesses every coordinate of a temporal stack.
   ///
   /// Hot path: coordinates are processed in tile blocks — a tile of (x, y)
-  /// series is transposed into contiguous per-lane scratch, preprocessed
-  /// there, and scattered back — and rows are distributed over
-  /// `config().threads` lanes.  The steady-state path performs zero heap
+  /// series is gathered frame-major into per-lane scratch, voted there by
+  /// the dispatched kernel, and scattered back — and rows are distributed
+  /// over `config().threads` lanes.  The steady-state path performs zero heap
   /// allocations per pixel, and the output (pixels and report counters) is
   /// bit-identical for every thread count, including 1.
   [[nodiscard]] AlgoNgstReport preprocess(

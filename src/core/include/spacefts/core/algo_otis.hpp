@@ -55,12 +55,12 @@ struct AlgoOtisConfig {
   /// the voting phase reads from an immutable snapshot of the plane
   /// (Jacobi-style update), so no pixel's repair depends on sweep order.
   /// The differential harness (src/check) enforces this against a naive
-  /// scalar oracle.
+  /// serial oracle.
   std::size_t threads = 1;
   /// Compute kernel for the plane voting pass (kernel.hpp): kAuto resolves
-  /// to the widest kernel this host supports; kScalar forces the reference
-  /// implementation.  Output is bit-identical for every choice.  The
-  /// spectral (per-pixel wavelength-axis) pass always runs the reference.
+  /// to the widest kernel this host supports.  Output is bit-identical to
+  /// check::oracle_otis_plane for every choice.  The spectral (per-pixel
+  /// wavelength-axis) pass does not dispatch.
   Kernel kernel = Kernel::kAuto;
 };
 

@@ -5,10 +5,9 @@
 /// spatial voting pass are pure bitwise arithmetic over 16- and 32-bit
 /// words, so they admit data-parallel implementations of graded width:
 ///
-///   kScalar  the original per-series reference implementation — the code
-///            the golden oracles were written against, kept verbatim;
 ///   kSwar    portable SIMD-within-a-register over std::uint64_t (4 x u16
-///            or 2 x u32 lanes per word), no ISA requirements;
+///            or 2 x u32 lanes per word), no ISA requirements — the
+///            floor every host runs;
 ///   kAvx2    256-bit AVX2 intrinsics (16 x u16 or 8 x u32 lanes), only
 ///            compiled when SPACEFTS_SIMD=ON and only selected when the
 ///            host CPU reports AVX2;
@@ -18,11 +17,11 @@
 ///            CPU reports both AVX-512F and AVX-512BW.  NGST tiles are
 ///            padded to its 32-lane group; every other kernel pads to 16.
 ///
-/// Every kernel is specified to produce *bit-identical* output to kScalar —
-/// data, report counters, and window masks alike, at every thread count.
-/// The differential harness (src/check) enforces the contract by
-/// cross-comparing all available kernels against the naive golden oracle;
-/// tests/kernel_test.cpp byte-compares them directly.
+/// Every kernel is specified to produce *bit-identical* output to the naive
+/// serial references in src/check (check::oracle_ngst_stack,
+/// check::oracle_otis_plane) — data, report counters, and window masks
+/// alike, at every thread count.  The differential harness (src/check) and
+/// tests/kernel_test.cpp byte-compare every available kernel against them.
 ///
 /// Selection: configs default to kAuto, which resolves at runtime (CPUID)
 /// to the widest available kernel (kAvx512, else kAvx2, else kSwar).
@@ -36,16 +35,17 @@
 
 namespace spacefts::core {
 
-/// A voter-kernel variant.  Numeric values are stable (telemetry tags).
+/// A voter-kernel variant.  The numeric value only indexes the name table in
+/// kernel.cpp; everything outside the process (the --kernel flag, serve
+/// results, telemetry counters) carries the name.
 enum class Kernel : std::uint8_t {
-  kAuto = 0,    ///< resolve to the widest available kernel at runtime
-  kScalar = 1,  ///< per-series reference implementation
-  kSwar = 2,    ///< portable 64-bit SIMD-within-a-register
-  kAvx2 = 3,    ///< AVX2 intrinsics (requires CPU + build support)
-  kAvx512 = 4,  ///< AVX-512F/BW intrinsics (requires CPU + build support)
+  kAuto,    ///< resolve to the widest available kernel at runtime
+  kSwar,    ///< portable 64-bit SIMD-within-a-register
+  kAvx2,    ///< AVX2 intrinsics (requires CPU + build support)
+  kAvx512,  ///< AVX-512F/BW intrinsics (requires CPU + build support)
 };
 
-/// Stable lowercase name ("auto", "scalar", "swar", "avx2", "avx512").  The
+/// Stable lowercase name ("auto", "swar", "avx2", "avx512").  The
 /// returned pointer is a string literal (safe to hand to the telemetry
 /// registry).
 [[nodiscard]] const char* kernel_name(Kernel kernel) noexcept;
@@ -54,7 +54,7 @@ enum class Kernel : std::uint8_t {
 [[nodiscard]] bool parse_kernel(std::string_view text, Kernel& out) noexcept;
 
 /// True when \p kernel can execute on this host with this build:
-/// kScalar/kSwar always; kAvx2 and kAvx512 only when compiled in
+/// kSwar always; kAvx2 and kAvx512 only when compiled in
 /// (SPACEFTS_SIMD=ON) *and* the CPU reports every feature their TU uses.
 /// kAuto is always available (it resolves).
 [[nodiscard]] bool kernel_available(Kernel kernel) noexcept;
@@ -66,7 +66,7 @@ enum class Kernel : std::uint8_t {
 [[nodiscard]] Kernel resolve_kernel(Kernel requested) noexcept;
 
 /// Every concrete kernel available on this host, widest last
-/// ({kScalar, kSwar[, kAvx2][, kAvx512]}).  The cross-kernel differential
+/// ({kSwar[, kAvx2][, kAvx512]}).  The cross-kernel differential
 /// harness and the bench sweeps iterate this.
 [[nodiscard]] std::vector<Kernel> available_kernels();
 

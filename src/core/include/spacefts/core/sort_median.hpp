@@ -1,7 +1,7 @@
 /// \file sort_median.hpp
 /// Branchless small-array sorting for the plausibility gate's median.
 ///
-/// The scalar gate (algo_ngst.cpp) needs the median of the up to Υ partner
+/// The per-series gate (algo_ngst.cpp) needs the median of the up to Υ partner
 /// values it gathered for one correction candidate; the vector kernels
 /// (kernel_engine.hpp) run the same networks on whole lane groups.  The
 /// original insertion sort is data-dependent in both trip count and branch

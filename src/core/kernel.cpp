@@ -18,7 +18,6 @@ struct KernelNames {
 
 constexpr KernelNames kNames[] = {
     {"auto", "ngst.kernel.auto", "otis.kernel.auto"},
-    {"scalar", "ngst.kernel.scalar", "otis.kernel.scalar"},
     {"swar", "ngst.kernel.swar", "otis.kernel.swar"},
     {"avx2", "ngst.kernel.avx2", "otis.kernel.avx2"},
     {"avx512", "ngst.kernel.avx512", "otis.kernel.avx512"},
@@ -70,7 +69,6 @@ bool parse_kernel(std::string_view text, Kernel& out) noexcept {
 bool kernel_available(Kernel kernel) noexcept {
   switch (kernel) {
     case Kernel::kAuto:
-    case Kernel::kScalar:
     case Kernel::kSwar:
       return true;
     case Kernel::kAvx2:
@@ -91,7 +89,7 @@ Kernel resolve_kernel(Kernel requested) noexcept {
 }
 
 std::vector<Kernel> available_kernels() {
-  std::vector<Kernel> kernels{Kernel::kScalar, Kernel::kSwar};
+  std::vector<Kernel> kernels{Kernel::kSwar};
   if (host_has_avx2()) kernels.push_back(Kernel::kAvx2);
   if (host_has_avx512()) kernels.push_back(Kernel::kAvx512);
   return kernels;

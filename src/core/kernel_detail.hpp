@@ -81,7 +81,7 @@ struct OtisPhase23Ctx {
 };
 
 /// Appends bit_corrected / median_replaced to \p report.  Bit-identical to
-/// the scalar phases 2 + 3 at every lane count.
+/// check::oracle_otis_plane's phases 2 + 3 at every lane count.
 void otis_phase23_swar(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
 #if defined(SPACEFTS_HAVE_AVX2)
 void otis_phase23_avx2(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);

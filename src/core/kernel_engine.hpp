@@ -4,14 +4,16 @@
 /// Avx2Ops in kernel_avx2.cpp, Avx512Ops in kernel_avx512.cpp).  Internal
 /// header — include only from those TUs.
 ///
-/// # Bit-identity to the scalar reference
+/// # Bit-identity to the serial reference
 ///
-/// Every stage either performs the same integer arithmetic as the scalar
-/// code in a different order (XOR/AND/OR are associative and commutative;
+/// The reference is the serial per-series vote: AlgoNgst::preprocess(span)
+/// and the naive oracles in src/check (check::oracle_ngst_stack,
+/// check::oracle_otis_plane).  Every stage either performs the same integer
+/// arithmetic as that code in a different order (XOR/AND/OR are associative and commutative;
 /// the unanimous-AND and the GRT leave-one-out vote are symmetric functions
 /// of the voter multiset), or substitutes a provably equivalent algorithm:
 ///
-/// * **Threshold selection.**  The scalar path computes
+/// * **Threshold selection.**  The serial path computes
 ///   `q = nth_element(xors, rank)` and `v_val = q == 0 ? 0 : ceil_pow2(q)`.
 ///   The composed map x -> (x == 0 ? 0 : ceil_pow2(x)) is monotone
 ///   non-decreasing, so it commutes with order statistics:
@@ -43,10 +45,10 @@
 ///   min/max sort network (any full sort gives the same median; interior
 ///   rows of Υ = 4 and 8 keep the network in registers),
 ///   dev = |self − med| as `subs(self, med) | subs(med, self)`, and the top
-///   corrected weight w by bit-smearing.  The scalar test 4·dev >= 3·w is
+///   corrected weight w by bit-smearing.  The serial test 4·dev >= 3·w is
 ///   dev >= ceil(3w/4) = w − (w >> 2) for every power of two w (w = 1, 2
 ///   round up; w >= 4 divides exactly).  Rows run in readout order and a
-///   lane reads only its own series, so the sequencing matches the scalar
+///   lane reads only its own series, so the sequencing matches the serial
 ///   reference lane by lane.
 ///
 /// The cross-kernel differential harness (src/check) and
@@ -334,7 +336,7 @@ struct OtisWay {
 
 /// Phase 2: dynamic thresholds from clean pairs, via the exact histogram
 /// selection.  Returns have_thresholds (false when any way has fewer than 8
-/// clean pairs, same bail-out and way order as the scalar reference).
+/// clean pairs, same bail-out and way order as the serial reference).
 [[nodiscard]] inline bool otis_thresholds(const common::Image<float>& plane,
                                           const common::Image<std::uint8_t>& state,
                                           const AlgoOtisConfig& cfg,
@@ -392,8 +394,8 @@ struct OtisWay {
   return have;
 }
 
-/// Scalar correction vector for one pixel — the reference voter loop
-/// verbatim; used for the edge columns the vector path cannot load safely.
+/// Correction vector for one pixel, one lane at a time — the reference
+/// voter loop verbatim; used for the edge columns the vector path cannot load safely.
 [[nodiscard]] inline std::uint32_t otis_corr_scalar(
     const common::Image<float>& source, const common::Image<std::uint8_t>& state,
     const std::vector<OtisWay>& ways, std::size_t x, std::size_t y,

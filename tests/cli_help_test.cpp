@@ -163,6 +163,8 @@ std::vector<ExitCase> exit_cases() {
        "--no-retries: unknown flag"},
       {"linger_ms_removed", "serve --linger-ms 1", 3,
        "--linger-ms: unknown flag"},
+      {"kernel_scalar_removed", "ingest in.fits out.fits --kernel scalar", 3,
+       "--kernel"},
       // Output paths are probed before the run: a typo'd directory is a
       // bad flag value, not a failure discovered after the compute.
       {"bad_path_serve_trace",

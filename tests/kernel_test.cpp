@@ -1,10 +1,10 @@
-// Kernel parity: every compute kernel (scalar reference, portable SWAR,
-// AVX2 and AVX-512 where the host supports them) must produce
-// byte-identical data and identical reports, for every thread count, over
-// adversarial shapes — odd tile remainders, every Υ the check harness
-// fuzzes, masked window-C edges, and the ablation switch combinations.
-// This is the contract the runtime dispatch seam (core/kernel.hpp) rests
-// on.
+// Kernel parity: every compute kernel (portable SWAR, AVX2 and AVX-512
+// where the host supports them) must produce data and reports
+// byte-identical to the naive serial oracles (check::oracle_ngst_stack,
+// check::oracle_otis_plane), for every thread count, over adversarial
+// shapes — odd tile remainders, every Υ the check harness fuzzes, masked
+// window-C edges, and the ablation switch combinations.  This is the
+// contract the runtime dispatch seam (core/kernel.hpp) rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "spacefts/check/oracle.hpp"
 #include "spacefts/common/bitops.hpp"
 #include "spacefts/common/image.hpp"
 #include "spacefts/core/algo_ngst.hpp"
@@ -72,19 +73,16 @@ void expect_ngst_reports_equal(const AlgoNgstReport& a, const AlgoNgstReport& b,
 }
 
 /// Runs the same stack through every available kernel at several thread
-/// counts and byte-compares everything against the scalar single-thread
-/// reference output.
+/// counts and byte-compares everything against the oracle's output.
 void check_ngst_parity(const AlgoNgstConfig& base, std::size_t w,
                        std::size_t h, std::size_t frames, std::uint32_t seed,
                        int upset_one_in = 200) {
   const TemporalStack<std::uint16_t> pristine =
       make_stack(w, h, frames, seed, upset_one_in);
 
-  AlgoNgstConfig ref_cfg = base;
-  ref_cfg.kernel = Kernel::kScalar;
-  ref_cfg.threads = 1;
   TemporalStack<std::uint16_t> golden = pristine;
-  const AlgoNgstReport golden_report = AlgoNgst(ref_cfg).preprocess(golden);
+  const AlgoNgstReport golden_report =
+      spacefts::check::oracle_ngst_stack(golden, base);
 
   for (const Kernel kernel : spacefts::core::available_kernels()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
@@ -107,8 +105,8 @@ void check_ngst_parity(const AlgoNgstConfig& base, std::size_t w,
 }
 
 TEST(KernelDispatch, NamesRoundTrip) {
-  for (const Kernel k : {Kernel::kAuto, Kernel::kScalar, Kernel::kSwar,
-                         Kernel::kAvx2, Kernel::kAvx512}) {
+  for (const Kernel k :
+       {Kernel::kAuto, Kernel::kSwar, Kernel::kAvx2, Kernel::kAvx512}) {
     Kernel parsed = Kernel::kAuto;
     ASSERT_TRUE(
         spacefts::core::parse_kernel(spacefts::core::kernel_name(k), parsed));
@@ -119,8 +117,8 @@ TEST(KernelDispatch, NamesRoundTrip) {
 }
 
 TEST(KernelDispatch, ResolveNeverReturnsAutoOrUnavailable) {
-  for (const Kernel k : {Kernel::kAuto, Kernel::kScalar, Kernel::kSwar,
-                         Kernel::kAvx2, Kernel::kAvx512}) {
+  for (const Kernel k :
+       {Kernel::kAuto, Kernel::kSwar, Kernel::kAvx2, Kernel::kAvx512}) {
     const Kernel resolved = spacefts::core::resolve_kernel(k);
     EXPECT_NE(resolved, Kernel::kAuto);
     EXPECT_TRUE(spacefts::core::kernel_available(resolved));
@@ -129,9 +127,8 @@ TEST(KernelDispatch, ResolveNeverReturnsAutoOrUnavailable) {
 
 TEST(KernelDispatch, AvailableKernelsAlwaysIncludePortableOnes) {
   const auto kernels = spacefts::core::available_kernels();
-  ASSERT_GE(kernels.size(), 2u);
-  EXPECT_EQ(kernels[0], Kernel::kScalar);
-  EXPECT_EQ(kernels[1], Kernel::kSwar);
+  ASSERT_GE(kernels.size(), 1u);
+  EXPECT_EQ(kernels[0], Kernel::kSwar);
 }
 
 TEST(KernelDispatch, AutoPicksAvx512WhenTheHostHasIt) {
@@ -151,8 +148,8 @@ TEST(KernelDispatch, CountersNameTheKernelThatRan) {
   st::set_enabled(true);
   TemporalStack<std::uint16_t> stack = make_stack(20, 3, 8, 5);
   Image<float> plane(20, 9, 5.0f);
-  for (const Kernel kernel : {Kernel::kAuto, Kernel::kScalar, Kernel::kSwar,
-                              Kernel::kAvx2, Kernel::kAvx512}) {
+  for (const Kernel kernel :
+       {Kernel::kAuto, Kernel::kSwar, Kernel::kAvx2, Kernel::kAvx512}) {
     const Kernel ran = spacefts::core::resolve_kernel(kernel);
     const std::string name = spacefts::core::kernel_name(ran);
     auto& ngst = st::counter(("ngst.kernel." + name).c_str());
@@ -228,47 +225,56 @@ TEST(KernelParity, NgstTinyAndDegenerateShapes) {
 }
 
 TEST(KernelParity, NgstSkippedSweepLeavesStackAndReport) {
-  // Λ = 0 and fewer than three readouts skip the stack sweep.  On the
-  // scalar series path and the vector tile path alike the stack keeps its
-  // bytes, the report counts every voxel as examined and nothing else, and
-  // the telemetry counters see the same four calls as after a sweep.
+  // Λ = 0 and fewer than three readouts skip the stack sweep.  On every
+  // kernel, at 1 and 3 threads, the stack keeps its bytes and the report is
+  // the oracle's (every voxel examined, nothing else), and the telemetry
+  // counters see the same four calls as after a sweep.
   namespace st = spacefts::telemetry;
   struct Case {
     double lambda;
     std::size_t frames;
   };
   for (const Case c : {Case{0.0, 8}, Case{80.0, 2}}) {
-    for (const Kernel kernel : {Kernel::kScalar, Kernel::kSwar}) {
-      st::reset();
-      st::set_enabled(true);
-      const TemporalStack<std::uint16_t> pristine =
-          make_stack(70, 5, c.frames, 21, /*upset_one_in=*/10);
-      AlgoNgstConfig cfg;
-      cfg.lambda = c.lambda;
-      cfg.kernel = kernel;
-      TemporalStack<std::uint16_t> stack = pristine;
-      const AlgoNgstReport report = AlgoNgst(cfg).preprocess(stack);
-      const std::string label = std::string("kernel=") +
-                                spacefts::core::kernel_name(kernel) +
-                                " frames=" + std::to_string(c.frames);
-      AlgoNgstReport want;
-      want.pixels_examined = 70 * 5 * c.frames;
-      expect_ngst_reports_equal(want, report, label.c_str());
-      EXPECT_TRUE(std::ranges::equal(stack.cube().voxels(),
-                                     pristine.cube().voxels()))
-          << label;
-      if (st::kCompiledIn) {
-        const std::string name = spacefts::core::kernel_name(kernel);
-        EXPECT_EQ(st::counter(("ngst.kernel." + name).c_str()).value(), 1u)
+    const TemporalStack<std::uint16_t> pristine =
+        make_stack(70, 5, c.frames, 21, /*upset_one_in=*/10);
+    AlgoNgstConfig cfg;
+    cfg.lambda = c.lambda;
+    TemporalStack<std::uint16_t> golden = pristine;
+    const AlgoNgstReport want =
+        spacefts::check::oracle_ngst_stack(golden, cfg);
+    ASSERT_EQ(want.pixels_examined, 70 * 5 * c.frames);
+    ASSERT_EQ(want.pixels_corrected + want.pixels_vetoed, 0u);
+    ASSERT_TRUE(std::ranges::equal(golden.cube().voxels(),
+                                   pristine.cube().voxels()));
+    for (const Kernel kernel : spacefts::core::available_kernels()) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        st::reset();
+        st::set_enabled(true);
+        cfg.kernel = kernel;
+        cfg.threads = threads;
+        TemporalStack<std::uint16_t> stack = pristine;
+        const AlgoNgstReport report = AlgoNgst(cfg).preprocess(stack);
+        const std::string label = std::string("kernel=") +
+                                  spacefts::core::kernel_name(kernel) +
+                                  " threads=" + std::to_string(threads) +
+                                  " frames=" + std::to_string(c.frames);
+        expect_ngst_reports_equal(want, report, label.c_str());
+        EXPECT_TRUE(std::ranges::equal(stack.cube().voxels(),
+                                       pristine.cube().voxels()))
             << label;
-        for (const char* counter : {"ngst.pixels_corrected",
-                                    "ngst.bits_corrected",
-                                    "voter.gate_vetoed"}) {
-          EXPECT_EQ(st::counter(counter).value(), 0u) << label << counter;
+        if (st::kCompiledIn) {
+          const std::string name = spacefts::core::kernel_name(kernel);
+          EXPECT_EQ(st::counter(("ngst.kernel." + name).c_str()).value(), 1u)
+              << label;
+          for (const char* counter : {"ngst.pixels_corrected",
+                                      "ngst.bits_corrected",
+                                      "voter.gate_vetoed"}) {
+            EXPECT_EQ(st::counter(counter).value(), 0u) << label << counter;
+          }
         }
+        st::set_enabled(false);
+        st::reset();
       }
-      st::set_enabled(false);
-      st::reset();
     }
   }
 }
@@ -291,14 +297,14 @@ TEST(KernelParity, NgstDenseGateAtSeriesEdges) {
       const auto seed = 200 + static_cast<std::uint32_t>(upsilon);
       check_ngst_parity(cfg, 37, 6, kFrames, seed, /*upset_one_in=*/20);
 
-      // The edge rows are exercised: the reference corrects voxels there
-      // (at Υ = 2 an edge row has a single voter and never corrects), and
-      // with the gate on it also vetoes.
+      // The edge rows are exercised: the oracle corrects voxels there (at
+      // Υ = 2 an edge row has a single voter and never corrects), and with
+      // the gate on it also vetoes.
       const TemporalStack<std::uint16_t> pristine =
           make_stack(37, 6, kFrames, seed, 20);
       TemporalStack<std::uint16_t> golden = pristine;
-      cfg.kernel = Kernel::kScalar;
-      const AlgoNgstReport report = AlgoNgst(cfg).preprocess(golden);
+      const AlgoNgstReport report =
+          spacefts::check::oracle_ngst_stack(golden, cfg);
       std::size_t edge_changes = 0;
       for (std::size_t t = 0; t < kFrames; ++t) {
         if (t >= upsilon / 2 && t < kFrames - upsilon / 2) continue;
@@ -327,19 +333,29 @@ TEST(KernelParity, NgstThresholdCountsPastU16) {
 }
 
 /// A plane with a smooth gradient, a hot plateau (trend protection), some
-/// bit-flip faults, and an out-of-bounds spike.
-Image<float> make_plane(std::size_t w, std::size_t h, std::uint32_t seed) {
+/// bit-flip faults, and an out-of-bounds spike.  With \p nudge_one_in > 0,
+/// one pixel in that many also moves by ±[0.15, 0.6], one to five times
+/// the conformance threshold τ at the default Λ, so fault candidates land
+/// on both sides of the 2τ bound that sends them to the median fallback.
+Image<float> make_plane(std::size_t w, std::size_t h, std::uint32_t seed,
+                        int nudge_one_in = 0) {
   Image<float> plane(w, h, 0.0f);
   std::mt19937 rng(seed);
   std::uniform_real_distribution<float> noise(-0.05f, 0.05f);
   std::uniform_int_distribution<int> upset(0, 149);
   std::uniform_int_distribution<int> bit(20, 30);
+  std::uniform_int_distribution<int> nudge(0, std::max(nudge_one_in, 1) - 1);
+  std::uniform_real_distribution<float> nudge_size(0.15f, 0.6f);
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
       float v = 5.0f + 0.01f * static_cast<float>(x) +
                 0.02f * static_cast<float>(y) + noise(rng);
       if (x > w / 2 && x < w / 2 + 4 && y > h / 2 && y < h / 2 + 4) {
         v += 3.0f;  // plateau anomaly: trend test should protect its rim
+      }
+      if (nudge_one_in > 0 && nudge(rng) == 0) {
+        const float d = nudge_size(rng);
+        v += (rng() & 1u) != 0 ? d : -d;
       }
       if (upset(rng) == 0) {
         const std::uint32_t bits = spacefts::common::float_to_bits(v);
@@ -364,16 +380,14 @@ void expect_otis_reports_equal(const AlgoOtisReport& a, const AlgoOtisReport& b,
 }
 
 void check_otis_parity(const AlgoOtisConfig& base, std::size_t w,
-                       std::size_t h, std::uint32_t seed) {
-  const Image<float> pristine = make_plane(w, h, seed);
+                       std::size_t h, std::uint32_t seed,
+                       int nudge_one_in = 0) {
+  const Image<float> pristine = make_plane(w, h, seed, nudge_one_in);
   constexpr double kWavelengthUm = 10.0;
 
-  AlgoOtisConfig ref_cfg = base;
-  ref_cfg.kernel = Kernel::kScalar;
-  ref_cfg.threads = 1;
   Image<float> golden = pristine;
   const AlgoOtisReport golden_report =
-      AlgoOtis(ref_cfg).preprocess_plane(golden, kWavelengthUm);
+      spacefts::check::oracle_otis_plane(golden, kWavelengthUm, base);
 
   for (const Kernel kernel : spacefts::core::available_kernels()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
@@ -412,6 +426,18 @@ TEST(KernelParity, OtisUpsilonSweepAndOddWidths) {
     cfg.upsilon = upsilon;
     cfg.lambda = 70.0;
     check_otis_parity(cfg, 37, 19, 60 + static_cast<std::uint32_t>(upsilon));
+  }
+}
+
+TEST(KernelParity, OtisModerateOutliersAtTheFallbackBound) {
+  // The other planes' bit flips move a pixel far past 2τ, the bound that
+  // sends an unrepaired candidate to the median fallback; nudges of one to
+  // five τ put candidates on both sides of it.
+  for (const double lambda : {50.0, 80.0}) {
+    AlgoOtisConfig cfg;
+    cfg.lambda = lambda;
+    check_otis_parity(cfg, 41, 29, 70 + static_cast<std::uint32_t>(lambda),
+                      /*nudge_one_in=*/12);
   }
 }
 

@@ -393,7 +393,7 @@ class Cli {
 };
 
 std::vector<Flag> kernel_flags(Kernel& kernel) {
-  return {{"--kernel", &kernel, "auto|scalar|swar|avx2|avx512",
+  return {{"--kernel", &kernel, "auto|swar|avx2|avx512",
            "voter kernel (output is identical for every kernel)"}};
 }
 
