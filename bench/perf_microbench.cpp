@@ -324,24 +324,25 @@ void BM_IngestGuardPack(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestGuardPack)->Apply(ingest_shapes);
 
-/// FitsFile::parse of a packed 256x256 baseline of 1, 8 or 64 readouts:
-/// payloads are views of the input, so the time follows the header count,
-/// not the payload bytes (items = HDUs).
+/// FitsFile::parse of a packed width x height x frames stack: 256x256
+/// baselines of 1, 8 or 64 readouts and the telemetry_chain bank.  Payloads
+/// are views of the input and a run of equal headers is parsed once, so
+/// the time follows the distinct header count and the HDU count, not the
+/// payload bytes (items = HDUs).
 void BM_FitsFileParse(benchmark::State& state) {
-  spacefts::datagen::NgstSimulator sim(0xBEEF9);
-  spacefts::datagen::SceneParams scene;
-  scene.width = 256;
-  scene.height = 256;
-  const auto frames = static_cast<std::size_t>(state.range(0));
-  const auto bytes =
-      spacefts::ingest::IngestGuard::pack(sim.stack(frames, scene));
+  const auto stack = ingest_stack(state);
+  const auto bytes = spacefts::ingest::IngestGuard::pack(stack);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spacefts::fits::FitsFile::parse(bytes));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(frames));
+                          static_cast<std::int64_t>(stack.frames()));
 }
-BENCHMARK(BM_FitsFileParse)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_FitsFileParse)
+    ->Args({256, 256, 1})
+    ->Args({256, 256, 8})
+    ->Args({256, 256, 64})
+    ->Args({256, 1, 1024});
 
 /// The container path of ingest: parse, Λ=0 sanity over every HDU, decode.
 /// Λ = 0 keeps the voter out, so this is the FITS cost alone.

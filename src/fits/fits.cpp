@@ -179,6 +179,23 @@ void encode_image(char* out, std::string_view keyword, std::string_view value,
   return std::string_view::npos;
 }
 
+/// \p data as characters.
+[[nodiscard]] std::string_view chars_of(
+    std::span<const std::uint8_t> data) noexcept {
+  return {reinterpret_cast<const char*>(data.data()), data.size()};
+}
+
+/// Offset of the first END card at or after \p offset.  A header ends
+/// there: Header::parse reads no further.
+/// \throws FitsError when no whole card of \p bytes is one.
+[[nodiscard]] std::size_t end_card(std::string_view bytes,
+                                   std::size_t offset) {
+  for (; offset + kCardSize <= bytes.size(); offset += kCardSize) {
+    if (keyword_of(bytes.substr(offset, kCardSize)) == "END") return offset;
+  }
+  throw FitsError("Header::parse: no END card");
+}
+
 /// The value field of the first card keyed \p keyword (empty when that
 /// card has none), or nullopt when there is no such card.
 [[nodiscard]] std::optional<std::string_view> value_of(
@@ -219,19 +236,28 @@ Card Card::decode(std::string_view raw) {
 
 // -------------------------------------------------------------------- Header
 
+std::string& Header::own() {
+  if (!images_ || images_->shared.load(std::memory_order_relaxed)) {
+    auto fresh = std::make_shared<Images>();
+    if (images_) fresh->cards = images_->cards;
+    images_ = std::move(fresh);
+  }
+  return images_->cards;
+}
+
 void Header::put(std::string_view keyword, std::string_view value,
                  std::string_view comment) {
   char image[kCardSize];
   encode_image(image, keyword, value, comment, /*fold_case=*/true);
   const std::string_view key = keyword_of(std::string_view(image, kCardSize));
   if (!is_commentary(key)) {
-    if (const std::size_t at = find_card(images_, key);
+    if (const std::size_t at = find_card(images(), key);
         at != std::string_view::npos) {
-      images_.replace(at, kCardSize, image, kCardSize);
+      own().replace(at, kCardSize, image, kCardSize);
       return;
     }
   }
-  images_.append(image, kCardSize);
+  own().append(image, kCardSize);
 }
 
 void Header::set(const Card& card) {
@@ -278,14 +304,14 @@ void Header::set_string(std::string_view keyword, std::string_view value,
 }
 
 std::optional<bool> Header::get_logical(std::string_view keyword) const {
-  const auto v = value_of(images_, keyword);
+  const auto v = value_of(images(), keyword);
   if (v == "T") return true;
   if (v == "F") return false;
   return std::nullopt;
 }
 
 std::optional<std::int64_t> Header::get_int(std::string_view keyword) const {
-  const auto v = value_of(images_, keyword);
+  const auto v = value_of(images(), keyword);
   if (!v) return std::nullopt;
   std::int64_t out = 0;
   const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
@@ -294,7 +320,7 @@ std::optional<std::int64_t> Header::get_int(std::string_view keyword) const {
 }
 
 std::optional<double> Header::get_double(std::string_view keyword) const {
-  const auto v = value_of(images_, keyword);
+  const auto v = value_of(images(), keyword);
   if (!v || v->empty()) return std::nullopt;
   // strtod needs a terminator; a value field is at most 70 characters.
   char buf[kCardSize + 1];
@@ -307,7 +333,7 @@ std::optional<double> Header::get_double(std::string_view keyword) const {
 }
 
 std::optional<std::string> Header::get_string(std::string_view keyword) const {
-  auto v = value_of(images_, keyword);
+  auto v = value_of(images(), keyword);
   if (!v || v->size() < 2 || v->front() != '\'' || v->back() != '\'') {
     return std::nullopt;
   }
@@ -322,48 +348,46 @@ std::optional<std::string> Header::get_string(std::string_view keyword) const {
 }
 
 bool Header::contains(std::string_view keyword) const {
-  return find_card(images_, keyword) != std::string_view::npos;
+  return find_card(images(), keyword) != std::string_view::npos;
 }
 
 void Header::erase(std::string_view keyword) {
   std::size_t at;
-  while ((at = find_card(images_, keyword)) != std::string_view::npos) {
-    images_.erase(at, kCardSize);
+  while ((at = find_card(images(), keyword)) != std::string_view::npos) {
+    own().erase(at, kCardSize);
   }
 }
 
 void Header::serialize_to(std::vector<std::uint8_t>& out) const {
   const std::size_t start = out.size();
-  out.insert(out.end(), images_.begin(), images_.end());
+  const std::string_view cards = images();
+  out.insert(out.end(), cards.begin(), cards.end());
   static constexpr std::string_view kEnd = "END";
   out.insert(out.end(), kEnd.begin(), kEnd.end());
   // The rest of the END card and of its block are spaces.
-  out.resize(start + block_padded(images_.size() + kCardSize), ' ');
+  out.resize(start + block_padded(cards.size() + kCardSize), ' ');
 }
 
 std::vector<std::uint8_t> Header::serialize() const {
   std::vector<std::uint8_t> out;
-  out.reserve(block_padded(images_.size() + kCardSize));
+  out.reserve(block_padded(images().size() + kCardSize));
   serialize_to(out);
   return out;
 }
 
 Header Header::parse(std::span<const std::uint8_t> data, std::size_t& offset) {
-  const std::string_view bytes(reinterpret_cast<const char*>(data.data()),
-                               data.size());
-  std::size_t end = offset;
-  while (end + kCardSize <= bytes.size() &&
-         keyword_of(bytes.substr(end, kCardSize)) != "END") {
-    end += kCardSize;
-  }
-  if (end + kCardSize > bytes.size()) {
-    throw FitsError("Header::parse: no END card");
-  }
+  const std::string_view bytes = chars_of(data);
+  return parse_until(bytes, offset, end_card(bytes, offset));
+}
+
+Header Header::parse_until(std::string_view bytes, std::size_t& offset,
+                           std::size_t end) {
   Header header;
-  header.images_.reserve(end - offset);
+  std::string& cards = header.own();
+  cards.reserve(end - offset);
   for (; offset < end; offset += kCardSize) {
     const std::string_view image = bytes.substr(offset, kCardSize);
-    if (!is_blank(image)) header.images_.append(image);
+    if (!is_blank(image)) cards.append(image);
   }
   // Skip the END card and the rest of its block.
   offset = block_padded(end + kCardSize);
@@ -425,19 +449,37 @@ std::vector<std::uint8_t> FitsFile::serialize() const {
 FitsFile FitsFile::parse(std::span<const std::uint8_t> bytes) {
   FitsFile file;
   std::size_t offset = 0;
+  // The last parsed header's bytes through its END card, and the size of
+  // its data unit.  Header::parse reads nothing past the END card, so an
+  // HDU that starts with the same bytes has the same header and size: a
+  // run of equal readout headers is parsed once and copied.  A tail too
+  // short to compare gets the full parse and its errors.
+  std::span<const std::uint8_t> head;
+  std::size_t size = 0;
   while (offset + kCardSize <= bytes.size()) {
     Hdu hdu;
-    hdu.header = Header::parse(bytes, offset);
-    const auto size = data_size_of(hdu.header);
-    if (!size) {
-      throw FitsError("FitsFile::parse: cannot size data unit (damaged header?)");
+    if (!head.empty() && head.size() <= bytes.size() - offset &&
+        std::memcmp(bytes.data() + offset, head.data(), head.size()) == 0) {
+      hdu.header = file.hdus_.back().header;
+      offset = block_padded(offset + head.size());
+    } else {
+      const std::string_view chars = chars_of(bytes);
+      const std::size_t end = end_card(chars, offset);
+      head = bytes.subspan(offset, end + kCardSize - offset);
+      hdu.header = Header::parse_until(chars, offset, end);
+      const auto sized = data_size_of(hdu.header);
+      if (!sized) {
+        throw FitsError(
+            "FitsFile::parse: cannot size data unit (damaged header?)");
+      }
+      size = *sized;
     }
     // The END card's block may run past a truncated input.
-    if (offset > bytes.size() || *size > bytes.size() - offset) {
+    if (offset > bytes.size() || size > bytes.size() - offset) {
       throw FitsError("FitsFile::parse: truncated data unit");
     }
-    hdu.data = Payload(bytes.subspan(offset, *size));
-    offset += *size;
+    hdu.data = Payload(bytes.subspan(offset, size));
+    offset += size;
     if (offset % kBlockSize != 0) {
       offset += std::min(bytes.size() - offset, kBlockSize - offset % kBlockSize);
     }
@@ -491,38 +533,11 @@ Hdu make_image_hdu(const common::Image<std::uint16_t>& image, bool primary) {
 
 namespace {
 
-/// Geometry and offset of a decodable BITPIX=16 HDU.
-struct U16Layout {
-  std::size_t width = 0;
-  std::size_t height = 0;
-  std::int32_t bzero = 0;
-};
-
-/// Validates \p hdu for read_image_u16: a 16-bit image header, a payload of
-/// at least NAXIS1*NAXIS2*2 bytes, and a finite integral BZERO.  Past ±2^17
-/// every stored value clamps to the same end of [0, 65535], so BZERO
-/// saturates there and the per-pixel sum stays an exact int32.
-[[nodiscard]] U16Layout u16_layout(const Hdu& hdu) {
-  const auto bitpix = hdu.header.get_int("BITPIX");
-  const auto naxis1 = hdu.header.get_int("NAXIS1");
-  const auto naxis2 = hdu.header.get_int("NAXIS2");
-  if (!bitpix || *bitpix != 16 || !naxis1 || !naxis2 || *naxis1 <= 0 ||
-      *naxis2 <= 0) {
-    throw FitsError("read_image_u16: header does not describe a 16-bit image");
-  }
-  U16Layout layout;
-  layout.width = static_cast<std::size_t>(*naxis1);
-  layout.height = static_cast<std::size_t>(*naxis2);
-  // Divide rather than multiply: header axes can make w*h*2 wrap.
-  if (layout.height > hdu.data.size() / 2 / layout.width) {
-    throw FitsError("read_image_u16: short data unit");
-  }
-  const double bzero = hdu.header.get_double("BZERO").value_or(0.0);
-  if (!std::isfinite(bzero) || bzero != std::trunc(bzero)) {
-    throw FitsError("read_image_u16: BZERO must be a finite integer");
-  }
-  layout.bzero = static_cast<std::int32_t>(std::clamp(bzero, -131072.0, 131072.0));
-  return layout;
+/// True when \p data holds a \p width x \p height 16-bit image.
+/// Divides rather than multiplies: header axes can make w*h*2 wrap.
+[[nodiscard]] bool holds_image(const Payload& data, std::size_t width,
+                               std::size_t height) noexcept {
+  return width == 0 || height <= data.size() / 2 / width;
 }
 
 /// physical = clamp(stored + BZERO, 0, 65535) per big-endian stored value;
@@ -557,21 +572,49 @@ void decode_u16(const std::uint8_t* data, std::int32_t bzero,
 
 }  // namespace
 
-std::pair<std::size_t, std::size_t> image_u16_shape(const Hdu& hdu) {
-  const U16Layout layout = u16_layout(hdu);
-  return {layout.width, layout.height};
+/// Validates \p hdu for read_image_u16: a 16-bit image header, a payload of
+/// at least NAXIS1*NAXIS2*2 bytes, and a finite integral BZERO.  Past ±2^17
+/// every stored value clamps to the same end of [0, 65535], so BZERO
+/// saturates there and the per-pixel sum stays an exact int32.
+U16Layout image_u16_layout(const Hdu& hdu) {
+  const auto bitpix = hdu.header.get_int("BITPIX");
+  const auto naxis1 = hdu.header.get_int("NAXIS1");
+  const auto naxis2 = hdu.header.get_int("NAXIS2");
+  if (!bitpix || *bitpix != 16 || !naxis1 || !naxis2 || *naxis1 <= 0 ||
+      *naxis2 <= 0) {
+    throw FitsError("read_image_u16: header does not describe a 16-bit image");
+  }
+  U16Layout layout;
+  layout.width = static_cast<std::size_t>(*naxis1);
+  layout.height = static_cast<std::size_t>(*naxis2);
+  if (!holds_image(hdu.data, layout.width, layout.height)) {
+    throw FitsError("read_image_u16: short data unit");
+  }
+  const double bzero = hdu.header.get_double("BZERO").value_or(0.0);
+  if (!std::isfinite(bzero) || bzero != std::trunc(bzero)) {
+    throw FitsError("read_image_u16: BZERO must be a finite integer");
+  }
+  layout.bzero = static_cast<std::int32_t>(std::clamp(bzero, -131072.0, 131072.0));
+  return layout;
 }
 
-void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out) {
-  const U16Layout layout = u16_layout(hdu);
+void read_image_u16(const Hdu& hdu, const U16Layout& layout,
+                    std::span<std::uint16_t> out) {
+  if (!holds_image(hdu.data, layout.width, layout.height)) {
+    throw FitsError("read_image_u16: short data unit");
+  }
   if (out.size() != layout.width * layout.height) {
     throw FitsError("read_image_u16: destination size differs from the image");
   }
   decode_u16(hdu.data.data(), layout.bzero, out);
 }
 
+void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out) {
+  read_image_u16(hdu, image_u16_layout(hdu), out);
+}
+
 common::Image<std::uint16_t> read_image_u16(const Hdu& hdu) {
-  const U16Layout layout = u16_layout(hdu);
+  const U16Layout layout = image_u16_layout(hdu);
   common::Image<std::uint16_t> img(layout.width, layout.height);
   decode_u16(hdu.data.data(), layout.bzero, img.pixels());
   return img;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -70,9 +71,20 @@ struct Card {
 
 /// An ordered FITS header, held as the 80-character card images it has on
 /// the wire: setters encode straight into an image, getters read the value
-/// field of the image in place, and parse/serialize copy images.
+/// field of the image in place, and parse/serialize copy images.  Copies of
+/// a header share its images until one of them changes (copy on write), so
+/// a run of equal readout headers holds one set of images.
 class Header {
  public:
+  Header() = default;
+  Header(const Header& other) noexcept : images_(other.share()) {}
+  Header& operator=(const Header& other) noexcept {
+    images_ = other.share();
+    return *this;
+  }
+  Header(Header&&) noexcept = default;
+  Header& operator=(Header&&) noexcept = default;
+
   /// Appends or replaces a card by keyword (COMMENT/HISTORY always append).
   /// The keyword is uppercased; what the header reads back is exactly what
   /// serialize() writes (a keyword past 8 characters or a field past
@@ -101,11 +113,11 @@ class Header {
 
   /// Number of cards (END and blank cards are not kept).
   [[nodiscard]] std::size_t size() const noexcept {
-    return images_.size() / kCardSize;
+    return images().size() / kCardSize;
   }
   /// The 80-character image of card \p i, in header order.
   [[nodiscard]] std::string_view card(std::size_t i) const noexcept {
-    return std::string_view(images_).substr(i * kCardSize, kCardSize);
+    return images().substr(i * kCardSize, kCardSize);
   }
 
   /// Serializes to one or more 2880-byte blocks ending with END.
@@ -118,11 +130,40 @@ class Header {
   [[nodiscard]] static Header parse(std::span<const std::uint8_t> data,
                                     std::size_t& offset);
 
+  /// Equal card images, in the same order; shared images compare at once.
+  friend bool operator==(const Header& a, const Header& b) noexcept {
+    return a.images_ == b.images_ || a.images() == b.images();
+  }
+
  private:
+  /// size() card images of kCardSize characters each.  Once a copy has
+  /// shared them they are never written again: a change goes to a fresh
+  /// copy, so no header reads images another thread is changing.
+  struct Images {
+    std::string cards;
+    std::atomic<bool> shared{false};
+  };
+
+  [[nodiscard]] std::string_view images() const noexcept {
+    return images_ ? std::string_view(images_->cards) : std::string_view();
+  }
+  /// images_ for a copy, marked shared.
+  [[nodiscard]] std::shared_ptr<Images> share() const noexcept {
+    if (images_) images_->shared.store(true, std::memory_order_relaxed);
+    return images_;
+  }
+  /// The card images, written by no other header, for a change.
+  [[nodiscard]] std::string& own();
+  /// parse() with the END card already found at \p end; FitsFile::parse
+  /// also needs where it is.
+  friend class FitsFile;
+  [[nodiscard]] static Header parse_until(std::string_view bytes,
+                                          std::size_t& offset,
+                                          std::size_t end);
   void put(std::string_view keyword, std::string_view value,
            std::string_view comment);
 
-  std::string images_;  ///< size() card images of kCardSize characters each
+  std::shared_ptr<Images> images_;  ///< null when there are no cards yet
 };
 
 /// A read-only data unit.  Its bytes are either its own (an HDU built in
@@ -205,10 +246,19 @@ class FitsFile {
 void write_image_u16(std::span<const std::uint16_t> pixels,
                      std::uint8_t* out) noexcept;
 
-/// The width and height (NAXIS1, NAXIS2) read_image_u16 decodes \p hdu to.
+/// Geometry and offset of a decodable BITPIX=16 HDU: NAXIS1, NAXIS2 and
+/// BZERO as read_image_u16 applies them.
+struct U16Layout {
+  std::size_t width = 0;
+  std::size_t height = 0;
+  std::int32_t bzero = 0;
+};
+
+/// The layout read_image_u16 decodes \p hdu with.  It depends on nothing
+/// but the header and the payload length, so it holds for every HDU with
+/// an equal header and payload length.
 /// \throws FitsError exactly when read_image_u16 would.
-[[nodiscard]] std::pair<std::size_t, std::size_t> image_u16_shape(
-    const Hdu& hdu);
+[[nodiscard]] U16Layout image_u16_layout(const Hdu& hdu);
 
 /// Decodes a BITPIX=16/BZERO=32768 HDU back into an unsigned image:
 /// physical = clamp(stored + BZERO, 0, 65535), with BZERO absent = 0.
@@ -221,5 +271,12 @@ void write_image_u16(std::span<const std::uint16_t> pixels,
 /// must hold exactly NAXIS1*NAXIS2 pixels.
 /// \throws FitsError as above, or if \p out has a different size.
 void read_image_u16(const Hdu& hdu, std::span<std::uint16_t> out);
+
+/// The same decode with \p layout, which image_u16_layout returned for an
+/// HDU of \p hdu's header and payload length, so no header card is read.
+/// \throws FitsError if the payload is shorter than the layout or \p out
+/// does not hold exactly width*height pixels.
+void read_image_u16(const Hdu& hdu, const U16Layout& layout,
+                    std::span<std::uint16_t> out);
 
 }  // namespace spacefts::fits

@@ -62,13 +62,34 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
     return result;
   }
 
-  // 2. The Λ=0 sanity layer over every HDU.
+  // 2. The Λ=0 sanity layer over every HDU.  check_and_repair reads
+  //    nothing but the header, the data length and the expectation, so a
+  //    readout whose parsed header and data length equal the previous
+  //    readout's, as parsed, takes that readout's report, repaired header
+  //    and trimmed length: a run of equal readouts is checked once, and
+  //    every HDU is left as check_and_repair would leave it.
+  auto& hdus = file.hdus();
+  std::vector<bool> repeats(hdus.size());
   bool geometry_ok = true;
   {
     SPACEFTS_TSPAN("ingest.sanity",
-                   {"hdus", static_cast<double>(file.hdus().size())});
-    for (auto& hdu : file.hdus()) {
-      result.sanity.push_back(fits::check_and_repair(hdu, config_.expectation));
+                   {"hdus", static_cast<double>(hdus.size())});
+    result.sanity.reserve(hdus.size());
+    fits::Header parsed;  // the last checked readout's header as parsed
+    std::size_t parsed_size = 0;
+    for (std::size_t t = 0; t < hdus.size(); ++t) {
+      auto& hdu = hdus[t];
+      if (t > 0 && hdu.data.size() == parsed_size && hdu.header == parsed) {
+        repeats[t] = true;
+        result.sanity.push_back(result.sanity.back());
+        hdu.header = hdus[t - 1].header;
+        hdu.data.shrink(hdus[t - 1].data.size());
+      } else {
+        parsed = hdu.header;
+        parsed_size = hdu.data.size();
+        result.sanity.push_back(
+            fits::check_and_repair(hdu, config_.expectation));
+      }
       if (!result.sanity.back().fully_repaired()) geometry_ok = false;
     }
   }
@@ -93,29 +114,34 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
   //    from the wire bytes into its plane.  A readout that fails to decode
   //    reports that before any geometry mismatch of its own, so on a
   //    mismatch at readout k, readouts 0..k are still checked for decoding.
-  const auto& hdus = file.hdus();
+  //    A repeat has the previous readout's header and data length, hence
+  //    its geometry and layout, so neither is read from its cards again.
   const auto axes = [&hdus](std::size_t t) {
     return std::pair{hdus[t].header.get_int("NAXIS1"),
                      hdus[t].header.get_int("NAXIS2")};
   };
   const auto first_axes = axes(0);
   std::size_t mismatch = 1;
-  while (mismatch < hdus.size() && axes(mismatch) == first_axes) ++mismatch;
+  while (mismatch < hdus.size() &&
+         (repeats[mismatch] || axes(mismatch) == first_axes)) {
+    ++mismatch;
+  }
   const bool uniform = mismatch == hdus.size();
   common::TemporalStack<std::uint16_t> stack;
   {
     SPACEFTS_TSPAN("ingest.decode");
     try {
-      const auto [width, height] = fits::image_u16_shape(hdus.front());
+      auto layout = fits::image_u16_layout(hdus.front());
       if (uniform) {
-        stack =
-            common::TemporalStack<std::uint16_t>(width, height, hdus.size());
+        stack = common::TemporalStack<std::uint16_t>(layout.width,
+                                                     layout.height, hdus.size());
         for (std::size_t t = 0; t < hdus.size(); ++t) {
-          fits::read_image_u16(hdus[t], stack.cube().plane(t));
+          if (t > 0 && !repeats[t]) layout = fits::image_u16_layout(hdus[t]);
+          fits::read_image_u16(hdus[t], layout, stack.cube().plane(t));
         }
       } else {
         for (std::size_t t = 1; t <= mismatch; ++t) {
-          (void)fits::image_u16_shape(hdus[t]);
+          if (!repeats[t]) (void)fits::image_u16_layout(hdus[t]);
         }
       }
     } catch (const fits::FitsError& e) {

@@ -21,6 +21,7 @@
 #include "spacefts/fits/fits.hpp"
 #include "spacefts/fits/io.hpp"
 #include "spacefts/fits/sanity.hpp"
+#include "readout_bank.hpp"
 
 namespace ff = spacefts::fits;
 using spacefts::common::Image;
@@ -155,6 +156,31 @@ TEST(Header, ScientificNotationDoubles) {
   std::size_t offset = 0;
   const auto parsed = ff::Header::parse(bytes, offset);
   EXPECT_NEAR(parsed.get_double("EXPTIME").value(), 1.5e-7, 1e-16);
+}
+
+TEST(Header, CopiesChangeApart) {
+  // Copies share their card images until one of them changes.
+  const ff::Header original = ff::image_u16_header(32, 32, false);
+  ff::Header copy = original;
+  EXPECT_EQ(copy, original);
+  copy.set_int("NAXIS1", 64);
+  copy.erase("BSCALE");
+  EXPECT_EQ(original.get_int("NAXIS1"), 32);
+  EXPECT_TRUE(original.contains("BSCALE"));
+  EXPECT_EQ(copy.get_int("NAXIS1"), 64);
+  EXPECT_FALSE(copy.contains("BSCALE"));
+  EXPECT_NE(copy, original);
+  copy.set_int("NAXIS1", 32, "axis 1 length");
+  copy.set_double("BSCALE", 1.0, "default scaling");
+  EXPECT_EQ(copy, original);  // equal images, held apart
+  // The original changes apart from a copy too, and from a moved copy.
+  ff::Header source = original;
+  const ff::Header kept = source;
+  ff::Header moved = std::move(source);
+  moved.set_int("NAXIS2", 7);
+  EXPECT_EQ(kept, original);
+  EXPECT_EQ(moved.get_int("NAXIS2"), 7);
+  EXPECT_EQ(ff::Header(), ff::Header());
 }
 
 TEST(Header, CommentaryCardsAccumulate) {
@@ -497,6 +523,25 @@ TEST(ImageHdu, ReadersValidateHeader) {
   EXPECT_THROW((void)ff::read_image_u16(hdu), ff::FitsError);
 }
 
+TEST(ImageHdu, LayoutDecodeChecksPayloadAndDestination) {
+  const Image<std::uint16_t> img(8, 4, 1234);
+  const auto hdu = ff::make_image_hdu(img);
+  const ff::U16Layout layout = ff::image_u16_layout(hdu);
+  EXPECT_EQ(layout.width, 8u);
+  EXPECT_EQ(layout.height, 4u);
+  EXPECT_EQ(layout.bzero, 32768);
+  std::vector<std::uint16_t> out(img.size());
+  ff::read_image_u16(hdu, layout, out);
+  EXPECT_TRUE(std::ranges::equal(out, img.pixels()));
+  // A layout never reads past the payload it is handed, nor writes past
+  // the destination.
+  auto short_hdu = hdu;
+  short_hdu.data.shrink(8 * 4 * 2 - 1);
+  EXPECT_THROW(ff::read_image_u16(short_hdu, layout, out), ff::FitsError);
+  out.pop_back();
+  EXPECT_THROW(ff::read_image_u16(hdu, layout, out), ff::FitsError);
+}
+
 TEST(ImageHdu, ReadersValidatePayloadSize) {
   Image<std::uint16_t> img(4, 4, 7);
   auto hdu = ff::make_image_hdu(img);
@@ -574,15 +619,7 @@ std::string fits_error_of(F&& parse) {
   return "";
 }
 
-/// One line per issue: keyword, description and whether it was repaired.
-std::string describe(const ff::SanityReport& report) {
-  std::string out;
-  for (const auto& issue : report.issues) {
-    out += issue.keyword + ": " + issue.description +
-           (issue.repaired ? " (repaired)\n" : " (open)\n");
-  }
-  return out;
-}
+using readout_bank::describe;
 
 }  // namespace
 
@@ -651,6 +688,40 @@ TEST(FitsFile, ParseRejectsWrappingDataSize) {
   const auto bytes = file.serialize();
   EXPECT_EQ(fits_error_of([&] { (void)ff::FitsFile::parse(bytes); }),
             "FitsFile::parse: cannot size data unit (damaged header?)");
+}
+
+TEST(FitsFile, HeaderRunsMatchOneHduFiles) {
+  // A run of readouts with equal headers is parsed once; each readout must
+  // still come out as it does parsed as its own file, through sanity and
+  // decode, whatever one readout mid-run carries.
+  for (const auto& c : readout_bank::cases()) {
+    SCOPED_TRACE(c.name);
+    const auto bank = readout_bank::bank_for(c);
+    const auto want = readout_bank::oracle(bank);
+    ff::FitsFile file;
+    EXPECT_EQ(fits_error_of([&] { file = ff::FitsFile::parse(bank); }),
+              want.parse_error);
+    if (!want.parse_error.empty()) continue;
+    ASSERT_EQ(file.hdus().size(), readout_bank::kReadouts);
+    for (std::size_t t = 0; t < readout_bank::kReadouts; ++t) {
+      auto& hdu = file.hdus()[t];
+      const auto& r = want.readouts[t];
+      ASSERT_EQ(hdu.header, r.parsed) << "readout " << t;
+      ASSERT_EQ(hdu.data.data(), bank.data() + t * readout_bank::kStride +
+                                     ff::kBlockSize)
+          << "readout " << t;
+      ASSERT_EQ(describe(ff::check_and_repair(hdu, readout_bank::expectation())),
+                r.sanity)
+          << "readout " << t;
+      ASSERT_EQ(hdu.header, r.checked) << "readout " << t;
+      ASSERT_EQ(hdu.data.size(), r.data_size) << "readout " << t;
+      std::optional<Image<std::uint16_t>> image;
+      ASSERT_EQ(fits_error_of([&] { image = ff::read_image_u16(hdu); }),
+                r.decode_error)
+          << "readout " << t;
+      ASSERT_EQ(image, r.image) << "readout " << t;
+    }
+  }
 }
 
 // --------------------------------------------------------------------- sanity

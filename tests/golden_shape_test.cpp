@@ -9,10 +9,15 @@
 //       Gamma0 = 0.1.
 //   E3 (Fig. 4): under correlated faults Algo_NGST beats both static
 //       baselines, Median-3 and BitVote-3, up to Gamma_ini = 0.1.
+//   E7 (Fig. 9): on every OTIS scene all three algorithms beat no
+//       preprocessing up to Gamma_ini = 0.1, and by Gamma_ini = 0.4 they
+//       have broken down to within 0.02 of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -20,9 +25,11 @@
 
 namespace {
 
-/// One figure table: the column names of the header row (its first entry
-/// names the x axis) and every data row, x value first.
+/// One figure table: the dataset its "## dataset: <name>" line names (""
+/// for a file without sections), the column names of the header row (its
+/// first entry names the x axis) and every data row, x value first.
 struct Table {
+  std::string dataset;
   std::vector<std::string> columns;
   std::vector<std::vector<double>> rows;
 
@@ -33,20 +40,22 @@ struct Table {
   }
 };
 
-/// Reads bench/golden/<name>.txt: '#' lines are comments, the first other
-/// line is the header, and every later line is one whitespace-separated row
-/// of numbers as wide as the header.
-Table read_golden(const std::string& name) {
-  const std::string path = std::string(SPACEFTS_GOLDEN_DIR) + "/" + name;
-  std::ifstream in(path);
-  Table table;
-  if (!in) {
-    ADD_FAILURE() << "cannot open " << path;
-    return table;
-  }
+/// Parses golden text: each "## dataset: <name>" line starts a table,
+/// other '#' lines are comments, the first other line of a table is its
+/// header, and every later line is one whitespace-separated row of numbers
+/// as wide as the header.  \p source names the text in failures.
+std::vector<Table> parse_golden(std::istream& in, const std::string& source) {
+  static const std::string kDataset = "## dataset: ";
+  std::vector<Table> tables;
   std::string line;
   while (std::getline(in, line)) {
+    if (line.rfind(kDataset, 0) == 0) {
+      tables.push_back(Table{line.substr(kDataset.size()), {}, {}});
+      continue;
+    }
     if (line.empty() || line[0] == '#') continue;
+    if (tables.empty()) tables.emplace_back();
+    Table& table = tables.back();
     std::istringstream fields(line);
     if (table.columns.empty()) {
       for (std::string col; fields >> col;) table.columns.push_back(col);
@@ -54,11 +63,35 @@ Table read_golden(const std::string& name) {
     }
     std::vector<double> row;
     for (double v; fields >> v;) row.push_back(v);
-    EXPECT_TRUE(fields.eof()) << path << ": non-numeric field in: " << line;
-    EXPECT_EQ(row.size(), table.columns.size()) << path << ": " << line;
+    EXPECT_TRUE(fields.eof()) << source << ": non-numeric field in: " << line;
+    EXPECT_EQ(row.size(), table.columns.size()) << source << ": " << line;
     if (row.size() == table.columns.size()) table.rows.push_back(row);
   }
-  return table;
+  return tables;
+}
+
+/// The text of bench/golden/<name>.
+std::string golden_text(const std::string& name) {
+  const std::string path = std::string(SPACEFTS_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path);
+  if (!in) ADD_FAILURE() << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Every table of bench/golden/<name>.
+std::vector<Table> read_tables(const std::string& name) {
+  std::istringstream in(golden_text(name));
+  return parse_golden(in, name);
+}
+
+/// The one table of bench/golden/<name>, a file without sections.
+Table read_golden(const std::string& name) {
+  auto tables = read_tables(name);
+  if (tables.size() != 1) {
+    ADD_FAILURE() << name << ": " << tables.size() << " tables, not one";
+    return {};
+  }
+  return tables.front();
 }
 
 /// The smallest Psi over every column whose name starts with \p prefix.
@@ -115,6 +148,101 @@ TEST(GoldenShape, E3AlgoNgstBeatsBothBaselinesUnderCorrelatedFaults) {
     ++checked;
   }
   EXPECT_GE(checked, 7u) << "fig4 lost rows up to Gamma_ini = 0.1";
+}
+
+/// Every way \p tables break E7, one line each: a preprocessing column
+/// that does not beat NoPre at Gamma_ini <= 0.1, or that strays more than
+/// 0.02 from it at Gamma_ini = 0.4, on any of the scenes.
+std::vector<std::string> e7_violations(const std::vector<Table>& tables) {
+  std::vector<std::string> out;
+  for (const char* scene : {"Blob", "Stripe", "Spots"}) {
+    const auto it =
+        std::find_if(tables.begin(), tables.end(),
+                     [&](const Table& t) { return t.dataset == scene; });
+    if (it == tables.end()) {
+      out.push_back(std::string(scene) + ": no table");
+      continue;
+    }
+    const std::size_t nopre = it->column("NoPre");
+    if (nopre == it->columns.size() || it->columns.size() < 3) {
+      out.push_back(std::string(scene) + ": no NoPre and algorithm columns");
+      continue;
+    }
+    std::size_t low = 0;
+    std::size_t high = 0;
+    for (const auto& row : it->rows) {
+      const bool is_low = row[0] <= 0.1;
+      const bool is_high = std::abs(row[0] - 0.4) < 1e-9;
+      low += is_low;
+      high += is_high;
+      for (std::size_t c = 1; c < it->columns.size(); ++c) {
+        if (c == nopre) continue;
+        const std::string where = std::string(scene) + " " +
+                                  it->columns[c] + " at Gamma_ini=" +
+                                  std::to_string(row[0]);
+        if (is_low && !(row[c] < row[nopre])) {
+          out.push_back(where + " does not beat NoPre");
+        }
+        if (is_high && !(std::abs(row[c] - row[nopre]) <= 0.02)) {
+          out.push_back(where + " is not within 0.02 of NoPre");
+        }
+      }
+    }
+    if (low < 3 || high != 1) {
+      out.push_back(std::string(scene) + ": lost its Gamma_ini <= 0.1 or 0.4 rows");
+    }
+  }
+  return out;
+}
+
+/// fig9's golden text with the first \p from after the line \p anchor
+/// replaced by \p to: a hand edit.
+std::vector<Table> edited_fig9(const std::string& anchor,
+                               const std::string& from, const std::string& to) {
+  std::string text = golden_text("fig9_otis_correlated.txt");
+  const std::size_t at = text.find(from, text.find(anchor));
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << from << " after " << anchor;
+    return {};
+  }
+  text.replace(at, from.size(), to);
+  std::istringstream in(text);
+  return parse_golden(in, "edited fig9");
+}
+
+TEST(GoldenShape, ReadsDatasetSections) {
+  const auto fig9 = read_tables("fig9_otis_correlated.txt");
+  ASSERT_EQ(fig9.size(), 3u);
+  EXPECT_EQ(fig9[0].dataset, "Blob");
+  EXPECT_EQ(fig9[1].dataset, "Stripe");
+  EXPECT_EQ(fig9[2].dataset, "Spots");
+  for (const auto& t : fig9) {
+    EXPECT_EQ(t.columns.size(), 5u) << t.dataset;
+    EXPECT_EQ(t.rows.size(), 8u) << t.dataset;
+  }
+  EXPECT_EQ(read_golden("fig2_ngst_uncorrelated.txt").dataset, "");
+}
+
+TEST(GoldenShape, E7EveryAlgorithmBreaksDownByGammaIniPointFour) {
+  for (const auto& v : e7_violations(read_tables("fig9_otis_correlated.txt"))) {
+    ADD_FAILURE() << v;
+  }
+}
+
+TEST(GoldenShape, E7GateFailsOnHandEditedCopies) {
+  // Stripe's Median-3x3 at Gamma_ini = 0.1 no longer beats NoPre.
+  const auto low = edited_fig9("## dataset: Stripe", "0.316", "0.7");
+  ASSERT_EQ(low.size(), 3u);
+  EXPECT_EQ(e7_violations(low),
+            std::vector<std::string>{
+                "Stripe Median-3x3 at Gamma_ini=0.100000 does not beat NoPre"});
+  // Spots' Algo_OTIS at Gamma_ini = 0.4 still recovers 0.03 of NoPre.
+  const auto high = edited_fig9("## dataset: Spots", "0.982233", "0.962233");
+  ASSERT_EQ(high.size(), 3u);
+  EXPECT_EQ(e7_violations(high),
+            std::vector<std::string>{"Spots Algo_OTIS(L=80) at "
+                                     "Gamma_ini=0.400000 is not within 0.02 "
+                                     "of NoPre"});
 }
 
 }  // namespace

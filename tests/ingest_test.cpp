@@ -17,6 +17,7 @@
 #include "spacefts/fits/fits.hpp"
 #include "spacefts/ingest/guard.hpp"
 #include "spacefts/metrics/error.hpp"
+#include "readout_bank.hpp"
 
 namespace {
 // The largest single heap request and the running byte total since the
@@ -257,6 +258,17 @@ Baseline wide_baseline() {
   return b;
 }
 
+/// The telemetry_chain bank: 256 channels of 1,024 samples, a run of
+/// 1,023 equal extension headers.
+Baseline telemetry_bank() {
+  spacefts::datagen::TelemetryParams params;
+  params.channels = 256;
+  params.samples = 1024;
+  Baseline b{spacefts::datagen::TelemetrySimulator(12).stack(params), {}};
+  b.bytes = si::IngestGuard::pack(b.stack);
+  return b;
+}
+
 /// Bytes of the card images parse keeps for \p bytes' headers.
 std::size_t header_image_bytes(const std::vector<std::uint8_t>& bytes) {
   const auto file = spacefts::fits::FitsFile::parse(bytes);
@@ -293,27 +305,88 @@ TEST(FitsFile, ParseBorrowsPayloads) {
 }
 
 TEST(IngestGuard, IngestAllocatesOnlyTheStack) {
-  const Baseline b = wide_baseline();
-  auto config = config_for(b.stack);
-  // The voter's tile scratch is the executor's, not ingest's.
-  config.executor = [](TemporalStack<std::uint16_t>&,
-                       const spacefts::core::AlgoNgstConfig&) {
-    return spacefts::core::AlgoNgstReport{};
-  };
+  // The bank's run of equal headers may share one verdict, but no copy
+  // per readout on top of what parse holds.
+  for (const Baseline& b : {wide_baseline(), telemetry_bank()}) {
+    SCOPED_TRACE(b.stack.frames());
+    auto config = config_for(b.stack);
+    // The voter's tile scratch is the executor's, not ingest's.
+    config.executor = [](TemporalStack<std::uint16_t>&,
+                         const spacefts::core::AlgoNgstConfig&) {
+      return spacefts::core::AlgoNgstReport{};
+    };
+    const si::IngestGuard guard(config);
+    const std::size_t stack_bytes = b.stack.cube().size() * 2;
+    const std::size_t headers = header_image_bytes(b.bytes);
+    constexpr std::size_t kSlack = 8 * 1024;
+
+    (void)guard.ingest(b.bytes);  // first-use telemetry registrations
+    reset_alloc_counters();
+    const auto result = guard.ingest(b.bytes);
+    const std::size_t total = g_alloc_bytes.load();
+
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.stack.cube(), b.stack.cube());
+    EXPECT_LE(total, stack_bytes + headers + kSlack)
+        << "stack " << stack_bytes << ", headers " << headers;
+  }
+}
+
+namespace {
+
+/// The error ingest reports for \p want, a bank read one readout at a
+/// time: parse, then sanity over every readout, then decode and geometry
+/// in readout order, a readout's decode before its geometry.
+std::string ingest_error(const readout_bank::Oracle& want) {
+  if (!want.parse_error.empty()) {
+    return "container parse failed: " + want.parse_error;
+  }
+  for (const auto& r : want.readouts) {
+    if (!r.repaired) return "unrepairable header damage";
+  }
+  const auto& first = want.readouts.front();
+  for (const auto& r : want.readouts) {
+    if (!r.decode_error.empty()) return "readout decode failed: " + r.decode_error;
+    if (r.image->width() != first.image->width() ||
+        r.image->height() != first.image->height()) {
+      return "readout geometry differs across the baseline";
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(IngestGuard, HeaderRunsMatchOneHduFiles) {
+  // Ingest checks and sizes a run of equal readout headers once; its stack,
+  // reports and error must be those of every readout read on its own.
+  si::IngestConfig config;
+  config.expectation = readout_bank::expectation();
+  config.algo.lambda = 0.0;  // the stack is the decoded readouts
   const si::IngestGuard guard(config);
-  const std::size_t stack_bytes = b.stack.cube().size() * 2;
-  const std::size_t headers = header_image_bytes(b.bytes);
-  constexpr std::size_t kSlack = 8 * 1024;
-
-  (void)guard.ingest(b.bytes);  // first-use telemetry registrations
-  reset_alloc_counters();
-  const auto result = guard.ingest(b.bytes);
-  const std::size_t total = g_alloc_bytes.load();
-
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.stack.cube(), b.stack.cube());
-  EXPECT_LE(total, stack_bytes + headers + kSlack)
-      << "stack " << stack_bytes << ", headers " << headers;
+  for (const auto& c : readout_bank::cases()) {
+    SCOPED_TRACE(c.name);
+    const auto bank = readout_bank::bank_for(c);
+    const auto want = readout_bank::oracle(bank);
+    const auto result = guard.ingest(bank);
+    const std::string error = ingest_error(want);
+    EXPECT_EQ(result.error, error);
+    EXPECT_EQ(result.ok, error.empty());
+    if (!want.parse_error.empty()) continue;
+    ASSERT_EQ(result.sanity.size(), want.readouts.size());
+    for (std::size_t t = 0; t < result.sanity.size(); ++t) {
+      ASSERT_EQ(readout_bank::describe(result.sanity[t]),
+                want.readouts[t].sanity)
+          << "readout " << t;
+    }
+    if (!result.ok) continue;
+    ASSERT_EQ(result.stack.frames(), want.readouts.size());
+    for (std::size_t t = 0; t < want.readouts.size(); ++t) {
+      ASSERT_TRUE(std::ranges::equal(result.stack.cube().plane(t),
+                                     want.readouts[t].image->pixels()))
+          << "readout " << t;
+    }
+  }
 }
 
 TEST(IngestGuard, IngestLeavesTheCallersBytesAlone) {

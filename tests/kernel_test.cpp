@@ -19,6 +19,7 @@
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/algo_otis.hpp"
 #include "spacefts/core/kernel.hpp"
+#include "spacefts/core/sensitivity.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
 
 namespace {
@@ -379,10 +380,9 @@ void expect_otis_reports_equal(const AlgoOtisReport& a, const AlgoOtisReport& b,
   EXPECT_EQ(a.median_replaced, b.median_replaced) << label;
 }
 
-void check_otis_parity(const AlgoOtisConfig& base, std::size_t w,
-                       std::size_t h, std::uint32_t seed,
-                       int nudge_one_in = 0) {
-  const Image<float> pristine = make_plane(w, h, seed, nudge_one_in);
+/// Runs \p pristine through every available kernel at several thread
+/// counts and bit-compares everything against the oracle's output.
+void check_otis_parity(const AlgoOtisConfig& base, const Image<float>& pristine) {
   constexpr double kWavelengthUm = 10.0;
 
   Image<float> golden = pristine;
@@ -409,6 +409,12 @@ void check_otis_parity(const AlgoOtisConfig& base, std::size_t w,
       }
     }
   }
+}
+
+void check_otis_parity(const AlgoOtisConfig& base, std::size_t w,
+                       std::size_t h, std::uint32_t seed,
+                       int nudge_one_in = 0) {
+  check_otis_parity(base, make_plane(w, h, seed, nudge_one_in));
 }
 
 TEST(KernelParity, OtisDefaultConfig) {
@@ -439,6 +445,34 @@ TEST(KernelParity, OtisModerateOutliersAtTheFallbackBound) {
     check_otis_parity(cfg, 41, 29, 70 + static_cast<std::uint32_t>(lambda),
                       /*nudge_one_in=*/12);
   }
+}
+
+TEST(KernelParity, OtisLowestWayThresholdTwo) {
+  // Pixels of 5.0f that differ only in their two lowest bits: every clean
+  // pair's XOR is 0-3, evenly, so at Λ = 50 (the 65% rank) each way's
+  // V_val is 2, the one threshold whose window mask drops bit 0 alone.
+  // Voters that all XOR to 3 then propose bit 1 but must not flip bit 0.
+  constexpr std::size_t kW = 40;
+  constexpr std::size_t kH = 24;
+  Image<float> plane(kW, kH, 0.0f);
+  std::mt19937 rng(91);
+  const std::uint32_t base = spacefts::common::float_to_bits(5.0f);
+  for (auto& px : plane.pixels()) {
+    px = spacefts::common::bits_to_float(base | (rng() & 3u));
+  }
+  AlgoOtisConfig cfg;
+  cfg.lambda = 50.0;
+  // The fixture holds: the ranked XOR of the horizontal way is 2.
+  std::vector<std::uint32_t> xors;
+  for (std::size_t y = 0; y < kH; ++y) {
+    for (std::size_t x = 0; x + 1 < kW; ++x) {
+      xors.push_back(spacefts::common::float_to_bits(plane(x, y)) ^
+                     spacefts::common::float_to_bits(plane(x + 1, y)));
+    }
+  }
+  std::sort(xors.begin(), xors.end());
+  ASSERT_EQ(xors[spacefts::core::prune_rank(xors.size(), cfg.lambda)], 2u);
+  check_otis_parity(cfg, plane);
 }
 
 TEST(KernelParity, OtisAblationsAndTinyPlane) {
