@@ -206,9 +206,11 @@ BENCHMARK_CAPTURE(BM_RiceDecompress, ngst, ngst_samples);
 BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry, telemetry_samples);
 BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry_tile, telemetry_tile_samples);
 
+/// Arg: input bytes.  64 is the folding kernel's smallest input, 13 KiB
+/// about one telemetry tile's frame, 2 MiB a stream far past the caches.
 void BM_Crc32(benchmark::State& state) {
   spacefts::common::Rng rng(0xBEEFA);
-  std::vector<std::uint8_t> bytes(std::size_t{2} << 20);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
   for (auto _ : state) {
     benchmark::DoNotOptimize(spacefts::edac::crc32(bytes));
@@ -216,7 +218,7 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes.size()));
 }
-BENCHMARK(BM_Crc32);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1 << 10)->Arg(13 << 10)->Arg(2 << 20);
 
 /// Frames carry Rice streams; the telemetry bank's stream is ~490 KB.
 std::vector<std::uint8_t> telemetry_stream() {

@@ -26,6 +26,11 @@
 /// per 32-sample block (31 = verbatim 16-bit samples), a unary quotient
 /// bounded by the largest legal residual, k remainder bits, and the
 /// zigzag-mapped delta against the previous sample.
+///
+/// The CRC-32 reference divides the message bit by bit in the textbook
+/// MSB-first register with the unreflected polynomial 0x04C11DB7, so it
+/// shares neither the reflected tables nor the folding kernel of
+/// edac::crc32.
 #pragma once
 
 #include <cstdint>
@@ -69,5 +74,11 @@ namespace spacefts::check {
 /// rice::BitstreamError with the same message.
 [[nodiscard]] std::vector<std::uint16_t> oracle_rice_decode(
     std::span<const std::uint8_t> stream, std::size_t count);
+
+/// Golden CRC-32 (IEEE 802.3), one message bit at a time.  Same contract
+/// as edac::crc32, streaming included: pass a previous return value as
+/// \p crc to continue.
+[[nodiscard]] std::uint32_t oracle_crc32(std::span<const std::uint8_t> bytes,
+                                         std::uint32_t crc = 0);
 
 }  // namespace spacefts::check

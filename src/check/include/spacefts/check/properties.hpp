@@ -12,7 +12,8 @@
 ///    corrupt-stream contract (decode either returns `count` samples or
 ///    throws BitstreamError — never hangs, never reads out of bounds), and
 ///    agreement with the bit-serial oracle decoder on damaged streams;
-///  * CRC-32: frame/deframe round-trip and single-bit-damage detection;
+///  * CRC-32: agreement with the bit-serial oracle, frame/deframe
+///    round-trip and single-bit-damage detection;
 ///  * Hamming(72,64): encode → 1 flip → corrects to the original word;
 ///    encode → 2 flips → detects without miscorrecting;
 ///  * Λ-monotonicity: raising Λ never shrinks any way's surviving voter
@@ -67,8 +68,9 @@ struct PropertyResult {
 
 // ---- edac -----------------------------------------------------------------
 
-/// CRC-32 frame round-trip plus detection of every single-bit flip in a
-/// sampled frame.
+/// crc32 agrees with the bit-serial oracle_crc32 on a payload of
+/// log-uniform length below 4 KiB, fresh and continuing a stream; plus the
+/// frame round-trip and detection of sampled single-bit flips.
 [[nodiscard]] PropertyResult check_crc_frame(common::Rng& rng);
 
 /// Hamming(72,64) SEC-DED contract on sampled words: every single flip

@@ -183,6 +183,30 @@ std::vector<std::uint16_t> oracle_rice_decode(
   return out;
 }
 
+std::uint32_t oracle_crc32(std::span<const std::uint8_t> bytes,
+                           std::uint32_t crc) {
+  // The CRC register is the bit reversal of the reflected one that crc32
+  // hands out (inverted before and after).  Each byte enters least
+  // significant bit first; a bit that differs from the register's top bit
+  // subtracts the polynomial.
+  constexpr std::uint32_t kPoly = 0x04C11DB7;
+  const auto reverse = [](std::uint32_t v) {
+    std::uint32_t r = 0;
+    for (int i = 0; i < 32; ++i) r |= ((v >> i) & 1u) << (31 - i);
+    return r;
+  };
+  std::uint32_t reg = reverse(~crc);
+  for (const std::uint8_t byte : bytes) {
+    for (int i = 0; i < 8; ++i) {
+      const bool in = ((byte >> i) & 1u) != 0;
+      const bool top = (reg >> 31) != 0;
+      reg <<= 1;
+      if (in != top) reg ^= kPoly;
+    }
+  }
+  return ~reverse(reg);
+}
+
 core::AlgoNgstReport oracle_ngst_series(std::span<std::uint16_t> series,
                                         const core::AlgoNgstConfig& config) {
   core::AlgoNgstReport report;

@@ -1,6 +1,7 @@
 #include "spacefts/check/properties.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -276,8 +277,22 @@ PropertyResult check_rice_decode_oracle(common::Rng& rng) {
 // ---- edac -------------------------------------------------------------------
 
 PropertyResult check_crc_frame(common::Rng& rng) {
-  std::vector<std::uint8_t> payload(1 + rng.below(64));
+  // Log-uniform lengths in [1, 4096): every scale equally often, half of
+  // them at or past the 64 bytes where crc32 can switch to its folding
+  // kernel.
+  std::vector<std::uint8_t> payload(
+      static_cast<std::size_t>(std::exp2(rng.uniform(0.0, 12.0))));
   for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng());
+  const auto seed = static_cast<std::uint32_t>(rng());
+  for (const std::uint32_t crc : {0u, seed}) {
+    const std::uint32_t got = edac::crc32(payload, crc);
+    const std::uint32_t want = oracle_crc32(payload, crc);
+    if (got != want) {
+      return property_failed(format_detail(
+          "crc32 of %zu bytes from %08x: %08x, oracle %08x", payload.size(),
+          crc, got, want));
+    }
+  }
   auto frame = payload;
   edac::frame_append_crc(frame);
   if (!edac::frame_verify(frame)) {

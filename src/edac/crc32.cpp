@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "crc32_pclmul.hpp"
+
 namespace spacefts::edac {
 
 namespace {
@@ -38,13 +40,10 @@ constexpr Tables kTables = make_tables();
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes,
-                    std::uint32_t crc) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
+/// Advances the raw CRC register \p c over \p n bytes at \p p, eight bytes
+/// per step through the slice-by-8 tables.
+[[nodiscard]] std::uint32_t table_update(const std::uint8_t* p, std::size_t n,
+                                         std::uint32_t c) noexcept {
   for (; n >= 8; n -= 8, p += 8) {
     const std::uint32_t lo = c ^ load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);
@@ -56,7 +55,43 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes,
   for (; n > 0; --n, ++p) {
     c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#if defined(SPACEFTS_HAVE_PCLMUL)
+/// Every feature crc32_pclmul.cpp is compiled with, checked once.
+[[nodiscard]] bool host_has_pclmul() noexcept {
+  static const bool has = __builtin_cpu_supports("pclmul") != 0 &&
+                          __builtin_cpu_supports("sse4.1") != 0;
+  return has;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::uint32_t crc32_table(std::span<const std::uint8_t> bytes,
+                          std::uint32_t crc) noexcept {
+  return table_update(bytes.data(), bytes.size(), crc ^ 0xFFFFFFFFu) ^
+         0xFFFFFFFFu;
+}
+
+}  // namespace detail
+
+std::uint32_t crc32(std::span<const std::uint8_t> bytes,
+                    std::uint32_t crc) noexcept {
+#if defined(SPACEFTS_HAVE_PCLMUL)
+  if (bytes.size() >= detail::kFoldMinBytes && host_has_pclmul()) {
+    // The kernel folds whole 16-byte blocks; the table takes the 0-15 left.
+    const std::size_t bulk = bytes.size() & ~std::size_t{15};
+    const std::uint32_t c =
+        detail::crc32_fold_pclmul(bytes.data(), bulk, crc ^ 0xFFFFFFFFu);
+    return table_update(bytes.data() + bulk, bytes.size() - bulk, c) ^
+           0xFFFFFFFFu;
+  }
+#endif
+  return detail::crc32_table(bytes, crc);
 }
 
 void frame_append_crc(std::vector<std::uint8_t>& payload) {

@@ -21,8 +21,21 @@ namespace spacefts::edac {
 
 /// CRC-32 of \p bytes, optionally continuing from a previous partial
 /// checksum (pass the previous return value as \p crc to stream).
+/// Inputs of 64 bytes or more run a carry-less-multiply folding kernel on
+/// x86-64 hosts with PCLMULQDQ and SSE4.1 (SPACEFTS_SIMD builds); shorter
+/// inputs, their last 0-15 bytes and every other host use the slice-by-8
+/// table.  Every path returns the same value.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                                   std::uint32_t crc = 0) noexcept;
+
+namespace detail {
+
+/// The portable slice-by-8 table path of crc32(), whatever the host: the
+/// reference the folding kernel is tested against.
+[[nodiscard]] std::uint32_t crc32_table(std::span<const std::uint8_t> bytes,
+                                        std::uint32_t crc = 0) noexcept;
+
+}  // namespace detail
 
 /// Appends the CRC-32 of \p payload to it, little-endian, in place.
 /// The result is a self-checking frame for frame_verify().

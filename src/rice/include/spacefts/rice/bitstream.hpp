@@ -7,9 +7,10 @@
 /// The reader holds a left-aligned 64-bit buffer that it refills a 32-bit
 /// word at a time, so a Rice code (unary quotient, stop bit and k remainder
 /// bits) decodes from one peek at that buffer.  The block calls,
-/// write_rice() and read_rice(), keep that state in registers for a whole
-/// block.  Stream tails, runs longer than the buffer and every throw stay
-/// out of line.
+/// write_rice() and read_rice_samples(), keep that state in registers for a
+/// whole block; the reader's also undoes the codec's zigzag delta map and
+/// stores each 16-bit sample in place.  Stream tails, runs longer than the
+/// buffer and every throw stay out of line.
 #pragma once
 
 #include <bit>
@@ -181,13 +182,17 @@ class BitReader {
     return read_unary_slow(max_run);
   }
 
-  /// Reads out.size() Rice codes with parameter \p k: per value, a unary
-  /// quotient bounded by \p max_run, then k remainder bits, stored as
-  /// (quotient << k) | remainder.  Same values, position and errors as
-  /// read_unary(max_run) then read_bits(k) per value.
-  /// \pre k <= 31 and max_run < 2^(32 - k), so every value fits 32 bits.
-  void read_rice(unsigned k, std::uint64_t max_run,
-                 std::span<std::uint32_t> out) {
+  /// Decodes out.size() samples from Rice codes with parameter \p k.  Per
+  /// sample: a unary quotient bounded by \p max_run, then k remainder
+  /// bits, forming the zigzag-mapped delta (quotient << k) | remainder
+  /// from the sample before it, the first from \p previous.  Each sample
+  /// is stored as soon as its code is read whole, and \p previous ends as
+  /// the last one.  Same reads, position and errors as read_unary(max_run)
+  /// then read_bits(k) per sample.
+  /// \pre k <= 31 and max_run < 2^(32 - k), so every code fits 32 bits.
+  void read_rice_samples(unsigned k, std::uint64_t max_run,
+                         std::uint16_t& previous,
+                         std::span<std::uint16_t> out) {
     const std::uint8_t* const data = bytes_.data();
     // Whole 32-bit words start below this byte.
     const std::size_t words_end = bytes_.size() < 4 ? 0 : bytes_.size() - 3;
@@ -195,32 +200,39 @@ class BitReader {
     std::uint64_t buf = buf_;
     unsigned avail = avail_;
     std::size_t next = next_;
-    for (std::uint32_t& value : out) {
+    // Sums wrap modulo 2^16 when stored, as the encoder's deltas did.
+    std::uint32_t sample = previous;
+    for (std::uint16_t& slot : out) {
       if (avail < 32 && next < words_end) load_word(data, next, buf, avail);
       const unsigned ones = leading_ones(buf);
       const unsigned length = ones + 1 + k;
+      std::uint32_t mapped = 0;
       if (length <= avail && ones <= max_run) [[likely]] {
         // The remainder is the low k bits of the length-bit code.
-        value = static_cast<std::uint32_t>(
+        mapped = static_cast<std::uint32_t>(
             (std::uint64_t{ones} << k) | ((buf >> (64 - length)) & low_mask));
         buf <<= length;
         avail -= length;
-        continue;
+      } else {
+        // The stream's tail, a run past the buffer, or an error: continue
+        // from here on the member state.
+        buf_ = buf;
+        avail_ = avail;
+        next_ = next;
+        const std::uint64_t quotient = read_unary(max_run);
+        mapped = static_cast<std::uint32_t>((quotient << k) | read_bits(k));
+        buf = buf_;
+        avail = avail_;
+        next = next_;
       }
-      // The stream's tail, a run past the buffer, or an error: continue
-      // from here on the member state.
-      buf_ = buf;
-      avail_ = avail;
-      next_ = next;
-      const std::uint64_t quotient = read_unary(max_run);
-      value = static_cast<std::uint32_t>((quotient << k) | read_bits(k));
-      buf = buf_;
-      avail = avail_;
-      next = next_;
+      // Unzigzag: even codes are non-negative deltas, odd ones negative.
+      sample += (mapped >> 1) ^ (0u - (mapped & 1u));
+      slot = static_cast<std::uint16_t>(sample);
     }
     buf_ = buf;
     avail_ = avail;
     next_ = next;
+    previous = static_cast<std::uint16_t>(sample);
   }
 
   /// Bits consumed so far.

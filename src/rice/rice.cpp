@@ -21,14 +21,11 @@ constexpr unsigned kMaxK = 16;
 /// mapped value silently.
 constexpr std::uint64_t kMaxMapped = 131070;
 
-/// Zigzag map: 0, -1, 1, -2, 2, … -> 0, 1, 2, 3, 4, …
+/// Zigzag map: 0, -1, 1, -2, 2, … -> 0, 1, 2, 3, 4, …  The decoder's
+/// BitReader::read_rice_samples() undoes it.
 [[nodiscard]] std::uint32_t zigzag(std::int32_t v) noexcept {
   return (static_cast<std::uint32_t>(v) << 1) ^
          static_cast<std::uint32_t>(v >> 31);
-}
-
-[[nodiscard]] std::int32_t unzigzag(std::uint32_t u) noexcept {
-  return static_cast<std::int32_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
 /// Sum of the quotient bits a block saves by raising k to k + 1:
@@ -111,33 +108,31 @@ std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
 std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
                                         std::size_t count) {
   BitReader reader(stream);
-  std::vector<std::uint16_t> out;
   // The count comes from outside; every sample costs at least one bit, so
-  // the stream bounds what a well-formed decode can produce.  A block is
-  // appended only once it decoded whole, so the reserve is never outgrown.
-  out.reserve(std::min(count, stream.size() * 8));
-  std::array<std::uint32_t, kBlockSamples> mapped;
-  std::array<std::uint16_t, kBlockSamples> block;
+  // the stream bounds what a well-formed decode can produce.
+  std::vector<std::uint16_t> out(std::min(count, stream.size() * 8));
+  // A block that ends past that bound needs more bits than the stream
+  // holds, so it cannot decode whole: it reads into this scratch until the
+  // reader throws.
+  std::array<std::uint16_t, kBlockSamples> overrun{};
   std::uint16_t previous = 0;
-  while (out.size() < count) {
+  for (std::size_t done = 0; done < count;) {
     const auto k = static_cast<unsigned>(reader.read_bits(5));
-    const std::size_t block_len = std::min(kBlockSamples, count - out.size());
+    const std::size_t block_len = std::min(kBlockSamples, count - done);
+    const std::span<std::uint16_t> block =
+        done + block_len <= out.size()
+            ? std::span(out).subspan(done, block_len)
+            : std::span(overrun).first(block_len);
     if (k == kEscape) {
-      for (std::size_t j = 0; j < block_len; ++j) {
-        block[j] = static_cast<std::uint16_t>(reader.read_bits(16));
+      for (std::uint16_t& sample : block) {
+        sample = static_cast<std::uint16_t>(reader.read_bits(16));
       }
-      previous = block[block_len - 1];
+      previous = block.back();
     } else {
       if (k > kMaxK) throw BitstreamError("decompress16: invalid k");
-      reader.read_rice(k, kMaxMapped >> k, std::span(mapped).first(block_len));
-      for (std::size_t j = 0; j < block_len; ++j) {
-        previous = static_cast<std::uint16_t>(
-            static_cast<std::int32_t>(previous) + unzigzag(mapped[j]));
-        block[j] = previous;
-      }
+      reader.read_rice_samples(k, kMaxMapped >> k, previous, block);
     }
-    out.insert(out.end(), block.begin(),
-               block.begin() + static_cast<std::ptrdiff_t>(block_len));
+    done += block_len;
   }
   return out;
 }

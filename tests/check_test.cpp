@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -219,6 +220,22 @@ TEST(Oracle, RiceDecodeMatchesTheCodec) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     Rng case_rng(seed);
     const auto result = sc::check_rice_decode_oracle(case_rng);
+    ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.detail;
+  }
+}
+
+TEST(Oracle, Crc32MatchesTheFramer) {
+  // The standard check vector, then the framer's crc32 over log-uniform
+  // lengths up to 4 KiB, fresh and streamed, across the fold threshold.
+  const std::vector<std::uint8_t> check{'1', '2', '3', '4', '5',
+                                        '6', '7', '8', '9'};
+  EXPECT_EQ(sc::oracle_crc32(check), 0xCBF43926u);
+  EXPECT_EQ(sc::oracle_crc32(std::span(check).subspan(4),
+                             sc::oracle_crc32(std::span(check).first(4))),
+            0xCBF43926u);
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Rng case_rng(seed);
+    const auto result = sc::check_crc_frame(case_rng);
     ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.detail;
   }
 }

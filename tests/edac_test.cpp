@@ -2,6 +2,7 @@
 // pixel store.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -152,6 +153,27 @@ std::vector<std::uint8_t> bytes_of(const char* text) {
   return out;
 }
 
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& byte : out) byte = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// CRC-32 from its definition, one bit at a time: the register shifts
+/// right, and a one shifted out adds the reflected polynomial.
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> bytes,
+                            std::uint32_t crc) {
+  std::uint32_t c = ~crc;
+  for (const std::uint8_t byte : bytes) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
 }  // namespace
 
 TEST(Crc32, MatchesTheIeeeCheckValue) {
@@ -170,6 +192,52 @@ TEST(Crc32, IncrementalEqualsOneShot) {
     const auto head = se::crc32(std::span(data).first(cut));
     EXPECT_EQ(se::crc32(std::span(data).subspan(cut), head), whole)
         << "cut " << cut;
+  }
+}
+
+TEST(Crc32, EveryPathMatchesTheDefinition) {
+  // crc32() folds inputs of 64 bytes or more with carry-less multiplies
+  // where the host has them; the table path and the bitwise definition
+  // must agree with it at every length around its 64- and 16-byte steps,
+  // from every alignment, fresh and continuing a stream.
+  constexpr std::size_t kLarge = (std::size_t{2} << 20) + 3;
+  const auto data = random_bytes(kLarge + 16, 0xC3C);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4095u, 4096u, 4097u, 13000u}) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(kLarge);
+  for (const std::size_t n : lengths) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (const std::uint32_t seed : {0u, 0x5EED1234u}) {
+        const auto bytes = std::span(data).subspan(offset, n);
+        const auto table = se::detail::crc32_table(bytes, seed);
+        ASSERT_EQ(se::crc32(bytes, seed), table)
+            << "length " << n << " offset " << offset << " seed " << seed;
+        // The 2 MiB case checks the definition from one alignment only.
+        if (n != kLarge || offset == 0) {
+          ASSERT_EQ(table, bitwise_crc32(bytes, seed))
+              << "length " << n << " offset " << offset << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32, StreamsSplitAtEveryFoldBoundary) {
+  // A stream cut on a 16-byte step, or either side of the 64-byte
+  // threshold, hands the kernel and the table each other's registers.
+  for (const std::size_t n : {1100u, 4097u}) {
+    const auto data = random_bytes(n, 0x5717 + n);
+    const auto whole = se::crc32(data);
+    std::vector<std::size_t> cuts{63, 64, 65, n - 65, n - 64, n - 63};
+    for (std::size_t cut = 0; cut <= n; cut += 16) cuts.push_back(cut);
+    for (const std::size_t cut : cuts) {
+      const auto head = se::crc32(std::span(data).first(cut));
+      EXPECT_EQ(se::crc32(std::span(data).subspan(cut), head), whole)
+          << "length " << n << " cut " << cut;
+    }
   }
 }
 
@@ -192,6 +260,18 @@ TEST(Crc32, DetectsEverySingleBitFlipInTheFrame) {
     auto damaged = frame;
     damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     EXPECT_FALSE(se::frame_verify(damaged)) << "bit " << bit;
+  }
+}
+
+TEST(Crc32, DetectsEverySingleBitFlipInALongFrame) {
+  // 300 payload bytes: the folding kernel's path, with a 12-byte tail.
+  auto frame = random_bytes(300, 0xF1A9);
+  se::frame_append_crc(frame);
+  ASSERT_TRUE(se::frame_verify(frame));
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(se::frame_verify(frame)) << "bit " << bit;
+    frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   }
 }
 

@@ -335,9 +335,9 @@ TEST(Bitstream, MatchesABitSerialOracle) {
 }
 
 TEST(Bitstream, RiceBlockCallsMatchUnaryThenBits) {
-  // write_rice and read_rice are the block forms of write_unary + write_bits
-  // and read_unary + read_bits: same bits, and on any stream the same
-  // values, position and error.
+  // write_rice and read_rice_samples are the block forms of write_unary +
+  // write_bits and read_unary + read_bits (then unzigzag and prefix sum):
+  // same bits, and on any stream the same samples, position and error.
   Rng rng(0xB10C);
   for (int trial = 0; trial < 2000; ++trial) {
     const auto k = static_cast<unsigned>(rng.below(17));
@@ -375,20 +375,31 @@ TEST(Bitstream, RiceBlockCallsMatchUnaryThenBits) {
     sr::BitReader serial_reader(bytes);
     EXPECT_EQ(error_of([&] { (void)block_reader.read_bits(lead); }),
               error_of([&] { (void)serial_reader.read_bits(lead); }));
-    std::vector<std::uint32_t> got(values.size());
-    std::vector<std::uint32_t> want(values.size());
+    const auto first = static_cast<std::uint16_t>(rng());
+    std::uint16_t got_last = first;
+    std::vector<std::uint16_t> got(values.size());
+    std::vector<std::uint16_t> want(values.size());
     const auto got_error = error_of(
-        [&] { block_reader.read_rice(k, max_run, got); });
+        [&] { block_reader.read_rice_samples(k, max_run, got_last, got); });
+    std::uint16_t want_last = first;
     const auto want_error = error_of([&] {
-      for (auto& v : want) {
+      for (auto& s : want) {
         const auto q = serial_reader.read_unary(max_run);
-        v = static_cast<std::uint32_t>((q << k) | serial_reader.read_bits(k));
+        const auto mapped = static_cast<std::int64_t>(
+            (q << k) | serial_reader.read_bits(k));
+        const std::int64_t delta =
+            mapped % 2 == 0 ? mapped / 2 : -(mapped + 1) / 2;
+        want_last = static_cast<std::uint16_t>(want_last + delta);
+        s = want_last;
       }
     });
     ASSERT_EQ(got_error, want_error) << "trial " << trial;
     ASSERT_EQ(block_reader.position(), serial_reader.position())
         << "trial " << trial;
     ASSERT_EQ(got, want) << "trial " << trial;
+    if (got_error.empty()) {
+      ASSERT_EQ(got_last, want_last) << "trial " << trial;
+    }
   }
 }
 
