@@ -113,16 +113,11 @@ inline std::vector<double> measure_psi(
 namespace detail {
 
 /// The run-configuration identity of one BENCH_preprocess.json record.
-/// Every stack_preprocess row carries its kernel; gate_median rows carry
-/// none and are told apart by `impl`.  The upsert applies this key to
-/// every line of the file, so it includes gate_median's `impl`: without it
-/// the insertion and network rows of one Υ read as duplicates and one of
-/// them was dropped.
 inline std::string preprocess_record_key(std::string_view line) {
   using spacefts::telemetry::jsonl::json_field;
   return json_field(line, "bench") + "|" + json_field(line, "threads") + "|" +
          json_field(line, "upsilon") + "|" + json_field(line, "lambda") + "|" +
-         json_field(line, "kernel") + "|" + json_field(line, "impl");
+         json_field(line, "kernel");
 }
 
 }  // namespace detail

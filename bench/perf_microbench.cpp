@@ -17,6 +17,7 @@
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/algo_otis.hpp"
 #include "spacefts/core/kernel.hpp"
+#include "spacefts/core/sort_median.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/datagen/otis_scenes.hpp"
 #include "spacefts/datagen/telemetry.hpp"
@@ -454,6 +455,41 @@ void BM_MedianBaseline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_MedianBaseline);
+
+/// The plausibility gate's partner median (sort_median.hpp): the median of
+/// Arg = Υ gathered partner values per correction candidate, by the
+/// data-dependent insertion sort and by the fixed compare-exchange networks
+/// the gate runs.  Uniform u16 partners reproduce the gate's unordered
+/// input.  Items = medians.  Both sorts are bit-identical
+/// (tests/sort_median_test.cpp checks every input exhaustively).
+template <typename Sorter>
+void BM_GateMedian(benchmark::State& state, Sorter sorter) {
+  constexpr std::size_t kCandidates = 1 << 16;
+  const auto upsilon = static_cast<std::size_t>(state.range(0));
+  spacefts::common::Rng rng(0x9a7eULL + upsilon);
+  std::vector<std::uint16_t> partners(kCandidates * upsilon);
+  for (auto& p : partners) p = static_cast<std::uint16_t>(rng() & 0xffff);
+  std::uint16_t scratch[8];
+  for (auto _ : state) {
+    std::uint64_t checksum = 0;
+    for (std::size_t base = 0; base < partners.size(); base += upsilon) {
+      std::copy_n(partners.data() + base, upsilon, scratch);
+      sorter(scratch, upsilon);
+      checksum += scratch[upsilon / 2];
+    }
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kCandidates));
+}
+constexpr auto kInsertionSort = [](std::uint16_t* v, std::size_t n) {
+  spacefts::core::insertion_sort_u16(v, n);
+};
+constexpr auto kNetworkSort = [](std::uint16_t* v, std::size_t n) {
+  spacefts::core::sort_small_u16(v, n);
+};
+BENCHMARK_CAPTURE(BM_GateMedian, insertion, kInsertionSort)->Arg(4)->Arg(8);
+BENCHMARK_CAPTURE(BM_GateMedian, network, kNetworkSort)->Arg(4)->Arg(8);
 
 /// Wall-clock scaling the host gives right now: \p threads threads each
 /// spinning the same fixed integer loop, against one thread alone

@@ -97,9 +97,6 @@ ShadowBackend::ShadowBackend(std::shared_ptr<Backend> primary,
   if (!(config_.shadow_rate >= 0.0 && config_.shadow_rate <= 1.0)) {
     throw std::invalid_argument("ShadowBackend: shadow_rate outside [0, 1]");
   }
-  if (config_.quarantine_threshold == 0) {
-    throw std::invalid_argument("ShadowBackend: zero quarantine_threshold");
-  }
 }
 
 bool ShadowBackend::sampled(std::uint64_t request,
@@ -209,7 +206,7 @@ BackendHealth ShadowBackend::health() const {
   out.executed = canonical.size();
   for (const auto& d : canonical) out.sampled += d.sampled ? 1 : 0;
   out.mismatches = count_mismatches(canonical);
-  out.quarantined = out.mismatches >= config_.quarantine_threshold;
+  out.quarantined = out.mismatches >= kQuarantineThreshold;
   return out;
 }
 
@@ -222,11 +219,11 @@ std::uint64_t count_mismatches(
   return n;
 }
 
-ShadowDecision quarantine_after(std::span<const ShadowDecision> decisions,
-                                std::uint64_t threshold) noexcept {
+ShadowDecision quarantine_after(
+    std::span<const ShadowDecision> decisions) noexcept {
   std::uint64_t seen = 0;
   for (const auto& d : decisions) {
-    if (d.mismatch && ++seen >= threshold) return d;
+    if (d.mismatch && ++seen >= kQuarantineThreshold) return d;
   }
   constexpr auto kNone = ~std::uint64_t{0};
   return ShadowDecision{kNone, kNone, false, false, false};

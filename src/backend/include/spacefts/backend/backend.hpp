@@ -145,16 +145,18 @@ class UnreliableBackend final : public Backend {
   fault::ComputeFaultModel model_;
 };
 
-/// Shadow sampling/quarantine knobs.
+/// Mismatches (in sorted-log order) at which the primary backend is
+/// declared quarantined.
+inline constexpr std::uint64_t kQuarantineThreshold = 3;
+static_assert(kQuarantineThreshold > 0);
+
+/// Shadow sampling knobs.
 struct ShadowConfig {
   /// Fraction of executions the guard re-runs; 1.0 checks everything
   /// (blanket TMR-style), 0.0 checks nothing.  The sample is a pure
   /// function of (seed, request, epoch) — never of load or arrival order.
   double shadow_rate = 0.05;
   std::uint64_t seed = 0x5ade5ULL;
-  /// Mismatches (in sorted-log order) before the primary backend is
-  /// declared quarantined.
-  std::uint64_t quarantine_threshold = 3;
 };
 
 /// One per-execution fact recorded by the shadow guard.  Pure in
@@ -180,8 +182,8 @@ struct BackendHealth {
 /// its output on divergence.
 class ShadowBackend final : public Backend {
  public:
-  /// \throws std::invalid_argument for a rate outside [0, 1], a zero
-  /// quarantine threshold, or null backends.
+  /// \throws std::invalid_argument for a rate outside [0, 1] or null
+  /// backends.
   ShadowBackend(std::shared_ptr<Backend> primary,
                 std::shared_ptr<Backend> guard, const ShadowConfig& config);
 
@@ -226,17 +228,17 @@ class ShadowBackend final : public Backend {
 
 /// Canonical quarantine fold: walks \p decisions (which must already be in
 /// canonical order) and returns the number of mismatches seen; the backend
-/// is quarantined once that count reaches \p threshold.  Exposed so a
-/// decision log written to disk can replay the exact quarantine verdict.
+/// is quarantined once that count reaches kQuarantineThreshold.  Exposed
+/// so a decision log written to disk can replay the exact quarantine
+/// verdict.
 [[nodiscard]] std::uint64_t count_mismatches(
     std::span<const ShadowDecision> decisions) noexcept;
 
-/// The (request, epoch) key at which the quarantine threshold was crossed,
+/// The (request, epoch) key at which kQuarantineThreshold was reached,
 /// walking the canonical log; nullopt-like sentinel {UINT64_MAX, UINT64_MAX}
 /// when it never was.
 [[nodiscard]] ShadowDecision quarantine_after(
-    std::span<const ShadowDecision> decisions,
-    std::uint64_t threshold) noexcept;
+    std::span<const ShadowDecision> decisions) noexcept;
 
 /// Renders the canonical decision log as JSONL (stable field order), the
 /// serve `--backend-log` artifact: byte-identical across thread and shard

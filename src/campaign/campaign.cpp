@@ -17,6 +17,9 @@
 namespace spacefts::campaign {
 namespace {
 
+/// Side of every trial's square scene, in pixels (small: CI-speed).
+constexpr std::size_t kSceneSide = 32;
+
 /// One grid point, in the fixed Γ₀-major enumeration order.
 struct Cell {
   double gamma0;
@@ -33,11 +36,10 @@ void validate(const CampaignConfig& config) {
   if (config.trials == 0) {
     throw std::invalid_argument("campaign: trials must be > 0");
   }
-  if (config.scene_side == 0 || config.frames == 0 ||
-      config.fragment_side == 0 ||
-      config.scene_side % config.fragment_side != 0) {
+  if (config.frames == 0 || config.fragment_side == 0 ||
+      kSceneSide % config.fragment_side != 0) {
     throw std::invalid_argument(
-        "campaign: scene_side must be a positive multiple of fragment_side");
+        "campaign: fragment_side must divide the 32-pixel scene side");
   }
 }
 
@@ -62,8 +64,8 @@ std::optional<dist::PipelineResult> run_trial(const CampaignConfig& config,
   try {
     datagen::NgstSimulator gen(seed);
     datagen::SceneParams scene;
-    scene.width = config.scene_side;
-    scene.height = config.scene_side;
+    scene.width = kSceneSide;
+    scene.height = kSceneSide;
     auto readouts = gen.stack(config.frames, scene);
 
     // Route the generated baseline through the ingest guard at Λ = 0, as a
@@ -74,8 +76,8 @@ std::optional<dist::PipelineResult> run_trial(const CampaignConfig& config,
     // ingest path.
     ingest::IngestConfig ic;
     ic.expectation.bitpix = 16;
-    ic.expectation.width = static_cast<std::int64_t>(config.scene_side);
-    ic.expectation.height = static_cast<std::int64_t>(config.scene_side);
+    ic.expectation.width = static_cast<std::int64_t>(kSceneSide);
+    ic.expectation.height = static_cast<std::int64_t>(kSceneSide);
     ic.algo.lambda = 0.0;
     const ingest::IngestGuard guard(ic);
     ingest::IngestResult ingested = guard.ingest(ingest::IngestGuard::pack(readouts));
@@ -157,7 +159,7 @@ CampaignReport run_campaign(const CampaignConfig& config) {
                            static_cast<double>(cr.faults_injected);
     }
     const std::size_t pixel_frames =
-        cr.survived * config.scene_side * config.scene_side * config.frames;
+        cr.survived * kSceneSide * kSceneSide * config.frames;
     if (cells[c].gamma0 == 0.0 && pixel_frames > 0) {
       cr.false_alarm_per_mpixel =
           static_cast<double>(corrected) /

@@ -18,6 +18,8 @@ using telemetry::jsonl::append_fmt;
 /// Sub-stream tag of the per-request dataset seeds (fixed forever so a
 /// committed BENCH_control.json stays reproducible).
 constexpr std::uint64_t kStreamDrift = 7;
+/// Dist workers inside each request's pipeline.
+constexpr std::size_t kPipelineWorkers = 2;
 
 void validate(const DriftConfig& cfg) {
   std::vector<double> phase_gamma0;
@@ -95,7 +97,7 @@ ArmRun run_arm(const DriftConfig& cfg,
   sc.workers = cfg.workers;
   sc.max_batch = cfg.max_batch;
   sc.exec.fragment_side = cfg.fragment_side;
-  sc.exec.pipeline_workers = cfg.pipeline_workers;
+  sc.exec.pipeline_workers = kPipelineWorkers;
   if (adaptive) {
     sc.exec.tuner = [&bank](const serve::Request& r) {
       return bank.point(r.id);
@@ -211,7 +213,7 @@ DriftReport run_drift(const DriftConfig& config) {
     return run.decisions;
   };
   report.decisions_jsonl = control::decisions_to_jsonl(
-      fly_arm("adaptive", true, config.control.lambda_initial));
+      fly_arm("adaptive", true, control::kLambdaInitial));
   for (const double lambda : config.lambda_grid) {
     char name[32];
     std::snprintf(name, sizeof name, "lambda=%.10g", lambda);

@@ -37,8 +37,7 @@ struct CampaignConfig {
   std::uint64_t seed = 42;       ///< campaign master seed
   std::size_t threads = 1;       ///< trial-level parallelism (0 = all)
 
-  // Scene + pipeline shape (small by default: CI-speed).
-  std::size_t scene_side = 32;
+  // Scene + pipeline shape over a 32x32 scene (small by default: CI-speed).
   std::size_t frames = 16;
   std::size_t workers = 4;
   std::size_t fragment_side = 16;

@@ -52,7 +52,6 @@ struct DriftConfig {
   std::size_t side = 32;
   std::size_t frames = 8;
   std::size_t fragment_side = 16;
-  std::size_t pipeline_workers = 2;  ///< dist workers inside each request
 
   // Serving-tier shape.
   std::size_t streams = 2;   ///< interleaved stream ids (per-stream loops)

@@ -9,28 +9,64 @@
 namespace spacefts::control {
 namespace {
 
+// The operating-point grid.  Level L is Λ = kLambdaMin + L·kLambdaStep.
+constexpr double kLambdaMin = 45.0;       ///< floor the controller may shed to
+constexpr double kLambdaMax = 95.0;       ///< ceiling it may raise to
 constexpr double kLambdaStep = 10.0;      ///< bounded Λ step per decision epoch
+constexpr std::size_t kUpsilonMin = 2;    ///< voter-way floor (even)
+constexpr std::size_t kUpsilonInitial = 4;  ///< nominal voter ways (even)
 constexpr std::size_t kUpsilonMax = 8;    ///< voter-way ceiling (even)
+/// Highest Λ grid level, and the level kLambdaInitial sits on.
+constexpr int kLevelCap =
+    static_cast<int>((kLambdaMax - kLambdaMin) / kLambdaStep);
+constexpr int kInitialLevel =
+    static_cast<int>((kLambdaInitial - kLambdaMin) / kLambdaStep);
+static_assert(0.0 <= kLambdaMin && kLambdaMin <= kLambdaInitial &&
+                  kLambdaInitial <= kLambdaMax && kLambdaMax <= 100.0,
+              "Λ bounds must satisfy 0 <= min <= initial <= max <= 100");
+static_assert(kLambdaMin + kInitialLevel * kLambdaStep == kLambdaInitial,
+              "the initial Λ must lie on the level grid");
+static_assert(kUpsilonMin >= 2 && kUpsilonMin % 2 == 0 &&
+                  kUpsilonInitial >= kUpsilonMin &&
+                  kUpsilonInitial <= kUpsilonMax && kUpsilonInitial % 2 == 0,
+              "Υ bounds must be even with 2 <= min <= initial <= max");
+
+/// EWMA half-life of the windowed signals, in observations.
+constexpr double kEwmaHalflife = 4.0;
+static_assert(kEwmaHalflife > 0.0);
+const double kEwmaAlpha = 1.0 - std::exp2(-1.0 / kEwmaHalflife);
+
+// Signal bands: each *High > *Low pair gives hysteresis.
+/// Activity is EWMA corrected *pixels* per Mpixel.  Calibration (32²×8
+/// NGST jobs): clean frames run ≈1.2k–13k px/Mpix of pseudo-corrections
+/// depending on Λ, while Γ₀ ≥ 0.004 drives ≥35k — the bands sit between.
+constexpr double kActivityHigh = 8000.0;  ///< raise above this
+constexpr double kActivityLow = 3500.0;   ///< relax toward the floor below
+static_assert(0.0 <= kActivityLow && kActivityLow < kActivityHigh);
+/// Veto ratio (plausibility-gate rejections / detections) above which
+/// raising is blocked — the gate is already averting false alarms, so more
+/// sensitivity would feed it, not science.  On clean data the gate vetoes
+/// ≈95% of detections; under real faults ≈50–65%.
+constexpr double kVetoCap = 0.75;
+/// Veto ratio treated as a false-alarm storm: relax even if activity is
+/// high, because the corrections are mostly pseudo.
+constexpr double kVetoHigh = 0.80;
+static_assert(0.0 <= kVetoCap && kVetoCap <= kVetoHigh && kVetoHigh <= 1.0);
+/// Cost/deadline ratios: shed precision above kPressureHigh; raising is
+/// re-enabled only below kPressureLow, so the band between is the pressure
+/// hysteresis.
+constexpr double kPressureHigh = 0.95;
+constexpr double kPressureLow = 0.80;
+static_assert(kPressureHigh > kPressureLow);
+
 /// Epochs to dwell after a *downward* step (relax/shed) before another
 /// one.  Raises are exempt: the loop attacks fast, decays slow.
 constexpr std::size_t kHold = 1;
-/// Cost/deadline ratio below which raising is re-enabled; the band up to
-/// pressure_high is the pressure hysteresis.
-constexpr double kPressureLow = 0.80;
+// Batch hints: latency-biased when idle, throughput-biased under load.
+constexpr std::size_t kBatchCalm = 4;
+constexpr std::size_t kBatchPressed = 8;
 constexpr double kCostBaseNsPerPix = 40.0;   ///< Λ-independent per-pixel work
 constexpr double kCostVoterNsPerPix = 25.0;  ///< per voter way, × B width
-
-/// Highest Λ grid level the config admits.
-int level_cap(const ControlConfig& cfg) {
-  return static_cast<int>(
-      std::floor((cfg.lambda_max - cfg.lambda_min) / kLambdaStep));
-}
-
-int snap_level(const ControlConfig& cfg, double lambda) {
-  const double raw = (lambda - cfg.lambda_min) / kLambdaStep;
-  const int level = static_cast<int>(std::floor(raw + 0.5));
-  return std::clamp(level, 0, level_cap(cfg));
-}
 
 /// Per-pixel virtual cost of a point, in ns — pixels cancel out of the
 /// pressure projection, so decide() needs no knowledge of the job shape.
@@ -47,31 +83,8 @@ void require(bool ok, const char* what) {
 }  // namespace
 
 void validate_config(const ControlConfig& cfg) {
-  require(core::is_valid_sensitivity(cfg.lambda_min) &&
-              core::is_valid_sensitivity(cfg.lambda_max) &&
-              cfg.lambda_min <= cfg.lambda_max,
-          "lambda bounds must satisfy 0 <= lambda_min <= lambda_max <= 100");
-  require(core::is_valid_sensitivity(cfg.lambda_initial) &&
-              cfg.lambda_initial >= cfg.lambda_min &&
-              cfg.lambda_initial <= cfg.lambda_max,
-          "lambda_initial outside [lambda_min, lambda_max]");
-  require(cfg.upsilon_min >= 2 && cfg.upsilon_min % 2 == 0,
-          "upsilon_min must be even and >= 2");
-  require(cfg.upsilon_initial >= cfg.upsilon_min &&
-              cfg.upsilon_initial <= kUpsilonMax &&
-              cfg.upsilon_initial % 2 == 0,
-          "upsilon_initial outside [upsilon_min, 8] or odd");
   require(cfg.window >= 1, "window must be >= 1");
   require(cfg.lag >= 1, "lag must be >= 1");
-  require(cfg.ewma_halflife > 0.0 && std::isfinite(cfg.ewma_halflife),
-          "ewma_halflife must be > 0");
-  require(cfg.activity_low >= 0.0 && cfg.activity_high > cfg.activity_low,
-          "activity thresholds must satisfy 0 <= low < high");
-  require(cfg.veto_cap >= 0.0 && cfg.veto_cap <= 1.0 &&
-              cfg.veto_high >= cfg.veto_cap && cfg.veto_high <= 1.0,
-          "veto thresholds must satisfy 0 <= cap <= high <= 1");
-  require(cfg.pressure_high > kPressureLow,
-          "pressure_high must exceed the 0.80 raise threshold");
   require(cfg.deadline_budget_ms > 0.0 && std::isfinite(cfg.deadline_budget_ms),
           "deadline_budget_ms must be > 0");
 }
@@ -90,14 +103,12 @@ const char* to_string(Action action) noexcept {
   return "hold";
 }
 
-core::OperatingPoint point_at(const ControlConfig& cfg, int level,
-                              std::size_t upsilon, bool pressed) {
+core::OperatingPoint point_at(int level, std::size_t upsilon, bool pressed) {
   core::OperatingPoint point;
   point.lambda = std::min(
-      cfg.lambda_min + static_cast<double>(level) * kLambdaStep,
-      cfg.lambda_max);
+      kLambdaMin + static_cast<double>(level) * kLambdaStep, kLambdaMax);
   point.upsilon = upsilon;
-  point.max_batch = pressed ? cfg.batch_pressed : cfg.batch_calm;
+  point.max_batch = pressed ? kBatchPressed : kBatchCalm;
   return point;
 }
 
@@ -108,28 +119,28 @@ double virtual_cost_ms(std::size_t pixels, const core::OperatingPoint& point) {
 core::OperatingPoint fit_budget(const ControlConfig& cfg,
                                 std::size_t pixels) {
   validate_config(cfg);
-  const double budget = cfg.pressure_high * cfg.deadline_budget_ms;
+  const double budget = kPressureHigh * cfg.deadline_budget_ms;
   const auto fits = [&](int level, std::size_t upsilon) {
-    return virtual_cost_ms(pixels, point_at(cfg, level, upsilon, false)) <=
+    return virtual_cost_ms(pixels, point_at(level, upsilon, false)) <=
            budget;
   };
   // Walk the controller's own raise order so the open-loop fit lands on the
   // closed loop's steady state: Λ climbs at nominal Υ first, and only at
   // the Λ ceiling does surplus budget buy extra voter ways.
   std::size_t upsilon =
-      fits(0, cfg.upsilon_initial) ? cfg.upsilon_initial : cfg.upsilon_min;
+      fits(0, kUpsilonInitial) ? kUpsilonInitial : kUpsilonMin;
   if (!fits(0, upsilon)) {
     // Even the floor misses the budget: precision sheds, requests do not.
-    return point_at(cfg, 0, cfg.upsilon_min, false);
+    return point_at(0, kUpsilonMin, false);
   }
   int level = 0;
-  while (level < level_cap(cfg) && fits(level + 1, upsilon)) ++level;
-  if (level == level_cap(cfg)) {
+  while (level < kLevelCap && fits(level + 1, upsilon)) ++level;
+  if (level == kLevelCap) {
     while (upsilon + 2 <= kUpsilonMax && fits(level, upsilon + 2)) {
       upsilon += 2;
     }
   }
-  return point_at(cfg, level, upsilon, false);
+  return point_at(level, upsilon, false);
 }
 
 namespace {
@@ -142,7 +153,7 @@ namespace {
 bool raise_fits(const ControllerState& state, const ControlConfig& cfg,
                 const core::OperatingPoint& next) {
   return state.signals.load_mpix * per_pixel_cost(next) <=
-         cfg.pressure_high * cfg.deadline_budget_ms;
+         kPressureHigh * cfg.deadline_budget_ms;
 }
 
 }  // namespace
@@ -156,42 +167,42 @@ Action decide(ControllerState& state, const ControlConfig& cfg) {
   // transient.  Raising is exempt from the dwell — reacting slowly to a
   // fault burst is the one direction where hysteresis costs science, so the
   // loop has fast attack and slow decay; chatter is excluded by the banded
-  // thresholds (activity_low < activity_high, veto_cap < veto_high), which
+  // thresholds (kActivityLow < kActivityHigh, kVetoCap < kVetoHigh), which
   // keep raise and relax conditions disjoint.
   const bool dwelling = state.hold_remaining > 0;
   if (dwelling) --state.hold_remaining;
 
-  if (s.pressure > cfg.pressure_high) {
+  if (s.pressure > kPressureHigh) {
     // Deadline pressure outranks everything: a loop that misses deadlines
     // protects nothing.  Shed in the relax order — surplus voter ways back
     // to nominal first (they are the steepest cost term), then Λ, then the
     // last ways — so an overload never strands a hot Υ on a gutted Λ.
     if (dwelling) {
       // fall through to the epoch bookkeeping
-    } else if (state.upsilon > cfg.upsilon_initial) {
+    } else if (state.upsilon > kUpsilonInitial) {
       state.upsilon -= 2;
       action = Action::kShedPrecision;
     } else if (state.level > 0) {
       --state.level;
       action = Action::kShedPrecision;
-    } else if (state.upsilon > cfg.upsilon_min) {
+    } else if (state.upsilon > kUpsilonMin) {
       state.upsilon -= 2;
       action = Action::kShedPrecision;
     }
   } else if (s.pressure < kPressureLow) {
     // Only a clearly calm loop may spend more: the (low, high) band is the
     // pressure hysteresis.
-    const bool false_alarm_storm = s.veto_ratio > cfg.veto_high;
-    if (!false_alarm_storm && s.activity > cfg.activity_high &&
-        s.veto_ratio <= cfg.veto_cap) {
-      if (state.level < level_cap(cfg)) {
-        const auto next = point_at(cfg, state.level + 1, state.upsilon, false);
+    const bool false_alarm_storm = s.veto_ratio > kVetoHigh;
+    if (!false_alarm_storm && s.activity > kActivityHigh &&
+        s.veto_ratio <= kVetoCap) {
+      if (state.level < kLevelCap) {
+        const auto next = point_at(state.level + 1, state.upsilon, false);
         if (raise_fits(state, cfg, next)) {
           ++state.level;
           action = Action::kRaise;
         }
       } else if (state.upsilon < kUpsilonMax) {
-        const auto next = point_at(cfg, state.level, state.upsilon + 2, false);
+        const auto next = point_at(state.level, state.upsilon + 2, false);
         if (raise_fits(state, cfg, next)) {
           state.upsilon += 2;
           action = Action::kRaise;
@@ -199,17 +210,17 @@ Action decide(ControllerState& state, const ControlConfig& cfg) {
       }
     } else if (dwelling) {
       // downward steps wait out the dwell
-    } else if (false_alarm_storm || s.activity < cfg.activity_low) {
+    } else if (false_alarm_storm || s.activity < kActivityLow) {
       // Quiet stream (or pseudo-corrections dominating): back off toward
       // the nominal Υ first, then the Λ floor — on clean data a hotter
       // point only buys false alarms and compute.
-      if (state.upsilon > cfg.upsilon_initial) {
+      if (state.upsilon > kUpsilonInitial) {
         state.upsilon -= 2;
         action = Action::kRelax;
       } else if (state.level > 0) {
         --state.level;
         action = Action::kRelax;
-      } else if (state.upsilon > cfg.upsilon_min) {
+      } else if (state.upsilon > kUpsilonMin) {
         state.upsilon -= 2;
         action = Action::kRelax;
       }
@@ -228,11 +239,10 @@ SensitivityController::SensitivityController(ControlConfig cfg,
                                              std::uint64_t stream)
     : cfg_(cfg), stream_(stream) {
   validate_config(cfg_);
-  state_.level = snap_level(cfg_, cfg_.lambda_initial);
-  state_.upsilon = cfg_.upsilon_initial;
-  ewma_alpha_ = 1.0 - std::exp2(-1.0 / cfg_.ewma_halflife);
+  state_.level = kInitialLevel;
+  state_.upsilon = kUpsilonInitial;
   schedule_.push_back(
-      Epoch{0, point_at(cfg_, state_.level, state_.upsilon, false)});
+      Epoch{0, point_at(state_.level, state_.upsilon, false)});
 }
 
 void SensitivityController::fold(const Observation& obs) {
@@ -245,16 +255,16 @@ void SensitivityController::fold(const Observation& obs) {
     // the ingest stage's constant background and would mask the drift.
     const double activity =
         static_cast<double>(obs.pixels_corrected) / mpix;
-    s.activity += ewma_alpha_ * (activity - s.activity);
+    s.activity += kEwmaAlpha * (activity - s.activity);
     const double detections = static_cast<double>(obs.pixels_vetoed) +
                               static_cast<double>(obs.pixels_corrected);
     if (detections > 0.0) {
       const double veto = static_cast<double>(obs.pixels_vetoed) / detections;
-      s.veto_ratio += ewma_alpha_ * (veto - s.veto_ratio);
+      s.veto_ratio += kEwmaAlpha * (veto - s.veto_ratio);
     }
     const double pressure = obs.cost_ms / cfg_.deadline_budget_ms;
-    s.pressure += ewma_alpha_ * (pressure - s.pressure);
-    s.load_mpix += ewma_alpha_ * (mpix - s.load_mpix);
+    s.pressure += kEwmaAlpha * (pressure - s.pressure);
+    s.load_mpix += kEwmaAlpha * (mpix - s.load_mpix);
   }
 
   const std::uint64_t seq = state_.folds;  // the observation just folded
@@ -264,7 +274,7 @@ void SensitivityController::fold(const Observation& obs) {
     const Action action = decide(state_, cfg_);
     const bool pressed = state_.signals.pressure > kPressureLow;
     const core::OperatingPoint point =
-        point_at(cfg_, state_.level, state_.upsilon, pressed);
+        point_at(state_.level, state_.upsilon, pressed);
     // The fresh point governs from the seq this fold schedules: seq + lag.
     schedule_.push_back(Epoch{seq + cfg_.lag, point});
     Decision record;

@@ -36,22 +36,20 @@
 
 namespace spacefts::control {
 
-/// Controller tuning.  Λ moves on an integer level grid — level L means
-/// Λ = lambda_min + 10·L, one bounded step per decision epoch — so repeated
-/// steps reproduce exact doubles on every platform and the decision goldens
-/// stay stable.  Υ tops out at 8 voter ways.  Fixed alongside these: a
-/// one-epoch dwell after a downward step, raising re-enabled only below
-/// 0.80 pressure, and a virtual cost of 40 ns/pixel plus 25 ns/pixel per
-/// voter way scaled by the B-window width (controller.cpp).
-struct ControlConfig {
-  // ---- operating-point bounds and grid ---------------------------------
-  double lambda_min = 45.0;        ///< floor the controller may shed to
-  double lambda_max = 95.0;        ///< ceiling it may raise to
-  double lambda_initial = 75.0;    ///< starting Λ (snapped onto the grid)
-  std::size_t upsilon_min = 2;     ///< even, ≥ 2
-  std::size_t upsilon_initial = 4; ///< even, in [upsilon_min, 8]
+/// Starting Λ of every stream.  The rest of the operating-point grid and
+/// the signal bands are fixed in controller.cpp (DESIGN.md §13): Λ moves on
+/// an integer level grid — level L means Λ = 45 + 10·L up to 95, one
+/// bounded step per decision epoch — so repeated steps reproduce exact
+/// doubles on every platform and the decision goldens stay stable.  Υ
+/// starts at 4 and moves between 2 and 8 voter ways.  Also fixed: an EWMA
+/// half-life of 4 observations, a one-epoch dwell after a downward step,
+/// raising re-enabled only below 0.80 pressure and shedding above 0.95, and
+/// a virtual cost of 40 ns/pixel plus 25 ns/pixel per voter way scaled by
+/// the B-window width.
+inline constexpr double kLambdaInitial = 75.0;
 
-  // ---- decision cadence and feedback geometry --------------------------
+/// Controller tuning: the knobs callers set.
+struct ControlConfig {
   /// Observations folded between decisions (the decision epoch).  Hysteresis
   /// in time: the point can move at most one bounded step per epoch.
   std::size_t window = 2;
@@ -60,31 +58,9 @@ struct ControlConfig {
   /// the admission gate enforces, so the point is always scheduled before
   /// the request can execute — on any shard, at any thread count.
   std::size_t lag = 4;
-  /// EWMA half-life of the windowed signals, in observations.
-  double ewma_halflife = 4.0;
 
-  // ---- signal thresholds (banded: *_high > *_low gives hysteresis) -----
-  /// Activity is EWMA corrected *pixels* per Mpixel.  Calibration (32²×8
-  /// NGST jobs): clean frames run ≈1.2k–13k px/Mpix of pseudo-corrections
-  /// depending on Λ, while Γ₀ ≥ 0.004 drives ≥35k — the bands sit between.
-  double activity_high = 8000.0;  ///< raise above this
-  double activity_low = 3500.0;   ///< relax toward the floor below
-  /// Veto ratio (plausibility-gate rejections / detections) above which
-  /// raising is blocked — the gate is already averting false alarms, so
-  /// more sensitivity would feed it, not science.  On clean data the gate
-  /// vetoes ≈95% of detections; under real faults ≈50–65%.
-  double veto_cap = 0.75;
-  /// Veto ratio treated as a false-alarm storm: relax even if activity is
-  /// high, because the corrections are mostly pseudo.
-  double veto_high = 0.80;
-  double pressure_high = 0.95;  ///< cost/deadline ratio: shed precision above
-
-  // ---- deadline, in virtual time (see virtual_cost_ms) ----------------
-  double deadline_budget_ms = 1.0;     ///< per-request latency SLO
-
-  // ---- batch hints ------------------------------------------------------
-  std::size_t batch_calm = 4;     ///< latency-biased batches when idle
-  std::size_t batch_pressed = 8;  ///< throughput-biased batches under load
+  /// Per-request latency SLO, in virtual time (see virtual_cost_ms).
+  double deadline_budget_ms = 1.0;
 
   /// Seed folded with the stream id into the controller's identity; it is
   /// part of the decision log so two runs only compare equal when they
@@ -136,7 +112,7 @@ enum class Action : std::uint8_t {
 /// struct — goldens in tests/control_test.cpp pin its trajectory.
 struct ControllerState {
   Signals signals;
-  int level = 0;                    ///< Λ grid level (see ControlConfig)
+  int level = 0;                    ///< Λ grid level (see kLambdaInitial)
   std::size_t upsilon = 4;
   std::size_t hold_remaining = 0;   ///< epochs left in the dwell
   std::uint64_t folds = 0;          ///< observations folded so far
@@ -165,17 +141,17 @@ struct Decision {
 [[nodiscard]] double virtual_cost_ms(std::size_t pixels,
                                      const core::OperatingPoint& point);
 
-/// The operating point a level/upsilon pair denotes under \p cfg.
-[[nodiscard]] core::OperatingPoint point_at(const ControlConfig& cfg,
-                                            int level, std::size_t upsilon,
+/// The operating point a level/upsilon pair denotes; \p pressed picks the
+/// throughput-biased batch hint (8) over the latency-biased one (4).
+[[nodiscard]] core::OperatingPoint point_at(int level, std::size_t upsilon,
                                             bool pressed);
 
 /// Open-loop application of the cost model: the strongest point whose
 /// virtual cost for a \p pixels-sized job stays under
-/// pressure_high · deadline_budget_ms, searched in the controller's own
+/// 0.95 · deadline_budget_ms, searched in the controller's own
 /// raise order (Λ climbs at nominal Υ first; only at the Λ ceiling does
 /// surplus budget buy voter ways) so it lands on the closed loop's steady
-/// state.  Falls back to the floor point when even (Λ_min, Υ_min) misses
+/// state.  Falls back to the floor point when even (Λ 45, Υ 2) misses
 /// the budget — precision sheds, requests do not.
 [[nodiscard]] core::OperatingPoint fit_budget(const ControlConfig& cfg,
                                               std::size_t pixels);
@@ -218,7 +194,6 @@ class SensitivityController {
   ControlConfig cfg_;
   std::uint64_t stream_;
   ControllerState state_;
-  double ewma_alpha_;
   std::vector<Epoch> schedule_;
   std::vector<Decision> decisions_;
 };

@@ -35,13 +35,12 @@ inline constexpr double kDefaultSigma = 30.0;        ///< NMS-representative σ
 inline constexpr std::uint16_t kPixelMax = 0xFFFF;   ///< 16-bit saturation
 
 /// Parameters of the synthetic star-field base scene used by the
-/// whole-frame pipeline experiments.  The background carries a spatial
-/// σ of 40 counts; star peaks (over background) span 2000–45000 counts and
-/// PSF widths 0.8–2.5 pixels.
+/// whole-frame pipeline experiments.  The detector background sits at
+/// 1200 counts with a spatial σ of 40 counts; star peaks (over background)
+/// span 2000–45000 counts and PSF widths 0.8–2.5 pixels.
 struct SceneParams {
   std::size_t width = 128;
   std::size_t height = 128;
-  double background = 1200.0;      ///< detector background level (counts)
   std::size_t stars = 24;          ///< number of point sources
 };
 

@@ -39,12 +39,12 @@ struct OtisScene {
   common::Cube<float> radiance;           ///< pristine at-sensor radiance
 };
 
-/// Generation knobs; defaults match the experiment harnesses.
+/// Generation knobs; defaults match the experiment harnesses.  Every scene
+/// perturbs a 290 K surface.
 struct OtisSceneParams {
   std::size_t width = 64;
   std::size_t height = 64;
   std::size_t bands = 8;            ///< 8–12 µm grid (otis::standard_band_grid)
-  double base_temperature_k = 290.0;
 };
 
 /// Deterministic generator for the three morphologies.

@@ -25,15 +25,13 @@
 
 namespace spacefts::datagen {
 
-/// Parameters of a synthetic telemetry bank.  Defaults describe mid-scale
-/// housekeeping counts with read-noise-scale drift, so the voter operates
-/// in the same regime as the NGST reference stack.
+/// Parameters of a synthetic telemetry bank.  Channels sit on mid-scale
+/// housekeeping base levels (20000–34000 counts) with read-noise-scale
+/// drift, so the voter operates in the same regime as the NGST reference
+/// stack; the sampling clock jitters by up to a quarter sample.
 struct TelemetryParams {
   std::size_t channels = 32;      ///< independent telemetry channels
   std::size_t samples = 64;       ///< temporal samples per channel
-  double base_min = 20000.0;      ///< channel base level range (counts)
-  double base_max = 34000.0;
-  double jitter = 0.25;           ///< sampling-clock jitter, in [0, 0.5)
 };
 
 /// Generator for jitter-sampled drifting telemetry channels.  Deterministic
@@ -43,14 +41,13 @@ class TelemetrySimulator {
   explicit TelemetrySimulator(std::uint64_t seed) : rng_(seed) {}
 
   /// One channel's sample sequence, clamped to [0, 65535].
-  /// \throws std::invalid_argument for zero samples or invalid params.
+  /// \throws std::invalid_argument for zero samples.
   [[nodiscard]] std::vector<std::uint16_t> channel(
       const TelemetryParams& params = {});
 
   /// A full bank as a 1-row temporal stack (width = channels, height = 1,
   /// frames = samples) ready for the temporal voter.
-  /// \throws std::invalid_argument for zero channels/samples or invalid
-  /// params.
+  /// \throws std::invalid_argument for zero channels or samples.
   [[nodiscard]] common::TemporalStack<std::uint16_t> stack(
       const TelemetryParams& params = {});
 

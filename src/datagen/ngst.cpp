@@ -6,6 +6,7 @@
 namespace spacefts::datagen {
 namespace {
 
+constexpr double kBackground = 1200.0;     ///< detector background (counts)
 constexpr double kBackgroundNoise = 40.0;  ///< spatial σ of the background
 constexpr double kStarPeakMin = 2000.0;    ///< faintest star peak over background
 constexpr double kStarPeakMax = 45000.0;   ///< brightest star peak over background
@@ -40,7 +41,7 @@ common::Image<std::uint16_t> NgstSimulator::base_scene(
   for (std::size_t y = 0; y < params.height; ++y) {
     for (std::size_t x = 0; x < params.width; ++x) {
       img(x, y) = clamp_pixel(
-          rng_.gaussian(params.background, kBackgroundNoise));
+          rng_.gaussian(kBackground, kBackgroundNoise));
     }
   }
   // Point sources with Gaussian PSFs, truncated at 4σ.

@@ -14,6 +14,8 @@ namespace {
 
 /// Mean broadband emissivity the ε texture varies around.
 constexpr double kEmissivityMean = 0.95;
+/// Calm surface temperature the morphologies perturb, in kelvin.
+constexpr double kBaseTemperatureK = 290.0;
 
 /// Smooth low-frequency field: a handful of random cosine modes, amplitude 1.
 common::Image<double> smooth_field(std::size_t w, std::size_t h,
@@ -81,7 +83,7 @@ OtisScene OtisSceneGenerator::generate(OtisSceneKind kind,
   const std::size_t h = params.height;
 
   // Temperature field: calm base with gentle large-scale structure.
-  common::Image<double> temp(w, h, params.base_temperature_k);
+  common::Image<double> temp(w, h, kBaseTemperatureK);
   {
     const auto undulation = smooth_field(w, h, rng_);
     for (std::size_t y = 0; y < h; ++y) {

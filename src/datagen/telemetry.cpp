@@ -9,6 +9,11 @@
 namespace spacefts::datagen {
 namespace {
 
+constexpr double kBaseMin = 20000.0;     ///< channel base level range (counts)
+constexpr double kBaseMax = 34000.0;
+static_assert(kBaseMin <= kBaseMax);
+constexpr double kJitter = 0.25;         ///< sampling-clock jitter (samples)
+static_assert(kJitter >= 0.0 && kJitter < 0.5);
 constexpr double kDriftSigma = 12.0;     ///< per-sample random-walk σ
 constexpr double kOscAmpMax = 600.0;     ///< oscillation amplitude range [0, max]
 constexpr double kOscPeriodMin = 16.0;   ///< oscillation period range (samples)
@@ -17,12 +22,6 @@ constexpr double kOscPeriodMax = 128.0;
 void validate(const TelemetryParams& params) {
   if (params.samples == 0) {
     throw std::invalid_argument("telemetry: samples must be > 0");
-  }
-  if (!(params.base_min <= params.base_max)) {
-    throw std::invalid_argument("telemetry: base_min > base_max");
-  }
-  if (!(params.jitter >= 0.0 && params.jitter < 0.5)) {
-    throw std::invalid_argument("telemetry: jitter outside [0, 0.5)");
   }
 }
 
@@ -33,7 +32,7 @@ std::vector<std::uint16_t> TelemetrySimulator::channel(
   validate(params);
   // Per-channel character draws first, then one (jitter, drift) pair per
   // sample — a fixed draw order, so a bank regenerates bit-identically.
-  const double base = rng_.uniform(params.base_min, params.base_max);
+  const double base = rng_.uniform(kBaseMin, kBaseMax);
   const double amp = rng_.uniform(0.0, kOscAmpMax);
   const double period = rng_.uniform(kOscPeriodMin, kOscPeriodMax);
   const double phase = rng_.uniform(0.0, 2.0 * std::numbers::pi);
@@ -43,7 +42,7 @@ std::vector<std::uint16_t> TelemetrySimulator::channel(
   double walk = 0.0;
   for (std::size_t i = 0; i < params.samples; ++i) {
     const double t = static_cast<double>(i) +
-                     params.jitter * rng_.uniform(-1.0, 1.0);
+                     kJitter * rng_.uniform(-1.0, 1.0);
     walk += rng_.gaussian(0.0, kDriftSigma);
     const double v =
         base + amp * std::sin(2.0 * std::numbers::pi * t / period + phase) +

@@ -116,11 +116,8 @@ struct PipelineResult {
   std::size_t worker_crashes = 0;   ///< crash events during the baseline
   std::size_t reassignments = 0;    ///< fragments re-dispatched after timeout
   // ---- Link accounting ------------------------------------------------
-  std::size_t messages_sent = 0;       ///< data-plane sends (scatter+gather)
   std::size_t messages_dropped = 0;    ///< lost in transit
   std::size_t messages_corrupted = 0;  ///< payload bit flips in transit
-  std::size_t messages_duplicated = 0; ///< extra deliveries (receiver dedups)
-  std::size_t messages_delayed = 0;    ///< extra-latency events
   std::size_t crc_failures = 0;        ///< corruptions caught by the framing
   std::size_t byzantine_rejected = 0;  ///< gathered tiles failing bounds
   std::size_t link_retries = 0;        ///< fragment retries spent on the link

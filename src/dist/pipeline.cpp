@@ -337,9 +337,6 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
   // Gather leg: the worker streams its integrated tile back to the master.
   auto send_gather = [&](std::size_t i, std::uint64_t ep, WorkerOutput out) {
     const auto fate = link_faults.sample(link_rngs[i]);
-    ++result.messages_sent;
-    result.messages_duplicated += fate.duplicates;
-    if (fate.extra_delay_s > 0.0) ++result.messages_delayed;
     if (fate.dropped) {
       ++result.messages_dropped;
       sim.schedule_after(kLinkTimeoutS,
@@ -464,9 +461,6 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
     master_uplink_free_at = arrive_base;
 
     const auto fate = link_faults.sample(link_rngs[i]);
-    ++result.messages_sent;
-    result.messages_duplicated += fate.duplicates;
-    if (fate.extra_delay_s > 0.0) ++result.messages_delayed;
     if (fate.dropped) {
       ++result.messages_dropped;
       sim.schedule(send_start + kLinkTimeoutS,
@@ -576,7 +570,6 @@ PipelineResult run_pipeline(const common::TemporalStack<std::uint16_t>& readouts
       .add(result.byzantine_rejected);
   telemetry::counter("pipeline.worker_crashes").add(result.worker_crashes);
   telemetry::counter("pipeline.reassignments").add(result.reassignments);
-  telemetry::counter("pipeline.messages_sent").add(result.messages_sent);
   telemetry::counter("pipeline.messages_dropped").add(result.messages_dropped);
   telemetry::counter("pipeline.messages_corrupted")
       .add(result.messages_corrupted);

@@ -32,8 +32,7 @@ struct MessageFaultConfig {
   double drop_prob = 0.0;       ///< message vanishes in transit
   double corrupt_prob = 0.0;    ///< payload arrives with flipped bits
   double duplicate_prob = 0.0;  ///< one extra copy is delivered
-  double delay_prob = 0.0;      ///< extra latency added to the transfer
-  double max_delay_s = 10e-3;   ///< delayed messages add U(0, max_delay_s]
+  double delay_prob = 0.0;      ///< delayed messages add U(0, 10 ms]
   /// Per-bit flip probability inside a corrupted payload; at least one bit
   /// always flips so "corrupted" is never silently clean.
   double corrupt_gamma0 = 1e-4;
@@ -60,7 +59,7 @@ struct MessageFaultConfig {
 class MessageFaultModel {
  public:
   /// \throws std::invalid_argument if any probability is outside [0, 1],
-  /// max_delay_s is negative, or corrupt_gamma0 is outside (0, 1].
+  /// or corrupt_gamma0 is outside (0, 1].
   explicit MessageFaultModel(const MessageFaultConfig& config);
 
   [[nodiscard]] const MessageFaultConfig& config() const noexcept {

@@ -8,6 +8,9 @@ namespace spacefts::fault {
 
 namespace {
 
+/// A delayed message arrives up to this much later than its transfer time.
+constexpr double kMaxDelayS = 10e-3;
+
 void check_probability(double p, const char* name) {
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument(std::string("MessageFaultModel: ") + name +
@@ -23,9 +26,6 @@ MessageFaultModel::MessageFaultModel(const MessageFaultConfig& config)
   check_probability(config_.corrupt_prob, "corrupt_prob");
   check_probability(config_.duplicate_prob, "duplicate_prob");
   check_probability(config_.delay_prob, "delay_prob");
-  if (config_.max_delay_s < 0.0) {
-    throw std::invalid_argument("MessageFaultModel: max_delay_s < 0");
-  }
   if (config_.corrupt_gamma0 <= 0.0 || config_.corrupt_gamma0 > 1.0) {
     throw std::invalid_argument(
         "MessageFaultModel: corrupt_gamma0 outside (0, 1]");
@@ -41,8 +41,7 @@ MessageFaultModel::Outcome MessageFaultModel::sample(common::Rng& rng) const {
   out.corrupted = rng.bernoulli(config_.corrupt_prob);
   out.duplicates = rng.bernoulli(config_.duplicate_prob) ? 1 : 0;
   const bool delayed = rng.bernoulli(config_.delay_prob);
-  out.extra_delay_s =
-      delayed ? rng.uniform() * config_.max_delay_s : 0.0;
+  out.extra_delay_s = delayed ? rng.uniform() * kMaxDelayS : 0.0;
   if (out.dropped) {
     out.corrupted = false;
     out.duplicates = 0;

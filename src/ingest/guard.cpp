@@ -7,6 +7,13 @@
 #include "spacefts/telemetry/telemetry.hpp"
 
 namespace spacefts::ingest {
+namespace {
+
+/// Baselines with fewer readouts are refused: temporal voting needs
+/// neighbours to consult.
+constexpr std::size_t kMinReadouts = 3;
+
+}  // namespace
 
 IngestGuard::IngestGuard(IngestConfig config) : config_(std::move(config)) {
   // Constructing the algorithm validates upsilon/lambda once, up front.
@@ -56,7 +63,7 @@ IngestResult IngestGuard::ingest(std::span<const std::uint8_t> bytes) const {
       return result;
     }
   }
-  if (file.hdus().size() < config_.min_readouts) {
+  if (file.hdus().size() < kMinReadouts) {
     result.error = "too few readouts for temporal preprocessing";
     telemetry::counter("ingest.rejected").add();
     return result;

@@ -35,9 +35,6 @@ struct IngestConfig {
   /// Preprocessing parameters; lambda = 0 degrades the layer to
   /// sanity-checking only, exactly as §3.2 specifies.
   core::AlgoNgstConfig algo;
-  /// Refuse baselines with fewer readouts than this (temporal voting needs
-  /// neighbours to consult).
-  std::size_t min_readouts = 3;
   /// Optional compute executor.  When set, step 4 routes the stack
   /// preprocessing through it instead of running AlgoNgst inline — this is
   /// how the serve tier swaps in a pluggable (possibly untrusted, possibly
@@ -71,7 +68,8 @@ class IngestGuard {
 
   /// Ingests a serialized FITS file whose HDUs are the baseline's N
   /// temporal readouts (equal geometry, BITPIX 16).  Never throws on bad
-  /// *data* — container-level failures are reported via IngestResult::ok.
+  /// *data* — container-level failures, fewer than three readouts among
+  /// them, are reported via IngestResult::ok.
   [[nodiscard]] IngestResult ingest(std::span<const std::uint8_t> bytes) const;
 
   /// Convenience for the transmit side: packs a stack into the container

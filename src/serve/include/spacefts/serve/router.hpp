@@ -6,9 +6,9 @@
 /// wrapped in health bookkeeping.  The router:
 ///
 ///  * **routes** by consistent hashing: the request's stream id (or its own
-///    id when it has no stream) hashes onto a ring of
-///    `shards * virtual_nodes` points, so one stream lands on one shard and
-///    removing a shard remaps only that shard's keys;
+///    id when it has no stream) hashes onto a ring of 32 points per
+///    shard, so one stream lands on one shard and removing a shard remaps
+///    only that shard's keys;
 ///  * **spills** a request rejected by its home shard (queue full — shards
 ///    run reject-fast admission) to the least-loaded healthy shard, once,
 ///    before shedding it;
@@ -57,9 +57,6 @@ namespace spacefts::serve {
 /// of any caller-supplied `pre_execute`.
 struct RouterConfig {
   std::size_t shards = 4;
-  /// Ring points per shard.  More points smooth the key distribution;
-  /// 32 keeps the worst shard within ~±20% of the mean.
-  std::size_t virtual_nodes = 32;
   ServerConfig shard;   ///< per-shard template (capacity, workers, exec, …)
   HealthPolicy health;  ///< ejection / probation thresholds
   /// Replay budget per request after shard death; exhausting it sheds.
@@ -100,7 +97,6 @@ struct ShardSnapshot {
   ShardState state = ShardState::kHealthy;
   std::uint64_t epoch = 0;       ///< incarnation number (bumps per eject)
   std::size_t queue_depth = 0;
-  std::size_t outstanding = 0;   ///< accepted, not yet retired (this epoch)
   std::uint64_t completed = 0;   ///< lifetime collected kOk results
   std::uint64_t ejections = 0;   ///< lifetime eject count
 };

@@ -207,7 +207,6 @@ TEST(Backend, QuarantineVerdictReplaysFromExportedDecisionLog) {
       std::make_shared<sb::UnreliableBackend>(cpu, lively_faults());
   sb::ShadowConfig sc;
   sc.shadow_rate = 1.0;
-  sc.quarantine_threshold = 3;
   sb::ShadowBackend shadowed(unreliable, cpu, sc);
 
   // Submit in a scrambled order: the canonical log must not care.
@@ -217,7 +216,7 @@ TEST(Backend, QuarantineVerdictReplaysFromExportedDecisionLog) {
   }
   const auto live = shadowed.decisions();
   const auto health = shadowed.health();
-  ASSERT_GE(health.mismatches, sc.quarantine_threshold);
+  ASSERT_GE(health.mismatches, 3u);
   EXPECT_TRUE(health.quarantined);
 
   // Round-trip through the on-disk artifact and replay the fold.
@@ -226,10 +225,10 @@ TEST(Backend, QuarantineVerdictReplaysFromExportedDecisionLog) {
   ASSERT_EQ(parsed.size(), live.size());
   EXPECT_EQ(sb::count_mismatches(parsed), health.mismatches);
 
-  const auto crossing = sb::quarantine_after(parsed, sc.quarantine_threshold);
+  const auto crossing = sb::quarantine_after(parsed);
   ASSERT_NE(crossing.request_id, UINT64_MAX) << "threshold never crossed";
   // The verdict is a prefix fold of the sorted log: replaying only the
-  // prefix up to the crossing key reaches exactly the threshold.
+  // prefix up to the crossing key reaches exactly the third mismatch.
   std::vector<sb::ShadowDecision> prefix;
   for (const auto& d : parsed) {
     prefix.push_back(d);
@@ -237,7 +236,7 @@ TEST(Backend, QuarantineVerdictReplaysFromExportedDecisionLog) {
       break;
     }
   }
-  EXPECT_EQ(sb::count_mismatches(prefix), sc.quarantine_threshold);
+  EXPECT_EQ(sb::count_mismatches(prefix), 3u);
 
   // And the rendered artifact itself is reproducible from the parse.
   EXPECT_EQ(sb::decisions_to_jsonl(parsed), rendered);

@@ -1,13 +1,18 @@
 // Tests for the fault-injection campaign harness — grid sweep determinism,
-// termination under link loss, degraded completion, and the CRC framing
-// sweep that underpins the link-level detection claim.
+// termination under link loss, degraded completion, the CRC framing sweep
+// that underpins the link-level detection claim, and the keyed upsert that
+// writes the BENCH_*.json trajectory files.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "spacefts/campaign/campaign.hpp"
 #include "spacefts/campaign/compute_sweep.hpp"
 #include "spacefts/campaign/downlink_sweep.hpp"
@@ -32,7 +37,6 @@ sc::CampaignConfig small_campaign() {
   config.lambda_grid = {80.0};
   config.trials = 2;
   config.seed = 7;
-  config.scene_side = 32;
   config.frames = 12;
   config.workers = 3;
   config.fragment_side = 16;
@@ -406,4 +410,90 @@ TEST(DownlinkSweep, RejectsMalformedGrids) {
   config = small_downlink_sweep();
   config.gamma0_grid = {2.0};
   EXPECT_THROW((void)sc::run_downlink_sweep(config), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ keyed upsert ---
+// telemetry::jsonl::upsert_jsonl is the one writer of every BENCH_*.json
+// trajectory file, under the key each file is written with.
+
+namespace {
+
+/// A file in the test temp dir holding \p text, removed on destruction.
+struct ScratchFile {
+  ScratchFile(const char* name, const std::string& text)
+      : path(std::filesystem::path(::testing::TempDir()) / name) {
+    std::ofstream(path, std::ios::trunc) << text;
+  }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+  ~ScratchFile() { std::filesystem::remove(path); }
+  std::string read() const {
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+  std::filesystem::path path;
+};
+
+std::string stack_row(const char* kernel, std::size_t threads, int rate) {
+  return "{\"bench\": \"stack_preprocess\", \"pixels_per_s\": " +
+         std::to_string(rate) + ", \"threads\": " + std::to_string(threads) +
+         ", \"upsilon\": 4, \"lambda\": 50, \"kernel\": \"" + kernel +
+         "\"}\n";
+}
+
+}  // namespace
+
+TEST(UpsertJsonl, PreprocessRowsKeepOneNewestRowPerConfiguration) {
+  const std::string old_avx2 = stack_row("avx2", 1, 10);
+  const std::string swar = stack_row("swar", 1, 20);
+  const std::string newer_avx2 = stack_row("avx2", 1, 30);
+  const std::string other = "{\"bench\": \"other\", \"value\": 7}\n";
+  ScratchFile file("upsert_preprocess.jsonl",
+                   old_avx2 + other + swar + newer_avx2);
+  const std::string four_lanes = stack_row("avx2", 4, 40);
+  ASSERT_TRUE(spacefts::telemetry::jsonl::upsert_jsonl(
+      four_lanes, bench::detail::preprocess_record_key, file.path.string()));
+  // The older duplicate goes; every other row comes through byte-unchanged
+  // and in order, the fresh row last.
+  EXPECT_EQ(file.read(), other + swar + newer_avx2 + four_lanes);
+
+  // Fresh rows replace their key's row, and duplicates among them collapse
+  // to the last one.
+  const std::string fresh_a = stack_row("swar", 1, 50);
+  const std::string fresh_b = stack_row("swar", 1, 60);
+  ASSERT_TRUE(spacefts::telemetry::jsonl::upsert_jsonl(
+      fresh_a + fresh_b, bench::detail::preprocess_record_key,
+      file.path.string()));
+  EXPECT_EQ(file.read(), other + newer_avx2 + four_lanes + fresh_b);
+}
+
+TEST(UpsertJsonl, CampaignRowsReplaceOnlyTheirOwnCell) {
+  const std::string shadow =
+      "{\"bench\":\"compute_shadow\",\"fault_rate\":0.1,"
+      "\"shadow_rate\":0.5,\"escaped\":0}\n";
+  const std::string fidelity =
+      "{\"bench\":\"downlink_fidelity\",\"workload\":\"ngst\","
+      "\"gamma0\":0.001,\"link_loss\":0.1,\"lambda\":80,\"psnr\":41}\n";
+  const std::string cell_a =
+      "{\"bench\":\"fault_campaign\",\"gamma0\":0,\"crash_prob\":0,"
+      "\"link_loss\":0,\"lambda\":80,\"trials\":3}\n";
+  const std::string cell_b =
+      "{\"bench\":\"fault_campaign\",\"gamma0\":0.002,\"crash_prob\":0,"
+      "\"link_loss\":0,\"lambda\":80,\"trials\":3}\n";
+  ScratchFile file("upsert_campaign.jsonl",
+                   shadow + cell_a + fidelity + cell_b);
+  const std::string rerun_a =
+      "{\"bench\":\"fault_campaign\",\"gamma0\":0,\"crash_prob\":0,"
+      "\"link_loss\":0,\"lambda\":80,\"trials\":5}\n";
+  ASSERT_TRUE(spacefts::telemetry::jsonl::upsert_jsonl(
+      rerun_a, sc::campaign_row_key, file.path.string()));
+  EXPECT_EQ(file.read(), shadow + fidelity + cell_b + rerun_a);
+}
+
+TEST(UpsertJsonl, UnwritablePathFails) {
+  // A directory cannot be rewritten as a file.
+  EXPECT_FALSE(spacefts::telemetry::jsonl::upsert_jsonl(
+      stack_row("avx2", 1, 10), bench::detail::preprocess_record_key,
+      ::testing::TempDir()));
 }

@@ -5,7 +5,9 @@
 // determinism and acceptance gate.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "spacefts/campaign/drift.hpp"
@@ -39,36 +41,19 @@ TEST(ControlConfig, DefaultsValidate) {
 
 TEST(ControlConfig, RejectsDegenerateFields) {
   sc::ControlConfig cfg;
-  cfg.lambda_min = 80.0;
-  cfg.lambda_max = 60.0;
-  EXPECT_THROW(sc::validate_config(cfg), std::invalid_argument);
-  cfg = {};
-  cfg.upsilon_initial = 3;  // odd voter counts round internally; ban them
-  EXPECT_THROW(sc::validate_config(cfg), std::invalid_argument);
-  cfg = {};
   cfg.window = 0;
-  EXPECT_THROW(sc::validate_config(cfg), std::invalid_argument);
-  cfg = {};
-  cfg.activity_low = cfg.activity_high;
-  EXPECT_THROW(sc::validate_config(cfg), std::invalid_argument);
-  cfg = {};
-  cfg.veto_cap = 0.9;
-  cfg.veto_high = 0.8;  // cap above storm threshold inverts the band
-  EXPECT_THROW(sc::validate_config(cfg), std::invalid_argument);
-  cfg = {};
-  cfg.ewma_halflife = 0.0;
   EXPECT_THROW(sc::validate_config(cfg), std::invalid_argument);
 }
 
 // ------------------------------------------------- points and cost model ---
 
 TEST(ControlPoints, GridSnapsAndClamps) {
-  const sc::ControlConfig cfg;  // 45 + 10·level, capped at 95
-  EXPECT_DOUBLE_EQ(sc::point_at(cfg, 0, 2, false).lambda, 45.0);
-  EXPECT_DOUBLE_EQ(sc::point_at(cfg, 3, 2, false).lambda, 75.0);
-  EXPECT_DOUBLE_EQ(sc::point_at(cfg, 5, 2, false).lambda, 95.0);
-  EXPECT_EQ(sc::point_at(cfg, 0, 6, true).max_batch, cfg.batch_pressed);
-  EXPECT_EQ(sc::point_at(cfg, 0, 6, false).max_batch, cfg.batch_calm);
+  // 45 + 10·level, capped at 95.
+  EXPECT_DOUBLE_EQ(sc::point_at(0, 2, false).lambda, 45.0);
+  EXPECT_DOUBLE_EQ(sc::point_at(3, 2, false).lambda, 75.0);
+  EXPECT_DOUBLE_EQ(sc::point_at(5, 2, false).lambda, 95.0);
+  EXPECT_EQ(sc::point_at(0, 6, true).max_batch, 8u);
+  EXPECT_EQ(sc::point_at(0, 6, false).max_batch, 4u);
 }
 
 TEST(ControlCost, MonotoneInLambdaAndUpsilon) {
@@ -84,14 +69,14 @@ TEST(ControlCost, FitBudgetPicksStrongestSustainablePoint) {
   // Default budget: the hottest Λ at nominal-ish Υ fits, Υ6 does not.
   const auto point = sc::fit_budget(cfg, pixels);
   EXPECT_LE(sc::virtual_cost_ms(pixels, point),
-            cfg.pressure_high * cfg.deadline_budget_ms);
+            0.95 * cfg.deadline_budget_ms);
   EXPECT_DOUBLE_EQ(point.lambda, 95.0);
   // A budget nothing fits falls back to the floor point: precision sheds,
   // requests do not.
   cfg.deadline_budget_ms = 0.1;
   const auto floor = sc::fit_budget(cfg, pixels);
-  EXPECT_DOUBLE_EQ(floor.lambda, cfg.lambda_min);
-  EXPECT_EQ(floor.upsilon, cfg.upsilon_min);
+  EXPECT_DOUBLE_EQ(floor.lambda, 45.0);
+  EXPECT_EQ(floor.upsilon, 2u);
 }
 
 // -------------------------------------------------------------- decide() ---
@@ -101,7 +86,7 @@ TEST(ControlDecide, RaisesAreExemptFromTheDwell) {
   sc::ControllerState state;
   state.signals = active_signals();
   state.level = 0;
-  state.upsilon = cfg.upsilon_initial;
+  state.upsilon = 4;
   // Consecutive raises: fast attack is the point of the asymmetric dwell.
   EXPECT_EQ(sc::decide(state, cfg), sc::Action::kRaise);
   EXPECT_EQ(sc::decide(state, cfg), sc::Action::kRaise);
@@ -115,7 +100,7 @@ TEST(ControlDecide, RelaxArmsTheDwell) {
   state.signals.activity = 20000.0;
   state.signals.pressure = 0.3;
   state.level = 3;
-  state.upsilon = cfg.upsilon_initial;
+  state.upsilon = 4;
   EXPECT_EQ(sc::decide(state, cfg), sc::Action::kRelax);
   EXPECT_EQ(sc::decide(state, cfg), sc::Action::kHold);  // dwelling
   EXPECT_EQ(sc::decide(state, cfg), sc::Action::kRelax);
@@ -127,14 +112,14 @@ TEST(ControlDecide, BoundedStepsOneLevelPerEpoch) {
   sc::ControllerState state;
   state.signals = active_signals();
   state.level = 0;
-  state.upsilon = cfg.upsilon_min;
+  state.upsilon = 2;
   (void)sc::decide(state, cfg);
   EXPECT_EQ(state.level, 1);      // one grid step, never a jump
-  EXPECT_EQ(state.upsilon, cfg.upsilon_min);  // Λ raises before Υ
+  EXPECT_EQ(state.upsilon, 2u);   // Λ raises before Υ
 }
 
 TEST(ControlDecide, ShedDropsSurplusVoterWaysBeforeLambda) {
-  const sc::ControlConfig cfg;  // upsilon_initial = 4
+  const sc::ControlConfig cfg;  // nominal Υ is 4
   sc::ControllerState state;
   state.signals.pressure = 1.2;  // overload
   state.level = 3;
@@ -167,7 +152,7 @@ TEST(ControlDecide, VetoCapBlocksRaisesOnPseudoActivity) {
   const sc::ControlConfig cfg;
   sc::ControllerState state;
   state.signals = active_signals();
-  state.signals.veto_ratio = cfg.veto_cap + 0.01;
+  state.signals.veto_ratio = 0.76;  // just above the 0.75 cap
   state.level = 1;
   EXPECT_EQ(sc::decide(state, cfg), sc::Action::kHold);
 }
@@ -179,8 +164,8 @@ TEST(ControlController, ScheduleCoversLagThenGrowsPerFold) {
   sc::SensitivityController ctl(cfg, 1);
   EXPECT_EQ(ctl.ready_through(), cfg.lag);
   const auto initial = ctl.point_for(0);
-  EXPECT_DOUBLE_EQ(initial.lambda, cfg.lambda_initial);
-  EXPECT_DOUBLE_EQ(ctl.point_for(cfg.lag - 1).lambda, cfg.lambda_initial);
+  EXPECT_DOUBLE_EQ(initial.lambda, 75.0);
+  EXPECT_DOUBLE_EQ(ctl.point_for(cfg.lag - 1).lambda, 75.0);
   EXPECT_THROW((void)ctl.point_for(cfg.lag), std::out_of_range);
   ctl.fold(sc::Observation{});
   EXPECT_EQ(ctl.ready_through(), cfg.lag + 1);
@@ -210,6 +195,43 @@ TEST(ControlController, DecisionTrajectoryIsAPureFunctionOfObservations) {
   for (const auto& d : a.decisions())
     if (d.action == sc::Action::kRaise) ++raises;
   EXPECT_GT(raises, 0u);
+}
+
+TEST(ControlController, DefaultTrajectoryIsPinned) {
+  // A steady 9000 corrected px/Mpix at a 0.5 veto ratio, on jobs small
+  // enough that every point fits the budget.  The activity EWMA (half-life
+  // 4 observations) starts under the 3500 relax band, dwells between the
+  // bands, and crosses the 8000 raise band at the 13th observation; from
+  // the next epoch Λ climbs one grid step per epoch to 95, then Υ to 8.
+  const sc::ControlConfig cfg;
+  sc::SensitivityController ctl(cfg, 1);
+  sc::Observation obs;
+  obs.pixels = 1000;
+  obs.pixels_corrected = 9;
+  obs.pixels_vetoed = 9;
+  obs.cost_ms = 0.3;
+  for (int i = 0; i < 24; ++i) ctl.fold(obs);
+  std::string trajectory;
+  for (const auto& d : ctl.decisions()) {
+    char step[64];
+    std::snprintf(step, sizeof step, "%s %g/%zu/%zu\n",
+                  sc::to_string(d.action), d.point.lambda, d.point.upsilon,
+                  d.point.max_batch);
+    trajectory += step;
+  }
+  EXPECT_EQ(trajectory,
+            "relax 65/4/4\n"
+            "hold 65/4/4\n"
+            "hold 65/4/4\n"
+            "hold 65/4/4\n"
+            "hold 65/4/4\n"
+            "hold 65/4/4\n"
+            "raise 75/4/4\n"
+            "raise 85/4/4\n"
+            "raise 95/4/4\n"
+            "raise 95/6/4\n"
+            "raise 95/8/4\n"
+            "hold 95/8/4\n");
 }
 
 TEST(ControlController, NonCompletedObservationsAdvanceWithoutSteering) {

@@ -2,6 +2,7 @@
 // injection/permutation helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -269,9 +270,6 @@ TEST(MessageFault, ValidatesConfiguration) {
   config.corrupt_prob = 1.1;
   EXPECT_THROW((void)sf::MessageFaultModel(config), std::invalid_argument);
   config = {};
-  config.max_delay_s = -1.0;
-  EXPECT_THROW((void)sf::MessageFaultModel(config), std::invalid_argument);
-  config = {};
   config.corrupt_gamma0 = 0.0;
   EXPECT_THROW((void)sf::MessageFaultModel(config), std::invalid_argument);
   EXPECT_NO_THROW((void)sf::MessageFaultModel(sf::MessageFaultConfig{}));
@@ -332,18 +330,22 @@ TEST(MessageFault, EmpiricalRatesMatchConfiguration) {
   sf::MessageFaultConfig config;
   config.drop_prob = 0.1;
   config.delay_prob = 0.25;
-  config.max_delay_s = 5e-3;
   const sf::MessageFaultModel model(config);
   Rng rng(24);
   const int trials = 20000;
   int dropped = 0, delayed = 0;
+  double longest = 0.0;
   for (int i = 0; i < trials; ++i) {
     const auto outcome = model.sample(rng);
     dropped += outcome.dropped ? 1 : 0;
     delayed += outcome.extra_delay_s > 0.0 ? 1 : 0;
     EXPECT_GE(outcome.extra_delay_s, 0.0);
-    EXPECT_LE(outcome.extra_delay_s, config.max_delay_s);
+    longest = std::max(longest, outcome.extra_delay_s);
   }
+  // Delays are uniform up to 10 ms; ~4,500 delayed draws put the longest
+  // in the top percent.
+  EXPECT_LE(longest, 10e-3);
+  EXPECT_GT(longest, 9.9e-3);
   EXPECT_NEAR(dropped / static_cast<double>(trials), 0.1, 0.01);
   // Delay survives only when the message was not dropped.
   EXPECT_NEAR(delayed / static_cast<double>(trials), 0.25 * 0.9, 0.015);

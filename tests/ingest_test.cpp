@@ -53,7 +53,8 @@ using spacefts::common::TemporalStack;
 
 namespace {
 
-TemporalStack<std::uint16_t> small_stack(std::uint64_t seed) {
+TemporalStack<std::uint16_t> small_stack(std::uint64_t seed,
+                                         std::size_t readouts = 16) {
   spacefts::datagen::NgstSimulator sim(seed);
   spacefts::datagen::SceneParams params;
   params.width = 8;
@@ -62,7 +63,7 @@ TemporalStack<std::uint16_t> small_stack(std::uint64_t seed) {
   // clamped plateaus, which the voter legitimately "corrects" toward; the
   // ingest tests want data where a clean pass is a near-no-op.
   params.stars = 0;
-  return sim.stack(16, params);
+  return sim.stack(readouts, params);
 }
 
 si::IngestConfig config_for(const TemporalStack<std::uint16_t>& stack) {
@@ -413,22 +414,20 @@ TEST(IngestGuard, IngestLeavesTheCallersBytesAlone) {
             first.preprocess.pixels_corrected);
 }
 
-TEST(IngestGuard, EnforcesConfiguredMinReadouts) {
-  // A parseable baseline with fewer readouts than the configured floor is
-  // refused up front: temporal voting without neighbours is meaningless.
-  const auto stack = small_stack(8);  // 16 readouts
-  auto config = config_for(stack);
-  config.min_readouts = 17;
-  const si::IngestGuard guard(config);
+TEST(IngestGuard, RefusesBaselinesUnderThreeReadouts) {
+  // A parseable baseline of two readouts is refused up front: temporal
+  // voting without neighbours is meaningless.
+  const auto two = small_stack(8, 2);
+  const si::IngestGuard guard(config_for(two));
   si::IngestResult result;
-  ASSERT_NO_THROW(result = guard.ingest(si::IngestGuard::pack(stack)));
+  ASSERT_NO_THROW(result = guard.ingest(si::IngestGuard::pack(two)));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("too few readouts"), std::string::npos);
 
-  // One more readout than the floor passes.
-  config.min_readouts = 16;
-  const si::IngestGuard relaxed(config);
-  EXPECT_TRUE(relaxed.ingest(si::IngestGuard::pack(stack)).ok);
+  // Three readouts pass.
+  const auto three = small_stack(8, 3);
+  const auto accepted = guard.ingest(si::IngestGuard::pack(three));
+  EXPECT_TRUE(accepted.ok) << accepted.error;
 }
 
 TEST(IngestGuard, AllHdusCorruptFailsGracefully) {

@@ -261,8 +261,6 @@ TEST(Router, ConfigValidationRejectsBadKnobs) {
   };
   EXPECT_THROW(make([](ss::RouterConfig& rc) { rc.shards = 0; }),
                std::invalid_argument);
-  EXPECT_THROW(make([](ss::RouterConfig& rc) { rc.virtual_nodes = 0; }),
-               std::invalid_argument);
   EXPECT_THROW(
       make([](ss::RouterConfig& rc) { rc.health.heartbeat_timeout_ms = 0; }),
       std::invalid_argument);
@@ -282,6 +280,14 @@ TEST(Router, RingIsDeterministicAndCoversEveryShard) {
     hit.insert(shard);
   }
   EXPECT_EQ(hit.size(), 8u);  // 32 vnodes/shard: 400 keys reach everyone
+  // The ring geometry is part of the replay contract: committed serve
+  // results and kill payloads depend on where each stream lands.
+  std::vector<std::uint32_t> placement;
+  for (std::uint64_t key = 1; key <= 12; ++key) {
+    placement.push_back(a.shard_of(key));
+  }
+  EXPECT_EQ(placement, (std::vector<std::uint32_t>{0, 1, 1, 7, 3, 5, 1, 7, 6,
+                                                   5, 1, 2}));
 }
 
 // ----------------------------------------------------- exactly-once paths ---
