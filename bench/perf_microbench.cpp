@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,15 +93,18 @@ void BM_AlgoNgstStackPreprocess(benchmark::State& state,
                           128);
 }
 
+/// Worker lanes of the stack benches and of the trajectory rows.
+constexpr std::size_t kStackThreads[] = {1, 4, 8};
+
 void register_stack_kernel_sweep() {
   for (const auto kernel : spacefts::core::available_kernels()) {
     const std::string name = std::string("BM_AlgoNgstStackPreprocess/") +
                              spacefts::core::kernel_name(kernel);
-    benchmark::RegisterBenchmark(name.c_str(), BM_AlgoNgstStackPreprocess,
-                                 kernel)
-        ->Arg(1)
-        ->Arg(4)
-        ->Arg(8);
+    auto* bench = benchmark::RegisterBenchmark(
+        name.c_str(), BM_AlgoNgstStackPreprocess, kernel);
+    for (const std::size_t threads : kStackThreads) {
+      bench->Arg(static_cast<std::int64_t>(threads));
+    }
   }
 }
 
@@ -121,11 +125,45 @@ void BM_AlgoOtisPlane(benchmark::State& state,
                           static_cast<std::int64_t>(plane.size()));
 }
 
+/// One whole cube at the serving tier's OTIS shape (24x24, 6 bands, one
+/// thread), from uncorrelated bit flips at Γ₀ = 0.003 over a pristine
+/// scene: every phase of every plane, as one request's backend runs it.
+void BM_AlgoOtisCube(benchmark::State& state, spacefts::core::Kernel kernel,
+                     spacefts::datagen::OtisSceneKind kind) {
+  spacefts::datagen::OtisSceneGenerator gen(0xBEEF5);
+  spacefts::datagen::OtisSceneParams params;
+  params.width = 24;
+  params.height = 24;
+  params.bands = 6;
+  auto scene = gen.generate(kind, params);
+  spacefts::common::Rng rng(0xBEEF6);
+  const auto mask = spacefts::fault::UncorrelatedFaultModel(0.003).mask32(
+      scene.radiance.size(), rng);
+  spacefts::fault::apply_mask_float(scene.radiance.voxels(), mask);
+  spacefts::core::AlgoOtisConfig config;
+  config.kernel = kernel;
+  const spacefts::core::AlgoOtis algo(config);
+  for (auto _ : state) {
+    auto working = scene.radiance;
+    benchmark::DoNotOptimize(algo.preprocess(working, scene.wavelengths_um));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(scene.radiance.size()));
+}
+
 void register_otis_kernel_sweep() {
+  using spacefts::datagen::OtisSceneKind;
   for (const auto kernel : spacefts::core::available_kernels()) {
     const std::string name = std::string("BM_AlgoOtisPlane/") +
                              spacefts::core::kernel_name(kernel);
     benchmark::RegisterBenchmark(name.c_str(), BM_AlgoOtisPlane, kernel);
+    for (const auto kind : {OtisSceneKind::kBlob, OtisSceneKind::kStripe,
+                            OtisSceneKind::kSpots}) {
+      const std::string cube = std::string("BM_AlgoOtisCube/") +
+                               spacefts::core::kernel_name(kernel) + "/" +
+                               spacefts::datagen::to_string(kind);
+      benchmark::RegisterBenchmark(cube.c_str(), BM_AlgoOtisCube, kernel, kind);
+    }
   }
 }
 
@@ -549,6 +587,32 @@ void record_stack_throughput(std::size_t threads,
                                   host_speedup);
 }
 
+/// Whether --benchmark_filter selects a BM_AlgoNgstStackPreprocess run
+/// (unset, "all", a regex one of their names contains, or a '-'-negated
+/// one none does — google-benchmark's rules), so that a filtered run of
+/// other benches leaves the trajectory rows alone.
+bool filter_selects_stack_sweep() {
+  std::string filter = benchmark::GetBenchmarkFilter();
+  if (filter.empty() || filter == "all") return true;
+  const bool negated = filter.front() == '-';
+  if (negated) filter.erase(0, 1);
+  std::regex re;
+  try {
+    re = std::regex(filter, std::regex::extended);
+  } catch (const std::regex_error&) {
+    return false;  // google-benchmark runs nothing either
+  }
+  for (const auto kernel : spacefts::core::available_kernels()) {
+    for (const std::size_t threads : kStackThreads) {
+      const std::string name = std::string("BM_AlgoNgstStackPreprocess/") +
+                               spacefts::core::kernel_name(kernel) + "/" +
+                               std::to_string(threads);
+      if (std::regex_search(name, re) != negated) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -559,8 +623,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Trajectory records: every available kernel at 1/4/8 worker lanes.
+  if (!filter_selects_stack_sweep()) return 0;
   for (const auto kernel : spacefts::core::available_kernels())
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}})
+    for (const std::size_t threads : kStackThreads)
       record_stack_throughput(threads, kernel);
   return 0;
 }

@@ -1,7 +1,6 @@
 /// \file stats.hpp
-/// Small descriptive-statistics helpers used by the dataset generators,
-/// the dynamic thresholding in the preprocessing algorithms, and the
-/// experiment harnesses.
+/// Small descriptive-statistics helpers used by the cosmic-ray rejection,
+/// the dataset tests, and the benchmark ledger.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +19,14 @@ namespace spacefts::common {
 /// empty input.  The input is copied, not reordered.
 [[nodiscard]] double median(std::span<const double> values);
 
-/// The k-th smallest element (0-based) of \p values.
-/// \throws std::out_of_range if k >= values.size() or the input is empty.
-[[nodiscard]] double kth_smallest(std::span<const double> values, std::size_t k);
+/// The k-th smallest element (0-based) of \p values, which must have the
+/// sign bit clear and not be NaN (magnitudes as std::abs returns them;
+/// +inf is allowed).  Selects in place, reordering \p values: such floats
+/// order like their bit patterns, so a most-significant-byte-first radix
+/// select narrows the candidates with branch-free counting and compaction.
+/// \throws std::out_of_range if k >= values.size().
+[[nodiscard]] float kth_smallest_nonnegative(std::span<float> values,
+                                             std::size_t k);
 
 /// Linear-interpolated percentile, p in [0, 100].
 /// \throws std::invalid_argument for an empty input or p outside [0,100].

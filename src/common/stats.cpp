@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+
+#include "spacefts/common/bitops.hpp"
 
 namespace spacefts::common {
 
@@ -34,14 +37,31 @@ double median(std::span<const double> values) {
   return 0.5 * (lo + hi);
 }
 
-double kth_smallest(std::span<const double> values, std::size_t k) {
+float kth_smallest_nonnegative(std::span<float> values, std::size_t k) {
   if (k >= values.size()) {
-    throw std::out_of_range("kth_smallest: k out of range");
+    throw std::out_of_range("kth_smallest_nonnegative: k out of range");
   }
-  std::vector<double> copy(values.begin(), values.end());
-  std::nth_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(k),
-                   copy.end());
-  return copy[k];
+  std::size_t n = values.size();
+  for (int shift = 24; shift >= 0 && n > 1; shift -= 8) {
+    const auto digit_of = [shift](float v) {
+      return (float_to_bits(v) >> shift) & 0xFFu;
+    };
+    std::size_t counts[256] = {};
+    for (std::size_t i = 0; i < n; ++i) ++counts[digit_of(values[i])];
+    std::uint32_t digit = 0;
+    while (k >= counts[digit]) k -= counts[digit++];
+    if (counts[digit] == n) continue;  // nothing to narrow
+    // Keep the candidates with this digit, in order; k is now their rank.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = values[i];
+      values[kept] = v;
+      kept += digit_of(v) == digit ? 1 : 0;
+    }
+    n = kept;
+  }
+  // One candidate left, or all of them share every bit.
+  return values[0];
 }
 
 double percentile(std::span<const double> values, double p) {

@@ -61,11 +61,6 @@ struct ControlConfig {
 
   /// Per-request latency SLO, in virtual time (see virtual_cost_ms).
   double deadline_budget_ms = 1.0;
-
-  /// Seed folded with the stream id into the controller's identity; it is
-  /// part of the decision log so two runs only compare equal when they
-  /// agreed on the whole configuration.
-  std::uint64_t seed = 0xC0117801ULL;
 };
 
 /// \throws std::invalid_argument naming the offending field.

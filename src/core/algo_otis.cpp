@@ -35,122 +35,102 @@ namespace par = spacefts::common::parallel;
 /// (kernel_detail.hpp), which derive clean-lane masks from the raw bytes.
 using PixelState = spacefts::core::detail::OtisPixelState;
 
-/// Median of the finite 3x3 neighbourhood (excluding nothing); NaN if none.
-[[nodiscard]] float local_median(const common::Image<float>& img,
-                                 std::size_t x, std::size_t y) {
-  float window[9];
-  std::size_t count = 0;
-  for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
-    for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(x) + dx;
-      const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(y) + dy;
-      if (nx < 0 || ny < 0 || nx >= static_cast<std::ptrdiff_t>(img.width()) ||
-          ny >= static_cast<std::ptrdiff_t>(img.height())) {
-        continue;
-      }
-      const float v = img(static_cast<std::size_t>(nx),
-                          static_cast<std::size_t>(ny));
-      if (std::isfinite(v)) window[count++] = v;
-    }
+/// The plane-pass entry points of one kernel.
+struct OtisKernel {
+  void (*phase1)(const detail::OtisPhase1Ctx&) = detail::otis_phase1_swar;
+  void (*phase23)(const detail::OtisPhase23Ctx&,
+                  AlgoOtisReport&) = detail::otis_phase23_swar;
+};
+
+[[nodiscard]] OtisKernel otis_kernel(Kernel kern) {
+  switch (kern) {
+#if defined(SPACEFTS_HAVE_AVX2)
+    case Kernel::kAvx2:
+      return {detail::otis_phase1_avx2, detail::otis_phase23_avx2};
+#endif
+#if defined(SPACEFTS_HAVE_AVX512)
+    case Kernel::kAvx512:
+      return {detail::otis_phase1_avx512, detail::otis_phase23_avx512};
+#endif
+    default:
+      return {};
   }
-  if (count == 0) return std::numeric_limits<float>::quiet_NaN();
-  // Insertion sort: count <= 8, and std::sort trips a GCC-12 array-bounds
-  // false positive on small stack arrays.
-  for (std::size_t i = 1; i < count; ++i) {
-    const float key = window[i];
-    std::size_t j = i;
-    while (j > 0 && key < window[j - 1]) {
-      window[j] = window[j - 1];
-      --j;
-    }
-    window[j] = key;
-  }
-  return window[count / 2];
 }
 
-}  // namespace
+/// Per-plane buffers of a plane pass, allocated once for a cube's planes.
+struct PlaneScratch {
+  common::Image<std::uint8_t> state;
+  common::Image<float> medians;
+  common::Image<float> residuals;
+  std::vector<float> pool;  ///< |residual| of the in-bounds pixels
 
-AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
-                                          double wavelength_um) const {
+  void fit(std::size_t w, std::size_t h) {
+    if (state.width() == w && state.height() == h) return;
+    state = common::Image<std::uint8_t>(w, h);
+    medians = common::Image<float>(w, h);
+    residuals = common::Image<float>(w, h);
+    pool.resize(w * h);
+  }
+};
+
+AlgoOtisReport preprocess_plane_with(const AlgoOtisConfig& config,
+                                     common::Image<float>& plane,
+                                     double wavelength_um, PlaneScratch& s) {
   AlgoOtisReport report;
   report.pixels_examined = plane.size();
-  if (config_.lambda <= 0.0 || plane.width() < 3 || plane.height() < 3) {
+  if (config.lambda <= 0.0 || plane.width() < 3 || plane.height() < 3) {
     return report;
   }
-  SPACEFTS_TSPAN("otis.plane", {"lambda", config_.lambda},
+  SPACEFTS_TSPAN("otis.plane", {"lambda", config.lambda},
                  {"wavelength_um", wavelength_um});
   const std::size_t w = plane.width();
   const std::size_t h = plane.height();
   const otis::RadianceInterval interval =
       otis::PhysicalBounds::global().radiance_interval(wavelength_um);
-  const std::size_t lanes = par::resolve_threads(config_.threads);
+  const std::size_t lanes = par::resolve_threads(config.threads);
+  const Kernel kern = resolve_kernel(config.kernel);
+  telemetry::counter(detail::otis_kernel_counter(kern)).add(1);
+  const OtisKernel kernel = otis_kernel(kern);
+  s.fit(w, h);
+  common::Image<std::uint8_t>& state = s.state;
+  common::Image<float>& medians = s.medians;
+  common::Image<float>& residuals = s.residuals;
 
-  // ---- Phase 1: classification ---------------------------------------------
-  // Row-parallel: every write (state/medians/residuals) targets the pixel's
-  // own row, the plane itself is only read.  The per-lane residual pools
-  // feed an order statistic below, which is permutation-invariant, so the
-  // outcome does not depend on how rows land on lanes.
-  common::Image<std::uint8_t> state(w, h,
-                                    static_cast<std::uint8_t>(PixelState::kClean));
-  common::Image<float> medians(w, h, 0.0f);
-  common::Image<float> residuals(w, h, 0.0f);
-  std::vector<std::vector<double>> lane_residuals(lanes);
-  std::vector<std::size_t> lane_oob(lanes, 0);
-
+  // ---- Phase 1: classification, on the dispatched kernel --------------------
   {
-  SPACEFTS_TSPAN("otis.classify");
-  par::parallel_for(h, /*grain=*/4, lanes, [&](std::size_t y0, std::size_t y1,
-                                               std::size_t lane) {
-    std::vector<double>& pool = lane_residuals[lane];
-    for (std::size_t y = y0; y < y1; ++y) {
-      for (std::size_t x = 0; x < w; ++x) {
-        const float v = plane(x, y);
-        const bool in_bounds =
-            std::isfinite(v) && (!config_.enable_bounds ||
-                                 interval.contains(static_cast<double>(v)));
-        const float m = local_median(plane, x, y);
-        medians(x, y) = m;
-        if (!in_bounds) {
-          // Hypothesis (2): theoretically impossible values are faults.
-          state(x, y) = static_cast<std::uint8_t>(PixelState::kCandidate);
-          ++lane_oob[lane];
-          residuals(x, y) = std::numeric_limits<float>::quiet_NaN();
-          continue;
-        }
-        const float r = std::isfinite(m) ? v - m : 0.0f;
-        residuals(x, y) = r;
-        pool.push_back(std::abs(static_cast<double>(r)));
-      }
-    }
-  });
+    SPACEFTS_TSPAN("otis.classify");
+    kernel.phase1(detail::OtisPhase1Ctx{&plane, &state, &medians, &residuals,
+                                        &interval, &config, lanes});
   }
-  std::vector<double> abs_residuals;
+  // The in-bounds |r| in pixel order; the order statistic below does not
+  // depend on it.  |r| as float converts exactly to the double the
+  // reference pools.
+  std::size_t pooled = 0;
   {
-    std::size_t n = 0;
-    for (const auto& pool : lane_residuals) n += pool.size();
-    abs_residuals.reserve(n);
-    for (const auto& pool : lane_residuals) {
-      abs_residuals.insert(abs_residuals.end(), pool.begin(), pool.end());
+    const std::uint8_t* const st = state.pixels().data();
+    const float* const res = residuals.pixels().data();
+    for (std::size_t i = 0; i < w * h; ++i) {
+      s.pool[pooled] = std::abs(res[i]);
+      pooled += st[i] == static_cast<std::uint8_t>(PixelState::kClean) ? 1 : 0;
     }
   }
-  for (std::size_t l = 0; l < lanes; ++l) report.out_of_bounds += lane_oob[l];
+  report.out_of_bounds = w * h - pooled;
 
   // Robust scale of the conforming residuals.  The 30th percentile of |r|
   // stays uncontaminated even when well over half the pixels carry faults
   // (the classic MAD breaks at 50%); for Gaussian residuals
   // P30(|r|) = 0.385 σ, so scale back to a σ estimate.
   double sigma_est = 0.0;
-  if (!abs_residuals.empty()) {
-    const auto rank = static_cast<std::size_t>(
-        0.3 * static_cast<double>(abs_residuals.size()));
-    sigma_est = common::kth_smallest(
-                    abs_residuals,
-                    std::min(rank, abs_residuals.size() - 1)) /
+  if (pooled != 0) {
+    const auto rank = std::min(
+        static_cast<std::size_t>(0.3 * static_cast<double>(pooled)),
+        pooled - 1);
+    sigma_est = static_cast<double>(common::kth_smallest_nonnegative(
+                    std::span(s.pool).first(pooled), rank)) /
                 0.385;
   }
   const double factor =
-      kOutlierBaseFactor * (1.0 + (100.0 - config_.lambda) / 50.0);
+      kOutlierBaseFactor * (1.0 + (100.0 - config.lambda) / 50.0);
   // Floor the threshold to keep pure float rounding noise from qualifying.
   const double tau = std::max(factor * sigma_est, 1e-12);
 
@@ -175,7 +155,7 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
         // whose interior neighbours are not residual-outliers themselves
         // (their own local medians are already hot) but visibly share the
         // deviation.
-        if (config_.enable_trend_test) {
+        if (config.enable_trend_test) {
           const float m = medians(x, y);
           std::size_t allies = 0;
           for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
@@ -221,30 +201,22 @@ AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
   }
 
   // ---- Phases 2 + 3: thresholds and vote, on the dispatched kernel ---------
-  const Kernel kern = resolve_kernel(config_.kernel);
-  telemetry::counter(detail::otis_kernel_counter(kern)).add(1);
-  const detail::OtisPhase23Ctx ctx{&plane,  &state,    &medians, &interval,
-                                   tau,     &config_,  lanes};
-  switch (kern) {
-#if defined(SPACEFTS_HAVE_AVX2)
-    case Kernel::kAvx2:
-      detail::otis_phase23_avx2(ctx, report);
-      break;
-#endif
-#if defined(SPACEFTS_HAVE_AVX512)
-    case Kernel::kAvx512:
-      detail::otis_phase23_avx512(ctx, report);
-      break;
-#endif
-    default:
-      detail::otis_phase23_swar(ctx, report);
-      break;
-  }
+  kernel.phase23(detail::OtisPhase23Ctx{&plane, &state, &medians, &interval,
+                                        tau, &config, lanes},
+                 report);
   telemetry::counter("otis.bit_corrected").add(report.bit_corrected);
   telemetry::counter("otis.median_replaced").add(report.median_replaced);
   telemetry::counter("otis.trend_protected").add(report.trend_protected);
   telemetry::counter("otis.out_of_bounds").add(report.out_of_bounds);
   return report;
+}
+
+}  // namespace
+
+AlgoOtisReport AlgoOtis::preprocess_plane(common::Image<float>& plane,
+                                          double wavelength_um) const {
+  PlaneScratch scratch;
+  return preprocess_plane_with(config_, plane, wavelength_um, scratch);
 }
 
 AlgoOtisReport AlgoOtis::preprocess_spectral(
@@ -361,9 +333,11 @@ AlgoOtisReport AlgoOtis::preprocess(
     throw std::invalid_argument("AlgoOtis: wavelengths/bands mismatch");
   }
   AlgoOtisReport total;
+  PlaneScratch scratch;
   for (std::size_t b = 0; b < cube.depth(); ++b) {
     auto img = cube.plane_image(b);
-    const AlgoOtisReport r = preprocess_plane(img, wavelengths_um[b]);
+    const AlgoOtisReport r =
+        preprocess_plane_with(config_, img, wavelengths_um[b], scratch);
     cube.set_plane(b, img);
     total.pixels_examined += r.pixels_examined;
     total.out_of_bounds += r.out_of_bounds;

@@ -57,8 +57,9 @@ struct AlgoOtisConfig {
   /// The differential harness (src/check) enforces this against a naive
   /// serial oracle.
   std::size_t threads = 1;
-  /// Compute kernel for the plane voting pass (kernel.hpp): kAuto resolves
-  /// to the widest kernel this host supports.  Output is bit-identical to
+  /// Compute kernel for the plane passes — the classification's 3x3
+  /// medians and the vote (kernel.hpp): kAuto resolves to the widest
+  /// kernel this host supports.  Output is bit-identical to
   /// check::oracle_otis_plane for every choice.  The spectral (per-pixel
   /// wavelength-axis) pass does not dispatch.
   Kernel kernel = Kernel::kAuto;

@@ -3,7 +3,8 @@
 ///
 /// The XOR/threshold/vote/mask stages of Algo_NGST and the Algo_OTIS
 /// spatial voting pass are pure bitwise arithmetic over 16- and 32-bit
-/// words, so they admit data-parallel implementations of graded width:
+/// words, and Algo_OTIS's 3x3 medians are min/max networks over 32-bit
+/// floats, so they admit data-parallel implementations of graded width:
 ///
 ///   kSwar    portable SIMD-within-a-register over std::uint64_t (4 x u16
 ///            or 2 x u32 lanes per word), no ISA requirements — the

@@ -38,6 +38,9 @@ struct Avx2Ops {
   static void store(std::uint32_t* p, V v) noexcept {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
+  static void store(float* p, V v) noexcept {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
 
   static V zero() noexcept { return _mm256_setzero_si256(); }
   static V ones() noexcept { return _mm256_set1_epi32(-1); }
@@ -162,6 +165,26 @@ struct Avx2Ops {
     return _mm256_cmpeq_epi32(_mm256_max_epu32(x, y), x);
   }
 
+  static V maxu32(V a, V b) noexcept { return _mm256_max_epu32(a, b); }
+  /// Per-lane binary32 min and max.
+  static V minf32(V a, V b) noexcept {
+    return _mm256_castps_si256(
+        _mm256_min_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b)));
+  }
+  static V maxf32(V a, V b) noexcept {
+    return _mm256_castps_si256(
+        _mm256_max_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b)));
+  }
+  /// Per-lane binary32 ordered a >= b, and a - b.
+  static V gef32(V a, V b) noexcept {
+    return _mm256_castps_si256(_mm256_cmp_ps(
+        _mm256_castsi256_ps(a), _mm256_castsi256_ps(b), _CMP_GE_OQ));
+  }
+  static V subf32(V a, V b) noexcept {
+    return _mm256_castps_si256(
+        _mm256_sub_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b)));
+  }
+
   /// Clean-state mask from eight raw state bytes
   /// (OtisPixelState::kClean == 0): widen to u32 lanes, compare to zero.
   static V clean_mask32(const std::uint8_t* p) noexcept {
@@ -179,6 +202,10 @@ static_assert(kNgstPad % Avx2Ops::kLanes16 == 0,
 
 AlgoNgstReport ngst_tile_avx2(const NgstTileCtx& ctx) {
   return ngst_tile_engine<Avx2Ops>(ctx);
+}
+
+void otis_phase1_avx2(const OtisPhase1Ctx& ctx) {
+  otis_phase1_engine<Avx2Ops>(ctx);
 }
 
 void otis_phase23_avx2(const OtisPhase23Ctx& ctx, AlgoOtisReport& report) {

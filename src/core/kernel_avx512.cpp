@@ -42,6 +42,7 @@ struct Avx512Ops {
   static void store(std::uint32_t* p, V v) noexcept {
     _mm512_storeu_si512(p, v);
   }
+  static void store(float* p, V v) noexcept { _mm512_storeu_si512(p, v); }
 
   static V zero() noexcept { return _mm512_setzero_si512(); }
   static V ones() noexcept { return _mm512_set1_epi32(-1); }
@@ -174,6 +175,31 @@ struct Avx512Ops {
     return _mm512_maskz_mov_epi32(_mm512_cmpge_epu32_mask(x, y), ones());
   }
 
+  static V maxu32(V a, V b) noexcept {
+    return _mm512_maskz_max_epu32(kAll32, a, b);
+  }
+  /// Per-lane binary32 min and max.
+  static V minf32(V a, V b) noexcept {
+    return _mm512_castps_si512(_mm512_maskz_min_ps(
+        kAll32, _mm512_castsi512_ps(a), _mm512_castsi512_ps(b)));
+  }
+  static V maxf32(V a, V b) noexcept {
+    return _mm512_castps_si512(_mm512_maskz_max_ps(
+        kAll32, _mm512_castsi512_ps(a), _mm512_castsi512_ps(b)));
+  }
+  /// Per-lane binary32 ordered a >= b, and a - b.
+  static V gef32(V a, V b) noexcept {
+    return _mm512_maskz_mov_epi32(
+        _mm512_cmp_ps_mask(_mm512_castsi512_ps(a), _mm512_castsi512_ps(b),
+                           _CMP_GE_OQ),
+        ones());
+  }
+  static V subf32(V a, V b) noexcept {
+    return _mm512_castps_si512(_mm512_maskz_sub_ps(
+        kAll32, _mm512_castsi512_ps(a), _mm512_castsi512_ps(b)));
+  }
+  static constexpr __mmask16 kAll32 = 0xFFFF;
+
   /// Clean-state mask from sixteen raw state bytes
   /// (OtisPixelState::kClean == 0): one byte compare, its sign bits as the
   /// lane mask.
@@ -192,6 +218,10 @@ static_assert(Avx512Ops::kLanes16 == kNgstPadAvx512,
 
 AlgoNgstReport ngst_tile_avx512(const NgstTileCtx& ctx) {
   return ngst_tile_engine<Avx512Ops>(ctx);
+}
+
+void otis_phase1_avx512(const OtisPhase1Ctx& ctx) {
+  otis_phase1_engine<Avx512Ops>(ctx);
 }
 
 void otis_phase23_avx512(const OtisPhase23Ctx& ctx, AlgoOtisReport& report) {

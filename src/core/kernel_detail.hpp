@@ -67,9 +67,33 @@ struct NgstTileCtx {
 [[nodiscard]] AlgoNgstReport ngst_tile_avx512(const NgstTileCtx& ctx);
 #endif
 
+/// Phase 1 of one OTIS plane pass: per pixel the median of its finite 3x3
+/// neighbours, the hypothesis-(2) bounds test, and the residual against
+/// the median.  The kernel writes every pixel of the three output images.
+struct OtisPhase1Ctx {
+  const common::Image<float>* plane = nullptr;
+  common::Image<std::uint8_t>* state = nullptr;  ///< kCandidate if out of bounds, else kClean
+  common::Image<float>* medians = nullptr;       ///< 3x3 medians (NaN if none finite)
+  common::Image<float>* residuals = nullptr;     ///< value - median; NaN if out of bounds
+  const otis::RadianceInterval* interval = nullptr;
+  const AlgoOtisConfig* cfg = nullptr;
+  std::size_t lanes = 1;  ///< resolved worker lanes for the row partition
+};
+
+/// Bit-identical to check::oracle_otis_plane's first classification
+/// sweep at every lane count.
+void otis_phase1_swar(const OtisPhase1Ctx& ctx);
+#if defined(SPACEFTS_HAVE_AVX2)
+void otis_phase1_avx2(const OtisPhase1Ctx& ctx);
+#endif
+#if defined(SPACEFTS_HAVE_AVX512)
+void otis_phase1_avx512(const OtisPhase1Ctx& ctx);
+#endif
+
 /// Phases 2 + 3 of one OTIS plane pass (dynamic thresholds from clean
-/// pairs, then the Jacobi bit vote + candidate fallback).  Phase 1
-/// classification stays in algo_otis.cpp; this context carries its outputs.
+/// pairs, then the Jacobi bit vote + candidate fallback).  The trend test
+/// between the phases stays in algo_otis.cpp; this context carries the
+/// classification.
 struct OtisPhase23Ctx {
   common::Image<float>* plane = nullptr;
   const common::Image<std::uint8_t>* state = nullptr;   ///< OtisPixelState

@@ -1,8 +1,10 @@
 /// \file kernel_engine.hpp
 /// The data-parallel voter engine, written once against a lane-ops policy
 /// (`Ops`) and instantiated per kernel TU (SwarOps in kernel_swar.cpp,
-/// Avx2Ops in kernel_avx2.cpp, Avx512Ops in kernel_avx512.cpp).  Internal
-/// header — include only from those TUs.
+/// Avx2Ops in kernel_avx2.cpp, Avx512Ops in kernel_avx512.cpp): the NGST
+/// tile kernel, OTIS phase 1 (3x3 medians, bounds test, residuals) and
+/// OTIS phases 2 + 3 (thresholds, vote).  Internal header — include only
+/// from those TUs.
 ///
 /// # Bit-identity to the serial reference
 ///
@@ -39,6 +41,20 @@
 /// * **Lane padding.**  NGST tiles are padded with all-zero series; every
 ///   XOR of a zero series is 0, so its unanimous AND is 0 and its
 ///   correction is always 0 — pad lanes can never touch data or counters.
+/// * **OTIS 3x3 median.**  A lane group clear of the left and right edge
+///   columns sorts its eight neighbour loads (five on the top and bottom
+///   rows) through the same networks with lane-wise float min/max and
+///   takes element count / 2, the reference's window[count / 2].  min/max
+///   treat +0 and -0 as equal and may return either, so a network keeps
+///   the multiset up to the sign of a zero; every other finite float
+///   compares equal only to its own bit pattern.  A lane whose median is
+///   finite and nonzero therefore has the reference's bits.  The other
+///   lanes go to the reference one by one: a non-finite neighbour (the
+///   reference drops it, so fewer values vote) or a median that compares
+///   equal to zero.  The bounds test compares floats against the interval
+///   rounded inwards to float, which admits exactly the floats the
+///   reference's double compare admits, and the residual is the same
+///   float subtraction.
 /// * **Plausibility gate.**  The apply stage evaluates the gate for a whole
 ///   lane group per readout row: the in-range partners i±d of the *live*
 ///   series (their count depends only on i), their median through a
@@ -59,6 +75,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "kernel_detail.hpp"
@@ -317,6 +335,200 @@ template <class Ops>
     }
   }
   return report;
+}
+
+// ---------------------------------------------------------------------------
+// OTIS plane kernel, phase 1 (classification).
+
+/// Median of the finite 3x3 neighbourhood of (x, y), the centre excluded;
+/// NaN if none.  The reference the vector path defers to (see file
+/// comment).
+[[nodiscard]] inline float otis_local_median(const common::Image<float>& img,
+                                             std::size_t x, std::size_t y) {
+  float window[8];
+  std::size_t count = 0;
+  for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
+    for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
+      if (dx == 0 && dy == 0) continue;
+      const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(x) + dx;
+      const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(y) + dy;
+      if (nx < 0 || ny < 0 || nx >= static_cast<std::ptrdiff_t>(img.width()) ||
+          ny >= static_cast<std::ptrdiff_t>(img.height())) {
+        continue;
+      }
+      const float v = img(static_cast<std::size_t>(nx),
+                          static_cast<std::size_t>(ny));
+      if (std::isfinite(v)) window[count++] = v;
+    }
+  }
+  if (count == 0) return std::numeric_limits<float>::quiet_NaN();
+  // Insertion sort: count <= 8, and std::sort trips a GCC-12 array-bounds
+  // false positive on small stack arrays.
+  for (std::size_t i = 1; i < count; ++i) {
+    const float key = window[i];
+    std::size_t j = i;
+    while (j > 0 && key < window[j - 1]) {
+      window[j] = window[j - 1];
+      --j;
+    }
+    window[j] = key;
+  }
+  return window[count / 2];
+}
+
+/// Lane-wise median of the \p kCount in-image 3x3 neighbours \p nb of a
+/// lane group (8 inside the plane, 5 on its top and bottom rows), stored
+/// to \p out.  Lanes whose answer the network cannot guarantee — a
+/// non-finite neighbour, or a median that compares equal to zero — are
+/// recomputed by the reference, column \p x0 + lane of row \p y.
+template <class Ops, std::size_t kCount>
+void otis_group_median(const common::Image<float>& plane,
+                       const float* const (&nb)[kCount], std::size_t x0,
+                       std::size_t y, float* out) {
+  using V = typename Ops::V;
+  constexpr std::size_t kL = Ops::kLanes32;
+  const V magnitude = Ops::bcast32(0x7FFFFFFFu);
+  V p[kCount];
+  V widest = Ops::zero();
+  for (std::size_t k = 0; k < kCount; ++k) {
+    p[k] = Ops::load(nb[k]);
+    widest = Ops::maxu32(widest, Ops::vand(p[k], magnitude));
+  }
+  sort_network(kCount, [&p](std::size_t a, std::size_t b) {
+    const V lo = Ops::minf32(p[a], p[b]);
+    p[b] = Ops::maxf32(p[a], p[b]);
+    p[a] = lo;
+  });
+  const V med = p[kCount / 2];
+  Ops::store(out, med);
+  const V defer =
+      Ops::vor(Ops::geu32(widest, Ops::bcast32(0x7F800000u)),
+               Ops::geu32(Ops::zero(), Ops::vand(med, magnitude)));
+  if (Ops::count_nonzero16(defer) == 0) return;
+  std::uint32_t lanes[kL];
+  Ops::store(lanes, defer);
+  for (std::size_t l = 0; l < kL; ++l) {
+    if (lanes[l] != 0) out[l] = otis_local_median(plane, x0 + l, y);
+  }
+}
+
+/// The float interval holding exactly the floats of [lo, hi]: lo rounded
+/// up and hi rounded down to float, so a float compare against it agrees
+/// with the reference's double compare for every float.
+[[nodiscard]] inline std::pair<float, float> float_interval(
+    const otis::RadianceInterval& interval) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  float lo = static_cast<float>(interval.lo);
+  float hi = static_cast<float>(interval.hi);
+  if (static_cast<double>(lo) < interval.lo) lo = std::nextafter(lo, kInf);
+  if (static_cast<double>(hi) > interval.hi) hi = std::nextafter(hi, -kInf);
+  return {lo, hi};
+}
+
+template <class Ops>
+void otis_phase1_engine(const OtisPhase1Ctx& c) {
+  using V = typename Ops::V;
+  namespace par = spacefts::common::parallel;
+  constexpr std::size_t kL = Ops::kLanes32;
+  const common::Image<float>& plane = *c.plane;
+  const otis::RadianceInterval& interval = *c.interval;
+  const bool bounds = c.cfg->enable_bounds;
+  const auto [lo, hi] = float_interval(interval);
+  const V lo_v = Ops::bcast32(common::float_to_bits(lo));
+  const V hi_v = Ops::bcast32(common::float_to_bits(hi));
+  const V magnitude = Ops::bcast32(0x7FFFFFFFu);
+  const V max_finite = Ops::bcast32(0x7F7FFFFFu);
+  const V nan = Ops::bcast32(
+      common::float_to_bits(std::numeric_limits<float>::quiet_NaN()));
+  const std::size_t w = plane.width();
+  const std::size_t h = plane.height();
+  const float* const px = plane.pixels().data();
+  std::uint8_t* const st = c.state->pixels().data();
+  float* const med = c.medians->pixels().data();
+  float* const res = c.residuals->pixels().data();
+  const auto classify = [&](std::size_t i) {
+    const float v = px[i];
+    const bool in_bounds =
+        std::isfinite(v) &&
+        (!bounds || interval.contains(static_cast<double>(v)));
+    const float m = med[i];
+    st[i] = static_cast<std::uint8_t>(in_bounds ? OtisPixelState::kClean
+                                                : OtisPixelState::kCandidate);
+    res[i] = !in_bounds ? std::numeric_limits<float>::quiet_NaN()
+             : std::isfinite(m) ? v - m
+                                : 0.0f;
+  };
+  // Lane groups of a row: a row that is not a whole number of groups ends
+  // with one group flush against its end, overlapping the one before it;
+  // every output depends only on the input, so it stores the same words
+  // again.
+  const auto for_groups = [](std::size_t x_begin, std::size_t x_end,
+                             auto&& group) {
+    for (std::size_t next = x_begin; next < x_end; next += kL) {
+      group(std::min(next, x_end - kL));
+    }
+  };
+  // Row-parallel: every write targets the pixel's own row, and the plane
+  // is only read.
+  par::parallel_for(h, /*grain=*/4, c.lanes, [&](std::size_t y0,
+                                                 std::size_t y1,
+                                                 std::size_t) {
+    for (std::size_t y = y0; y < y1; ++y) {
+      // Medians: reference end columns (and every column of a row whose
+      // inner w - 2 columns are less than a group), lane groups between.
+      float* const med_row = med + y * w;
+      const float* const mid = px + y * w;
+      const std::size_t xv_end = w - 2 >= kL ? w - 1 : 1;
+      med_row[0] = otis_local_median(plane, 0, y);
+      for_groups(1, xv_end, [&](std::size_t x0) {
+        const float* const c0 = mid + x0;
+        if (y == 0) {
+          const float* const nb[5] = {c0 - 1, c0 + 1, c0 + w - 1, c0 + w,
+                                      c0 + w + 1};
+          otis_group_median<Ops>(plane, nb, x0, y, med_row + x0);
+        } else if (y + 1 == h) {
+          const float* const nb[5] = {c0 - w - 1, c0 - w, c0 - w + 1, c0 - 1,
+                                      c0 + 1};
+          otis_group_median<Ops>(plane, nb, x0, y, med_row + x0);
+        } else {
+          const float* const nb[8] = {c0 - w - 1, c0 - w,     c0 - w + 1,
+                                      c0 - 1,     c0 + 1,     c0 + w - 1,
+                                      c0 + w,     c0 + w + 1};
+          otis_group_median<Ops>(plane, nb, x0, y, med_row + x0);
+        }
+      });
+      for (std::size_t x = xv_end; x < w; ++x) {
+        med_row[x] = otis_local_median(plane, x, y);
+      }
+      // Hypothesis (2) and the residual against the median.
+      const std::size_t row = y * w;
+      if (w < kL) {
+        for (std::size_t x = 0; x < w; ++x) classify(row + x);
+        continue;
+      }
+      for_groups(0, w, [&](std::size_t x0) {
+        const std::size_t i = row + x0;
+        const V v = Ops::load(px + i);
+        const V m = Ops::load(med + i);
+        V in = Ops::geu32(max_finite, Ops::vand(v, magnitude));
+        if (bounds) {
+          in = Ops::vand(in,
+                         Ops::vand(Ops::gef32(v, lo_v), Ops::gef32(hi_v, v)));
+        }
+        const V m_finite = Ops::geu32(max_finite, Ops::vand(m, magnitude));
+        const V r = Ops::vand(Ops::subf32(v, m), m_finite);
+        Ops::store(res + i, Ops::vor(Ops::vand(r, in),
+                                     Ops::vand(nan, Ops::vnot(in))));
+        std::uint32_t clean[kL];
+        Ops::store(clean, in);
+        for (std::size_t l = 0; l < kL; ++l) {
+          st[i + l] = static_cast<std::uint8_t>(
+              clean[l] != 0 ? OtisPixelState::kClean
+                            : OtisPixelState::kCandidate);
+        }
+      });
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

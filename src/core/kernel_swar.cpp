@@ -45,6 +45,7 @@ struct SwarOps {
   static void store(std::uint32_t* p, V v) noexcept {
     std::memcpy(p, &v, sizeof(v));
   }
+  static void store(float* p, V v) noexcept { std::memcpy(p, &v, sizeof(v)); }
 
   static V zero() noexcept { return 0; }
   static V ones() noexcept { return ~std::uint64_t{0}; }
@@ -142,6 +143,43 @@ struct SwarOps {
     return (((de >> 32) & 1u) * kLow) | ((((dd >> 32) & 1u) * kLow) << 32);
   }
 
+  /// Per-u32-lane unsigned max.
+  static V maxu32(V a, V b) noexcept {
+    const V ge = geu32(a, b);
+    return (a & ge) | (b & ~ge);
+  }
+  /// Per-lane binary32 min, max, ordered >= (all-ones lane) and
+  /// difference, one lane at a time: binary32 has no in-word form.
+  static V minf32(V a, V b) noexcept {
+    return lanewise_f32(a, b, [](float x, float y) {
+      return common::float_to_bits(y < x ? y : x);
+    });
+  }
+  static V maxf32(V a, V b) noexcept {
+    return lanewise_f32(a, b, [](float x, float y) {
+      return common::float_to_bits(y > x ? y : x);
+    });
+  }
+  static V gef32(V a, V b) noexcept {
+    return lanewise_f32(
+        a, b, [](float x, float y) { return x >= y ? 0xFFFFFFFFu : 0u; });
+  }
+  static V subf32(V a, V b) noexcept {
+    return lanewise_f32(
+        a, b, [](float x, float y) { return common::float_to_bits(x - y); });
+  }
+  /// Lane l of the result is f(lane l of a, lane l of b), read as floats.
+  template <class F>
+  static V lanewise_f32(V a, V b, F f) noexcept {
+    float x[2];
+    float y[2];
+    std::memcpy(x, &a, sizeof(a));
+    std::memcpy(y, &b, sizeof(b));
+    const std::uint32_t r[2] = {f(x[0], y[0]), f(x[1], y[1])};
+    std::memcpy(&a, r, sizeof(a));
+    return a;
+  }
+
   /// Clean-state mask from two raw state bytes (OtisPixelState::kClean == 0).
   static V clean_mask32(const std::uint8_t* p) noexcept {
     return (p[0] == 0 ? 0xFFFFFFFFull : 0) |
@@ -156,6 +194,10 @@ static_assert(kNgstPad % SwarOps::kLanes16 == 0,
 
 AlgoNgstReport ngst_tile_swar(const NgstTileCtx& ctx) {
   return ngst_tile_engine<SwarOps>(ctx);
+}
+
+void otis_phase1_swar(const OtisPhase1Ctx& ctx) {
+  otis_phase1_engine<SwarOps>(ctx);
 }
 
 void otis_phase23_swar(const OtisPhase23Ctx& ctx, AlgoOtisReport& report) {

@@ -1,7 +1,10 @@
 // Unit tests for spacefts::common — PRNG, containers, bit ops, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -322,11 +325,31 @@ TEST(Stats, MedianOddEven) {
 }
 
 TEST(Stats, KthSmallest) {
-  const std::vector<double> v{9, 1, 8, 2, 7};
-  EXPECT_DOUBLE_EQ(sc::kth_smallest(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(sc::kth_smallest(v, 2), 7.0);
-  EXPECT_DOUBLE_EQ(sc::kth_smallest(v, 4), 9.0);
-  EXPECT_THROW((void)sc::kth_smallest(v, 5), std::out_of_range);
+  std::vector<float> v{9, 1, 8, 2, 7};
+  EXPECT_EQ(sc::kth_smallest_nonnegative(v, 0), 1.0f);
+  v = {9, 1, 8, 2, 7};
+  EXPECT_EQ(sc::kth_smallest_nonnegative(v, 2), 7.0f);
+  v = {9, 1, 8, 2, 7};
+  EXPECT_EQ(sc::kth_smallest_nonnegative(v, 4), 9.0f);
+  EXPECT_THROW((void)sc::kth_smallest_nonnegative(v, 5), std::out_of_range);
+  // Every rank of a pool with duplicates, zeros, subnormals, +inf and
+  // values that share their high bytes, against a full sort.
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<float> mag(0.0f, 0.1f);
+  std::vector<float> pool(300);
+  for (float& x : pool) x = mag(rng);
+  for (std::size_t i = 0; i < 40; ++i) pool[i] = pool[i + 40];
+  pool[100] = 0.0f;
+  pool[101] = 0.0f;
+  pool[102] = std::numeric_limits<float>::denorm_min();
+  pool[103] = std::numeric_limits<float>::infinity();
+  pool[104] = 1.0e30f;
+  std::vector<float> sorted = pool;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t k = 0; k < pool.size(); ++k) {
+    std::vector<float> work = pool;
+    ASSERT_EQ(sc::kth_smallest_nonnegative(work, k), sorted[k]) << "k=" << k;
+  }
 }
 
 TEST(Stats, Percentile) {

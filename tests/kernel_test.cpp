@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -487,6 +488,68 @@ TEST(KernelParity, OtisAblationsAndTinyPlane) {
   AlgoOtisConfig wide;
   wide.upsilon = 8;
   check_otis_parity(wide, 5, 9, 8);
+}
+
+/// Phase 1 runs a lane-parallel 3x3 median on interior pixels and leaves
+/// the lanes it cannot decide to the reference: a non-finite neighbour
+/// (the reference drops it, so fewer than eight values vote) or a median
+/// that compares equal to zero (a min/max network may return the other
+/// signed zero).  These planes put such lanes everywhere.
+void sprinkle_non_finite(Image<float>& plane, std::uint32_t seed,
+                         int one_in) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> pick(0, one_in - 1);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (auto& px : plane.pixels()) {
+    if (pick(rng) == 0) px = specials[rng() % 3];
+  }
+}
+
+TEST(KernelParity, OtisNonFiniteNeighbours) {
+  for (const std::uint32_t seed : {11u, 12u, 13u}) {
+    Image<float> plane = make_plane(45, 21, seed);
+    sprinkle_non_finite(plane, seed, 9);
+    AlgoOtisConfig cfg;
+    check_otis_parity(cfg, plane);
+    cfg.enable_bounds = false;
+    check_otis_parity(cfg, plane);
+  }
+}
+
+TEST(KernelParity, OtisSignedZeroMedians) {
+  // Most pixels are +0.0 or -0.0 in random order, so most 3x3 medians
+  // compare equal to zero; the rest sit near 5.0, in bounds.  Zeros are
+  // out of bounds by default, so the median fallback writes the medians
+  // themselves into the plane, where the bit compare sees their sign.
+  for (const std::uint32_t seed : {21u, 22u}) {
+    Image<float> plane(43, 17, 0.0f);
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<float> level(4.5f, 5.5f);
+    for (auto& px : plane.pixels()) {
+      const std::uint32_t draw = rng() % 10;
+      px = draw < 4 ? 0.0f : draw < 8 ? -0.0f : level(rng);
+    }
+    AlgoOtisConfig cfg;
+    check_otis_parity(cfg, plane);
+    cfg.enable_bounds = false;
+    check_otis_parity(cfg, plane);
+  }
+}
+
+TEST(KernelParity, OtisShortAndRaggedInteriors) {
+  // Interiors (w - 2 columns) narrower than one lane group of every tier,
+  // exactly one, and ragged past it; rows 3, 4 and 11 high.
+  std::uint32_t seed = 100;
+  for (const std::size_t w : {3, 4, 17, 18, 19, 23, 24, 33, 41}) {
+    for (const std::size_t h : {3, 4, 11}) {
+      Image<float> plane = make_plane(w, h, ++seed);
+      check_otis_parity(AlgoOtisConfig{}, plane);
+      sprinkle_non_finite(plane, seed, 7);
+      check_otis_parity(AlgoOtisConfig{}, plane);
+    }
+  }
 }
 
 }  // namespace
