@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <regex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,19 +218,31 @@ std::vector<std::uint16_t> telemetry_tile_samples() {
   return data;
 }
 
+using RiceEncoder =
+    std::vector<std::uint8_t> (*)(std::span<const std::uint16_t>);
+
+/// compress16 runs the vector encoder where the host has AVX2 and BMI2;
+/// the _portable row times the per-sample path every other host runs.
 void BM_RiceCompress(benchmark::State& state,
-                     std::vector<std::uint16_t> (*make)()) {
+                     std::vector<std::uint16_t> (*make)(),
+                     RiceEncoder encode) {
   const auto data = make();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spacefts::rice::compress16(data));
+    benchmark::DoNotOptimize(encode(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size() * 2));
   state.counters["ratio"] = spacefts::rice::compression_ratio16(data);
 }
-BENCHMARK_CAPTURE(BM_RiceCompress, ngst, ngst_samples);
-BENCHMARK_CAPTURE(BM_RiceCompress, telemetry, telemetry_samples);
-BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile, telemetry_tile_samples);
+BENCHMARK_CAPTURE(BM_RiceCompress, ngst, ngst_samples,
+                  &spacefts::rice::compress16);
+BENCHMARK_CAPTURE(BM_RiceCompress, telemetry, telemetry_samples,
+                  &spacefts::rice::compress16);
+BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile, telemetry_tile_samples,
+                  &spacefts::rice::compress16);
+BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile_portable,
+                  telemetry_tile_samples,
+                  &spacefts::rice::detail::compress16_portable);
 
 void BM_RiceDecompress(benchmark::State& state,
                        std::vector<std::uint16_t> (*make)()) {

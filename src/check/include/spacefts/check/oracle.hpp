@@ -1,6 +1,6 @@
 /// \file oracle.hpp
 /// Naive scalar golden references for the voting algorithms and the Rice
-/// decoder.
+/// codec.
 ///
 /// Every function here re-derives the paper's semantics from scratch —
 /// straight-line loops, full sorts instead of nth_element, fresh vectors
@@ -21,11 +21,12 @@
 ///    keep the last processed series' value ("last pixel wins") — matching
 ///    the serial sweep the threaded stack path reproduces.
 ///
-/// The Rice reference reads its stream one bit at a time, the way the codec
-/// first shipped, and restates the format from its definition: a 5-bit k
-/// per 32-sample block (31 = verbatim 16-bit samples), a unary quotient
-/// bounded by the largest legal residual, k remainder bits, and the
-/// zigzag-mapped delta against the previous sample.
+/// The Rice references write and read their streams one bit at a time, the
+/// way the codec first shipped, and restate the format from its
+/// definition: a 5-bit k per 32-sample block (31 = verbatim 16-bit
+/// samples), a unary quotient bounded by the largest legal residual, k
+/// remainder bits, and the zigzag-mapped delta against the previous
+/// sample.
 ///
 /// The CRC-32 reference divides the message bit by bit in the textbook
 /// MSB-first register with the unreflected polynomial 0x04C11DB7, so it
@@ -68,6 +69,13 @@ namespace spacefts::check {
 [[nodiscard]] core::AlgoOtisReport oracle_otis_cube(
     common::Cube<float>& cube, std::span<const double> wavelengths_um,
     const core::AlgoOtisConfig& config);
+
+/// Golden Rice encoder, bit by bit: per block the first strict minimum of
+/// the Rice cost over every k in 0..16, the verbatim escape when it is
+/// strictly cheaper, and each unary quotient and remainder written one bit
+/// at a time.  Same bytes as rice::compress16.
+[[nodiscard]] std::vector<std::uint8_t> oracle_rice_encode(
+    std::span<const std::uint16_t> samples);
 
 /// Golden Rice decoder: exactly \p count samples of \p stream, bit by bit.
 /// Same contract as rice::decompress16 — the same samples, or a

@@ -48,7 +48,8 @@ struct PropertyResult {
 // ---- rice -----------------------------------------------------------------
 
 /// Round-trip identity over a mix of compressible (random-walk), verbatim
-/// (full-entropy), and block-boundary-length payloads drawn from \p rng.
+/// (full-entropy), and block-boundary-length payloads drawn from \p rng;
+/// each stream must also equal the bit-serial oracle_rice_encode's.
 [[nodiscard]] PropertyResult check_rice_roundtrip(common::Rng& rng);
 
 /// A single BitWriter reused across finish() must produce the same stream a

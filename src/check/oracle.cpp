@@ -149,6 +149,58 @@ struct OracleBits {
 
 }  // namespace
 
+std::vector<std::uint8_t> oracle_rice_encode(
+    std::span<const std::uint16_t> samples) {
+  constexpr unsigned kEscape = 31;
+  constexpr unsigned kMaxK = 16;
+  std::vector<bool> bits;
+  const auto put = [&bits](std::uint64_t value, unsigned count) {
+    for (unsigned i = count; i-- > 0;) bits.push_back((value >> i) & 1);
+  };
+  std::uint16_t previous = 0;
+  for (std::size_t begin = 0; begin < samples.size();
+       begin += rice::kBlockSamples) {
+    const std::size_t len =
+        std::min(rice::kBlockSamples, samples.size() - begin);
+    // Zigzag: non-negative deltas to even codes, negative ones to odd.
+    std::vector<std::uint64_t> mapped;
+    for (std::size_t j = begin; j < begin + len; ++j) {
+      const std::int64_t delta =
+          std::int64_t{samples[j]} - std::int64_t{previous};
+      mapped.push_back(delta >= 0 ? 2 * static_cast<std::uint64_t>(delta)
+                                  : 2 * static_cast<std::uint64_t>(-delta) - 1);
+      previous = samples[j];
+    }
+    unsigned best_k = 0;
+    std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
+    for (unsigned k = 0; k <= kMaxK; ++k) {
+      std::uint64_t cost = 0;
+      for (const std::uint64_t m : mapped) cost += (m >> k) + 1 + k;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_k = k;
+      }
+    }
+    if (len * 16 < best_cost) {
+      put(kEscape, 5);
+      for (std::size_t j = begin; j < begin + len; ++j) put(samples[j], 16);
+      continue;
+    }
+    put(best_k, 5);
+    for (const std::uint64_t m : mapped) {
+      for (std::uint64_t q = m >> best_k; q > 0; --q) bits.push_back(true);
+      bits.push_back(false);
+      put(m, best_k);
+    }
+  }
+  // MSB first, the last byte zero-padded.
+  std::vector<std::uint8_t> out((bits.size() + 7) / 8);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+  }
+  return out;
+}
+
 std::vector<std::uint16_t> oracle_rice_decode(
     std::span<const std::uint8_t> stream, std::size_t count) {
   constexpr std::uint64_t kEscape = 31;

@@ -79,6 +79,11 @@ PropertyResult check_rice_roundtrip(common::Rng& rng) {
     for (const std::size_t length : kRiceLengths) {
       const auto payload = draw_payload(rng, length, kind);
       const auto stream = rice::compress16(payload);
+      if (stream != oracle_rice_encode(payload)) {
+        return property_failed(format_detail(
+            "rice encoder differs from the oracle: kind=%zu length=%zu", kind,
+            length));
+      }
       const auto decoded = rice::decompress16(stream, payload.size());
       if (decoded != payload) {
         return property_failed(format_detail(
@@ -89,8 +94,12 @@ PropertyResult check_rice_roundtrip(common::Rng& rng) {
   // One irregular length drawn fresh each call.
   const std::size_t length = 1 + rng.below(400);
   const auto payload = draw_payload(rng, length, rng.below(4));
-  if (rice::decompress16(rice::compress16(payload), payload.size()) !=
-      payload) {
+  const auto stream = rice::compress16(payload);
+  if (stream != oracle_rice_encode(payload)) {
+    return property_failed(format_detail(
+        "rice encoder differs from the oracle: random length=%zu", length));
+  }
+  if (rice::decompress16(stream, payload.size()) != payload) {
     return property_failed(
         format_detail("rice round-trip mismatch: random length=%zu", length));
   }

@@ -4,7 +4,10 @@
 /// Avx2Ops in kernel_avx2.cpp, Avx512Ops in kernel_avx512.cpp): the NGST
 /// tile kernel, OTIS phase 1 (3x3 medians, bounds test, residuals) and
 /// OTIS phases 2 + 3 (thresholds, vote).  Internal header — include only
-/// from those TUs.
+/// from those TUs.  Its non-template helpers are `static inline`: each TU
+/// keeps a private copy built with its own ISA flags, where a plain
+/// `inline` one would be a weak symbol the linker may pick from an AVX
+/// object for the SWAR path too (the isa_objects_export_no_weak ctest).
 ///
 /// # Bit-identity to the serial reference
 ///
@@ -343,8 +346,8 @@ template <class Ops>
 /// Median of the finite 3x3 neighbourhood of (x, y), the centre excluded;
 /// NaN if none.  The reference the vector path defers to (see file
 /// comment).
-[[nodiscard]] inline float otis_local_median(const common::Image<float>& img,
-                                             std::size_t x, std::size_t y) {
+[[nodiscard]] static inline float otis_local_median(
+    const common::Image<float>& img, std::size_t x, std::size_t y) {
   float window[8];
   std::size_t count = 0;
   for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
@@ -415,7 +418,7 @@ void otis_group_median(const common::Image<float>& plane,
 /// The float interval holding exactly the floats of [lo, hi]: lo rounded
 /// up and hi rounded down to float, so a float compare against it agrees
 /// with the reference's double compare for every float.
-[[nodiscard]] inline std::pair<float, float> float_interval(
+[[nodiscard]] static inline std::pair<float, float> float_interval(
     const otis::RadianceInterval& interval) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
   float lo = static_cast<float>(interval.lo);
@@ -542,19 +545,18 @@ struct OtisWay {
   std::uint32_t v_val = 0;
 };
 
-[[nodiscard]] inline std::uint32_t otis_mask_from(std::uint32_t v) noexcept {
+[[nodiscard]] static inline std::uint32_t otis_mask_from(
+    std::uint32_t v) noexcept {
   return v <= 1 ? 0xFFFFFFFFu : ~(v - 1);
 }
 
 /// Phase 2: dynamic thresholds from clean pairs, via the exact histogram
 /// selection.  Returns have_thresholds (false when any way has fewer than 8
 /// clean pairs, same bail-out and way order as the serial reference).
-[[nodiscard]] inline bool otis_thresholds(const common::Image<float>& plane,
-                                          const common::Image<std::uint8_t>& state,
-                                          const AlgoOtisConfig& cfg,
-                                          std::vector<OtisWay>& ways,
-                                          std::uint32_t& lsb_mask,
-                                          std::uint32_t& msb_mask) {
+[[nodiscard]] static inline bool otis_thresholds(
+    const common::Image<float>& plane, const common::Image<std::uint8_t>& state,
+    const AlgoOtisConfig& cfg, std::vector<OtisWay>& ways,
+    std::uint32_t& lsb_mask, std::uint32_t& msb_mask) {
   ways.clear();
   for (std::size_t k = 1; k <= cfg.upsilon / 2; ++k) {
     const auto dist = static_cast<std::ptrdiff_t>((k + 1) / 2);
@@ -608,7 +610,7 @@ struct OtisWay {
 
 /// Correction vector for one pixel, one lane at a time — the reference
 /// voter loop verbatim; used for the edge columns the vector path cannot load safely.
-[[nodiscard]] inline std::uint32_t otis_corr_scalar(
+[[nodiscard]] static inline std::uint32_t otis_corr_scalar(
     const common::Image<float>& source, const common::Image<std::uint8_t>& state,
     const std::vector<OtisWay>& ways, std::size_t x, std::size_t y,
     std::uint32_t lsb_mask, std::uint32_t msb_mask,

@@ -7,10 +7,10 @@
 /// The reader holds a left-aligned 64-bit buffer that it refills a 32-bit
 /// word at a time, so a Rice code (unary quotient, stop bit and k remainder
 /// bits) decodes from one peek at that buffer.  The block calls,
-/// write_rice() and read_rice_samples(), keep that state in registers for a
-/// whole block; the reader's also undoes the codec's zigzag delta map and
-/// stores each 16-bit sample in place.  Stream tails, runs longer than the
-/// buffer and every throw stay out of line.
+/// write_rice(), write_codes() and read_rice_samples(), keep that state in
+/// registers for a whole block; the reader's also undoes the codec's
+/// zigzag delta map and stores each 16-bit sample in place.  Stream tails,
+/// runs longer than the buffer and every throw stay out of line.
 #pragma once
 
 #include <bit>
@@ -89,6 +89,35 @@ class BitWriter {
     pending_ = pending;
   }
 
+  /// Writes the low lengths[j] bits of each codes[j], in order: the same
+  /// bits as write_bits(codes[j], lengths[j]) per code, one put per code of
+  /// up to 56 bits and two for a longer one.
+  /// \pre codes.size() == lengths.size(), 0 < lengths[j] <= 64 and no bits
+  /// of codes[j] above lengths[j].
+  void write_codes(std::span<const std::uint64_t> codes,
+                   std::span<const std::uint64_t> lengths) {
+    std::size_t bits = pending_;
+    for (std::uint64_t n : lengths) bits += n;
+    ensure(bits / 8);
+    std::uint8_t* const out = bytes_.data();
+    std::size_t used = used_;
+    std::uint64_t acc = acc_;
+    unsigned pending = pending_;
+    for (std::size_t j = 0; j < codes.size(); ++j) {
+      std::uint64_t code = codes[j];
+      auto n = static_cast<unsigned>(lengths[j]);
+      if (n > 56) {
+        emit(out, used, acc, pending, code >> 32, n - 32);
+        code &= 0xFFFFFFFFu;
+        n = 32;
+      }
+      emit(out, used, acc, pending, code, n);
+    }
+    used_ = used;
+    acc_ = acc;
+    pending_ = pending;
+  }
+
   /// Presizes the buffer for \p bytes of output, so a caller that knows a
   /// bound on the stream length pays for no regrowth.
   void reserve(std::size_t bytes) { ensure(bytes); }
@@ -106,7 +135,7 @@ class BitWriter {
   /// Appends the low \p count bits of \p value at out + used: shifts them
   /// into \p acc, stores its \p pending bits MSB-first as one big-endian
   /// 64-bit word, and advances \p used past the whole bytes among them.
-  /// \pre 0 < count <= 32, no bits of \p value above \p count, pending < 8
+  /// \pre 0 < count <= 56, no bits of \p value above \p count, pending < 8
   /// and 8 writable bytes at out + used.
   static void emit(std::uint8_t* out, std::size_t& used, std::uint64_t& acc,
                    unsigned& pending, std::uint64_t value,

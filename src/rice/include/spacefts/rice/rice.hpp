@@ -25,10 +25,23 @@ inline constexpr std::size_t kBlockSamples = 32;
 
 /// Compresses 16-bit samples. The output is self-contained except for the
 /// sample count, which the caller must carry (as FITS does via NAXISn).
+/// On x86-64 hosts with AVX2 and BMI2 (SPACEFTS_SIMD builds) the residuals,
+/// the k choice and the codes of each full block after the first are
+/// formed in vector lanes; every path writes the same bytes.
 [[nodiscard]] std::vector<std::uint8_t> compress16(
     std::span<const std::uint16_t> samples);
 
-/// Decompresses exactly \p count samples.
+namespace detail {
+
+/// The portable per-sample path of compress16(), whatever the host: the
+/// reference the vector encoder is tested against.
+[[nodiscard]] std::vector<std::uint8_t> compress16_portable(
+    std::span<const std::uint16_t> samples);
+
+}  // namespace detail
+
+/// Decompresses exactly \p count samples.  On x86-64 hosts with BMI2 and
+/// LZCNT (SPACEFTS_SIMD builds) the same code runs compiled for them.
 /// \throws BitstreamError if the stream is truncated or malformed.
 [[nodiscard]] std::vector<std::uint16_t> decompress16(
     std::span<const std::uint8_t> stream, std::size_t count);

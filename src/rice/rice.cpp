@@ -4,6 +4,10 @@
 #include <array>
 #include <bit>
 
+#if defined(SPACEFTS_RICE_X86)
+#include <immintrin.h>
+#endif
+
 #include "spacefts/rice/bitstream.hpp"
 
 namespace spacefts::rice {
@@ -37,8 +41,9 @@ constexpr std::uint64_t kMaxMapped = 131070;
   return bits;
 }
 
-/// The first strict minimum of the block's cost over k in [0, kMaxK]; the
-/// stream format depends on this exact choice.
+/// The first strict minimum of the cost of a block of \p n residuals
+/// summing to \p sum over k in [0, kMaxK], with \p saving(k) their
+/// saving() at k; the stream format depends on this exact choice.
 ///
 /// cost(k + 1) - cost(k) = n - saving(k) =: delta(k).  saving(k) never
 /// grows with k, so delta is non-decreasing and the first strict minimum
@@ -47,11 +52,11 @@ constexpr std::uint64_t kMaxMapped = 131070;
 /// the same k.  Started at floor(log2(mean residual)), near the optimum,
 /// the walk evaluates about two saving() sums per block on the NGST and
 /// telemetry benches.
-[[nodiscard]] unsigned choose_k(std::span<const std::uint32_t> residuals,
-                                std::uint32_t sum) noexcept {
-  const auto n = static_cast<std::uint32_t>(residuals.size());
+template <typename Saving>
+[[nodiscard]] unsigned choose_k(std::uint32_t n, std::uint32_t sum,
+                                Saving saving) noexcept {
   const auto stops = [&](unsigned k) {
-    return k == kMaxK || saving(residuals, k) <= n;
+    return k == kMaxK || saving(k) <= n;
   };
   const std::uint32_t mean = sum / n;
   unsigned k =
@@ -64,49 +69,176 @@ constexpr std::uint64_t kMaxMapped = 131070;
   return k;
 }
 
-}  // namespace
+/// Codes one block of samples after \p previous: the 5-bit header, then
+/// the Rice codes of its residuals, or the samples verbatim when that is
+/// strictly cheaper.
+void code_block(BitWriter& writer, std::span<const std::uint16_t> block,
+                std::uint16_t previous) {
+  std::array<std::uint32_t, kBlockSamples> storage;
+  const auto residuals = std::span(storage).first(block.size());
+  std::uint32_t sum = 0;
+  for (std::size_t j = 0; j < block.size(); ++j) {
+    const std::int32_t delta = static_cast<std::int32_t>(block[j]) -
+                               static_cast<std::int32_t>(previous);
+    residuals[j] = zigzag(delta);
+    sum += residuals[j];
+    previous = block[j];
+  }
+  // Pick the cheapest k; compare against the verbatim escape.
+  const unsigned k =
+      choose_k(static_cast<std::uint32_t>(block.size()), sum,
+               [residuals](unsigned at) { return saving(residuals, at); });
+  std::size_t rice_cost = block.size() * (1 + k);
+  for (std::uint32_t r : residuals) rice_cost += r >> k;
+  if (block.size() * 16 < rice_cost) {
+    writer.write_bits(kEscape, 5);
+    // Verbatim blocks restart the predictor from the stored samples.
+    for (std::uint16_t sample : block) writer.write_bits(sample, 16);
+    return;
+  }
+  writer.write_bits(k, 5);
+  writer.write_rice(k, residuals);
+}
 
-std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
+/// A writer presized for the stream of \p count samples: a block never
+/// costs more than its verbatim form, 16 bits per sample plus the 5-bit
+/// header.
+BitWriter presized_writer(std::size_t count) {
   BitWriter writer;
-  // A block never costs more than its verbatim form: 16 bits per sample
-  // plus the 5-bit header.
-  const std::size_t blocks =
-      (samples.size() + kBlockSamples - 1) / kBlockSamples;
-  writer.reserve(samples.size() * 2 + (blocks * 5 + 7) / 8);
-  std::uint16_t previous = 0;
-  std::array<std::uint32_t, kBlockSamples> block;
+  const std::size_t blocks = (count + kBlockSamples - 1) / kBlockSamples;
+  writer.reserve(count * 2 + (blocks * 5 + 7) / 8);
+  return writer;
+}
 
+#if defined(SPACEFTS_RICE_X86)
+
+/// Every feature the vector encoder is compiled for, checked once.
+[[nodiscard]] bool host_has_avx2_bmi2() noexcept {
+  static const bool has = __builtin_cpu_supports("avx2") != 0 &&
+                          __builtin_cpu_supports("bmi2") != 0;
+  return has;
+}
+
+/// Every feature the fast decoder is compiled for, checked once.
+[[nodiscard]] bool host_has_bmi2_lzcnt() noexcept {
+  static const bool has = __builtin_cpu_supports("bmi2") != 0 &&
+                          __builtin_cpu_supports("lzcnt") != 0;
+  return has;
+}
+
+/// Sum of the eight 32-bit lanes of \p v.
+[[gnu::target("avx2,bmi2")]] std::uint32_t lane_sum(__m256i v) noexcept {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
+                            _mm256_extracti128_si256(v, 1));
+  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
+}
+
+/// saving() over the 32 residuals of a full block, held in four vectors.
+[[gnu::target("avx2,bmi2")]] std::uint32_t lane_saving(const __m256i (&r)[4],
+                                                       unsigned k) noexcept {
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(k));
+  const __m256i one = _mm256_set1_epi32(1);
+  __m256i bits = _mm256_setzero_si256();
+  for (const __m256i& v : r) {
+    const __m256i q = _mm256_add_epi32(_mm256_srl_epi32(v, shift), one);
+    bits = _mm256_add_epi32(bits, _mm256_srli_epi32(q, 1));
+  }
+  return lane_sum(bits);
+}
+
+/// Codes the full block at \p p, whose sample before it is p[-1], with the
+/// same header and codes as code_block(): residuals, the k walk and the
+/// codes in 8-lane vectors, neighbouring codes merged into 16 codes of at
+/// most 64 bits, and those emitted through BitWriter::write_codes().  A
+/// block that escapes or holds a quotient of 32 - k or more returns false
+/// having written nothing; code_block() codes it.
+[[gnu::target("avx2,bmi2")]] bool code_block_avx2(BitWriter& writer,
+                                                  const std::uint16_t* p) {
+  __m256i r[4];
+  __m256i sum = _mm256_setzero_si256();
+  for (std::size_t v = 0; v < 4; ++v) {
+    const __m256i cur = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8 * v)));
+    const __m256i prev = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8 * v - 1)));
+    const __m256i delta = _mm256_sub_epi32(cur, prev);
+    r[v] = _mm256_xor_si256(_mm256_slli_epi32(delta, 1),
+                            _mm256_srai_epi32(delta, 31));
+    sum = _mm256_add_epi32(sum, r[v]);
+  }
+  constexpr std::uint32_t n = kBlockSamples;
+  const unsigned k = choose_k(n, lane_sum(sum), [&r](unsigned at) {
+    return lane_saving(r, at);
+  });
+
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(k));
+  __m256i q[4];
+  __m256i q_sum = _mm256_setzero_si256();
+  __m256i q_max = _mm256_setzero_si256();
+  for (std::size_t v = 0; v < 4; ++v) {
+    q[v] = _mm256_srl_epi32(r[v], shift);
+    q_sum = _mm256_add_epi32(q_sum, q[v]);
+    q_max = _mm256_max_epu32(q_max, q[v]);
+  }
+  if (n * 16 < n * (1 + k) + lane_sum(q_sum)) return false;  // escape
+  // Quotients stay below 2^17, so a signed compare orders them.
+  const __m256i long_code = _mm256_cmpgt_epi32(
+      q_max, _mm256_set1_epi32(static_cast<int>(31 - k)));
+  if (_mm256_movemask_epi8(long_code) != 0) return false;
+
+  // Code j is ones(q) above the stop bit, then the k-bit remainder:
+  // (base ^ (base << q)) | (r & low), q + 1 + k <= 32 bits long.  Each
+  // 64-bit lane holds an even code below an odd one; the pair merges into
+  // even << length(odd) | odd, at most 64 bits.
+  const __m256i base = _mm256_set1_epi32(static_cast<int>(~0u << (k + 1)));
+  const __m256i low = _mm256_set1_epi32(static_cast<int>((1u << k) - 1));
+  const __m256i stop_and_remainder = _mm256_set1_epi32(static_cast<int>(k + 1));
+  const __m256i even_half = _mm256_set1_epi64x(0xFFFFFFFF);
+  alignas(32) std::uint64_t codes[kBlockSamples / 2];
+  alignas(32) std::uint64_t lengths[kBlockSamples / 2];
+  for (std::size_t v = 0; v < 4; ++v) {
+    const __m256i code =
+        _mm256_or_si256(_mm256_xor_si256(base, _mm256_sllv_epi32(base, q[v])),
+                        _mm256_and_si256(r[v], low));
+    const __m256i length = _mm256_add_epi32(q[v], stop_and_remainder);
+    const __m256i odd_length = _mm256_srli_epi64(length, 32);
+    const __m256i pair = _mm256_or_si256(
+        _mm256_sllv_epi64(_mm256_and_si256(code, even_half), odd_length),
+        _mm256_srli_epi64(code, 32));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(codes + 4 * v), pair);
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(lengths + 4 * v),
+        _mm256_add_epi64(_mm256_and_si256(length, even_half), odd_length));
+  }
+  writer.write_bits(k, 5);
+  writer.write_codes(codes, lengths);
+  return true;
+}
+
+/// compress16() on hosts with AVX2 and BMI2: every full block after the
+/// first goes to code_block_avx2(); the first (no sample before it to
+/// load), the tail and the blocks it declines go to code_block().
+[[gnu::target("avx2,bmi2")]] std::vector<std::uint8_t> compress16_avx2(
+    std::span<const std::uint16_t> samples) {
+  BitWriter writer = presized_writer(samples.size());
   for (std::size_t i = 0; i < samples.size(); i += kBlockSamples) {
-    const std::size_t block_len = std::min(kBlockSamples, samples.size() - i);
-    const auto residuals = std::span(block).first(block_len);
-    std::uint32_t sum = 0;
-    for (std::size_t j = 0; j < block_len; ++j) {
-      const std::int32_t delta = static_cast<std::int32_t>(samples[i + j]) -
-                                 static_cast<std::int32_t>(previous);
-      residuals[j] = zigzag(delta);
-      sum += residuals[j];
-      previous = samples[i + j];
+    const auto block =
+        samples.subspan(i, std::min(kBlockSamples, samples.size() - i));
+    if (i == 0 || block.size() < kBlockSamples ||
+        !code_block_avx2(writer, block.data())) {
+      code_block(writer, block, i == 0 ? 0 : samples[i - 1]);
     }
-    // Pick the cheapest k; compare against the verbatim escape.
-    const unsigned k = choose_k(residuals, sum);
-    std::size_t rice_cost = block_len * (1 + k);
-    for (std::uint32_t r : residuals) rice_cost += r >> k;
-    if (block_len * 16 < rice_cost) {
-      writer.write_bits(kEscape, 5);
-      // Verbatim blocks restart the predictor from the stored samples.
-      for (std::size_t j = 0; j < block_len; ++j) {
-        writer.write_bits(samples[i + j], 16);
-      }
-      continue;
-    }
-    writer.write_bits(k, 5);
-    writer.write_rice(k, residuals);
   }
   return writer.finish();
 }
 
-std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
-                                        std::size_t count) {
+#endif  // SPACEFTS_RICE_X86
+
+/// The body of decompress16(), inlined into each of its builds.
+[[gnu::always_inline]] inline std::vector<std::uint16_t> decode(
+    std::span<const std::uint8_t> stream, std::size_t count) {
   BitReader reader(stream);
   // The count comes from outside; every sample costs at least one bit, so
   // the stream bounds what a well-formed decode can produce.
@@ -135,6 +267,47 @@ std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
     done += block_len;
   }
   return out;
+}
+
+#if defined(SPACEFTS_RICE_X86)
+/// decode() with the reader's variable shifts and bit scans as SHLX, SHRX
+/// and LZCNT.
+[[gnu::target("bmi2,lzcnt")]] std::vector<std::uint16_t> decode_bmi2(
+    std::span<const std::uint8_t> stream, std::size_t count) {
+  return decode(stream, count);
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::vector<std::uint8_t> compress16_portable(
+    std::span<const std::uint16_t> samples) {
+  BitWriter writer = presized_writer(samples.size());
+  for (std::size_t i = 0; i < samples.size(); i += kBlockSamples) {
+    const auto block =
+        samples.subspan(i, std::min(kBlockSamples, samples.size() - i));
+    code_block(writer, block, i == 0 ? 0 : samples[i - 1]);
+  }
+  return writer.finish();
+}
+
+}  // namespace detail
+
+std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
+#if defined(SPACEFTS_RICE_X86)
+  if (host_has_avx2_bmi2()) return compress16_avx2(samples);
+#endif
+  return detail::compress16_portable(samples);
+}
+
+std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
+                                        std::size_t count) {
+#if defined(SPACEFTS_RICE_X86)
+  if (host_has_bmi2_lzcnt()) return decode_bmi2(stream, count);
+#endif
+  return decode(stream, count);
 }
 
 double compression_ratio16(std::span<const std::uint16_t> samples) {

@@ -224,6 +224,29 @@ TEST(Oracle, RiceDecodeMatchesTheCodec) {
   }
 }
 
+TEST(Oracle, RiceEncodeMatchesTheCodec) {
+  // The bit-serial encoder writes compress16's bytes, and both match the
+  // portable path: a walk, then the rice_roundtrip family (random walks,
+  // escapes, constants, alternating extremes at lengths around the block
+  // size) over many seeds.
+  Rng rng(72);
+  std::vector<std::uint16_t> walk(1000);
+  std::uint16_t level = 27000;
+  for (auto& v : walk) {
+    level = static_cast<std::uint16_t>(level + rng.below(201) - 100);
+    v = level;
+  }
+  EXPECT_EQ(sc::oracle_rice_encode(walk), sr::compress16(walk));
+  EXPECT_EQ(sc::oracle_rice_encode(walk),
+            sr::detail::compress16_portable(walk));
+  EXPECT_TRUE(sc::oracle_rice_encode({}).empty());
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Rng case_rng(seed);
+    const auto result = sc::check_rice_roundtrip(case_rng);
+    ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.detail;
+  }
+}
+
 TEST(Oracle, Crc32MatchesTheFramer) {
   // The standard check vector, then the framer's crc32 over log-uniform
   // lengths up to 4 KiB, fresh and streamed, across the fold threshold.

@@ -291,6 +291,16 @@ TEST(Bitstream, MatchesABitSerialOracle) {
         const auto run = random_run(rng);
         writer.write_unary(run);
         oracle.unary(run);
+      } else if (rng.below(4) == 0) {
+        // A batch of whole codes, 57..64 bits ones among them.
+        std::vector<std::uint64_t> codes(rng.below(20));
+        std::vector<std::uint64_t> lengths(codes.size());
+        for (std::size_t j = 0; j < codes.size(); ++j) {
+          lengths[j] = 1 + rng.below(64);
+          codes[j] = rng() >> (64 - lengths[j]);
+          oracle.put(codes[j], static_cast<unsigned>(lengths[j]));
+        }
+        writer.write_codes(codes, lengths);
       } else {
         const auto value = rng();  // junk above count must be ignored
         const auto count = static_cast<unsigned>(rng.below(65));
@@ -741,11 +751,17 @@ TEST(Rice, StreamBytesArePinned) {
 
 namespace {
 
-/// The header a full scan writes for one block: the first strict minimum
-/// of the Rice cost over every k in 0..16, or 31 when the verbatim block
-/// is strictly cheaper.
-unsigned scanned_header(std::span<const std::uint16_t> samples,
-                        std::size_t begin, std::size_t len) {
+/// One block as a full scan sees it: the first strict minimum of the Rice
+/// cost over every k in 0..16, whether the verbatim block is strictly
+/// cheaper, and the largest quotient at that k.
+struct BlockScan {
+  unsigned k = 0;
+  bool escape = false;
+  std::uint32_t max_quotient = 0;
+};
+
+BlockScan scan_block(std::span<const std::uint16_t> samples,
+                     std::size_t begin, std::size_t len) {
   std::vector<std::uint32_t> residuals;
   for (std::size_t i = begin; i < begin + len; ++i) {
     const std::int32_t delta =
@@ -754,17 +770,29 @@ unsigned scanned_header(std::span<const std::uint16_t> samples,
     residuals.push_back(delta >= 0 ? 2 * static_cast<std::uint32_t>(delta)
                                    : 2 * static_cast<std::uint32_t>(-delta) - 1);
   }
-  unsigned best_k = 0;
+  BlockScan scan;
   std::size_t best_cost = ~std::size_t{0};
   for (unsigned k = 0; k <= 16; ++k) {
     std::size_t cost = 0;
     for (std::uint32_t r : residuals) cost += (r >> k) + 1 + k;
     if (cost < best_cost) {
       best_cost = cost;
-      best_k = k;
+      scan.k = k;
     }
   }
-  return len * 16 < best_cost ? 31u : best_k;
+  scan.escape = len * 16 < best_cost;
+  for (std::uint32_t r : residuals) {
+    scan.max_quotient = std::max(scan.max_quotient, r >> scan.k);
+  }
+  return scan;
+}
+
+/// The header a full scan writes for one block: its k, or 31 when the
+/// verbatim block is strictly cheaper.
+unsigned scanned_header(std::span<const std::uint16_t> samples,
+                        std::size_t begin, std::size_t len) {
+  const BlockScan scan = scan_block(samples, begin, len);
+  return scan.escape ? 31u : scan.k;
 }
 
 void expect_scanned_headers(const std::vector<std::uint16_t>& samples,
@@ -835,6 +863,71 @@ TEST(Rice, KSearchMatchesTheFullScan) {
       s = static_cast<std::uint16_t>(rng.below(std::uint64_t{1} << bits));
     }
     expect_scanned_headers(v, "scale");
+  }
+}
+
+TEST(Rice, VectorEncoderMatchesThePortablePath) {
+  // compress16 takes the vector block step on AVX2 + BMI2 hosts for every
+  // full block after the first; the portable path is its reference.  Tally
+  // what those blocks reach: every k the walk stops at, and escapes.
+  std::array<bool, 17> k_seen{};
+  bool escape_seen = false;
+  const auto expect_same = [&](const std::vector<std::uint16_t>& v,
+                               const char* name) {
+    EXPECT_EQ(sr::compress16(v), sr::detail::compress16_portable(v))
+        << name << " length " << v.size();
+    for (std::size_t b = sr::kBlockSamples;
+         b + sr::kBlockSamples <= v.size(); b += sr::kBlockSamples) {
+      const BlockScan scan = scan_block(v, b, sr::kBlockSamples);
+      k_seen[scan.k] = true;
+      escape_seen = escape_seen || scan.escape;
+    }
+  };
+  // Lengths 0..300: the first block, tails of 1..31 samples, and full
+  // blocks whose noise scale, 2^0 .. 2^17, is drawn per block.
+  Rng rng(0x7EC7);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    std::vector<std::uint16_t> v(n);
+    std::uint64_t scale = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % sr::kBlockSamples == 0) scale = std::uint64_t{1} << rng.below(18);
+      v[i] = static_cast<std::uint16_t>(20000 + rng.below(scale));
+    }
+    expect_same(v, "scales");
+  }
+  // Alternating extremes: residuals near 131070 stop the walk at its k = 16
+  // cap.
+  {
+    std::vector<std::uint16_t> v(100);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 2 ? 0 : 65535;
+    expect_same(v, "extremes");
+  }
+  for (unsigned k = 0; k <= 16; ++k) EXPECT_TRUE(k_seen[k]) << "k " << k;
+  EXPECT_TRUE(escape_seen);
+
+  // Blocks whose largest quotient is 31 - k, the longest code of 32 bits,
+  // or 32 - k, the shortest the vector step hands back.  Residuals of
+  // 2^k - 1 and 2^k - 2 hold the walk at k; the spike closes the block.
+  // Quotients of 32 - k exist up to k = 12: residuals stop at 131070.
+  for (unsigned k = 0; k <= 12; ++k) {
+    for (const std::uint32_t quotient : {31 - k, 32 - k}) {
+      std::vector<std::uint16_t> v(2 * sr::kBlockSamples + 5, 20000);
+      const std::int32_t half = k == 0 ? 0 : std::int32_t{1} << (k - 1);
+      std::int32_t level = 20000;
+      for (std::size_t j = 0; j + 1 < sr::kBlockSamples; ++j) {
+        level += j % 2 == 0 ? -half : std::max(half - 1, 0);
+        v[sr::kBlockSamples + j] = static_cast<std::uint16_t>(level);
+      }
+      const std::uint32_t spike = quotient << k;
+      level += spike % 2 == 0 ? static_cast<std::int32_t>(spike / 2)
+                              : -static_cast<std::int32_t>((spike + 1) / 2);
+      v[2 * sr::kBlockSamples - 1] = static_cast<std::uint16_t>(level);
+      const BlockScan scan = scan_block(v, sr::kBlockSamples, sr::kBlockSamples);
+      ASSERT_EQ(scan.k, k);
+      ASSERT_FALSE(scan.escape) << "k " << k;
+      ASSERT_EQ(scan.max_quotient, quotient) << "k " << k;
+      expect_same(v, "quotient bound");
+    }
   }
 }
 
