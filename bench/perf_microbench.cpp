@@ -94,6 +94,34 @@ void BM_AlgoNgstStackPreprocess(benchmark::State& state,
                           128);
 }
 
+/// The ledger's ngst_chain voter shape: one 256x256x64 baseline at Λ = 80
+/// (Υ = 4), Γ₀ = 1e-3, on one lane.  Items = coordinates, as above.
+void BM_AlgoNgstStackPreprocessChain(benchmark::State& state,
+                                     spacefts::core::Kernel kernel) {
+  spacefts::core::AlgoNgstConfig config;
+  config.lambda = 80.0;
+  config.kernel = kernel;
+  const spacefts::core::AlgoNgst algo(config);
+  spacefts::datagen::NgstSimulator sim(0xBEEF7);
+  spacefts::datagen::SceneParams scene;
+  scene.width = 256;
+  scene.height = 256;
+  auto base = sim.stack(64, scene);
+  spacefts::common::Rng rng(0xBEEF8);
+  const auto mask = spacefts::fault::UncorrelatedFaultModel(1e-3).mask16(
+      base.cube().size(), rng);
+  spacefts::fault::apply_mask<std::uint16_t>(base.cube().voxels(), mask);
+  auto working = base;
+  for (auto _ : state) {
+    state.PauseTiming();
+    working = base;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(algo.preprocess(working));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256 *
+                          256);
+}
+
 /// Worker lanes of the stack benches and of the trajectory rows.
 constexpr std::size_t kStackThreads[] = {1, 4, 8};
 
@@ -106,6 +134,9 @@ void register_stack_kernel_sweep() {
     for (const std::size_t threads : kStackThreads) {
       bench->Arg(static_cast<std::int64_t>(threads));
     }
+    benchmark::RegisterBenchmark((name + "/ngst_chain").c_str(),
+                                 BM_AlgoNgstStackPreprocessChain, kernel)
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

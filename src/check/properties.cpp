@@ -66,6 +66,55 @@ constexpr std::size_t kRiceLengths[] = {0, 1, 31, 32, 33, 63, 64, 65, 97, 256};
   return out;
 }
 
+/// Draws full Rice blocks whose largest quotient sits exactly at the
+/// 31 − k / 32 − k edge, alternating, each at a k drawn from [0, 11]:
+/// one leading block (the first block always codes through the scalar
+/// path), then \p blocks test blocks.  In a test block 31 residuals lie in
+/// [2^(k−1), 2^k) (0 when k = 0), and the last sample jumps by a residual
+/// of quotient Q ∈ {31 − k, 32 − k} at k.  Then saving(k) = ceil(Q / 2)
+/// ≤ 32 while saving(k − 1) ≥ 31 + Q, so the encoder picks exactly k; the
+/// block costs at most 416 bits and never escapes.  Each step is signed
+/// towards mid-scale so the samples stay in range (a jump of quotient Q
+/// at k ≤ 11 moves at most 21,504).
+[[nodiscard]] std::vector<std::uint16_t> draw_quotient_edge_payload(
+    common::Rng& rng, std::size_t blocks) {
+  std::vector<std::uint16_t> out(rice::kBlockSamples, 32768);
+  std::int32_t value = 32768;
+  // The sample a zigzag residual of the given magnitude class reaches:
+  // an even residual r steps up by r / 2, an odd one down by (r + 1) / 2.
+  const auto step = [&value](std::uint32_t even_residual) {
+    const auto half = static_cast<std::int32_t>(even_residual / 2);
+    value += value < 32768 ? half : -half - 1;
+    return static_cast<std::uint16_t>(value);
+  };
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const auto k = static_cast<unsigned>(rng.below(12));
+    const std::uint32_t quotient = (b % 2 == 0 ? 31 : 32) - k;
+    for (std::size_t j = 0; j + 1 < rice::kBlockSamples; ++j) {
+      // k = 0: residual 0.  k = 1: residual 1 (one step down).
+      // k >= 2: residual 2^(k-1) or 2^(k-1) + 1, by direction.
+      if (k == 0) {
+        out.push_back(static_cast<std::uint16_t>(value));
+      } else if (k == 1) {
+        out.push_back(static_cast<std::uint16_t>(--value));
+      } else {
+        out.push_back(step(1u << (k - 1)));
+      }
+    }
+    const std::uint32_t low =
+        k == 0 ? 0 : static_cast<std::uint32_t>(rng.below(1u << k)) & ~1u;
+    if (k == 0) {
+      // Residual Q itself: Q even steps up by Q / 2, Q odd down.
+      value += quotient % 2 == 0 ? static_cast<std::int32_t>(quotient / 2)
+                                 : -static_cast<std::int32_t>(quotient + 1) / 2;
+      out.push_back(static_cast<std::uint16_t>(value));
+    } else {
+      out.push_back(step((quotient << k) | low));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 PropertyResult property_failed(std::string detail) {
@@ -102,6 +151,18 @@ PropertyResult check_rice_roundtrip(common::Rng& rng) {
   if (rice::decompress16(stream, payload.size()) != payload) {
     return property_failed(
         format_detail("rice round-trip mismatch: random length=%zu", length));
+  }
+  // Blocks at the encoders' long-code bound, from a copy of the stream so
+  // the properties drawn after this one see the draws they always saw.
+  common::Rng edge_rng = rng;
+  const auto edge = draw_quotient_edge_payload(edge_rng, 8);
+  const auto edge_stream = rice::compress16(edge);
+  if (edge_stream != oracle_rice_encode(edge)) {
+    return property_failed(
+        "rice encoder differs from the oracle: quotient-edge blocks");
+  }
+  if (rice::decompress16(edge_stream, edge.size()) != edge) {
+    return property_failed("rice round-trip mismatch: quotient-edge blocks");
   }
   return {};
 }

@@ -31,8 +31,11 @@ namespace {
 
 /// Width of the coordinate tiles gathered into contiguous scratch by the
 /// stack path: 64 series of 64 readouts are 8 KiB, small enough that the
-/// gather/process/scatter working set stays in L1.
+/// tile's working set stays in L1.  A multiple of every kernel's pad, so a
+/// full tile needs no pad series.
 constexpr std::size_t kTileWidth = 64;
+static_assert(kTileWidth % detail::kNgstPad == 0 &&
+              kTileWidth % detail::kNgstPadAvx512 == 0);
 
 /// Bit-serial equivalent of correction_vector(): walks bit positions from
 /// the window-C boundary upward, tallying votes per bit.  Identical output;
@@ -238,29 +241,29 @@ AlgoNgstReport AlgoNgst::preprocess(
             SPACEFTS_TSPAN("ngst.tile", {"lambda", config_.lambda},
                            {"width", static_cast<double>(tw)});
             // Frame-major SoA gather: each frame's tile row is one
-            // contiguous memcpy (both sides contiguous), padded with zero
-            // series to a whole number of the kernel's lane group.
+            // contiguous copy (both sides contiguous), of a compile-time
+            // size for a full tile, padded with zero series to a whole
+            // number of the kernel's lane group.  The kernel writes its
+            // corrections back to the stack itself.
             const std::size_t twp = (tw + pad - 1) / pad * pad;
             s.soa.resize(twp * frames);
+            std::uint16_t* const home = data + y * width + x0;
             for (std::size_t t = 0; t < frames; ++t) {
-              const std::uint16_t* src = data + t * plane + y * width + x0;
+              const std::uint16_t* src = home + t * plane;
               std::uint16_t* dst = s.soa.data() + t * twp;
-              std::memcpy(dst, src, tw * sizeof(std::uint16_t));
-              std::fill(dst + tw, dst + twp, std::uint16_t{0});
+              if (tw == kTileWidth) {
+                std::memcpy(dst, src, kTileWidth * sizeof(std::uint16_t));
+              } else {
+                std::memcpy(dst, src, tw * sizeof(std::uint16_t));
+                std::fill(dst + tw, dst + twp, std::uint16_t{0});
+              }
             }
-            {
-              // One span per tile for the voting itself (per-series spans
-              // would swamp the ring: a 128x128x64 stack has 16k series).
-              SPACEFTS_TSPAN("voter.vote",
-                             {"series", static_cast<double>(tw)});
-              const detail::NgstTileCtx ctx{tw, twp, frames, &config_, &s};
-              accumulate(row, tile_fn(ctx));
-            }
-            for (std::size_t t = 0; t < frames; ++t) {
-              std::uint16_t* dst = data + t * plane + y * width + x0;
-              std::memcpy(dst, s.soa.data() + t * twp,
-                          tw * sizeof(std::uint16_t));
-            }
+            // One span per tile for the voting itself (per-series spans
+            // would swamp the ring: a 128x128x64 stack has 16k series).
+            SPACEFTS_TSPAN("voter.vote", {"series", static_cast<double>(tw)});
+            const detail::NgstTileCtx ctx{
+                tw, twp, frames, &config_, &s, home, plane};
+            accumulate(row, tile_fn(ctx));
           }
         }
       });

@@ -48,17 +48,26 @@ enum class OtisPixelState : std::uint8_t {
 /// pad series can never produce a correction — every XOR is 0, so the
 /// unanimous AND is 0 — and the per-tile counters are derived from `tw`,
 /// so padding affects neither data nor report.
+///
+/// `home` is where the tile lives in the stack: readout t of series k is
+/// home[t * plane + k], and soa holds a copy of those `tw` columns.  The
+/// kernel writes every accepted correction to both; it writes only the
+/// `tw` real columns home, and nothing at all for a lane group whose gate
+/// accepts nothing, so the caller never scatters the tile back.
 struct NgstTileCtx {
   std::size_t tw = 0;         ///< real series in the tile
   std::size_t tw_padded = 0;  ///< allocated lane count (see kNgstPad)
   std::size_t n = 0;          ///< readouts per series (>= 3)
   const AlgoNgstConfig* cfg = nullptr;
   NgstScratch* scratch = nullptr;  ///< holds soa and the kernel work buffers
+  std::uint16_t* home = nullptr;   ///< the tile's readout 0 in the stack
+  std::size_t plane = 0;           ///< stack plane stride, in words
 };
 
 /// Runs the XOR/threshold/vote/mask/apply stages over one tile, in place in
-/// scratch->soa.  Bit-identical to running AlgoNgst::preprocess over each
-/// series and accumulating the reports in series order.
+/// scratch->soa and through to the tile's home in the stack.  Bit-identical
+/// to running AlgoNgst::preprocess over each series and accumulating the
+/// reports in series order.
 [[nodiscard]] AlgoNgstReport ngst_tile_swar(const NgstTileCtx& ctx);
 #if defined(SPACEFTS_HAVE_AVX2)
 [[nodiscard]] AlgoNgstReport ngst_tile_avx2(const NgstTileCtx& ctx);

@@ -69,6 +69,15 @@
 ///   round up; w >= 4 divides exactly).  Rows run in readout order and a
 ///   lane reads only its own series, so the sequencing matches the serial
 ///   reference lane by lane.
+/// * **Write-through.**  The apply stage stores an accepted lane group
+///   twice: into the live tile, whose later rows the gate reads, and to
+///   the tile's home in the stack (NgstTileCtx::home).  Every other stack
+///   word already holds what the tile holds, so the stack ends as the
+///   serial reference leaves it with no scatter pass.  A group with no
+///   accepted lane stores nothing, and one that runs past the tile's
+///   real columns copies only those home, so pad lanes never reach the
+///   stack.  Worker lanes own disjoint stack rows, so their stores never
+///   overlap.
 ///
 /// The cross-kernel differential harness (src/check) and
 /// tests/kernel_test.cpp enforce the identity end to end.
@@ -78,6 +87,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -305,12 +315,14 @@ template <class Ops>
   // ---- Apply stage: the gate for a whole lane group per readout row (see
   // file comment).  Lanes without a correction pass the gate (w = 0) and
   // apply nothing, so the counters come from lane counts of corr and of the
-  // applied words.
+  // applied words.  An accepted group is written to the live tile, which
+  // later rows' gates read, and to its home in the stack.
   const bool gate = cfg.enable_plausibility_gate;
   if (gate) s.partners.resize(2 * way_count * Ops::kLanes16);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t* const corr_row = s.corr.data() + i * twp;
     std::uint16_t* const self_row = soa + i * twp;
+    std::uint16_t* const home_row = c.home + i * c.plane;
     const std::size_t count = pairings(i);
     for (std::size_t c0 = 0; c0 < twp; c0 += Ops::kLanes16) {
       const V corr = Ops::load(corr_row + c0);
@@ -331,10 +343,20 @@ template <class Ops>
         applied = Ops::vand(corr, Ops::geu16(dev, bar));
       }
       const std::size_t accepted = Ops::count_nonzero16(applied);
-      report.pixels_corrected += accepted;
       report.pixels_vetoed += flagged - accepted;
+      if (accepted == 0) continue;
+      report.pixels_corrected += accepted;
       report.bits_corrected += Ops::popcount(applied);
-      Ops::store(self_row + c0, Ops::vxor(self, applied));
+      const V fixed = Ops::vxor(self, applied);
+      Ops::store(self_row + c0, fixed);
+      // A group that runs past the tile's real columns copies only its
+      // real lanes home; pad lanes never leave scratch.
+      if (c0 + Ops::kLanes16 <= tw) {
+        Ops::store(home_row + c0, fixed);
+      } else {
+        std::memcpy(home_row + c0, self_row + c0,
+                    (tw - c0) * sizeof(std::uint16_t));
+      }
     }
   }
   return report;

@@ -138,19 +138,22 @@ const char* to_string(ChainWorkload workload) noexcept {
 std::vector<std::uint8_t> protect_frame(std::span<const std::uint8_t> payload) {
   SPACEFTS_TSPAN("downlink.frame",
                  {"bytes", static_cast<double>(payload.size())});
+  // Sized once: the length word, the payload and its zero pad to whole
+  // 8-byte words, and one parity byte per word are written in place; the
+  // CRC trailer lands in the reserved tail.
   const std::size_t padded = (4 + payload.size() + 7) / 8 * 8;
   const std::size_t words = padded / 8;
   std::vector<std::uint8_t> frame;
   frame.reserve(padded + words + 4);
+  frame.resize(padded + words);
+  std::uint8_t* const out = frame.data();
   const auto length = static_cast<std::uint32_t>(payload.size());
-  frame.push_back(static_cast<std::uint8_t>(length));
-  frame.push_back(static_cast<std::uint8_t>(length >> 8));
-  frame.push_back(static_cast<std::uint8_t>(length >> 16));
-  frame.push_back(static_cast<std::uint8_t>(length >> 24));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  frame.resize(padded, 0);
+  for (std::size_t b = 0; b < 4; ++b) {
+    out[b] = static_cast<std::uint8_t>(length >> (8 * b));
+  }
+  if (!payload.empty()) std::memcpy(out + 4, payload.data(), payload.size());
   for (std::size_t w = 0; w < words; ++w) {
-    frame.push_back(edac::encode_parity(load_word(frame.data() + w * 8)));
+    out[padded + w] = edac::encode_parity(load_word(out + w * 8));
   }
   edac::frame_append_crc(frame);
   return frame;

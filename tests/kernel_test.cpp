@@ -75,16 +75,19 @@ void expect_ngst_reports_equal(const AlgoNgstReport& a, const AlgoNgstReport& b,
 }
 
 /// Runs the same stack through every available kernel at several thread
-/// counts and byte-compares everything against the oracle's output.
+/// counts and byte-compares everything against the oracle's output.  The
+/// oracle's report goes to \p oracle when given.
 void check_ngst_parity(const AlgoNgstConfig& base, std::size_t w,
                        std::size_t h, std::size_t frames, std::uint32_t seed,
-                       int upset_one_in = 200) {
+                       int upset_one_in = 200,
+                       AlgoNgstReport* oracle = nullptr) {
   const TemporalStack<std::uint16_t> pristine =
       make_stack(w, h, frames, seed, upset_one_in);
 
   TemporalStack<std::uint16_t> golden = pristine;
   const AlgoNgstReport golden_report =
       spacefts::check::oracle_ngst_stack(golden, base);
+  if (oracle != nullptr) *oracle = golden_report;
 
   for (const Kernel kernel : spacefts::core::available_kernels()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
@@ -224,6 +227,29 @@ TEST(KernelParity, NgstTinyAndDegenerateShapes) {
   AlgoNgstConfig off;
   off.lambda = 0.0;
   check_ngst_parity(off, 30, 4, 8, 13);
+}
+
+TEST(KernelParity, NgstWriteThroughEdges) {
+  // The kernels write corrections straight into the stack.  At the ledger
+  // config (Λ=80, Υ=4, 64 readouts): four full 64-wide tiles per row;
+  // single tiles of 32 and 48 columns, a whole number of lane groups but
+  // narrower than a full tile; and width 100, whose 36-wide tail ends in a
+  // lane group that runs past the real columns.  Each case must correct
+  // and veto, so none passes without the write-through doing work.
+  struct Case {
+    std::size_t w;
+    std::size_t h;
+  };
+  AlgoNgstConfig cfg;
+  cfg.lambda = 80.0;
+  cfg.upsilon = 4;
+  std::uint32_t seed = 400;
+  for (const Case c : {Case{256, 4}, Case{32, 8}, Case{48, 6}, Case{100, 4}}) {
+    AlgoNgstReport want;
+    check_ngst_parity(cfg, c.w, c.h, 64, seed++, /*upset_one_in=*/50, &want);
+    EXPECT_GT(want.pixels_corrected, 0u) << "width=" << c.w;
+    EXPECT_GT(want.pixels_vetoed, 0u) << "width=" << c.w;
+  }
 }
 
 TEST(KernelParity, NgstSkippedSweepLeavesStackAndReport) {
