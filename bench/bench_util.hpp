@@ -12,12 +12,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include <sys/utsname.h>
+
+#include "spacefts/common/cpu.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/datagen/ngst.hpp"
@@ -105,8 +109,11 @@ inline std::vector<double> measure_psi(
 }
 
 /// The short commit hash the bench binary was built from, stamped into
-/// every trajectory record (injected by CMake; "unknown" outside git).
-#ifndef SPACEFTS_GIT_SHA
+/// every trajectory record: perf_microbench's build regenerates the header
+/// (bench/git_sha.cmake); "unknown" in binaries built without it.
+#if __has_include("spacefts_git_sha.hpp")
+#include "spacefts_git_sha.hpp"
+#else
 #define SPACEFTS_GIT_SHA "unknown"
 #endif
 
@@ -121,6 +128,25 @@ inline std::string preprocess_record_key(std::string_view line) {
 }
 
 }  // namespace detail
+
+/// The host's CPU, as the first "model name" of /proc/cpuinfo.
+inline std::string host_cpu() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const auto value = line.find_first_not_of(" \t", colon + 1);
+      return value == std::string::npos ? "" : line.substr(value);
+    }
+  }
+  return "unknown";
+}
+
+/// The host's kernel release, as uname reports it.
+inline std::string host_kernel() {
+  utsname name{};
+  return uname(&name) == 0 ? name.release : "unknown";
+}
 
 /// UTC wall-clock stamp ("2026-02-07T12:34:56Z") for trajectory records.
 inline std::string iso_timestamp_utc() {
@@ -137,8 +163,10 @@ inline std::string iso_timestamp_utc() {
 /// working directory):
 ///   {"bench": "stack_preprocess", "pixels_per_s": …, "threads": …,
 ///    "upsilon": …, "lambda": …, "kernel": "…", "host_cores": …,
-///    "host_parallel_speedup": …, "reps": …, "git_sha": "…",
-///    "iso_timestamp": "…"}
+///    "host_parallel_speedup": …, "host_cpu": "…", "host_kernel": "…",
+///    "host_isa": "…", "reps": …, "git_sha": "…", "iso_timestamp": "…"}
+/// host_isa is the CPU probe's feature set (common::cpu::names), the one
+/// every dispatch table picks its rows from.
 /// \p host_parallel_speedup is what the host gave \p threads spinning
 /// threads over one just before the measurement: a lane row that does not
 /// scale past it says the host was busy, not that the pool failed.
@@ -164,6 +192,12 @@ inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
           std::to_string(std::thread::hardware_concurrency());
   line += ", \"host_parallel_speedup\": ";
   jsonl::append_fmt(line, "%.3g", host_parallel_speedup);
+  line += ", \"host_cpu\": \"" + jsonl::escape(host_cpu()) + "\"";
+  line += ", \"host_kernel\": \"" + jsonl::escape(host_kernel()) + "\"";
+  line += ", \"host_isa\": \"" +
+          jsonl::escape(spacefts::common::cpu::names(
+              spacefts::common::cpu::host())) +
+          "\"";
   line += ", \"reps\": " + std::to_string(reps);
   line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
   line += ", \"iso_timestamp\": \"" + iso_timestamp_utc() + "\"}\n";

@@ -273,7 +273,7 @@ BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile, telemetry_tile_samples,
                   &spacefts::rice::compress16);
 BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile_portable,
                   telemetry_tile_samples,
-                  &spacefts::rice::detail::compress16_portable);
+                  spacefts::rice::detail::compress16_rows().back().impl);
 
 void BM_RiceDecompress(benchmark::State& state,
                        std::vector<std::uint16_t> (*make)()) {

@@ -112,8 +112,8 @@ void accumulate(AlgoNgstReport& total, const AlgoNgstReport& r) {
 }
 
 /// Publishes one stack's report to the voter's telemetry counters.
-void count_stack(Kernel kern, const AlgoNgstReport& total) {
-  telemetry::counter(detail::ngst_kernel_counter(kern)).add(1);
+void count_stack(const detail::Voter& voter, const AlgoNgstReport& total) {
+  telemetry::counter(voter.ngst_counter).add(1);
   telemetry::counter("ngst.pixels_corrected").add(total.pixels_corrected);
   telemetry::counter("ngst.bits_corrected").add(total.bits_corrected);
   telemetry::counter("voter.gate_vetoed").add(total.pixels_vetoed);
@@ -194,33 +194,17 @@ AlgoNgstReport AlgoNgst::preprocess(
   // Kernel dispatch: every kernel gets frame-major SoA tiles padded to
   // whole lane groups (pad series are all-zero and can never produce a
   // correction).
-  const Kernel kern = resolve_kernel(config_.kernel);
+  const detail::Voter& voter = detail::voter(config_.kernel);
   // Λ = 0 or fewer than three readouts: no series can change (the same
   // early-out as run() and the tile kernels), so skip the gather, vote and
   // scatter sweep and report what it would have.
   if (config_.lambda <= 0.0 || frames < 3) {
     total.pixels_examined = width * height * frames;
-    count_stack(kern, total);
+    count_stack(voter, total);
     return total;
   }
-  using TileFn = AlgoNgstReport (*)(const detail::NgstTileCtx&);
-  TileFn tile_fn = detail::ngst_tile_swar;
-  std::size_t pad = detail::kNgstPad;
-  switch (kern) {
-#if defined(SPACEFTS_HAVE_AVX2)
-    case Kernel::kAvx2:
-      tile_fn = detail::ngst_tile_avx2;
-      break;
-#endif
-#if defined(SPACEFTS_HAVE_AVX512)
-    case Kernel::kAvx512:
-      tile_fn = detail::ngst_tile_avx512;
-      pad = detail::kNgstPadAvx512;
-      break;
-#endif
-    default:
-      break;
-  }
+  const detail::VoterEntries& kernel = *voter.entries;
+  const std::size_t pad = kernel.ngst_pad;
   const std::size_t lanes = common::parallel::resolve_threads(config_.threads);
   std::vector<NgstScratch> scratch(std::max<std::size_t>(lanes, 1));
   // One report per row, reduced in row order below: the partition, the
@@ -263,12 +247,12 @@ AlgoNgstReport AlgoNgst::preprocess(
             SPACEFTS_TSPAN("voter.vote", {"series", static_cast<double>(tw)});
             const detail::NgstTileCtx ctx{
                 tw, twp, frames, &config_, &s, home, plane};
-            accumulate(row, tile_fn(ctx));
+            accumulate(row, kernel.ngst_tile(ctx));
           }
         }
       });
   for (const AlgoNgstReport& row : row_reports) accumulate(total, row);
-  count_stack(kern, total);
+  count_stack(voter, total);
   return total;
 }
 

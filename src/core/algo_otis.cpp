@@ -35,28 +35,6 @@ namespace par = spacefts::common::parallel;
 /// (kernel_detail.hpp), which derive clean-lane masks from the raw bytes.
 using PixelState = spacefts::core::detail::OtisPixelState;
 
-/// The plane-pass entry points of one kernel.
-struct OtisKernel {
-  void (*phase1)(const detail::OtisPhase1Ctx&) = detail::otis_phase1_swar;
-  void (*phase23)(const detail::OtisPhase23Ctx&,
-                  AlgoOtisReport&) = detail::otis_phase23_swar;
-};
-
-[[nodiscard]] OtisKernel otis_kernel(Kernel kern) {
-  switch (kern) {
-#if defined(SPACEFTS_HAVE_AVX2)
-    case Kernel::kAvx2:
-      return {detail::otis_phase1_avx2, detail::otis_phase23_avx2};
-#endif
-#if defined(SPACEFTS_HAVE_AVX512)
-    case Kernel::kAvx512:
-      return {detail::otis_phase1_avx512, detail::otis_phase23_avx512};
-#endif
-    default:
-      return {};
-  }
-}
-
 /// Per-plane buffers of a plane pass, allocated once for a cube's planes.
 struct PlaneScratch {
   common::Image<std::uint8_t> state;
@@ -88,9 +66,9 @@ AlgoOtisReport preprocess_plane_with(const AlgoOtisConfig& config,
   const otis::RadianceInterval interval =
       otis::PhysicalBounds::global().radiance_interval(wavelength_um);
   const std::size_t lanes = par::resolve_threads(config.threads);
-  const Kernel kern = resolve_kernel(config.kernel);
-  telemetry::counter(detail::otis_kernel_counter(kern)).add(1);
-  const OtisKernel kernel = otis_kernel(kern);
+  const detail::Voter& voter = detail::voter(config.kernel);
+  telemetry::counter(voter.otis_counter).add(1);
+  const detail::VoterEntries& kernel = *voter.entries;
   s.fit(w, h);
   common::Image<std::uint8_t>& state = s.state;
   common::Image<float>& medians = s.medians;
@@ -99,8 +77,8 @@ AlgoOtisReport preprocess_plane_with(const AlgoOtisConfig& config,
   // ---- Phase 1: classification, on the dispatched kernel --------------------
   {
     SPACEFTS_TSPAN("otis.classify");
-    kernel.phase1(detail::OtisPhase1Ctx{&plane, &state, &medians, &residuals,
-                                        &interval, &config, lanes});
+    kernel.otis_phase1(detail::OtisPhase1Ctx{
+        &plane, &state, &medians, &residuals, &interval, &config, lanes});
   }
   // The in-bounds |r| in pixel order; the order statistic below does not
   // depend on it.  |r| as float converts exactly to the double the
@@ -201,9 +179,9 @@ AlgoOtisReport preprocess_plane_with(const AlgoOtisConfig& config,
   }
 
   // ---- Phases 2 + 3: thresholds and vote, on the dispatched kernel ---------
-  kernel.phase23(detail::OtisPhase23Ctx{&plane, &state, &medians, &interval,
-                                        tau, &config, lanes},
-                 report);
+  kernel.otis_phase23(detail::OtisPhase23Ctx{&plane, &state, &medians,
+                                             &interval, tau, &config, lanes},
+                      report);
   telemetry::counter("otis.bit_corrected").add(report.bit_corrected);
   telemetry::counter("otis.median_replaced").add(report.median_replaced);
   telemetry::counter("otis.trend_protected").add(report.trend_protected);

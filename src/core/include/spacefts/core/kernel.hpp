@@ -9,14 +9,16 @@
 ///   kSwar    portable SIMD-within-a-register over std::uint64_t (4 x u16
 ///            or 2 x u32 lanes per word), no ISA requirements — the
 ///            floor every host runs;
-///   kAvx2    256-bit AVX2 intrinsics (16 x u16 or 8 x u32 lanes), only
-///            compiled when SPACEFTS_SIMD=ON and only selected when the
-///            host CPU reports AVX2;
+///   kAvx2    256-bit AVX2 intrinsics (16 x u16 or 8 x u32 lanes);
 ///   kAvx512  512-bit AVX-512F/BW intrinsics (32 x u16 or 16 x u32 lanes),
-///            the same engine with threshold counting in mask registers;
-///            compiled under the same switch, selected only when the host
-///            CPU reports both AVX-512F and AVX-512BW.  NGST tiles are
-///            padded to its 32-lane group; every other kernel pads to 16.
+///            the same engine with threshold counting in mask registers.
+///            NGST tiles are padded to its 32-lane group; every other
+///            kernel pads to 16.
+///
+/// Each kernel is one row of the voter's dispatch table (kernel.cpp, a
+/// common::cpu::Row per kernel, widest first).  The vector rows run only
+/// in SPACEFTS_SIMD builds for x86-64, where the CPU probe reports their
+/// features.
 ///
 /// Every kernel is specified to produce *bit-identical* output to the naive
 /// serial references in src/check (check::oracle_ngst_stack,
@@ -24,10 +26,10 @@
 /// alike, at every thread count.  The differential harness (src/check) and
 /// tests/kernel_test.cpp byte-compare every available kernel against them.
 ///
-/// Selection: configs default to kAuto, which resolves at runtime (CPUID)
-/// to the widest available kernel (kAvx512, else kAvx2, else kSwar).
-/// `--kernel` on the CLI and the `kernel` fields of
-/// AlgoNgstConfig/AlgoOtisConfig force a variant.
+/// Selection: configs default to kAuto, which resolves to the first row the
+/// host can run (kAvx512, else kAvx2, else kSwar).  `--kernel` on the CLI
+/// and the `kernel` fields of AlgoNgstConfig/AlgoOtisConfig force a
+/// variant.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,8 @@
 
 namespace spacefts::core {
 
-/// A voter-kernel variant.  The numeric value only indexes the name table in
-/// kernel.cpp; everything outside the process (the --kernel flag, serve
-/// results, telemetry counters) carries the name.
+/// A voter-kernel variant.  Everything outside the process (the --kernel
+/// flag, serve results, telemetry counters) carries its name.
 enum class Kernel : std::uint8_t {
   kAuto,    ///< resolve to the widest available kernel at runtime
   kSwar,    ///< portable 64-bit SIMD-within-a-register
@@ -54,10 +55,9 @@ enum class Kernel : std::uint8_t {
 /// Parses a --kernel value; returns false on an unknown name.
 [[nodiscard]] bool parse_kernel(std::string_view text, Kernel& out) noexcept;
 
-/// True when \p kernel can execute on this host with this build:
-/// kSwar always; kAvx2 and kAvx512 only when compiled in
-/// (SPACEFTS_SIMD=ON) *and* the CPU reports every feature their TU uses.
-/// kAuto is always available (it resolves).
+/// True when \p kernel can execute on this host with this build: its row
+/// exists and the CPU reports every feature the row needs.  kSwar and
+/// kAuto (it resolves) are always available.
 [[nodiscard]] bool kernel_available(Kernel kernel) noexcept;
 
 /// Maps a requested kernel to the one that will actually run: kAuto picks

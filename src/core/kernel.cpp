@@ -1,6 +1,5 @@
 #include "spacefts/core/kernel.hpp"
 
-#include <cstddef>
 #include <iterator>
 
 #include "kernel_detail.hpp"
@@ -8,58 +7,55 @@
 namespace spacefts::core {
 namespace {
 
-/// One row per Kernel value, in enum order: the --kernel spelling and the
-/// telemetry counters that name the kernel that ran.
-struct KernelNames {
-  const char* name;
-  const char* ngst_counter;
-  const char* otis_counter;
-};
+namespace cpu = common::cpu;
+using detail::Voter;
 
-constexpr KernelNames kNames[] = {
-    {"auto", "ngst.kernel.auto", "otis.kernel.auto"},
-    {"swar", "ngst.kernel.swar", "otis.kernel.swar"},
-    {"avx2", "ngst.kernel.avx2", "otis.kernel.avx2"},
-    {"avx512", "ngst.kernel.avx512", "otis.kernel.avx512"},
-};
-
-[[nodiscard]] const KernelNames& names_of(Kernel kernel) noexcept {
-  const auto i = static_cast<std::size_t>(kernel);
-  return i < std::size(kNames) ? kNames[i] : kNames[0];
-}
-
-[[nodiscard]] bool host_has_avx2() noexcept {
-#if defined(SPACEFTS_HAVE_AVX2) && defined(__x86_64__)
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
+/// A vector kernel's entry points where the build compiled its TU.
+/// Elsewhere they are null and the row keeps only its name (so `--kernel
+/// avx2` still parses, and falls back to swar): the probe reports no
+/// feature there, so no host runs the row.
+#if defined(SPACEFTS_X86_SIMD)
+#define SPACEFTS_ISA_ENTRIES(entries) &detail::entries
 #else
-  return false;
+#define SPACEFTS_ISA_ENTRIES(entries) nullptr
 #endif
-}
 
-/// Every feature kernel_avx512.cpp is compiled with.  The runtime check
-/// also covers the OS side: it reports AVX-512 only when XCR0 enables the
-/// opmask and ZMM state.
-[[nodiscard]] bool host_has_avx512() noexcept {
-#if defined(SPACEFTS_HAVE_AVX512) && defined(__x86_64__)
-  static const bool has = __builtin_cpu_supports("avx512f") != 0 &&
-                          __builtin_cpu_supports("avx512bw") != 0;
-  return has;
-#else
-  return false;
-#endif
+constexpr cpu::Row<Voter> kVoters[] = {
+    {"avx512", cpu::kAvx512,
+     {Kernel::kAvx512, "ngst.kernel.avx512", "otis.kernel.avx512",
+      SPACEFTS_ISA_ENTRIES(kAvx512Entries)}},
+    {"avx2", cpu::kAvx2,
+     {Kernel::kAvx2, "ngst.kernel.avx2", "otis.kernel.avx2",
+      SPACEFTS_ISA_ENTRIES(kAvx2Entries)}},
+    {"swar", 0,
+     {Kernel::kSwar, "ngst.kernel.swar", "otis.kernel.swar",
+      &detail::kSwarEntries}},
+};
+#undef SPACEFTS_ISA_ENTRIES
+
+/// The row of a concrete kernel; nullptr for kAuto.
+[[nodiscard]] const cpu::Row<Voter>* row_of(Kernel kernel) noexcept {
+  for (const cpu::Row<Voter>& row : kVoters) {
+    if (row.impl.kernel == kernel) return &row;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 const char* kernel_name(Kernel kernel) noexcept {
-  return names_of(kernel).name;
+  const cpu::Row<Voter>* row = row_of(kernel);
+  return row != nullptr ? row->name : "auto";
 }
 
 bool parse_kernel(std::string_view text, Kernel& out) noexcept {
-  for (std::size_t i = 0; i < std::size(kNames); ++i) {
-    if (text == kNames[i].name) {
-      out = static_cast<Kernel>(i);
+  if (text == "auto") {
+    out = Kernel::kAuto;
+    return true;
+  }
+  for (const cpu::Row<Voter>& row : kVoters) {
+    if (text == row.name) {
+      out = row.impl.kernel;
       return true;
     }
   }
@@ -67,42 +63,30 @@ bool parse_kernel(std::string_view text, Kernel& out) noexcept {
 }
 
 bool kernel_available(Kernel kernel) noexcept {
-  switch (kernel) {
-    case Kernel::kAuto:
-    case Kernel::kSwar:
-      return true;
-    case Kernel::kAvx2:
-      return host_has_avx2();
-    case Kernel::kAvx512:
-      return host_has_avx512();
-  }
-  return false;
+  return kernel == Kernel::kAuto || resolve_kernel(kernel) == kernel;
 }
 
 Kernel resolve_kernel(Kernel requested) noexcept {
-  if (requested == Kernel::kAuto) {
-    if (host_has_avx512()) return Kernel::kAvx512;
-    return host_has_avx2() ? Kernel::kAvx2 : Kernel::kSwar;
-  }
-  if (!kernel_available(requested)) return Kernel::kSwar;
-  return requested;
+  return detail::voter(requested).kernel;
 }
 
 std::vector<Kernel> available_kernels() {
-  std::vector<Kernel> kernels{Kernel::kSwar};
-  if (host_has_avx2()) kernels.push_back(Kernel::kAvx2);
-  if (host_has_avx512()) kernels.push_back(Kernel::kAvx512);
+  std::vector<Kernel> kernels;
+  for (auto row = std::rbegin(kVoters); row != std::rend(kVoters); ++row) {
+    if (cpu::runs(*row)) kernels.push_back(row->impl.kernel);
+  }
   return kernels;
 }
 
 namespace detail {
 
-const char* ngst_kernel_counter(Kernel kernel) noexcept {
-  return names_of(kernel).ngst_counter;
-}
+std::span<const cpu::Row<Voter>> voter_rows() noexcept { return kVoters; }
 
-const char* otis_kernel_counter(Kernel kernel) noexcept {
-  return names_of(kernel).otis_counter;
+const Voter& voter(Kernel requested) noexcept {
+  if (requested == Kernel::kAuto) return cpu::pick(voter_rows()).impl;
+  const cpu::Row<Voter>* row = row_of(requested);
+  return row != nullptr && cpu::runs(*row) ? row->impl
+                                           : voter_rows().back().impl;
 }
 
 }  // namespace detail

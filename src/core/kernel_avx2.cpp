@@ -1,11 +1,9 @@
 /// \file kernel_avx2.cpp
 /// AVX2 kernel: 16 x u16 or 8 x u32 lanes per 256-bit register.  Compiled
-/// with -mavx2 and only when SPACEFTS_SIMD is on; resolve_kernel() selects
-/// it only after CPUID confirms the host supports it.  All loads/stores are
+/// with -mavx2, in x86 SIMD builds only; the voter table runs it only
+/// where the CPU probe reports AVX2.  All loads/stores are
 /// unaligned-form — alignment of the SoA scratch is a performance nicety,
 /// never a requirement.
-#if defined(SPACEFTS_HAVE_AVX2)
-
 #include <immintrin.h>
 
 #include <algorithm>
@@ -200,18 +198,8 @@ static_assert(kNgstPad % Avx2Ops::kLanes16 == 0,
 
 }  // namespace
 
-AlgoNgstReport ngst_tile_avx2(const NgstTileCtx& ctx) {
-  return ngst_tile_engine<Avx2Ops>(ctx);
-}
-
-void otis_phase1_avx2(const OtisPhase1Ctx& ctx) {
-  otis_phase1_engine<Avx2Ops>(ctx);
-}
-
-void otis_phase23_avx2(const OtisPhase23Ctx& ctx, AlgoOtisReport& report) {
-  otis_phase23_engine<Avx2Ops>(ctx, report);
-}
+const VoterEntries kAvx2Entries{
+    ngst_tile_engine<Avx2Ops>, kNgstPad,
+    otis_phase1_engine<Avx2Ops>, otis_phase23_engine<Avx2Ops>};
 
 }  // namespace spacefts::core::detail
-
-#endif  // SPACEFTS_HAVE_AVX2

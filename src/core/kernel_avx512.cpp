@@ -1,8 +1,8 @@
 /// \file kernel_avx512.cpp
 /// AVX-512 kernel: 32 x u16 or 16 x u32 lanes per 512-bit register, the
 /// same engine as the SWAR and AVX2 tiers.  Compiled with -mavx512f
-/// -mavx512bw and only when SPACEFTS_SIMD is on; resolve_kernel() selects
-/// it only after CPUID confirms the host supports both.  All loads/stores
+/// -mavx512bw, in x86 SIMD builds only; the voter table runs it only
+/// where the CPU probe reports both.  All loads/stores
 /// are unaligned-form, as in the AVX2 kernel.
 ///
 /// GCC 12 reports -Wmaybe-uninitialized inside avx512fintrin.h for the
@@ -10,8 +10,6 @@
 /// _mm512_undefined_epi32() (cvtepu*, extracti64x4, castsi512_si256,
 /// andnot, sllv, cvtepi32_epi16, inserti64x4).  This file uses their
 /// maskz_ forms with all-ones masks, or avoids them, instead.
-#if defined(SPACEFTS_HAVE_AVX512)
-
 #include <immintrin.h>
 
 #include <algorithm>
@@ -216,18 +214,8 @@ static_assert(Avx512Ops::kLanes16 == kNgstPadAvx512,
 
 }  // namespace
 
-AlgoNgstReport ngst_tile_avx512(const NgstTileCtx& ctx) {
-  return ngst_tile_engine<Avx512Ops>(ctx);
-}
-
-void otis_phase1_avx512(const OtisPhase1Ctx& ctx) {
-  otis_phase1_engine<Avx512Ops>(ctx);
-}
-
-void otis_phase23_avx512(const OtisPhase23Ctx& ctx, AlgoOtisReport& report) {
-  otis_phase23_engine<Avx512Ops>(ctx, report);
-}
+const VoterEntries kAvx512Entries{
+    ngst_tile_engine<Avx512Ops>, kNgstPadAvx512,
+    otis_phase1_engine<Avx512Ops>, otis_phase23_engine<Avx512Ops>};
 
 }  // namespace spacefts::core::detail
-
-#endif  // SPACEFTS_HAVE_AVX512

@@ -1,18 +1,19 @@
 /// \file kernel_detail.hpp
 /// Internal interface between the algorithm drivers (algo_ngst.cpp,
 /// algo_otis.cpp) and the data-parallel kernel translation units
-/// (kernel_swar.cpp, kernel_avx2.cpp, kernel_avx512.cpp).  Not installed;
-/// the public dispatch surface is spacefts/core/kernel.hpp.
+/// (kernel_swar.cpp, kernel_avx2.cpp, kernel_avx512.cpp), and the voter's
+/// dispatch table (kernel.cpp), which tests/kernel_test.cpp reads too.
+/// Not installed; the public dispatch surface is spacefts/core/kernel.hpp.
 ///
-/// The AVX2 and AVX-512 entry points exist only when the build compiled
-/// their TU (SPACEFTS_HAVE_AVX2, SPACEFTS_HAVE_AVX512); dispatch goes
-/// through core::resolve_kernel(), which never selects Kernel::kAvx2 or
-/// Kernel::kAvx512 without it.
+/// The AVX2 and AVX-512 entry points are defined only in builds that
+/// compile their TU; only the voter table names them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
+#include "spacefts/common/cpu.hpp"
 #include "spacefts/common/image.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/algo_otis.hpp"
@@ -20,11 +21,6 @@
 #include "spacefts/otis/bounds.hpp"
 
 namespace spacefts::core::detail {
-
-/// Telemetry counter naming the kernel that ran ("ngst.kernel.avx512",
-/// "otis.kernel.swar", ...), from the same table as kernel_name().
-[[nodiscard]] const char* ngst_kernel_counter(Kernel kernel) noexcept;
-[[nodiscard]] const char* otis_kernel_counter(Kernel kernel) noexcept;
 
 /// NGST SoA tile padding: a whole number of the dispatched kernel's u16
 /// lane group, 32 for AVX-512 and 16 for the narrower vector kernels (a
@@ -64,18 +60,6 @@ struct NgstTileCtx {
   std::size_t plane = 0;           ///< stack plane stride, in words
 };
 
-/// Runs the XOR/threshold/vote/mask/apply stages over one tile, in place in
-/// scratch->soa and through to the tile's home in the stack.  Bit-identical
-/// to running AlgoNgst::preprocess over each series and accumulating the
-/// reports in series order.
-[[nodiscard]] AlgoNgstReport ngst_tile_swar(const NgstTileCtx& ctx);
-#if defined(SPACEFTS_HAVE_AVX2)
-[[nodiscard]] AlgoNgstReport ngst_tile_avx2(const NgstTileCtx& ctx);
-#endif
-#if defined(SPACEFTS_HAVE_AVX512)
-[[nodiscard]] AlgoNgstReport ngst_tile_avx512(const NgstTileCtx& ctx);
-#endif
-
 /// Phase 1 of one OTIS plane pass: per pixel the median of its finite 3x3
 /// neighbours, the hypothesis-(2) bounds test, and the residual against
 /// the median.  The kernel writes every pixel of the three output images.
@@ -88,16 +72,6 @@ struct OtisPhase1Ctx {
   const AlgoOtisConfig* cfg = nullptr;
   std::size_t lanes = 1;  ///< resolved worker lanes for the row partition
 };
-
-/// Bit-identical to check::oracle_otis_plane's first classification
-/// sweep at every lane count.
-void otis_phase1_swar(const OtisPhase1Ctx& ctx);
-#if defined(SPACEFTS_HAVE_AVX2)
-void otis_phase1_avx2(const OtisPhase1Ctx& ctx);
-#endif
-#if defined(SPACEFTS_HAVE_AVX512)
-void otis_phase1_avx512(const OtisPhase1Ctx& ctx);
-#endif
 
 /// Phases 2 + 3 of one OTIS plane pass (dynamic thresholds from clean
 /// pairs, then the Jacobi bit vote + candidate fallback).  The trend test
@@ -113,14 +87,39 @@ struct OtisPhase23Ctx {
   std::size_t lanes = 1;  ///< resolved worker lanes for the row partition
 };
 
-/// Appends bit_corrected / median_replaced to \p report.  Bit-identical to
-/// check::oracle_otis_plane's phases 2 + 3 at every lane count.
-void otis_phase23_swar(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
-#if defined(SPACEFTS_HAVE_AVX2)
-void otis_phase23_avx2(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
-#endif
-#if defined(SPACEFTS_HAVE_AVX512)
-void otis_phase23_avx512(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
-#endif
+/// The entry points of one voter kernel, defined by its TU.
+struct VoterEntries {
+  /// Runs the XOR/threshold/vote/mask/apply stages over one tile, in place
+  /// in scratch->soa and through to the tile's home in the stack.
+  /// Bit-identical to running AlgoNgst::preprocess over each series and
+  /// accumulating the reports in series order.
+  AlgoNgstReport (*ngst_tile)(const NgstTileCtx&);
+  std::size_t ngst_pad;  ///< NGST SoA tiles pad to a multiple of this
+  /// Bit-identical to check::oracle_otis_plane's first classification
+  /// sweep at every lane count.
+  void (*otis_phase1)(const OtisPhase1Ctx&);
+  /// Appends bit_corrected / median_replaced to the report.  Bit-identical
+  /// to check::oracle_otis_plane's phases 2 + 3 at every lane count.
+  void (*otis_phase23)(const OtisPhase23Ctx&, AlgoOtisReport&);
+};
+extern const VoterEntries kSwarEntries;
+extern const VoterEntries kAvx2Entries;    ///< x86 SIMD builds only
+extern const VoterEntries kAvx512Entries;  ///< x86 SIMD builds only
+
+/// One row of the voter's dispatch table: the kernel, the telemetry
+/// counters that name it, and its entry points.
+struct Voter {
+  Kernel kernel;
+  const char* ngst_counter;  ///< "ngst.kernel.<name>"
+  const char* otis_counter;  ///< "otis.kernel.<name>"
+  const VoterEntries* entries;
+};
+
+/// The voter's dispatch table, widest first; the last row, kSwar, needs
+/// no feature.  Every function of kernel.hpp reads it.
+[[nodiscard]] std::span<const common::cpu::Row<Voter>> voter_rows() noexcept;
+
+/// The row that runs for \p requested, as resolve_kernel() resolves it.
+[[nodiscard]] const Voter& voter(Kernel requested) noexcept;
 
 }  // namespace spacefts::core::detail

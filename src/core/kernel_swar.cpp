@@ -192,16 +192,8 @@ static_assert(kNgstPad % SwarOps::kLanes16 == 0,
 
 }  // namespace
 
-AlgoNgstReport ngst_tile_swar(const NgstTileCtx& ctx) {
-  return ngst_tile_engine<SwarOps>(ctx);
-}
-
-void otis_phase1_swar(const OtisPhase1Ctx& ctx) {
-  otis_phase1_engine<SwarOps>(ctx);
-}
-
-void otis_phase23_swar(const OtisPhase23Ctx& ctx, AlgoOtisReport& report) {
-  otis_phase23_engine<SwarOps>(ctx, report);
-}
+const VoterEntries kSwarEntries{
+    ngst_tile_engine<SwarOps>, kNgstPad,
+    otis_phase1_engine<SwarOps>, otis_phase23_engine<SwarOps>};
 
 }  // namespace spacefts::core::detail

@@ -17,23 +17,27 @@
 #include <span>
 #include <vector>
 
+#include "spacefts/common/cpu.hpp"
+
 namespace spacefts::edac {
 
 /// CRC-32 of \p bytes, optionally continuing from a previous partial
 /// checksum (pass the previous return value as \p crc to stream).
-/// Inputs of 64 bytes or more run a carry-less-multiply folding kernel on
-/// x86-64 hosts with PCLMULQDQ and SSE4.1 (SPACEFTS_SIMD builds); shorter
-/// inputs, their last 0-15 bytes and every other host use the slice-by-8
-/// table.  Every path returns the same value.
+/// The first row of detail::crc32_rows() the host can run computes it.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                                   std::uint32_t crc = 0) noexcept;
 
 namespace detail {
 
-/// The portable slice-by-8 table path of crc32(), whatever the host: the
-/// reference the folding kernel is tested against.
-[[nodiscard]] std::uint32_t crc32_table(std::span<const std::uint8_t> bytes,
-                                        std::uint32_t crc = 0) noexcept;
+/// One implementation of crc32(), with its signature.
+using Crc32Fn = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                  std::uint32_t) noexcept;
+
+/// crc32()'s dispatch table, widest first: a carry-less-multiply fold of
+/// inputs of 64 bytes or more (x86 SIMD builds; PCLMULQDQ and SSE4.1),
+/// then the portable slice-by-8 table, which needs nothing.  Every row
+/// returns the same value.
+[[nodiscard]] std::span<const common::cpu::Row<Crc32Fn>> crc32_rows() noexcept;
 
 }  // namespace detail
 

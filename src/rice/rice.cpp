@@ -4,7 +4,7 @@
 #include <array>
 #include <bit>
 
-#if defined(SPACEFTS_RICE_X86)
+#if defined(SPACEFTS_X86_SIMD)
 #include <immintrin.h>
 #endif
 
@@ -51,10 +51,12 @@ constexpr std::uint64_t kMaxMapped = 131070;
 /// none.  That predicate is monotone in k, so a walk from any start finds
 /// the same k.  Started at floor(log2(mean residual)), near the optimum,
 /// the walk evaluates about two saving() sums per block on the NGST and
-/// telemetry benches.
+/// telemetry benches.  Always inlined: GCC will not inline the vector
+/// encoder's lane_saving() into the plain \p saving lambda, only into the
+/// encoder the lambda and this walk inline into.
 template <typename Saving>
-[[nodiscard]] unsigned choose_k(std::uint32_t n, std::uint32_t sum,
-                                Saving saving) noexcept {
+[[nodiscard, gnu::always_inline]] inline unsigned choose_k(
+    std::uint32_t n, std::uint32_t sum, Saving saving) noexcept {
   const auto stops = [&](unsigned k) {
     return k == kMaxK || saving(k) <= n;
   };
@@ -110,21 +112,52 @@ BitWriter presized_writer(std::size_t count) {
   return writer;
 }
 
-#if defined(SPACEFTS_RICE_X86)
-
-/// Every feature the vector encoder is compiled for, checked once.
-[[nodiscard]] bool host_has_avx2_bmi2() noexcept {
-  static const bool has = __builtin_cpu_supports("avx2") != 0 &&
-                          __builtin_cpu_supports("bmi2") != 0;
-  return has;
+/// The portable encoder row: code_block() for every block.
+std::vector<std::uint8_t> compress16_portable(
+    std::span<const std::uint16_t> samples) {
+  BitWriter writer = presized_writer(samples.size());
+  for (std::size_t i = 0; i < samples.size(); i += kBlockSamples) {
+    const auto block =
+        samples.subspan(i, std::min(kBlockSamples, samples.size() - i));
+    code_block(writer, block, i == 0 ? 0 : samples[i - 1]);
+  }
+  return writer.finish();
 }
 
-/// Every feature the fast decoder is compiled for, checked once.
-[[nodiscard]] bool host_has_bmi2_lzcnt() noexcept {
-  static const bool has = __builtin_cpu_supports("bmi2") != 0 &&
-                          __builtin_cpu_supports("lzcnt") != 0;
-  return has;
+/// The portable decoder row, and the body of each of its builds.
+[[gnu::always_inline]] inline std::vector<std::uint16_t> decode(
+    std::span<const std::uint8_t> stream, std::size_t count) {
+  BitReader reader(stream);
+  // The count comes from outside; every sample costs at least one bit, so
+  // the stream bounds what a well-formed decode can produce.
+  std::vector<std::uint16_t> out(std::min(count, stream.size() * 8));
+  // A block that ends past that bound needs more bits than the stream
+  // holds, so it cannot decode whole: it reads into this scratch until the
+  // reader throws.
+  std::array<std::uint16_t, kBlockSamples> overrun{};
+  std::uint16_t previous = 0;
+  for (std::size_t done = 0; done < count;) {
+    const auto k = static_cast<unsigned>(reader.read_bits(5));
+    const std::size_t block_len = std::min(kBlockSamples, count - done);
+    const std::span<std::uint16_t> block =
+        done + block_len <= out.size()
+            ? std::span(out).subspan(done, block_len)
+            : std::span(overrun).first(block_len);
+    if (k == kEscape) {
+      for (std::uint16_t& sample : block) {
+        sample = static_cast<std::uint16_t>(reader.read_bits(16));
+      }
+      previous = block.back();
+    } else {
+      if (k > kMaxK) throw BitstreamError("decompress16: invalid k");
+      reader.read_rice_samples(k, kMaxMapped >> k, previous, block);
+    }
+    done += block_len;
+  }
+  return out;
 }
+
+#if defined(SPACEFTS_X86_SIMD)
 
 /// Sum of the eight 32-bit lanes of \p v.
 [[gnu::target("avx2,bmi2")]] std::uint32_t lane_sum(__m256i v) noexcept {
@@ -217,9 +250,9 @@ BitWriter presized_writer(std::size_t count) {
   return true;
 }
 
-/// compress16() on hosts with AVX2 and BMI2: every full block after the
-/// first goes to code_block_avx2(); the first (no sample before it to
-/// load), the tail and the blocks it declines go to code_block().
+/// The AVX2 + BMI2 encoder row: every full block after the first goes to
+/// code_block_avx2(); the first (no sample before it to load), the tail
+/// and the blocks it declines go to code_block().
 [[gnu::target("avx2,bmi2")]] std::vector<std::uint8_t> compress16_avx2(
     std::span<const std::uint16_t> samples) {
   BitWriter writer = presized_writer(samples.size());
@@ -234,80 +267,56 @@ BitWriter presized_writer(std::size_t count) {
   return writer.finish();
 }
 
-#endif  // SPACEFTS_RICE_X86
-
-/// The body of decompress16(), inlined into each of its builds.
-[[gnu::always_inline]] inline std::vector<std::uint16_t> decode(
-    std::span<const std::uint8_t> stream, std::size_t count) {
-  BitReader reader(stream);
-  // The count comes from outside; every sample costs at least one bit, so
-  // the stream bounds what a well-formed decode can produce.
-  std::vector<std::uint16_t> out(std::min(count, stream.size() * 8));
-  // A block that ends past that bound needs more bits than the stream
-  // holds, so it cannot decode whole: it reads into this scratch until the
-  // reader throws.
-  std::array<std::uint16_t, kBlockSamples> overrun{};
-  std::uint16_t previous = 0;
-  for (std::size_t done = 0; done < count;) {
-    const auto k = static_cast<unsigned>(reader.read_bits(5));
-    const std::size_t block_len = std::min(kBlockSamples, count - done);
-    const std::span<std::uint16_t> block =
-        done + block_len <= out.size()
-            ? std::span(out).subspan(done, block_len)
-            : std::span(overrun).first(block_len);
-    if (k == kEscape) {
-      for (std::uint16_t& sample : block) {
-        sample = static_cast<std::uint16_t>(reader.read_bits(16));
-      }
-      previous = block.back();
-    } else {
-      if (k > kMaxK) throw BitstreamError("decompress16: invalid k");
-      reader.read_rice_samples(k, kMaxMapped >> k, previous, block);
-    }
-    done += block_len;
-  }
-  return out;
-}
-
-#if defined(SPACEFTS_RICE_X86)
-/// decode() with the reader's variable shifts and bit scans as SHLX, SHRX
-/// and LZCNT.
+/// The BMI2 + LZCNT decoder row: decode() with the reader's variable
+/// shifts and bit scans as SHLX, SHRX and LZCNT.
 [[gnu::target("bmi2,lzcnt")]] std::vector<std::uint16_t> decode_bmi2(
     std::span<const std::uint8_t> stream, std::size_t count) {
   return decode(stream, count);
 }
+
+#endif  // SPACEFTS_X86_SIMD
+
+namespace cpu = common::cpu;
+
+constexpr cpu::Row<detail::Encoder> kEncoders[] = {
+#if defined(SPACEFTS_X86_SIMD)
+    {"avx2_bmi2", cpu::kAvx2 | cpu::kBmi2, compress16_avx2},
 #endif
+    {"portable", 0, compress16_portable},
+};
+
+constexpr cpu::Row<detail::Decoder> kDecoders[] = {
+#if defined(SPACEFTS_X86_SIMD)
+    {"bmi2_lzcnt", cpu::kBmi2 | cpu::kLzcnt, decode_bmi2},
+#endif
+    {"portable", 0, decode},
+};
 
 }  // namespace
 
 namespace detail {
 
-std::vector<std::uint8_t> compress16_portable(
-    std::span<const std::uint16_t> samples) {
-  BitWriter writer = presized_writer(samples.size());
-  for (std::size_t i = 0; i < samples.size(); i += kBlockSamples) {
-    const auto block =
-        samples.subspan(i, std::min(kBlockSamples, samples.size() - i));
-    code_block(writer, block, i == 0 ? 0 : samples[i - 1]);
-  }
-  return writer.finish();
+std::span<const cpu::Row<Encoder>> compress16_rows() noexcept {
+  return kEncoders;
+}
+
+std::span<const cpu::Row<Decoder>> decompress16_rows() noexcept {
+  return kDecoders;
 }
 
 }  // namespace detail
 
 std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
-#if defined(SPACEFTS_RICE_X86)
-  if (host_has_avx2_bmi2()) return compress16_avx2(samples);
-#endif
-  return detail::compress16_portable(samples);
+  static const detail::Encoder encode =
+      cpu::pick(detail::compress16_rows()).impl;
+  return encode(samples);
 }
 
 std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
                                         std::size_t count) {
-#if defined(SPACEFTS_RICE_X86)
-  if (host_has_bmi2_lzcnt()) return decode_bmi2(stream, count);
-#endif
-  return decode(stream, count);
+  static const detail::Decoder decoder =
+      cpu::pick(detail::decompress16_rows()).impl;
+  return decoder(stream, count);
 }
 
 double compression_ratio16(std::span<const std::uint16_t> samples) {

@@ -238,7 +238,7 @@ TEST(Oracle, RiceEncodeMatchesTheCodec) {
   }
   EXPECT_EQ(sc::oracle_rice_encode(walk), sr::compress16(walk));
   EXPECT_EQ(sc::oracle_rice_encode(walk),
-            sr::detail::compress16_portable(walk));
+            sr::detail::compress16_rows().back().impl(walk));
   EXPECT_TRUE(sc::oracle_rice_encode({}).empty());
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     Rng case_rng(seed);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "spacefts/common/bitops.hpp"
+#include "spacefts/common/cpu.hpp"
 #include "spacefts/common/image.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/common/stats.hpp"
@@ -360,4 +361,21 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(sc::percentile(v, 25), 10.0);
   EXPECT_THROW((void)sc::percentile(v, 101), std::invalid_argument);
   EXPECT_THROW((void)sc::percentile({}, 50), std::invalid_argument);
+}
+
+TEST(Cpu, PickTakesTheFirstRowTheHostRuns) {
+  namespace cpu = sc::cpu;
+  EXPECT_EQ(cpu::names(0), "");
+  EXPECT_EQ(cpu::names(cpu::kAvx2 | cpu::kPclmul), "avx2+pclmul");
+  EXPECT_EQ(cpu::host(), cpu::host());
+  // A row needing a feature outside the host's set is skipped, one needing
+  // a subset of it is taken, and the portable row catches everything else.
+  const cpu::Features missing = ~cpu::host();
+  const cpu::Row<int> rows[] = {
+      {"missing", missing, 1}, {"present", cpu::host(), 2}, {"portable", 0, 3}};
+  EXPECT_FALSE(cpu::runs(rows[0]));
+  EXPECT_TRUE(cpu::runs(rows[1]));
+  EXPECT_EQ(cpu::pick(std::span<const cpu::Row<int>>(rows)).impl, 2);
+  EXPECT_EQ(cpu::pick(std::span<const cpu::Row<int>>(rows).subspan(2)).impl,
+            3);
 }

@@ -195,11 +195,12 @@ TEST(Crc32, IncrementalEqualsOneShot) {
   }
 }
 
-TEST(Crc32, EveryPathMatchesTheDefinition) {
-  // crc32() folds inputs of 64 bytes or more with carry-less multiplies
-  // where the host has them; the table path and the bitwise definition
-  // must agree with it at every length around its 64- and 16-byte steps,
-  // from every alignment, fresh and continuing a stream.
+/// The CRC path tests' inputs: every length to 1100 bytes, around 4 KiB
+/// and 13000, and 2 MiB + 3, from every alignment (\p offset) in a 16-byte
+/// window, fresh and continuing a stream.  Stops at the first case that
+/// fails.
+template <typename Visit>
+void for_each_crc_input(Visit visit) {
   constexpr std::size_t kLarge = (std::size_t{2} << 20) + 3;
   const auto data = random_bytes(kLarge + 16, 0xC3C);
   std::vector<std::size_t> lengths;
@@ -211,17 +212,46 @@ TEST(Crc32, EveryPathMatchesTheDefinition) {
   for (const std::size_t n : lengths) {
     for (std::size_t offset = 0; offset < 16; ++offset) {
       for (const std::uint32_t seed : {0u, 0x5EED1234u}) {
-        const auto bytes = std::span(data).subspan(offset, n);
-        const auto table = se::detail::crc32_table(bytes, seed);
-        ASSERT_EQ(se::crc32(bytes, seed), table)
-            << "length " << n << " offset " << offset << " seed " << seed;
-        // The 2 MiB case checks the definition from one alignment only.
-        if (n != kLarge || offset == 0) {
-          ASSERT_EQ(table, bitwise_crc32(bytes, seed))
-              << "length " << n << " offset " << offset << " seed " << seed;
+        visit(std::span(data).subspan(offset, n), seed, offset);
+        if (testing::Test::HasFailure()) {
+          ADD_FAILURE() << "length " << n << " offset " << offset << " seed "
+                        << seed;
+          return;
         }
       }
     }
+  }
+}
+
+TEST(Crc32, EveryPathMatchesTheDefinition) {
+  // crc32() folds inputs of 64 bytes or more with carry-less multiplies
+  // where the host has them; the table path and the bitwise definition
+  // must agree with it at every length around its 64- and 16-byte steps,
+  // from every alignment, fresh and continuing a stream.
+  const auto table = se::detail::crc32_rows().back().impl;
+  for_each_crc_input([&](std::span<const std::uint8_t> bytes,
+                         std::uint32_t seed, std::size_t offset) {
+    const auto expected = table(bytes, seed);
+    EXPECT_EQ(se::crc32(bytes, seed), expected);
+    // The 2 MiB case checks the definition from one alignment only.
+    if (bytes.size() <= 13000 || offset == 0) {
+      EXPECT_EQ(expected, bitwise_crc32(bytes, seed));
+    }
+  });
+}
+
+TEST(Crc32, EveryRowMatchesThePortableRow) {
+  // Every row of crc32()'s table the host can run, not only the one it
+  // picks, against the slice-by-8 row.
+  const auto rows = se::detail::crc32_rows();
+  ASSERT_EQ(rows.back().needs, 0u);
+  for (const auto& row : rows) {
+    if (!spacefts::common::cpu::runs(row)) continue;
+    for_each_crc_input([&](std::span<const std::uint8_t> bytes,
+                           std::uint32_t seed, std::size_t) {
+      EXPECT_EQ(row.impl(bytes, seed), rows.back().impl(bytes, seed))
+          << row.name;
+    });
   }
 }
 

@@ -12,8 +12,10 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "kernel_detail.hpp"
 #include "spacefts/check/oracle.hpp"
 #include "spacefts/common/bitops.hpp"
 #include "spacefts/common/image.hpp"
@@ -574,6 +576,61 @@ TEST(KernelParity, OtisShortAndRaggedInteriors) {
       check_otis_parity(AlgoOtisConfig{}, plane);
       sprinkle_non_finite(plane, seed, 7);
       check_otis_parity(AlgoOtisConfig{}, plane);
+    }
+  }
+}
+
+TEST(KernelDispatch, EveryVoterRowMatchesThePortableRow) {
+  // Every row of the voter table the host can run, forced through the
+  // config seam, against the last row (swar): NGST stacks over the tile
+  // remainders, and OTIS planes with nudged and non-finite pixels.  Each
+  // row's name and counters are the ones its kernel reports.
+  namespace cpu = spacefts::common::cpu;
+  const auto rows = spacefts::core::detail::voter_rows();
+  ASSERT_EQ(rows.back().needs, 0u);
+  ASSERT_EQ(rows.back().impl.kernel, Kernel::kSwar);
+  const auto run_ngst = [](Kernel kernel, std::size_t w, std::uint32_t seed) {
+    TemporalStack<std::uint16_t> stack = make_stack(w, 5, 12, seed);
+    AlgoNgstConfig cfg;
+    cfg.kernel = kernel;
+    const AlgoNgstReport report = AlgoNgst(cfg).preprocess(stack);
+    const auto voxels = stack.cube().voxels();
+    return std::pair(std::vector(voxels.begin(), voxels.end()),
+                     report.bits_corrected);
+  };
+  const auto run_otis = [](Kernel kernel, std::size_t w, std::uint32_t seed) {
+    Image<float> plane = make_plane(w, 11, seed, 5);
+    sprinkle_non_finite(plane, seed, 7);
+    AlgoOtisConfig cfg;
+    cfg.kernel = kernel;
+    const AlgoOtisReport report = AlgoOtis(cfg).preprocess_plane(plane, 10.0);
+    std::vector<std::uint32_t> bits;
+    for (const float px : plane.pixels()) {
+      bits.push_back(spacefts::common::float_to_bits(px));
+    }
+    return std::pair(bits, report.bit_corrected + report.median_replaced);
+  };
+  const Kernel portable = rows.back().impl.kernel;
+  for (const auto& row : rows) {
+    const Kernel kernel = row.impl.kernel;
+    EXPECT_STREQ(spacefts::core::kernel_name(kernel), row.name);
+    EXPECT_EQ(std::string(row.impl.ngst_counter),
+              std::string("ngst.kernel.") + row.name);
+    EXPECT_EQ(std::string(row.impl.otis_counter),
+              std::string("otis.kernel.") + row.name);
+    EXPECT_EQ(spacefts::core::kernel_available(kernel), cpu::runs(row));
+    if (!cpu::runs(row)) continue;
+    EXPECT_EQ(spacefts::core::resolve_kernel(kernel), kernel);
+    std::uint32_t seed = 300;
+    for (const std::size_t w : {1, 15, 33, 64, 97}) {
+      ++seed;
+      EXPECT_EQ(run_ngst(kernel, w, seed), run_ngst(portable, w, seed))
+          << row.name << " ngst width " << w;
+    }
+    for (const std::size_t w : {3, 18, 41}) {
+      ++seed;
+      EXPECT_EQ(run_otis(kernel, w, seed), run_otis(portable, w, seed))
+          << row.name << " otis width " << w;
     }
   }
 }

@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "spacefts/common/random.hpp"
@@ -866,23 +868,13 @@ TEST(Rice, KSearchMatchesTheFullScan) {
   }
 }
 
-TEST(Rice, VectorEncoderMatchesThePortablePath) {
-  // compress16 takes the vector block step on AVX2 + BMI2 hosts for every
-  // full block after the first; the portable path is its reference.  Tally
-  // what those blocks reach: every k the walk stops at, and escapes.
-  std::array<bool, 17> k_seen{};
-  bool escape_seen = false;
-  const auto expect_same = [&](const std::vector<std::uint16_t>& v,
-                               const char* name) {
-    EXPECT_EQ(sr::compress16(v), sr::detail::compress16_portable(v))
-        << name << " length " << v.size();
-    for (std::size_t b = sr::kBlockSamples;
-         b + sr::kBlockSamples <= v.size(); b += sr::kBlockSamples) {
-      const BlockScan scan = scan_block(v, b, sr::kBlockSamples);
-      k_seen[scan.k] = true;
-      escape_seen = escape_seen || scan.escape;
-    }
-  };
+/// The Rice path tests' inputs, each handed to \p visit with a label:
+/// lengths 0..300 with a noise scale drawn per block ("scales"),
+/// alternating extremes ("extremes"), and blocks whose largest quotient is
+/// the longest code the vector step takes or the shortest it hands back
+/// ("quotient bound").
+template <typename Visit>
+void for_each_encoder_input(Visit visit) {
   // Lengths 0..300: the first block, tails of 1..31 samples, and full
   // blocks whose noise scale, 2^0 .. 2^17, is drawn per block.
   Rng rng(0x7EC7);
@@ -893,18 +885,15 @@ TEST(Rice, VectorEncoderMatchesThePortablePath) {
       if (i % sr::kBlockSamples == 0) scale = std::uint64_t{1} << rng.below(18);
       v[i] = static_cast<std::uint16_t>(20000 + rng.below(scale));
     }
-    expect_same(v, "scales");
+    visit(v, "scales");
   }
   // Alternating extremes: residuals near 131070 stop the walk at its k = 16
   // cap.
   {
     std::vector<std::uint16_t> v(100);
     for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 2 ? 0 : 65535;
-    expect_same(v, "extremes");
+    visit(v, "extremes");
   }
-  for (unsigned k = 0; k <= 16; ++k) EXPECT_TRUE(k_seen[k]) << "k " << k;
-  EXPECT_TRUE(escape_seen);
-
   // Blocks whose largest quotient is 31 - k, the longest code of 32 bits,
   // or 32 - k, the shortest the vector step hands back.  Residuals of
   // 2^k - 1 and 2^k - 2 hold the walk at k; the spike closes the block.
@@ -926,8 +915,84 @@ TEST(Rice, VectorEncoderMatchesThePortablePath) {
       ASSERT_EQ(scan.k, k);
       ASSERT_FALSE(scan.escape) << "k " << k;
       ASSERT_EQ(scan.max_quotient, quotient) << "k " << k;
-      expect_same(v, "quotient bound");
+      visit(v, "quotient bound");
     }
+  }
+}
+
+
+TEST(Rice, VectorEncoderMatchesThePortablePath) {
+  // compress16 takes the vector block step on AVX2 + BMI2 hosts for every
+  // full block after the first; the portable path is its reference.  Tally
+  // what the scales and extremes blocks reach: every k the walk stops at,
+  // and escapes.
+  const auto portable = sr::detail::compress16_rows().back().impl;
+  std::array<bool, 17> k_seen{};
+  bool escape_seen = false;
+  for_each_encoder_input([&](const std::vector<std::uint16_t>& v,
+                             const char* name) {
+    EXPECT_EQ(sr::compress16(v), portable(v))
+        << name << " length " << v.size();
+    if (std::string_view(name) == "quotient bound") return;
+    for (std::size_t b = sr::kBlockSamples;
+         b + sr::kBlockSamples <= v.size(); b += sr::kBlockSamples) {
+      const BlockScan scan = scan_block(v, b, sr::kBlockSamples);
+      k_seen[scan.k] = true;
+      escape_seen = escape_seen || scan.escape;
+    }
+  });
+  for (unsigned k = 0; k <= 16; ++k) EXPECT_TRUE(k_seen[k]) << "k " << k;
+  EXPECT_TRUE(escape_seen);
+}
+
+TEST(Rice, EveryEncoderRowMatchesThePortableRow) {
+  // Every row of compress16()'s table the host can run, not only the one
+  // it picks, against the portable coder.
+  const auto rows = sr::detail::compress16_rows();
+  ASSERT_EQ(rows.back().needs, 0u);
+  for (const auto& row : rows) {
+    if (!spacefts::common::cpu::runs(row)) continue;
+    for_each_encoder_input([&](const std::vector<std::uint16_t>& v,
+                               const char* name) {
+      EXPECT_EQ(row.impl(v), rows.back().impl(v))
+          << row.name << " " << name << " length " << v.size();
+    });
+  }
+}
+
+TEST(Rice, EveryDecoderRowMatchesThePortableRow) {
+  // Every row of decompress16()'s table the host can run against the
+  // portable decoder, which the BMI2 row otherwise hides on x86 hosts: the
+  // same samples from each stream, and the same samples or the same throw
+  // from each stream cut short by 1..4 bytes.
+  const auto rows = sr::detail::decompress16_rows();
+  ASSERT_EQ(rows.back().needs, 0u);
+  const auto portable = rows.back().impl;
+  const auto decode = [](sr::detail::Decoder fn,
+                         std::span<const std::uint8_t> stream,
+                         std::size_t count) {
+    try {
+      return std::optional(fn(stream, count));
+    } catch (const sr::BitstreamError&) {
+      return std::optional<std::vector<std::uint16_t>>();
+    }
+  };
+  for (const auto& row : rows) {
+    if (!spacefts::common::cpu::runs(row)) continue;
+    for_each_encoder_input([&](const std::vector<std::uint16_t>& v,
+                               const char* name) {
+      const auto stream = sr::compress16(v);
+      EXPECT_EQ(row.impl(stream, v.size()), v)
+          << row.name << " " << name << " length " << v.size();
+      for (std::size_t cut = 1; cut <= std::min<std::size_t>(4, stream.size());
+           ++cut) {
+        const auto shorter = std::span(stream).first(stream.size() - cut);
+        EXPECT_EQ(decode(row.impl, shorter, v.size()),
+                  decode(portable, shorter, v.size()))
+            << row.name << " " << name << " length " << v.size() << " cut "
+            << cut;
+      }
+    });
   }
 }
 
