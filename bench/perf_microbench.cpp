@@ -24,7 +24,9 @@
 #include "spacefts/datagen/otis_scenes.hpp"
 #include "spacefts/datagen/telemetry.hpp"
 #include "spacefts/downlink/chain.hpp"
+#include "spacefts/downlink/compressed_hdu.hpp"
 #include "spacefts/edac/crc32.hpp"
+#include "spacefts/edac/hamming.hpp"
 #include "spacefts/edac/protected_memory.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
@@ -275,19 +277,31 @@ BENCHMARK_CAPTURE(BM_RiceCompress, telemetry_tile_portable,
                   telemetry_tile_samples,
                   spacefts::rice::detail::compress16_rows().back().impl);
 
+using RiceDecoder = std::vector<std::uint16_t> (*)(
+    std::span<const std::uint8_t>, std::size_t);
+
+/// decompress16 runs the BMI2/LZCNT build of the decoder where the host
+/// has both; the _portable row times the baseline build.
 void BM_RiceDecompress(benchmark::State& state,
-                       std::vector<std::uint16_t> (*make)()) {
+                       std::vector<std::uint16_t> (*make)(),
+                       RiceDecoder decode) {
   const auto data = make();
   const auto stream = spacefts::rice::compress16(data);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spacefts::rice::decompress16(stream, data.size()));
+    benchmark::DoNotOptimize(decode(stream, data.size()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size() * 2));
 }
-BENCHMARK_CAPTURE(BM_RiceDecompress, ngst, ngst_samples);
-BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry, telemetry_samples);
-BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry_tile, telemetry_tile_samples);
+BENCHMARK_CAPTURE(BM_RiceDecompress, ngst, ngst_samples,
+                  &spacefts::rice::decompress16);
+BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry, telemetry_samples,
+                  &spacefts::rice::decompress16);
+BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry_tile, telemetry_tile_samples,
+                  &spacefts::rice::decompress16);
+BENCHMARK_CAPTURE(BM_RiceDecompress, telemetry_tile_portable,
+                  telemetry_tile_samples,
+                  spacefts::rice::detail::decompress16_rows().back().impl);
 
 /// Arg: input bytes.  64 is the folding kernel's smallest input, 13 KiB
 /// about one telemetry tile's frame, 2 MiB a stream far past the caches.
@@ -333,6 +347,43 @@ void BM_RecoverFrame(benchmark::State& state) {
                           static_cast<std::int64_t>(payload.size()));
 }
 BENCHMARK(BM_RecoverFrame)->Arg(0)->Arg(1);
+
+/// One telemetry tile's frame as run_chain seals it: the 16x256 tile in a
+/// compressed FITS file, about 1,450 8-byte words.
+std::vector<std::uint8_t> telemetry_tile_frame() {
+  spacefts::common::Image<std::uint16_t> tile(256, 16,
+                                              telemetry_tile_samples());
+  spacefts::fits::FitsFile file;
+  file.hdus().push_back(spacefts::downlink::make_compressed_hdu(tile));
+  return spacefts::downlink::protect_frame(file.serialize());
+}
+
+/// The Hamming parity of a tile frame's data words through one row of
+/// encode_parities()'s table; registered from main() for each row the host
+/// runs.
+void BM_EncodeParities(benchmark::State& state,
+                       spacefts::edac::detail::ParitiesFn encode) {
+  const auto frame = telemetry_tile_frame();
+  const std::size_t words = (frame.size() - 4) / 9;
+  std::vector<std::uint8_t> parities(words);
+  for (auto _ : state) {
+    encode(frame.data(), words, parities.data());
+    benchmark::DoNotOptimize(parities.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(words * 8));
+  state.counters["words"] = static_cast<double>(words);
+}
+
+void register_parity_rows() {
+  for (const auto& row : spacefts::edac::detail::encode_parities_rows()) {
+    if (!spacefts::common::cpu::runs(row)) continue;
+    benchmark::RegisterBenchmark(
+        (std::string("BM_EncodeParities/") + row.name).c_str(),
+        BM_EncodeParities, row.impl);
+  }
+}
 
 void BM_FitsRoundtrip(benchmark::State& state) {
   spacefts::datagen::NgstSimulator sim(0xBEEF6);
@@ -662,6 +713,7 @@ bool filter_selects_stack_sweep() {
 int main(int argc, char** argv) {
   register_stack_kernel_sweep();
   register_otis_kernel_sweep();
+  register_parity_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

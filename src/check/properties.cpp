@@ -1,6 +1,7 @@
 #include "spacefts/check/properties.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <span>
@@ -389,6 +390,22 @@ PropertyResult check_crc_frame(common::Rng& rng) {
 PropertyResult check_hamming_contract(common::Rng& rng) {
   const std::uint64_t data = rng();
   const std::uint8_t parity = edac::encode_parity(data);
+  // The bulk encoder agrees with the one-word one on the word and on its 72
+  // single flips (the last 8 flip parity bits and leave the data as is).
+  std::array<std::uint64_t, 73> flipped;
+  flipped[0] = data;
+  for (int bit = 0; bit < 72; ++bit) {
+    flipped[bit + 1] = bit < 64 ? data ^ (std::uint64_t{1} << bit) : data;
+  }
+  std::array<std::uint8_t, flipped.size()> parities;
+  edac::encode_parities(reinterpret_cast<const std::uint8_t*>(flipped.data()),
+                        flipped.size(), parities.data());
+  for (std::size_t i = 0; i < flipped.size(); ++i) {
+    if (parities[i] != edac::encode_parity(flipped[i])) {
+      return property_failed(format_detail(
+          "encode_parities disagrees with encode_parity on word %zu", i));
+    }
+  }
   // Every single flip across the 72-bit code word corrects cleanly.
   for (int bit = 0; bit < 72; ++bit) {
     const std::uint64_t d =

@@ -5,7 +5,8 @@
 namespace spacefts::common::cpu {
 namespace {
 
-constexpr const char* kNames[] = {"avx2", "avx512", "bmi2", "lzcnt", "pclmul"};
+constexpr const char* kNames[] = {"avx2", "avx512", "bmi2", "lzcnt", "pclmul",
+                                   "gfni"};
 
 /// Each bit needs every feature its code is compiled with.
 [[nodiscard]] Features probe() noexcept {
@@ -19,7 +20,10 @@ constexpr const char* kNames[] = {"avx2", "avx512", "bmi2", "lzcnt", "pclmul"};
          bit(__builtin_cpu_supports("lzcnt"), kLzcnt) |
          bit(__builtin_cpu_supports("pclmul") &&
                  __builtin_cpu_supports("sse4.1"),
-             kPclmul);
+             kPclmul) |
+         bit(__builtin_cpu_supports("gfni") &&
+                 __builtin_cpu_supports("avx512vbmi"),
+             kGfni);
 #else
   return 0;
 #endif

@@ -3,8 +3,9 @@
 /// accelerated entry point picks its implementation from.
 ///
 /// An entry point (the voter kernels, the CRC-32 fold, the Rice encoder,
-/// the Rice decoder) keeps one constexpr array of Row{name, needs, impl},
-/// ordered widest first and ending in a portable row that needs nothing.
+/// the Rice decoder, the Hamming parity of a run of words) keeps one
+/// constexpr array of Row{name, needs, impl}, ordered widest first and
+/// ending in a portable row that needs nothing.
 /// pick() returns the first row whose features the host has; tests run
 /// every row the host can execute through the same array (DESIGN.md §6.1).
 #pragma once
@@ -23,6 +24,7 @@ enum Feature : std::uint32_t {
   kBmi2 = 1u << 2,
   kLzcnt = 1u << 3,
   kPclmul = 1u << 4,  ///< PCLMULQDQ and SSE4.1
+  kGfni = 1u << 5,    ///< GFNI and AVX-512 VBMI
 };
 using Features = std::uint32_t;
 
@@ -33,7 +35,7 @@ using Features = std::uint32_t;
 [[nodiscard]] Features host() noexcept;
 
 /// The names of \p features in bit order, '+'-joined
-/// ("avx2+avx512+bmi2+lzcnt+pclmul"); empty for none.
+/// ("avx2+avx512+bmi2+lzcnt+pclmul+gfni"); empty for none.
 [[nodiscard]] std::string names(Features features);
 
 /// One implementation of an accelerated entry point.

@@ -152,9 +152,7 @@ std::vector<std::uint8_t> protect_frame(std::span<const std::uint8_t> payload) {
     out[b] = static_cast<std::uint8_t>(length >> (8 * b));
   }
   if (!payload.empty()) std::memcpy(out + 4, payload.data(), payload.size());
-  for (std::size_t w = 0; w < words; ++w) {
-    out[padded + w] = edac::encode_parity(load_word(out + w * 8));
-  }
+  edac::encode_parities(out, words, out + padded);
   edac::frame_append_crc(frame);
   return frame;
 }
@@ -178,12 +176,17 @@ std::optional<std::vector<std::uint8_t>> recover_frame(
 
   // SEC-DED pass: correct a single flipped bit per 72-bit word, wherever it
   // landed (data or parity byte), then re-derive the parity bytes so the CRC
-  // recheck sees a self-consistent frame.
+  // recheck sees a self-consistent frame.  The copy's parity bytes start as
+  // those its data words imply; only a word whose stored byte differs can
+  // decode to anything but kClean, so only those words are decoded.
   std::vector<std::uint8_t> corrected(frame.begin(), frame.end());
+  edac::encode_parities(frame.data(), words, corrected.data() + data_bytes);
+  const std::uint8_t* const stored = frame.data() + data_bytes;
   std::size_t repairs = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    const auto result = edac::decode(load_word(corrected.data() + w * 8),
-                                     corrected[data_bytes + w]);
+    if (corrected[data_bytes + w] == stored[w]) continue;
+    const auto result =
+        edac::decode(load_word(frame.data() + w * 8), stored[w]);
     if (result.status == edac::DecodeStatus::kUncorrectable) {
       return std::nullopt;
     }

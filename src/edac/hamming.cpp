@@ -1,6 +1,11 @@
 #include "spacefts/edac/hamming.hpp"
 
 #include <bit>
+#include <cstring>
+
+#if defined(SPACEFTS_X86_SIMD)
+#include <immintrin.h>
+#endif
 
 namespace spacefts::edac {
 
@@ -78,7 +83,93 @@ constexpr ByteParityTable kByteParity{};
   return index <= 63 ? index : -1;
 }
 
+/// The portable row: the byte tables, one word at a time.
+void encode_parities_table(const std::uint8_t* data, std::size_t words,
+                           std::uint8_t* out) noexcept {
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word;
+    std::memcpy(&word, data + 8 * w, sizeof word);
+    out[w] = encode_parity(word);
+  }
+}
+
+#if defined(SPACEFTS_X86_SIMD)
+
+/// kByteParity.at[b] as the 8x8 bit matrix of vgf2p8affineqb: byte 7 - i
+/// of the qword selects the input bits that output bit i XORs, so an
+/// affine transform of byte value v by matrix b yields kByteParity.at[b][v].
+struct ByteParityMatrices {
+  std::uint64_t at[8];
+  constexpr ByteParityMatrices() : at{} {
+    for (int b = 0; b < 8; ++b) {
+      for (int i = 0; i < 8; ++i) {
+        std::uint64_t row = 0;
+        for (int k = 0; k < 8; ++k) {
+          row |= std::uint64_t{(kByteParity.at[b][1u << k] >> i) & 1u} << k;
+        }
+        at[b] |= row << (8 * (7 - i));
+      }
+    }
+  }
+};
+constexpr ByteParityMatrices kMatrices{};
+
+/// vpermb indices that transpose eight words of eight bytes: byte b of word
+/// w moves to byte w of qword lane b.
+struct TransposeIndex {
+  std::uint8_t at[64];
+  constexpr TransposeIndex() : at{} {
+    for (int b = 0; b < 8; ++b) {
+      for (int w = 0; w < 8; ++w) {
+        at[8 * b + w] = static_cast<std::uint8_t>(8 * w + b);
+      }
+    }
+  }
+};
+constexpr TransposeIndex kTranspose{};
+
+/// The GFNI row: eight words per step.  Their bytes are transposed so that
+/// qword lane b holds byte b of each word, one affine transform applies
+/// matrix b to lane b, and XOR-folding the eight lanes leaves the eight
+/// parity bytes in qword 0.  The last 0-7 words take the table row.
+[[gnu::target("avx512f,avx512bw,avx512vbmi,gfni")]] void encode_parities_gfni(
+    const std::uint8_t* data, std::size_t words, std::uint8_t* out) noexcept {
+  constexpr __mmask64 kAll8 = ~__mmask64{0};
+  const __m512i transpose = _mm512_loadu_si512(kTranspose.at);
+  const __m512i matrices = _mm512_loadu_si512(kMatrices.at);
+  std::size_t w = 0;
+  for (; w + 8 <= words; w += 8) {
+    const __m512i bytes = _mm512_maskz_permutexvar_epi8(
+        kAll8, transpose, _mm512_loadu_si512(data + 8 * w));
+    __m512i v = _mm512_gf2p8affine_epi64_epi8(bytes, matrices, 0);
+    // Lanes b ^= b + 4, then b ^= b + 2, then b ^= b + 1.
+    v = _mm512_xor_si512(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E));
+    v = _mm512_xor_si512(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0xB1));
+    v = _mm512_xor_si512(
+        v, _mm512_maskz_shuffle_epi32(0xFFFF, v, _MM_PERM_BADC));
+    _mm512_mask_storeu_epi8(out + w, 0xFF, v);
+  }
+  encode_parities_table(data + 8 * w, words - w, out + w);
+}
+
+#endif  // SPACEFTS_X86_SIMD
+
+constexpr common::cpu::Row<detail::ParitiesFn> kParitiesRows[] = {
+#if defined(SPACEFTS_X86_SIMD)
+    {"gfni", common::cpu::kAvx512 | common::cpu::kGfni, encode_parities_gfni},
+#endif
+    {"table", 0, encode_parities_table},
+};
+
 }  // namespace
+
+namespace detail {
+
+std::span<const common::cpu::Row<ParitiesFn>> encode_parities_rows() noexcept {
+  return kParitiesRows;
+}
+
+}  // namespace detail
 
 std::uint8_t encode_parity(std::uint64_t data) noexcept {
   std::uint8_t parity = 0;
@@ -86,6 +177,13 @@ std::uint8_t encode_parity(std::uint64_t data) noexcept {
     parity ^= kByteParity.at[b][(data >> (8 * b)) & 0xFFu];
   }
   return parity;
+}
+
+void encode_parities(const std::uint8_t* data, std::size_t words,
+                     std::uint8_t* out) noexcept {
+  static const detail::ParitiesFn fn =
+      common::cpu::pick(detail::encode_parities_rows()).impl;
+  fn(data, words, out);
 }
 
 DecodeResult decode(std::uint64_t data, std::uint8_t parity) noexcept {

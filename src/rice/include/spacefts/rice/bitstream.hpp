@@ -4,15 +4,18 @@
 /// Both directions keep their hot paths inline.  The writer packs bits into
 /// a 64-bit accumulator and stores it as one big-endian word into a
 /// presized buffer after every put, advancing by the whole bytes it holds.
-/// The reader holds a left-aligned 64-bit buffer that it refills a 32-bit
-/// word at a time, so a Rice code (unary quotient, stop bit and k remainder
-/// bits) decodes from one peek at that buffer.  The block calls,
-/// write_rice(), write_codes() and read_rice_samples(), keep that state in
-/// registers for a whole block; the reader's also undoes the codec's
-/// zigzag delta map and stores each 16-bit sample in place.  Stream tails,
-/// runs longer than the buffer and every throw stay out of line.
+/// The reader holds a left-aligned 64-bit buffer, so a Rice code (unary
+/// quotient, stop bit and k remainder bits) decodes from one peek at it.
+/// The block calls, write_rice(), write_codes() and read_rice_samples(),
+/// keep that state in registers for a whole block.  read_rice_samples()
+/// tops the buffer up from one 8-byte load per three codes while the block
+/// is clear of the stream's end, and a 32-bit word at a time otherwise, as
+/// read_bits() and read_unary() do; it also undoes the codec's zigzag delta
+/// map and stores each 16-bit sample in place.  Stream tails, runs longer
+/// than the buffer and every throw stay out of line.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -217,29 +220,77 @@ class BitReader {
   /// from the sample before it, the first from \p previous.  Each sample
   /// is stored as soon as its code is read whole, and \p previous ends as
   /// the last one.  Same reads, position and errors as read_unary(max_run)
-  /// then read_bits(k) per sample.
+  /// then read_bits(k) per sample.  Always inlined, so each decoder build
+  /// compiles the loop for its own ISA.
   /// \pre k <= 31 and max_run < 2^(32 - k), so every code fits 32 bits.
-  void read_rice_samples(unsigned k, std::uint64_t max_run,
-                         std::uint16_t& previous,
-                         std::span<std::uint16_t> out) {
+  [[gnu::always_inline]] void read_rice_samples(unsigned k,
+                                                std::uint64_t max_run,
+                                                std::uint16_t& previous,
+                                                std::span<std::uint16_t> out) {
     const std::uint8_t* const data = bytes_.data();
+    const std::size_t size = bytes_.size();
     // Whole 32-bit words start below this byte.
-    const std::size_t words_end = bytes_.size() < 4 ? 0 : bytes_.size() - 3;
+    const std::size_t words_end = size < 4 ? 0 : size - 3;
     const std::uint64_t low_mask = (std::uint64_t{1} << k) - 1;
     std::uint64_t buf = buf_;
     unsigned avail = avail_;
     std::size_t next = next_;
     // Sums wrap modulo 2^16 when stored, as the encoder's deltas did.
     std::uint32_t sample = previous;
-    for (std::uint16_t& slot : out) {
+    // The mapped value of the length-bit code at the top of b, whose
+    // quotient is ones: the remainder is the code's low k bits.
+    const auto code = [k, low_mask](std::uint64_t b, unsigned ones,
+                                    unsigned length) {
+      return static_cast<std::uint32_t>((std::uint64_t{ones} << k) |
+                                        ((b >> (64 - length)) & low_mask));
+    };
+    const auto store = [&sample](std::uint16_t& slot, std::uint32_t mapped) {
+      // Unzigzag: even codes are non-negative deltas, odd ones negative.
+      sample += (mapped >> 1) ^ (0u - (mapped & 1u));
+      slot = static_cast<std::uint16_t>(sample);
+    };
+    std::size_t j = 0;
+    // Three codes per step.  A branchless refill tops buf up to 56..63
+    // counted bits from an 8-byte load; the bits below them are the
+    // stream's next bits, not zeros.  Three codes decode from buf, and one
+    // test checks that they fit the counted bits and keep the run bound.
+    // A step advances next by at most 7 bytes, so while the last of the
+    // block's groups loads within the stream, every step does.
+    const std::size_t groups = out.size() / 3;
+    if (groups > 0 && next + 7 * (groups - 1) + 8 <= size) {
+      for (; j + 3 <= out.size(); j += 3) {
+        buf |= load_be64(data + next) >> avail;
+        next += (63 - avail) >> 3;
+        avail |= 56;
+        // Shifts count modulo 64: a code of 64 bits or more fails the
+        // length test, whatever the shifts made of the codes after it.
+        const auto q0 = static_cast<unsigned>(std::countl_one(buf));
+        const unsigned l0 = q0 + 1 + k;
+        const std::uint64_t b1 = buf << (l0 & 63);
+        const auto q1 = static_cast<unsigned>(std::countl_one(b1));
+        const unsigned l1 = q1 + 1 + k;
+        const std::uint64_t b2 = b1 << (l1 & 63);
+        const auto q2 = static_cast<unsigned>(std::countl_one(b2));
+        const unsigned l2 = q2 + 1 + k;
+        if (l0 + l1 + l2 > avail || std::max({q0, q1, q2}) > max_run) break;
+        store(out[j], code(buf, q0, l0));
+        store(out[j + 1], code(b1, q1, l1));
+        store(out[j + 2], code(b2, q2, l2));
+        buf = b2 << l2;
+        avail -= l0 + l1 + l2;
+      }
+      // Zero the bits below the counted ones again.
+      buf &= ~(~std::uint64_t{0} >> avail);
+    }
+    // One code per step: the block's last one or two codes, a group the
+    // test above refused, and blocks near the stream's end.
+    for (; j < out.size(); ++j) {
       if (avail < 32 && next < words_end) load_word(data, next, buf, avail);
       const unsigned ones = leading_ones(buf);
       const unsigned length = ones + 1 + k;
       std::uint32_t mapped = 0;
       if (length <= avail && ones <= max_run) [[likely]] {
-        // The remainder is the low k bits of the length-bit code.
-        mapped = static_cast<std::uint32_t>(
-            (std::uint64_t{ones} << k) | ((buf >> (64 - length)) & low_mask));
+        mapped = code(buf, ones, length);
         buf <<= length;
         avail -= length;
       } else {
@@ -254,9 +305,7 @@ class BitReader {
         avail = avail_;
         next = next_;
       }
-      // Unzigzag: even codes are non-negative deltas, odd ones negative.
-      sample += (mapped >> 1) ^ (0u - (mapped & 1u));
-      slot = static_cast<std::uint16_t>(sample);
+      store(out[j], mapped);
     }
     buf_ = buf;
     avail_ = avail;
@@ -280,6 +329,16 @@ class BitReader {
 
   [[nodiscard]] static unsigned leading_ones(std::uint64_t buf) noexcept {
     return static_cast<unsigned>(__builtin_clzll(~buf));
+  }
+
+  /// The 8 bytes at \p p as a big-endian 64-bit word.
+  [[nodiscard]] static std::uint64_t load_be64(const std::uint8_t* p) noexcept {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    return word;
   }
 
   /// Puts the 32-bit big-endian word at data + next below the avail bits

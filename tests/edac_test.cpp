@@ -2,8 +2,10 @@
 // pixel store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -86,6 +88,46 @@ TEST(Hamming, ZeroAndAllOnesWords) {
 }
 
 // ----------------------------------------------------------- ProtectedMemory
+
+TEST(Hamming, EveryParityRowMatchesThePortableRow) {
+  // Every row of encode_parities()'s table the host can run, not only the
+  // one it picks, against the per-word table row: 0..70 words (every tail
+  // the 8-word steps leave, and none) from each of the 8 byte offsets of a
+  // buffer, writing exactly one byte per word.  The portable row itself
+  // agrees with encode_parity() word by word.
+  const auto rows = se::detail::encode_parities_rows();
+  ASSERT_EQ(rows.back().needs, 0u);
+  Rng rng(0x9A41);
+  std::vector<std::uint8_t> buffer(8 * 70 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  // Some all-zero and all-ones words among the random ones.
+  std::fill_n(buffer.begin() + 64, 24, std::uint8_t{0});
+  std::fill_n(buffer.begin() + 200, 24, std::uint8_t{0xFF});
+  constexpr std::uint8_t kUntouched = 0xA5;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t words = 0; words <= 70; ++words) {
+      const std::uint8_t* const data = buffer.data() + offset;
+      std::vector<std::uint8_t> want(words + 1, kUntouched);
+      rows.back().impl(data, words, want.data());
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t word;
+        std::memcpy(&word, data + 8 * w, sizeof word);
+        ASSERT_EQ(want[w], se::encode_parity(word)) << "word " << w;
+      }
+      ASSERT_EQ(want[words], kUntouched);
+      for (const auto& row : rows) {
+        if (!spacefts::common::cpu::runs(row)) continue;
+        std::vector<std::uint8_t> got(words + 1, kUntouched);
+        row.impl(data, words, got.data());
+        EXPECT_EQ(got, want) << row.name << " offset " << offset << " words "
+                             << words;
+      }
+      std::vector<std::uint8_t> picked(words + 1, kUntouched);
+      se::encode_parities(data, words, picked.data());
+      EXPECT_EQ(picked, want) << "offset " << offset << " words " << words;
+    }
+  }
+}
 
 TEST(ProtectedMemory, RoundtripWithoutFaults) {
   const std::vector<std::uint16_t> pixels{1, 2, 3, 4, 5, 6, 7};  // odd count

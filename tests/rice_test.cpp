@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
 #include <span>
@@ -12,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "spacefts/check/oracle.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/edac/crc32.hpp"
 #include "spacefts/fault/models.hpp"
@@ -1008,5 +1010,151 @@ TEST(Rice, HostileCountAllocationIsBounded) {
     EXPECT_THROW((void)sr::decompress16(stream, std::size_t{1} << 40),
                  sr::BitstreamError);
     EXPECT_LE(g_largest_alloc.load(), 2 * 8 * stream.size());
+  }
+}
+
+// ------------------------------------------------- decoder fast-path edges
+
+namespace {
+
+/// Writes a stream block by block, with any codes, legal or not.
+class StreamBuilder {
+ public:
+  /// A Rice block at \p k of (quotient, remainder) codes.
+  void rice(unsigned k,
+            const std::vector<std::pair<std::uint64_t, std::uint32_t>>& codes) {
+    writer_.write_bits(k, 5);
+    for (const auto& [quotient, remainder] : codes) {
+      writer_.write_unary(quotient);
+      writer_.write_bits(remainder, k);
+    }
+    count_ += codes.size();
+  }
+
+  /// A verbatim block of \p n samples.
+  void escape(std::size_t n, Rng& rng) {
+    writer_.write_bits(31, 5);
+    for (std::size_t i = 0; i < n; ++i) writer_.write_bits(rng(), 16);
+    count_ += n;
+  }
+
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
+  [[nodiscard]] std::vector<std::uint8_t> finish() { return writer_.finish(); }
+
+ private:
+  sr::BitWriter writer_;
+  std::size_t count_ = 0;
+};
+
+/// \p n short codes at \p k: quotients 0..max_quotient, random remainders.
+std::vector<std::pair<std::uint64_t, std::uint32_t>> filler_codes(
+    unsigned k, std::size_t n, std::uint64_t max_quotient, Rng& rng) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> codes(n);
+  for (auto& [quotient, remainder] : codes) {
+    quotient = rng.below(max_quotient + 1);
+    remainder = static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << k));
+  }
+  return codes;
+}
+
+using DecodeOutcome = std::pair<std::vector<std::uint16_t>, std::string>;
+
+/// The samples \p decode returns, or the message of the BitstreamError it
+/// throws.
+template <typename Decode>
+DecodeOutcome outcome_of(Decode&& decode, std::span<const std::uint8_t> stream,
+                         std::size_t count) {
+  DecodeOutcome out;
+  try {
+    out.first = decode(stream, count);
+  } catch (const sr::BitstreamError& e) {
+    out.second = e.what();
+  }
+  return out;
+}
+
+/// Every decoder row the host can run against the bit-serial oracle on
+/// \p stream: the same samples, or the same error.  The stream is copied
+/// into an allocation of exactly its size, so a read past its end is a
+/// heap overflow under AddressSanitizer.
+void expect_rows_match_oracle(const std::vector<std::uint8_t>& stream,
+                              std::size_t count, const std::string& what) {
+  const auto exact = std::make_unique<std::uint8_t[]>(stream.size());
+  std::copy(stream.begin(), stream.end(), exact.get());
+  const std::span<const std::uint8_t> bytes(exact.get(), stream.size());
+  const DecodeOutcome want =
+      outcome_of(spacefts::check::oracle_rice_decode, bytes, count);
+  for (const auto& row : sr::detail::decompress16_rows()) {
+    if (!spacefts::common::cpu::runs(row)) continue;
+    const DecodeOutcome got = outcome_of(row.impl, bytes, count);
+    EXPECT_EQ(got.second, want.second) << row.name << " " << what;
+    EXPECT_EQ(got.first, want.first) << row.name << " " << what;
+  }
+}
+
+constexpr std::uint64_t kMaxMapped = 131070;
+
+}  // namespace
+
+TEST(Rice, DecoderFastPathMatchesTheOracleAtEveryGroupPosition) {
+  // The decoder reads three codes per refill.  One odd code sits at each
+  // position of the first, a middle and the last full group of a block,
+  // and at the two codes after them: the longest legal run, a quotient of
+  // 32 - k and of 40 - k, and a run one past the bound kMaxMapped >> k.
+  // The block sits between a Rice block and an escape block, and another
+  // Rice block follows.
+  Rng rng(0xFA57);
+  for (const unsigned k : {0u, 1u, 7u, 12u, 13u, 14u, 16u}) {
+    const std::uint64_t bound = kMaxMapped >> k;
+    for (const std::uint64_t odd :
+         {bound, std::uint64_t{32 - k}, std::uint64_t{40 - k}, bound + 1}) {
+      for (const std::size_t at : {0, 1, 2, 12, 13, 14, 27, 28, 29, 30, 31}) {
+        StreamBuilder stream;
+        stream.rice(k, filler_codes(k, sr::kBlockSamples, 2, rng));
+        auto codes = filler_codes(k, sr::kBlockSamples, 2, rng);
+        codes[at].first = odd;
+        stream.rice(k, codes);
+        stream.escape(sr::kBlockSamples, rng);
+        stream.rice(k, filler_codes(k, 20, 1, rng));
+        const std::size_t count = stream.count();
+        expect_rows_match_oracle(stream.finish(), count,
+                                 "k " + std::to_string(k) + " quotient " +
+                                     std::to_string(odd) + " at " +
+                                     std::to_string(at));
+      }
+    }
+  }
+}
+
+TEST(Rice, DecoderFastPathStopsAtTheStreamEnd) {
+  // The three-code loop runs on a block only while the last of its groups
+  // loads all 8 bytes within the stream.  A Rice block then a block of n
+  // samples, cut at every length, and padded with 0..15 garbage bytes:
+  // every stream length, the one that puts the last block's last full
+  // group exactly at that bound among them, and those one byte below and
+  // above it.  k = 16 codes with quotients 0..1 take 51..54 bits per
+  // group, so their refills advance by up to 7 bytes each.
+  Rng rng(0xED6E);
+  for (const unsigned k : {0u, 3u, 12u, 16u}) {
+    for (std::size_t n = 1; n <= sr::kBlockSamples; ++n) {
+      StreamBuilder builder;
+      builder.rice(k, filler_codes(k, sr::kBlockSamples, 1, rng));
+      builder.rice(k, filler_codes(k, n, 1, rng));
+      const std::size_t count = builder.count();
+      const std::vector<std::uint8_t> whole = builder.finish();
+      const std::string what =
+          "k " + std::to_string(k) + " n " + std::to_string(n);
+      for (std::size_t cut = 0; cut < whole.size(); ++cut) {
+        expect_rows_match_oracle(
+            std::vector<std::uint8_t>(whole.begin(), whole.begin() + cut),
+            count, what + " cut to " + std::to_string(cut));
+      }
+      std::vector<std::uint8_t> padded = whole;
+      for (std::size_t pad = 0; pad < 16; ++pad) {
+        expect_rows_match_oracle(padded, count,
+                                 what + " padded by " + std::to_string(pad));
+        padded.push_back(static_cast<std::uint8_t>(rng()));
+      }
+    }
   }
 }
