@@ -8,6 +8,7 @@
 
 #include "spacefts/check/divergence.hpp"
 #include "spacefts/common/random.hpp"
+#include "spacefts/telemetry/jsonl.hpp"
 
 namespace spacefts::backend {
 
@@ -229,23 +230,18 @@ ShadowDecision quarantine_after(
   return ShadowDecision{kNone, kNone, false, false, false};
 }
 
+/// The decision-log row of one shadow decision.
+template <typename Visit>
+void fields(const ShadowDecision& d, Visit&& visit) {
+  visit("request", d.request_id);
+  visit("epoch", d.epoch);
+  visit("sampled", d.sampled);
+  visit("mismatch", d.mismatch);
+  visit("from_guard", d.from_guard);
+}
+
 std::string decisions_to_jsonl(std::span<const ShadowDecision> decisions) {
-  std::string out;
-  out.reserve(decisions.size() * 80);
-  for (const auto& d : decisions) {
-    out += "{\"request\":";
-    out += std::to_string(d.request_id);
-    out += ",\"epoch\":";
-    out += std::to_string(d.epoch);
-    out += ",\"sampled\":";
-    out += d.sampled ? "true" : "false";
-    out += ",\"mismatch\":";
-    out += d.mismatch ? "true" : "false";
-    out += ",\"from_guard\":";
-    out += d.from_guard ? "true" : "false";
-    out += "}\n";
-  }
-  return out;
+  return telemetry::jsonl::to_lines(decisions);
 }
 
 }  // namespace spacefts::backend

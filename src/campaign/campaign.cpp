@@ -177,34 +177,34 @@ CampaignReport run_campaign(const CampaignConfig& config) {
   return report;
 }
 
+/// The fault_campaign row of one cell.
+template <typename Visit>
+void fields(const CellResult& c, Visit&& visit) {
+  visit("bench", "fault_campaign");
+  visit("gamma0", c.gamma0);
+  visit("crash_prob", c.crash_prob);
+  visit("link_loss", c.link_loss);
+  visit("lambda", c.lambda);
+  visit("trials", c.trials);
+  visit("survived", c.survived);
+  visit("mean_coverage", c.mean_coverage);
+  visit("min_coverage", c.min_coverage);
+  visit("correction_rate", c.correction_rate);
+  visit("false_alarm_per_mpixel", c.false_alarm_per_mpixel);
+  visit("mean_makespan_s", c.mean_makespan_s);
+  visit("max_makespan_s", c.max_makespan_s);
+  visit("faults_injected", c.faults_injected);
+  visit("worker_crashes", c.worker_crashes);
+  visit("messages_dropped", c.messages_dropped);
+  visit("messages_corrupted", c.messages_corrupted);
+  visit("crc_failures", c.crc_failures);
+  visit("byzantine_rejected", c.byzantine_rejected);
+  visit("link_retries", c.link_retries);
+  visit("degraded_fragments", c.degraded_fragments);
+}
+
 std::string to_jsonl(const CampaignReport& report) {
-  std::string out;
-  out.reserve(report.cells.size() * 512);
-  for (const CellResult& c : report.cells) {
-    out += "{\"bench\":\"fault_campaign\"";
-    append_fmt(out, ",\"gamma0\":%.10g", c.gamma0);
-    append_fmt(out, ",\"crash_prob\":%.10g", c.crash_prob);
-    append_fmt(out, ",\"link_loss\":%.10g", c.link_loss);
-    append_fmt(out, ",\"lambda\":%.10g", c.lambda);
-    out += ",\"trials\":" + std::to_string(c.trials);
-    out += ",\"survived\":" + std::to_string(c.survived);
-    append_fmt(out, ",\"mean_coverage\":%.10g", c.mean_coverage);
-    append_fmt(out, ",\"min_coverage\":%.10g", c.min_coverage);
-    append_fmt(out, ",\"correction_rate\":%.10g", c.correction_rate);
-    append_fmt(out, ",\"false_alarm_per_mpixel\":%.10g", c.false_alarm_per_mpixel);
-    append_fmt(out, ",\"mean_makespan_s\":%.10g", c.mean_makespan_s);
-    append_fmt(out, ",\"max_makespan_s\":%.10g", c.max_makespan_s);
-    out += ",\"faults_injected\":" + std::to_string(c.faults_injected);
-    out += ",\"worker_crashes\":" + std::to_string(c.worker_crashes);
-    out += ",\"messages_dropped\":" + std::to_string(c.messages_dropped);
-    out += ",\"messages_corrupted\":" + std::to_string(c.messages_corrupted);
-    out += ",\"crc_failures\":" + std::to_string(c.crc_failures);
-    out += ",\"byzantine_rejected\":" + std::to_string(c.byzantine_rejected);
-    out += ",\"link_retries\":" + std::to_string(c.link_retries);
-    out += ",\"degraded_fragments\":" + std::to_string(c.degraded_fragments);
-    out += "}\n";
-  }
-  return out;
+  return telemetry::jsonl::to_lines(report.cells);
 }
 
 std::string campaign_row_key(std::string_view line) {

@@ -15,8 +15,6 @@
 namespace spacefts::campaign {
 namespace {
 
-using telemetry::jsonl::append_fmt;
-
 /// Sub-stream indices under the sweep's master seed.  Fixed so rows stay
 /// byte-stable across refactors.
 enum SweepStream : std::uint64_t {
@@ -115,23 +113,22 @@ ComputeSweepReport run_compute_sweep(const ComputeSweepConfig& config) {
   return report;
 }
 
+/// The compute_shadow row of one cell.
+template <typename Visit>
+void fields(const ComputeCellResult& c, Visit&& visit) {
+  visit("bench", "compute_shadow");
+  visit("fault_rate", c.fault_rate);
+  visit("shadow_rate", c.shadow_rate);
+  visit("requests", c.requests);
+  visit("injected", c.injected);
+  visit("detected", c.detected);
+  visit("escaped", c.escaped);
+  visit("stalls", c.stalls);
+  visit("quarantined", c.quarantined);
+}
+
 std::string to_jsonl(const ComputeSweepReport& report) {
-  std::string out;
-  out.reserve(report.cells.size() * 192);
-  for (const ComputeCellResult& c : report.cells) {
-    out += "{\"bench\":\"compute_shadow\"";
-    append_fmt(out, ",\"fault_rate\":%.10g", c.fault_rate);
-    append_fmt(out, ",\"shadow_rate\":%.10g", c.shadow_rate);
-    out += ",\"requests\":" + std::to_string(c.requests);
-    out += ",\"injected\":" + std::to_string(c.injected);
-    out += ",\"detected\":" + std::to_string(c.detected);
-    out += ",\"escaped\":" + std::to_string(c.escaped);
-    out += ",\"stalls\":" + std::to_string(c.stalls);
-    out += ",\"quarantined\":";
-    out += c.quarantined ? "true" : "false";
-    out += "}\n";
-  }
-  return out;
+  return telemetry::jsonl::to_lines(report.cells);
 }
 
 std::size_t enforce(const ComputeSweepReport& report,

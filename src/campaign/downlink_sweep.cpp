@@ -11,8 +11,6 @@
 namespace spacefts::campaign {
 namespace {
 
-using telemetry::jsonl::append_fmt;
-
 struct DownlinkCell {
   downlink::ChainWorkload workload;
   double gamma0;
@@ -133,38 +131,34 @@ DownlinkSweepReport run_downlink_sweep(const DownlinkSweepConfig& config) {
   return report;
 }
 
+/// The downlink_fidelity row of one cell.
+template <typename Visit>
+void fields(const DownlinkCellResult& c, Visit&& visit) {
+  visit("bench", "downlink_fidelity");
+  visit("workload", c.workload);
+  visit("gamma0", c.gamma0);
+  visit("link_loss", c.link_loss);
+  visit("lambda", c.lambda);
+  visit("trials", c.trials);
+  visit("psnr_on_db", c.psnr_on_db);
+  visit("psnr_off_db", c.psnr_off_db);
+  visit("match_on", c.match_on);
+  visit("match_off", c.match_off);
+  visit("wire_bytes_on", c.wire_bytes_on);
+  visit("wire_bytes_off", c.wire_bytes_off);
+  visit("compressed_bytes_on", c.compressed_bytes_on);
+  visit("compressed_bytes_off", c.compressed_bytes_off);
+  visit("tiles", c.tiles);
+  visit("degraded_on", c.degraded_on);
+  visit("degraded_off", c.degraded_off);
+  visit("frames_recovered_on", c.frames_recovered_on);
+  visit("frames_recovered_off", c.frames_recovered_off);
+  visit("memory_bits_flipped", c.memory_bits_flipped);
+  visit("pixels_corrected", c.pixels_corrected);
+}
+
 std::string to_jsonl(const DownlinkSweepReport& report) {
-  std::string out;
-  out.reserve(report.cells.size() * 320);
-  for (const DownlinkCellResult& c : report.cells) {
-    out += "{\"bench\":\"downlink_fidelity\"";
-    out += ",\"workload\":\"";
-    out += downlink::to_string(c.workload);
-    out += "\"";
-    append_fmt(out, ",\"gamma0\":%.10g", c.gamma0);
-    append_fmt(out, ",\"link_loss\":%.10g", c.link_loss);
-    append_fmt(out, ",\"lambda\":%.10g", c.lambda);
-    out += ",\"trials\":" + std::to_string(c.trials);
-    append_fmt(out, ",\"psnr_on_db\":%.10g", c.psnr_on_db);
-    append_fmt(out, ",\"psnr_off_db\":%.10g", c.psnr_off_db);
-    append_fmt(out, ",\"match_on\":%.10g", c.match_on);
-    append_fmt(out, ",\"match_off\":%.10g", c.match_off);
-    append_fmt(out, ",\"wire_bytes_on\":%.10g", c.wire_bytes_on);
-    append_fmt(out, ",\"wire_bytes_off\":%.10g", c.wire_bytes_off);
-    append_fmt(out, ",\"compressed_bytes_on\":%.10g", c.compressed_bytes_on);
-    append_fmt(out, ",\"compressed_bytes_off\":%.10g", c.compressed_bytes_off);
-    out += ",\"tiles\":" + std::to_string(c.tiles);
-    out += ",\"degraded_on\":" + std::to_string(c.degraded_on);
-    out += ",\"degraded_off\":" + std::to_string(c.degraded_off);
-    out += ",\"frames_recovered_on\":" +
-           std::to_string(c.frames_recovered_on);
-    out += ",\"frames_recovered_off\":" +
-           std::to_string(c.frames_recovered_off);
-    out += ",\"memory_bits_flipped\":" + std::to_string(c.memory_bits_flipped);
-    out += ",\"pixels_corrected\":" + std::to_string(c.pixels_corrected);
-    out += "}\n";
-  }
-  return out;
+  return telemetry::jsonl::to_lines(report.cells);
 }
 
 std::size_t enforce(const DownlinkSweepReport& report,

@@ -13,8 +13,6 @@
 namespace spacefts::campaign {
 namespace {
 
-using telemetry::jsonl::append_fmt;
-
 /// Sub-stream tag of the per-request dataset seeds (fixed forever so a
 /// committed BENCH_control.json stays reproducible).
 constexpr std::uint64_t kStreamDrift = 7;
@@ -222,31 +220,31 @@ DriftReport run_drift(const DriftConfig& config) {
   return report;
 }
 
+/// The control_drift row of one arm.
+template <typename Visit>
+void fields(const DriftArm& a, Visit&& visit) {
+  visit("bench", "control_drift");
+  visit("arm", a.name);
+  visit("adaptive", a.adaptive);
+  visit("fixed_lambda", a.fixed_lambda);
+  visit("requests", a.requests);
+  visit("completed", a.completed);
+  visit("corrected_faulty", a.corrected_faulty);
+  visit("corrected_clean", a.corrected_clean);
+  visit("bits_corrected", a.bits_corrected);
+  visit("vetoed", a.vetoed);
+  visit("science", a.science);
+  visit("virtual_cost_ms_mean", a.virtual_cost_ms_mean);
+  visit("virtual_misses", a.virtual_misses);
+  visit("virtual_compliance", a.virtual_compliance);
+  visit("decisions", a.decisions);
+  visit("raises", a.raises);
+  visit("relaxes", a.relaxes);
+  visit("sheds", a.sheds);
+}
+
 std::string to_jsonl(const DriftReport& report) {
-  std::string out;
-  for (const DriftArm& a : report.arms) {
-    out += "{\"bench\":\"control_drift\",\"arm\":\"" + a.name + "\"";
-    out += ",\"adaptive\":";
-    out += a.adaptive ? "true" : "false";
-    append_fmt(out, ",\"fixed_lambda\":%.10g", a.fixed_lambda);
-    out += ",\"requests\":" + std::to_string(a.requests);
-    out += ",\"completed\":" + std::to_string(a.completed);
-    out += ",\"corrected_faulty\":" + std::to_string(a.corrected_faulty);
-    out += ",\"corrected_clean\":" + std::to_string(a.corrected_clean);
-    out += ",\"bits_corrected\":" + std::to_string(a.bits_corrected);
-    out += ",\"vetoed\":" + std::to_string(a.vetoed);
-    append_fmt(out, ",\"science\":%.10g", a.science);
-    append_fmt(out, ",\"virtual_cost_ms_mean\":%.10g", a.virtual_cost_ms_mean);
-    out += ",\"virtual_misses\":" + std::to_string(a.virtual_misses);
-    append_fmt(out, ",\"virtual_compliance\":%.10g", a.virtual_compliance);
-    out += ",\"decisions\":" + std::to_string(a.decisions);
-    out += ",\"raises\":" + std::to_string(a.raises);
-    out += ",\"relaxes\":" + std::to_string(a.relaxes);
-    out += ",\"sheds\":" + std::to_string(a.sheds);
-    out += "}\n";
-  }
-  out += report.decisions_jsonl;
-  return out;
+  return telemetry::jsonl::to_lines(report.arms) + report.decisions_jsonl;
 }
 
 std::size_t enforce_drift(const DriftReport& report,

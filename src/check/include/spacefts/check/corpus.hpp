@@ -35,8 +35,9 @@ inline constexpr std::size_t kCaseFamilyCount = 8;
 /// Stable lowercase name used in the corpus JSONL ("ngst_diff", ...).
 [[nodiscard]] const char* to_string(CaseFamily family) noexcept;
 
-/// Parses a family name; false if unknown.
-[[nodiscard]] bool parse_family(std::string_view name, CaseFamily& out);
+/// Inverse of to_string(CaseFamily); false for an unknown name.
+[[nodiscard]] bool from_string(std::string_view name,
+                               CaseFamily& out) noexcept;
 
 /// One fully specified check case.  Every field is meaningful to at least
 /// one family; unused fields are carried verbatim so a spec round-trips.
@@ -61,7 +62,8 @@ struct CaseSpec {
 [[nodiscard]] std::string corpus_to_jsonl(const std::vector<CaseSpec>& specs);
 
 /// Parses corpus_to_jsonl() output (blank lines ignored).
-/// \throws std::runtime_error naming the first malformed line.
+/// \throws std::runtime_error naming the line and key of the first
+/// missing or malformed field.
 [[nodiscard]] std::vector<CaseSpec> parse_corpus_jsonl(std::string_view text);
 
 /// Shrinks a failing case by halving width, height, and frames (in turn,

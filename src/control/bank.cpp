@@ -1,7 +1,5 @@
 #include "spacefts/control/bank.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "spacefts/telemetry/telemetry.hpp"
@@ -104,30 +102,6 @@ std::vector<Decision> ControllerBank::decisions() const {
     all.insert(all.end(), d.begin(), d.end());
   }
   return all;
-}
-
-std::string ControllerBank::applied_jsonl() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::uint64_t, const Slot*>> order;
-  order.reserve(slots_.size());
-  for (const auto& [id, slot] : slots_) order.emplace_back(id, &slot);
-  std::sort(order.begin(), order.end());
-  std::string out;
-  char buf[320];
-  for (const auto& [id, slot] : order) {
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"bench\":\"control_applied\",\"id\":%llu,\"stream\":%llu,"
-        "\"seq\":%llu,\"lambda\":%.10g,\"upsilon\":%zu,\"batch\":%zu,"
-        "\"cost_ms\":%.6g}\n",
-        static_cast<unsigned long long>(id),
-        static_cast<unsigned long long>(slot->stream),
-        static_cast<unsigned long long>(slot->seq), slot->point.lambda,
-        slot->point.upsilon, slot->point.max_batch,
-        virtual_cost_ms(slot->pixels, slot->point));
-    out += buf;
-  }
-  return out;
 }
 
 std::size_t ControllerBank::stream_count() const {

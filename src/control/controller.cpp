@@ -7,6 +7,7 @@
 #include "spacefts/telemetry/jsonl.hpp"
 
 namespace spacefts::control {
+namespace jsonl = telemetry::jsonl;
 namespace {
 
 // The operating-point grid.  Level L is Λ = kLambdaMin + L·kLambdaStep.
@@ -302,33 +303,32 @@ core::OperatingPoint SensitivityController::point_for(
   return schedule_.front().point;
 }
 
+/// The decision-log row of one epoch.
+template <typename Visit>
+void fields(const Decision& d, Visit&& visit) {
+  visit("bench", "control");
+  visit("stream", d.stream);
+  visit("epoch", d.epoch);
+  visit("first_seq", d.first_seq);
+  visit("action", d.action);
+  visit("lambda", d.point.lambda);
+  visit("upsilon", d.point.upsilon);
+  visit("batch", d.point.max_batch);
+  visit("window_b", core::window_b_fraction(d.point.lambda),
+        jsonl::kSixDigits);
+  visit("activity", d.signals.activity, jsonl::kSixDigits);
+  visit("veto", d.signals.veto_ratio, jsonl::kSixDigits);
+  visit("pressure", d.signals.pressure, jsonl::kSixDigits);
+}
+
 std::string decisions_to_jsonl(const std::vector<Decision>& decisions) {
-  std::vector<const Decision*> order;
-  order.reserve(decisions.size());
-  for (const Decision& d : decisions) order.push_back(&d);
+  std::vector<Decision> order = decisions;
   std::stable_sort(order.begin(), order.end(),
-                   [](const Decision* a, const Decision* b) {
-                     if (a->stream != b->stream) return a->stream < b->stream;
-                     return a->epoch < b->epoch;
+                   [](const Decision& a, const Decision& b) {
+                     if (a.stream != b.stream) return a.stream < b.stream;
+                     return a.epoch < b.epoch;
                    });
-  std::string out;
-  char buf[512];
-  for (const Decision* d : order) {
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"bench\":\"control\",\"stream\":%llu,\"epoch\":%llu,"
-        "\"first_seq\":%llu,\"action\":\"%s\",\"lambda\":%.10g,"
-        "\"upsilon\":%zu,\"batch\":%zu,\"window_b\":%.6g,"
-        "\"activity\":%.6g,\"veto\":%.6g,\"pressure\":%.6g}\n",
-        static_cast<unsigned long long>(d->stream),
-        static_cast<unsigned long long>(d->epoch),
-        static_cast<unsigned long long>(d->first_seq), to_string(d->action),
-        d->point.lambda, d->point.upsilon, d->point.max_batch,
-        core::window_b_fraction(d->point.lambda), d->signals.activity,
-        d->signals.veto_ratio, d->signals.pressure);
-    out += buf;
-  }
-  return out;
+  return jsonl::to_lines(order);
 }
 
 }  // namespace spacefts::control

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -53,9 +52,6 @@ class ControllerBank {
 
   /// All epoch decisions across streams (unsorted; feed decisions_to_jsonl).
   [[nodiscard]] std::vector<Decision> decisions() const;
-
-  /// Per-request applied points as deterministic JSONL sorted by id.
-  [[nodiscard]] std::string applied_jsonl() const;
 
   [[nodiscard]] const ControlConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t stream_count() const;

@@ -1,13 +1,12 @@
 /// \file job.hpp
-/// Batch job execution: one constructed preprocessing stack serving every
-/// request of a same-shape batch.
+/// Job execution: one request through the instrument stack.
 ///
 /// This is where the serving layer meets the paper's machinery.  A batch is
-/// a set of requests agreeing on (kind, side, frames, Λ) — so the executor
-/// builds the ingest guard / Algo_OTIS *once* and reuses it for every item,
-/// the same economy an inference server gets from shape-bucketed batching.
-/// Execution is a pure function of each request's JobSpec (datasets and
-/// fault streams are derived from the request seed via
+/// a set of requests agreeing on (kind, side, frames, Λ), taken in one
+/// dequeue, but it shares no work: Server::execute_batch runs each member
+/// through its own execute_job, with its own ingest guard or Algo_OTIS
+/// (DESIGN.md §10).  Execution is a pure function of each request's JobSpec
+/// (datasets and fault streams are derived from the request seed via
 /// common::derive_stream_seed), which makes every product bit-identical to
 /// the single-request path regardless of batching, worker count, or load.
 #pragma once

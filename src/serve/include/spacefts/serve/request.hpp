@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "spacefts/core/kernel.hpp"
 
@@ -42,6 +43,8 @@ enum class JobKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(JobKind kind) noexcept;
+/// Inverse of to_string(JobKind); false for an unknown name.
+[[nodiscard]] bool from_string(std::string_view name, JobKind& out) noexcept;
 
 /// The work itself, fully specified by value.
 struct JobSpec {

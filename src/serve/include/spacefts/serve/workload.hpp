@@ -10,12 +10,13 @@
 ///
 /// The JSONL round-trip (to_jsonl / parse_workload_jsonl) is the
 /// `spacefts_cli serve --replay` interchange format: one request per line,
-/// stable field order, %.10g doubles.  results_to_jsonl renders only the
-/// *deterministic* result fields (status, checksum, correction counters),
-/// sorted by id — the file CI byte-compares across thread counts.  The
-/// check harness fuzzes both contracts: serialise∘parse must be a fixed
-/// point, and the same workload served at different batch sizes must
-/// yield byte-identical results (check::check_serve_*).
+/// written and parsed from one field list (telemetry/jsonl.hpp), %.10g
+/// doubles.  results_to_jsonl renders only the *deterministic* result
+/// fields (status, checksum, correction counters), sorted by id — the file
+/// CI byte-compares across thread counts.  The check harness fuzzes both
+/// contracts: serialise∘parse must be a fixed point, and the same workload
+/// served at different batch sizes must yield byte-identical results
+/// (check::check_serve_*).
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,10 @@ struct WorkloadItem {
 /// One JSON line per request, stable field order.
 [[nodiscard]] std::string to_jsonl(const std::vector<WorkloadItem>& items);
 
-/// Parses to_jsonl() output (blank lines ignored).  \throws
-/// std::runtime_error naming the first malformed line.
+/// Parses to_jsonl() output (blank lines ignored; `stream`, `run_pipeline`,
+/// `gamma0` and `link_loss` may be absent).  Integers must be in-range
+/// integers, doubles finite, `side` and `frames` non-zero.  \throws
+/// std::runtime_error naming the line and key of the first bad field.
 [[nodiscard]] std::vector<WorkloadItem> parse_workload_jsonl(
     std::string_view text);
 

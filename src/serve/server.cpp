@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "spacefts/common/random.hpp"
+#include "spacefts/telemetry/jsonl.hpp"
 #include "spacefts/telemetry/telemetry.hpp"
 
 namespace spacefts::serve {
@@ -19,6 +20,7 @@ constexpr std::uint64_t kStreamAdmission = 0;
 
 const char* const kStatusNames[] = {"ok",      "shed", "shutdown", "cancelled",
                                     "expired", "lost", "failed"};
+const char* const kKindNames[] = {"ngst", "otis", "telemetry"};
 
 }  // namespace
 
@@ -27,15 +29,11 @@ const char* to_string(ServeStatus status) noexcept {
 }
 
 const char* to_string(JobKind kind) noexcept {
-  switch (kind) {
-    case JobKind::kOtis:
-      return "otis";
-    case JobKind::kTelemetry:
-      return "telemetry";
-    case JobKind::kNgst:
-      break;
-  }
-  return "ngst";
+  return kKindNames[static_cast<std::size_t>(kind)];
+}
+
+bool from_string(std::string_view name, JobKind& out) noexcept {
+  return telemetry::jsonl::from_names(kKindNames, name, out);
 }
 
 /// One formed batch: the head entry plus same-shape followers.

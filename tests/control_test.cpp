@@ -286,7 +286,13 @@ TEST(ControlBank, ReorderedObservationsFoldInStreamSeqOrder) {
   }
   EXPECT_EQ(sc::decisions_to_jsonl(ooo.decisions()),
             sc::decisions_to_jsonl(in_order.decisions()));
-  EXPECT_EQ(ooo.applied_jsonl(), in_order.applied_jsonl());
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    const auto got = ooo.point(id);
+    const auto want = in_order.point(id);
+    EXPECT_EQ(got.lambda, want.lambda) << "id " << id;
+    EXPECT_EQ(got.upsilon, want.upsilon) << "id " << id;
+    EXPECT_EQ(got.max_batch, want.max_batch) << "id " << id;
+  }
 }
 
 TEST(ControlBank, DuplicateAndUnknownResultsAreIgnored) {

@@ -7,7 +7,10 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "spacefts/serve/job.hpp"
@@ -568,6 +571,40 @@ TEST(Workload, JsonlRoundTripsExactly) {
   // Re-render: the round trip must be byte-stable, not just field-equal.
   EXPECT_EQ(ss::to_jsonl(parsed), text);
   EXPECT_THROW(ss::parse_workload_jsonl("{\"id\":0}\n"), std::runtime_error);
+}
+
+// The replay parser is a parse boundary: an integer field must be an
+// in-range integer and a double finite, or the line is refused by number
+// and key (a cast of an out-of-range double to an integer is undefined).
+TEST(Workload, ReplayRefusesNonIntegerAndNonFiniteValues) {
+  const std::string good =
+      "{\"id\":0,\"stream\":1,\"arrival_s\":0.5,\"kind\":\"ngst\","
+      "\"side\":16,\"frames\":8,\"lambda\":80,\"seed\":7,\"priority\":1,"
+      "\"deadline_ms\":0,\"run_pipeline\":false,\"gamma0\":0,"
+      "\"link_loss\":0}\n";
+  ASSERT_EQ(ss::to_jsonl(ss::parse_workload_jsonl(good)), good);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    return good + line;
+  };
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [text, key] : std::vector<Case>{
+           {with("\"side\":16", "\"side\":1e30"), "side"},
+           {with("\"side\":16", "\"side\":16.7"), "side"},
+           {with("\"frames\":8", "\"frames\":8.9"), "frames"},
+           {with("\"side\":16", "\"side\":0"), "side"},
+           {with("\"priority\":1", "\"priority\":1e20"), "priority"},
+           {with("\"arrival_s\":0.5", "\"arrival_s\":nan"), "arrival_s"},
+           {with("\"kind\":\"ngst\"", "\"kind\":\"cobalt\""), "kind"},
+       }) {
+    try {
+      (void)ss::parse_workload_jsonl(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "workload line 2: bad " + key);
+    }
+  }
 }
 
 // ------------------------------------------------------------ telemetry ---

@@ -8,10 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "spacefts/telemetry/jsonl.hpp"
@@ -370,4 +374,125 @@ TEST(JsonlAppendFmt, UsesTheGivenFormat) {
   std::string out = "x=";
   st::jsonl::append_fmt(out, "%.3f", 1.5);
   EXPECT_EQ(out, "x=1.500");
+}
+
+TEST(JsonlJsonField, ReadsBothRowStyles) {
+  const std::string_view line =
+      R"({"bench": "stack", "cpu":"a, b","n":12,"x": 1.5})";
+  EXPECT_EQ(st::jsonl::json_field(line, "bench"), "stack");
+  EXPECT_EQ(st::jsonl::json_field(line, "cpu"), "a, b");
+  EXPECT_EQ(st::jsonl::json_field(line, "n"), "12");
+  EXPECT_EQ(st::jsonl::json_field(line, "x"), "1.5");
+  EXPECT_EQ(st::jsonl::json_field(line, "absent"), "");
+  EXPECT_EQ(st::jsonl::json_field(R"({"s":"open)", "s"), "");
+  EXPECT_EQ(*st::jsonl::find_value(line, "cpu"), R"("a, b")");
+  EXPECT_FALSE(st::jsonl::find_value(line, "absent").has_value());
+}
+
+// A row type with one field of every kind a field list can hold.
+namespace jsonl_row {
+
+enum class Shade : std::uint8_t { kDark, kLight };
+const char* const kShadeNames[] = {"dark", "light"};
+const char* to_string(Shade shade) {
+  return kShadeNames[static_cast<std::size_t>(shade)];
+}
+bool from_string(std::string_view name, Shade& out) {
+  return st::jsonl::from_names(kShadeNames, name, out);
+}
+
+struct Row {
+  std::uint64_t id = 0;
+  int offset = 0;
+  double level = 0.0;
+  bool on = false;
+  Shade shade = Shade::kDark;
+  std::size_t width = 1;
+  double ratio = 0.0;
+  std::uint64_t extra = 7;
+};
+
+template <st::jsonl::RowOf<Row> R, typename Visit>
+void fields(R& row, Visit&& visit) {
+  visit("id", row.id);
+  visit("offset", row.offset);
+  visit("level", row.level);
+  visit("on", row.on);
+  visit("shade", row.shade);
+  visit("width", row.width, st::jsonl::kNonZero);
+  visit("ratio", row.ratio, st::jsonl::kSixDigits);
+  visit("extra", row.extra, st::jsonl::kOptional);
+}
+
+/// The error parse_lines reports for \p text, or "accepted".
+std::string parse_error(std::string_view text) {
+  try {
+    (void)st::jsonl::parse_lines<Row>(text, "rows");
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "accepted";
+}
+
+}  // namespace jsonl_row
+
+TEST(JsonlFields, WriterAndReaderShareOneList) {
+  using jsonl_row::Row;
+  const Row row{~std::uint64_t{0}, -3,  0.1,     true,
+                jsonl_row::Shade::kLight, 16, 1.0 / 3, 9};
+  const std::string text = st::jsonl::to_lines(std::vector<Row>{row});
+  EXPECT_EQ(text,
+            "{\"id\":18446744073709551615,\"offset\":-3,\"level\":0.1,"
+            "\"on\":true,\"shade\":\"light\",\"width\":16,"
+            "\"ratio\":0.333333,\"extra\":9}\n");
+  // Blank lines are skipped but counted; the re-render is a fixed point.
+  const auto parsed = st::jsonl::parse_lines<Row>(" \n" + text, "rows");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].id, row.id);
+  EXPECT_EQ(parsed[0].offset, row.offset);
+  EXPECT_EQ(parsed[0].shade, row.shade);
+  EXPECT_EQ(st::jsonl::to_lines(parsed), text);
+  // An absent optional field keeps the row's default.
+  const auto defaulted = st::jsonl::parse_lines<Row>(
+      R"({"id":1,"offset":0,"level":1,"on":false,"shade":"dark","width":2,)"
+      R"("ratio":0})",
+      "rows");
+  ASSERT_EQ(defaulted.size(), 1u);
+  EXPECT_EQ(defaulted[0].extra, 7u);
+}
+
+TEST(JsonlFields, ReaderNamesTheLineAndKeyOfEveryBadValue) {
+  const std::string good =
+      R"({"id":1,"offset":0,"level":1,"on":false,"shade":"dark","width":2,)"
+      R"("ratio":0})";
+  EXPECT_EQ(jsonl_row::parse_error(good), "accepted");
+  EXPECT_EQ(jsonl_row::parse_error(good + "\n\n{\"id\":1}"),
+            "rows line 3: missing offset");
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    return jsonl_row::parse_error("\n" + line);
+  };
+  for (const auto& [from, to, key] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"\"id\":1", "\"id\":-1", "id"},
+           {"\"id\":1", "\"id\":18446744073709551616", "id"},
+           {"\"id\":1", "\"id\":1.5", "id"},
+           {"\"id\":1", "\"id\":\"1\"", "id"},
+           {"\"offset\":0", "\"offset\":2147483648", "offset"},
+           {"\"offset\":0", "\"offset\":+1", "offset"},
+           {"\"level\":1", "\"level\":nan", "level"},
+           {"\"level\":1", "\"level\":-inf", "level"},
+           {"\"level\":1", "\"level\":1e999", "level"},
+           {"\"level\":1", "\"level\":", "level"},
+           {"\"on\":false", "\"on\":1", "on"},
+           {"\"shade\":\"dark\"", "\"shade\":\"dim\"", "shade"},
+           {"\"shade\":\"dark\"", "\"shade\":dark", "shade"},
+           {"\"width\":2", "\"width\":0", "width"},
+           {"\"ratio\":0", "\"ratio\":0x1p3", "ratio"},
+       }) {
+    EXPECT_EQ(with(from, to), "rows line 2: bad " + key) << to;
+  }
+  // One run of spaces after the colon is the other row style's; accepted.
+  EXPECT_EQ(with("\"id\":1", "\"id\": 1"), "accepted");
 }
